@@ -15,10 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, NotAGroupAlgebra, ParseError
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotAGroup,
+    NotAGroupAlgebra,
+    NotAssociative,
+    ParseError,
+    UnitMismatch,
+)
 from .algebra import StructureAlgebra
 from .exactfield import Field
-from .frobenius import FrobeniusSystem, check_identities
+from .frobenius import FrobeniusSystem, require_identities
 from .linalg import Matrix
 from .modrep import ModuleRep
 
@@ -40,16 +48,27 @@ class GroupTable:
 
     def __post_init__(self):
         n = len(self.names)
-        assert len(self.mult) == n and all(len(r) == n for r in self.mult)
+        if len(self.mult) != n or len(self.inverse) != n or any(len(r) != n for r in self.mult):
+            raise DimensionMismatch(f"group {self.name}: needs an {n}x{n} table, {n} inverses")
+        indices = [x for r in self.mult for x in r] + [*self.inverse, self.identity]
+        bad = [x for x in indices if not 0 <= x < n]
+        if bad:
+            raise IndexOutOfRange(f"group {self.name}: index {bad[0]} outside [0, {n})",
+                                  witness=bad[0])
         e = self.identity
         for i in range(n):
-            assert self.mult[e][i] == i and self.mult[i][e] == i
-            assert self.mult[i][self.inverse[i]] == e
-            assert self.mult[self.inverse[i]][i] == e
+            if self.mult[e][i] != i or self.mult[i][e] != i:
+                raise UnitMismatch(f"group {self.name}: identity fails on {i}", witness=i)
+            if self.mult[i][self.inverse[i]] != e or self.mult[self.inverse[i]][i] != e:
+                raise NotAGroup(f"group {self.name}: inverse fails on {i}", witness=i)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert self.mult[self.mult[i][j]][k] == self.mult[i][self.mult[j][k]]
+                    if self.mult[self.mult[i][j]][k] != self.mult[i][self.mult[j][k]]:
+                        raise NotAssociative(
+                            f"group {self.name}: not associative on {(i, j, k)}",
+                            witness=(i, j, k),
+                        )
 
     @property
     def order(self) -> int:
@@ -118,9 +137,7 @@ def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
     trace = tuple(one if i == g.identity else field.zero for i in range(n))
     a_basis = tuple(alg.basis_vector(i) for i in range(n))
     b_basis = tuple(alg.basis_vector(g.inverse[i]) for i in range(n))
-    system = FrobeniusSystem(alg, trace, a_basis, b_basis)
-    assert check_identities(system)
-    return AlgebraInstance(alg, system)
+    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
 
 
 def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
@@ -140,9 +157,7 @@ def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
     trace = tuple(one if i == n - 1 else field.zero for i in range(n))
     a_basis = tuple(alg.basis_vector(i) for i in range(n))
     b_basis = tuple(alg.basis_vector(n - 1 - i) for i in range(n))
-    system = FrobeniusSystem(alg, trace, a_basis, b_basis)
-    assert check_identities(system)
-    return AlgebraInstance(alg, system)
+    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
 
 
 def truncated_module(n: int, i: int, field: Field) -> ModuleRep:

@@ -60,6 +60,10 @@ class DegenerateTrace(FrobstabError):
     code = "DegenerateTrace"
 
 
+class DualityViolation(FrobstabError):
+    code = "DualityViolation"
+
+
 class CentralityViolation(FrobstabError):
     code = "CentralityViolation"
 
@@ -94,6 +98,10 @@ class IdealClosureViolation(FrobstabError):
 
 class BudgetExceeded(FrobstabError):
     code = "BudgetExceeded"
+
+
+class NotAGroup(FrobstabError):
+    code = "NotAGroup"
 
 
 class NotAGroupAlgebra(FrobstabError):

@@ -139,10 +139,6 @@ class Field:
         return f"{f.numerator}/{f.denominator}"
 
 
-def parse_scalar(text: str, field: Field):
-    return field.parse(text)
-
-
 def field_to_json(field: Field) -> dict:
     if field.kind == RATIONAL:
         return {"kind": "rational"}

@@ -19,11 +19,12 @@ from .errors import (
     CentralityViolation,
     DegenerateTrace,
     DimensionMismatch,
+    DualityViolation,
     NonInvertibleTwist,
     ParseError,
 )
 from .algebra import StructureAlgebra, enveloping
-from .linalg import Matrix
+from .linalg import Matrix, kron_sum
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,27 @@ def derive_system(algebra: StructureAlgebra, trace: tuple) -> FrobeniusSystem:
         )
     a_basis = tuple(algebra.basis_vector(i) for i in range(n))
     b_basis = tuple(ginv.row(i) for i in range(n))
-    system = FrobeniusSystem(algebra, tuple(trace), a_basis, b_basis)
-    assert check_identities(system)
-    return system
+    return require_identities(FrobeniusSystem(algebra, tuple(trace), a_basis, b_basis))
 
 
 def check_identities(system: FrobeniusSystem) -> bool:
     """Both defining identities, on every basis element."""
+    return _identity_failure(system) is None
+
+
+def require_identities(system: FrobeniusSystem) -> FrobeniusSystem:
+    """The system itself if check_identities passes; otherwise DualityViolation,
+    witnessed by the first basis index that fails."""
+    if check_identities(system):
+        return system
+    j = _identity_failure(system)
+    raise DualityViolation(
+        f"dual bases fail the Frobenius identities at basis element {j}", witness=j
+    )
+
+
+def _identity_failure(system: FrobeniusSystem) -> int | None:
+    """Index of the first basis element where an identity fails, or None."""
     alg = system.algebra
     f = alg.field
     n = alg.dim
@@ -108,8 +123,8 @@ def check_identities(system: FrobeniusSystem) -> bool:
                     if x:
                         right[p] = f.add(right[p], f.mul(c2, x))
         if tuple(left) != e or tuple(right) != e:
-            return False
-    return True
+            return j
+    return None
 
 
 def frobenius_element(system: FrobeniusSystem) -> tuple:
@@ -119,43 +134,23 @@ def frobenius_element(system: FrobeniusSystem) -> tuple:
     sum_i a_i (x) (b_i a) on every basis element a before returning.
     """
     alg = system.algebra
-    f = alg.field
-    n = alg.dim
-    out = [f.zero] * (n * n)
-    for a_i, b_i in zip(system.a_basis, system.b_basis):
-        for p, x in enumerate(a_i):
-            if not x:
-                continue
-            base = p * n
-            for q, y in enumerate(b_i):
-                if y:
-                    out[base + q] = f.add(out[base + q], f.mul(x, y))
-    for t in range(n):
+    pairs = list(zip(system.a_basis, system.b_basis))
+    for t in range(alg.dim):
         e = alg.basis_vector(t)
-        lhs = [f.zero] * (n * n)
-        rhs = [f.zero] * (n * n)
-        for a_i, b_i in zip(system.a_basis, system.b_basis):
-            ea = alg.mul(e, a_i)
-            for p, x in enumerate(ea):
-                if not x:
-                    continue
-                base = p * n
-                for q, y in enumerate(b_i):
-                    if y:
-                        lhs[base + q] = f.add(lhs[base + q], f.mul(x, y))
-            be = alg.mul(b_i, e)
-            for p, x in enumerate(a_i):
-                if not x:
-                    continue
-                base = p * n
-                for q, y in enumerate(be):
-                    if y:
-                        rhs[base + q] = f.add(rhs[base + q], f.mul(x, y))
+        lhs = _tensor_sum(alg, [(alg.mul(e, a_i), b_i) for a_i, b_i in pairs])
+        rhs = _tensor_sum(alg, [(a_i, alg.mul(b_i, e)) for a_i, b_i in pairs])
         if lhs != rhs:
             raise CentralityViolation(
                 f"centrality fails against basis element {t}", witness=t
             )
-    return tuple(out)
+    return _tensor_sum(alg, pairs)
+
+
+def _tensor_sum(alg: StructureAlgebra, terms) -> tuple:
+    """sum of x (x) y over the (x, y) terms, as a vector on the i-major basis."""
+    f, n = alg.field, alg.dim
+    rows = [(Matrix(f, 1, n, x), Matrix(f, 1, n, y)) for x, y in terms]
+    return kron_sum(f, 1, n * n, rows).entries
 
 
 def element_inverse(algebra: StructureAlgebra, d: tuple) -> tuple | None:
@@ -191,40 +186,23 @@ def twist(system: FrobeniusSystem, d: tuple, side: str = "left") -> FrobeniusSys
         b_basis = tuple(alg.mul(d_inv, b) for b in system.b_basis)
     else:
         raise ParseError(f"twist side must be 'left' or 'right', got {side!r}")
-    out = FrobeniusSystem(alg, new_trace, a_basis, b_basis)
-    assert check_identities(out)
-    return out
+    return require_identities(FrobeniusSystem(alg, new_trace, a_basis, b_basis))
 
 
 def enveloping_system(system: FrobeniusSystem) -> FrobeniusSystem:
     """Transport to A (x) A^op: trace (x) trace with dual bases
     {a_i (x) b_j} and {b_i (x) a_j}, indexed by the same (i, j) pairs."""
     alg = system.algebra
-    f = alg.field
     n = alg.dim
     env = enveloping(alg)
-
-    def outer(x: tuple, y: tuple) -> tuple:
-        out = [f.zero] * (n * n)
-        for p, c in enumerate(x):
-            if not c:
-                continue
-            base = p * n
-            for q, d in enumerate(y):
-                if d:
-                    out[base + q] = f.mul(c, d)
-        return tuple(out)
-
-    trace = outer(system.trace, system.trace)
+    trace = _tensor_sum(alg, [(system.trace, system.trace)])
     a_basis = []
     b_basis = []
     for i in range(n):
         for j in range(n):
-            a_basis.append(outer(system.a_basis[i], system.b_basis[j]))
-            b_basis.append(outer(system.b_basis[i], system.a_basis[j]))
-    out = FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis))
-    assert check_identities(out)
-    return out
+            a_basis.append(_tensor_sum(alg, [(system.a_basis[i], system.b_basis[j])]))
+            b_basis.append(_tensor_sum(alg, [(system.b_basis[i], system.a_basis[j])]))
+    return require_identities(FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis)))
 
 
 # JSON ---------------------------------------------------------------

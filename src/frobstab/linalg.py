@@ -7,7 +7,10 @@ Conventions fixed package-wide:
   zero rows dropped, so two subspaces are equal iff their stored bases are
   equal entry for entry;
 * `vec` is column-major (stacks the columns of a matrix), which gives the
-  identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X).
+  identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
+* `kron_sum` is the one function that builds sums of Kronecker products
+  (equation systems, operators on vectorized maps, embeddings, tensor
+  elements); `kron` is its one-pair case.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
@@ -128,21 +131,6 @@ class Matrix:
                 raise DimensionMismatch("column counts differ")
             ent.extend(m.entries)
         return Matrix(f, sum(m.nrows for m in mats), ncols, tuple(ent))
-
-    @staticmethod
-    def stack_cols(mats: list["Matrix"]) -> "Matrix":
-        if not mats:
-            raise DimensionMismatch("nothing to stack")
-        nrows = mats[0].nrows
-        f = mats[0].field
-        rows: list[list] = [[] for _ in range(nrows)]
-        for m in mats:
-            _check_same_field(f, m.field)
-            if m.nrows != nrows:
-                raise DimensionMismatch("row counts differ")
-            for i in range(nrows):
-                rows[i].extend(m.row(i))
-        return Matrix.from_rows(f, rows, ncols=sum(m.ncols for m in mats))
 
     # access ----------------------------------------------------------
 
@@ -307,28 +295,36 @@ class Matrix:
         return tuple(x)
 
 
+def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
+    """Sum of kron(a, b) over the (a, b) pairs, as an nrows x ncols matrix.
+
+    Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q;
+    every term must have the given shape, and an empty sum is the zero
+    matrix.  Zero entries of a and b are skipped.  `pairs` may be a
+    generator, so callers need not hold every factor at once.
+    """
+    add, mul = field.add, field.mul
+    out = [field.zero] * (nrows * ncols)
+    for a, b in pairs:
+        _check_same_field(field, a.field)
+        _check_same_field(field, b.field)
+        p, q = b.nrows, b.ncols
+        if (a.nrows * p, a.ncols * q) != (nrows, ncols):
+            raise DimensionMismatch(
+                f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}"
+            )
+        b_nz = [(t // q * ncols + t % q, y) for t, y in enumerate(b.entries) if y]
+        for t, x in enumerate(a.entries):
+            if x:
+                base = t // a.ncols * p * ncols + t % a.ncols * q
+                for off, y in b_nz:
+                    out[base + off] = add(out[base + off], mul(x, y))
+    return Matrix(field, nrows, ncols, tuple(out))
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l]."""
-    _check_same_field(a.field, b.field)
-    mul = a.field.mul
-    zero = a.field.zero
-    p, q = b.nrows, b.ncols
-    nr, nc = a.nrows * p, a.ncols * q
-    out = [zero] * (nr * nc)
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            x = a.entries[i * a.ncols + j]
-            if not x:
-                continue
-            rbase, cbase = i * p, j * q
-            for k in range(p):
-                obase = (rbase + k) * nc + cbase
-                bbase = k * q
-                for l in range(q):
-                    y = b.entries[bbase + l]
-                    if y:
-                        out[obase + l] = mul(x, y)
-    return Matrix(a.field, nr, nc, tuple(out))
+    return kron_sum(a.field, a.nrows * b.nrows, a.ncols * b.ncols, [(a, b)])
 
 
 def vec(m: Matrix) -> tuple:
@@ -427,6 +423,13 @@ class Subspace:
             return None
         return c
 
+    def _require_inside(self, small: "Subspace", what: str) -> None:
+        """NotASubspace, witnessed by the first basis row of `small` outside self."""
+        self._check_compatible(small)
+        for t, v in enumerate(small.basis_vectors()):
+            if not self.contains(v):
+                raise NotASubspace(f"{what} a non-subspace", witness=t)
+
     def _check_compatible(self, other: "Subspace") -> None:
         _check_same_field(self.field, other.field)
         if self.ambient != other.ambient:
@@ -459,9 +462,7 @@ class Subspace:
 
     def quotient_dim(self, small: "Subspace") -> int:
         """dim(self / small); raises NotASubspace if small is not inside self."""
-        self._check_compatible(small)
-        if not self.contains_subspace(small):
-            raise NotASubspace("quotient by a non-subspace")
+        self._require_inside(small, "quotient by")
         return self.dim - small.dim
 
     def complement_of(self, small: "Subspace") -> list[tuple]:
@@ -471,9 +472,7 @@ class Subspace:
         independent of `small` plus the rows already kept.  The result is a
         list of coset representatives for self / small.
         """
-        self._check_compatible(small)
-        if not self.contains_subspace(small):
-            raise NotASubspace("complement of a non-subspace")
+        self._require_inside(small, "complement of")
         reps: list[tuple] = []
         work = small
         for v in self.basis_vectors():
@@ -481,11 +480,3 @@ class Subspace:
                 reps.append(v)
                 work = work + Subspace.from_vectors(self.field, self.ambient, [v])
         return reps
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)

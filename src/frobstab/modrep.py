@@ -30,7 +30,7 @@ from .errors import (
 from .algebra import StructureAlgebra, enveloping, _require_keys
 from .exactfield import Field
 from .frobenius import FrobeniusSystem
-from .linalg import Matrix, Subspace, kron
+from .linalg import Matrix, Subspace, kron, kron_sum
 
 MODULE_FORMAT = "frobstab-module/1"
 
@@ -117,31 +117,15 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     f = alg.field
     n = alg.dim
     md = m.dim
-    out = [[f.zero] * md for _ in range(n * md)]
-    for a_i, b_i in zip(system.a_basis, system.b_basis):
-        bmat = m.action_of(b_i)
-        for p, c in enumerate(a_i):
-            if not c:
-                continue
-            for r in range(md):
-                base = p * md + r
-                row = out[base]
-                for col in range(md):
-                    x = bmat.at(r, col)
-                    if x:
-                        row[col] = f.add(row[col], f.mul(c, x))
-    phi = Matrix.from_rows(f, out, ncols=md)
+    phi = kron_sum(f, n * md, md, (
+        (Matrix(f, n, 1, a_i), m.action_of(b_i))
+        for a_i, b_i in zip(system.a_basis, system.b_basis)
+    ))
     free = free_module(alg, md)
     for q in range(n):
         if free.action[q] @ phi != phi @ m.action[q]:
             raise NotALinearMap(f"embedding fails to intertwine basis {q}", witness=q)
-    split_rows = [[f.zero] * (n * md) for _ in range(md)]
-    for p in range(n):
-        t = system.trace[p]
-        if t:
-            for j in range(md):
-                split_rows[j][p * md + j] = t
-    split = Matrix.from_rows(f, split_rows, ncols=n * md)
+    split = kron(Matrix(f, 1, n, system.trace), Matrix.identity(f, md))
     if split @ phi != Matrix.identity(f, md):
         raise EmbeddingNotInjective("trace splitting does not recover the identity")
     return phi
@@ -149,10 +133,11 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
 
 def multiplication_surjection(m: ModuleRep) -> Matrix:
     """Matrix of A (x) M_0 -> M, e_p (x) v_j |-> e_p v_j."""
-    cols: list[Matrix] = list(m.action)
-    if not cols:
-        return Matrix.from_rows(m.algebra.field, [[] for _ in range(m.dim)], ncols=0)
-    return Matrix.stack_cols(cols)
+    alg = m.algebra
+    return kron_sum(alg.field, m.dim, alg.dim * m.dim, [
+        (Matrix(alg.field, 1, alg.dim, alg.basis_vector(p)), rho)
+        for p, rho in enumerate(m.action)
+    ])
 
 
 def hom_bimodule(m: ModuleRep, n_: ModuleRep) -> ModuleRep:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .algebra import StructureAlgebra
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, unvec
+from .linalg import Matrix, Subspace, kron, kron_sum, unvec, vec
 from .modrep import (
     ModuleRep,
     bimodule_regular,
@@ -53,62 +53,37 @@ def _check_system_module(system: FrobeniusSystem, *mods: ModuleRep) -> None:
 def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     """A-linear maps M -> N as a subspace of vectorized matrices.
 
-    H is A-linear iff action_N(e_i) H = H action_M(e_i) for every basis
-    element; the equations are assembled row by row and solved exactly.
+    H is A-linear iff action_N(e_i) H - H action_M(e_i) = 0 for every basis
+    element; on vec(H) that is the block kron(I, action_N(e_i)) -
+    kron(action_M(e_i)^T, I).  The blocks form one system, block i at rows
+    i*dim(M)*dim(N) as kron(e_i, block) with e_i a unit column, written as
+    kron(kron(e_i, x), y) == kron(e_i, kron(x, y)).  It is solved exactly.
     """
     m.same_algebra(n_)
     f = m.algebra.field
-    add, sub = f.add, f.sub
+    d = m.algebra.dim
     mn, mm = n_.dim, m.dim
     amb = mn * mm
-    if amb == 0:
-        return Subspace.zero(f, 0)
-    rows: list[list] = []
-    zero = f.zero
-    for i in range(m.algebra.dim):
-        rn, rm = n_.action[i], m.action[i]
-        for c in range(mm):
-            for r in range(mn):
-                row = [zero] * amb
-                base = c * mn
-                for k in range(mn):
-                    x = rn.at(r, k)
-                    if x:
-                        row[base + k] = add(row[base + k], x)
-                for l in range(mm):
-                    x = rm.at(l, c)
-                    if x:
-                        idx = l * mn + r
-                        row[idx] = sub(row[idx], x)
-                rows.append(row)
-    return Matrix.from_rows(f, rows, ncols=amb).kernel_basis()
+    eye_m, minus_eye_n = Matrix.identity(f, mm), -Matrix.identity(f, mn)
+
+    def terms():
+        for i, (rn, rm) in enumerate(zip(n_.action, m.action)):
+            e_i = Matrix(f, d, 1, m.algebra.basis_vector(i))
+            yield kron(e_i, eye_m), rn
+            yield kron(e_i, rm.transpose()), minus_eye_n
+
+    return kron_sum(f, d * amb, amb, terms()).kernel_basis()
 
 
 def null_homotopy_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Matrix:
     """The operator T above on vec(Hom_k(M, N)); its image is the null space."""
     _check_system_module(system, m, n_)
     m.same_algebra(n_)
-    f = m.algebra.field
-    add, mul = f.add, f.mul
-    mn, mm = n_.dim, m.dim
-    amb = mn * mm
-    out = [[f.zero] * amb for _ in range(amb)]
-    for a_i, b_i in zip(system.a_basis, system.b_basis):
-        am = n_.action_of(a_i)
-        bt = m.action_of(b_i).transpose()
-        for r1 in range(mm):
-            for c1 in range(mm):
-                x = bt.at(r1, c1)
-                if not x:
-                    continue
-                rbase, cbase = r1 * mn, c1 * mn
-                for r2 in range(mn):
-                    row = out[rbase + r2]
-                    for c2 in range(mn):
-                        y = am.at(r2, c2)
-                        if y:
-                            row[cbase + c2] = add(row[cbase + c2], mul(x, y))
-    return Matrix.from_rows(f, out, ncols=amb)
+    amb = n_.dim * m.dim
+    return kron_sum(m.algebra.field, amb, amb, (
+        (m.action_of(b_i).transpose(), n_.action_of(a_i))
+        for a_i, b_i in zip(system.a_basis, system.b_basis)
+    ))
 
 
 @dataclass
@@ -126,7 +101,7 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     hom = hom_A(m, n_)
     t = null_homotopy_operator(system, m, n_)
     null = t.image_basis()
-    assert hom.contains_subspace(null), "null-homotopic maps must be A-linear"
+    # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
     reps = [unvec(m.algebra.field, v, n_.dim, m.dim) for v in hom.complement_of(null)]
     return StableHomResult(hom.dim, null.dim, hom.dim - null.dim, hom, null, reps)
 
@@ -147,13 +122,7 @@ def factoring_ideal_oracle(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep)
     if m.dim == 0:
         return Subspace.zero(f, amb)
     phi = canonical_embedding(system, m)
-    vecs = []
-    for v in through.basis_vectors():
-        big = unvec(f, v, n_.dim, free.dim)
-        composed = big @ phi
-        vecs.append(
-            tuple(composed.at(i, j) for j in range(m.dim) for i in range(n_.dim))
-        )
+    vecs = [vec(unvec(f, v, n_.dim, free.dim) @ phi) for v in through.basis_vectors()]
     return Subspace.from_vectors(f, amb, vecs)
 
 
@@ -333,28 +302,12 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
             "tate0 needs a group algebra with its standard system "
             "(identity-coefficient trace, dual bases g and g^-1)"
         )
-    f = system.algebra.field
     inv = hom_A(m, n_)
-    mn, mm = n_.dim, m.dim
-    amb = mn * mm
-    add, mul = f.add, f.mul
-    out = [[f.zero] * amb for _ in range(amb)]
-    for gi in range(system.algebra.dim):
-        am = n_.action[gi]
-        bt = m.action[g.inverse[gi]].transpose()
-        for r1 in range(mm):
-            for c1 in range(mm):
-                x = bt.at(r1, c1)
-                if not x:
-                    continue
-                rbase, cbase = r1 * mn, c1 * mn
-                for r2 in range(mn):
-                    row = out[rbase + r2]
-                    for c2 in range(mn):
-                        y = am.at(r2, c2)
-                        if y:
-                            row[cbase + c2] = add(row[cbase + c2], mul(x, y))
-    norm = Matrix.from_rows(f, out, ncols=amb)
+    amb = n_.dim * m.dim
+    norm = kron_sum(system.algebra.field, amb, amb, [
+        (m.action[g.inverse[gi]].transpose(), n_.action[gi])
+        for gi in range(system.algebra.dim)
+    ])
     image = norm.image_basis()
-    assert inv.contains_subspace(image), "norm image must be invariant"
-    return Tate0Result(inv.dim, image.dim, inv.dim - image.dim)
+    # quotient_dim raises NotASubspace if the norm image is not invariant.
+    return Tate0Result(inv.dim, image.dim, inv.quotient_dim(image))

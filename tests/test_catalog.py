@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from frobstab.errors import NotAGroupAlgebra, ParseError
+from frobstab.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotAGroup,
+    NotAGroupAlgebra,
+    NotAssociative,
+    ParseError,
+    UnitMismatch,
+)
 from frobstab.exactfield import Field
 from frobstab.catalog import (
+    GroupTable,
     cyclic_group,
     group_algebra,
     group_from_string,
@@ -163,3 +177,42 @@ def test_catalog_is_deterministic():
     g2 = group_algebra(symmetric_group_3(), Q)
     assert g1.algebra == g2.algebra
     assert g1.algebra.group.mult == g2.algebra.group.mult
+
+
+@pytest.mark.parametrize("mult, inverse, error", [
+    (((0, 1), (1, 0), (0, 1)), (0, 1), DimensionMismatch),
+    (((0, 1), (1, 0)), (0,), DimensionMismatch),
+    (((0, 1), (1, 2)), (0, 1), IndexOutOfRange),
+    (((0, 1), (1, 0)), (0, -1), IndexOutOfRange),
+    (((0, 1), (0, 0)), (0, 1), UnitMismatch),
+    (((0, 1), (1, 1)), (0, 1), NotAGroup),
+    # the smallest loop that is not a group: identity and inverses, no associativity
+    (((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)),
+     (0, 1, 2, 3, 4), NotAssociative),
+])
+def test_group_table_rejects_non_groups(mult, inverse, error):
+    names = tuple(f"g{i}" for i in range(len(mult[0])))
+    with pytest.raises(error):
+        GroupTable("bad", names, mult, inverse)
+
+
+def test_group_table_checks_survive_optimized_mode():
+    """The axioms are checked by raising, so python -O does not skip them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "from frobstab.catalog import GroupTable\n"
+        "from frobstab.errors import FrobstabError\n"
+        "try:\n"
+        "    GroupTable('bad', ('e', 'a'), ((0, 1), (1, 1)), (0, 1))\n"
+        "except FrobstabError as e:\n"
+        "    print(e.code, e.witness)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "NotAGroup 1"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from frobstab.errors import DivisionByZero, NotPrime, ParseError
-from frobstab.exactfield import Field, field_from_json, field_to_json, parse_scalar
+from frobstab.exactfield import Field, field_from_json, field_to_json
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -17,22 +17,22 @@ GF5 = Field.prime(5)
 
 
 def test_parse_canonical_examples():
-    assert parse_scalar("6/4", Q) == Fraction(3, 2)
-    assert parse_scalar("-3", Q) == Fraction(-3)
-    assert parse_scalar("0", Q) == 0
-    assert parse_scalar("5", GF3) == 2
-    assert parse_scalar("-1", GF5) == 4
+    assert Q.parse("6/4") == Fraction(3, 2)
+    assert Q.parse("-3") == Fraction(-3)
+    assert Q.parse("0") == 0
+    assert GF3.parse("5") == 2
+    assert GF5.parse("-1") == 4
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "a", "1.5", "1/2/3", "--1", "+1", "1 2"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
-        parse_scalar(bad, Q)
+        Q.parse(bad)
 
 
 def test_parse_rejects_fraction_over_prime_field():
     with pytest.raises(ParseError):
-        parse_scalar("1/2", GF5)
+        GF5.parse("1/2")
 
 
 def test_to_str_round_trip():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from frobstab.errors import DegenerateTrace, NonInvertibleTwist, ParseError
+from frobstab.errors import DegenerateTrace, DualityViolation, NonInvertibleTwist, ParseError
 from frobstab.exactfield import Field
 from frobstab.algebra import algebra_from_json, algebra_to_json
 from frobstab.catalog import (
@@ -25,6 +25,7 @@ from frobstab.frobenius import (
     enveloping_system,
     frobenius_element,
     gram_matrix,
+    require_identities,
     system_from_json,
     system_to_json,
     twist,
@@ -88,6 +89,10 @@ def test_identities_detect_scrambled_bases():
         b_basis=(sys.b_basis[2], sys.b_basis[1], sys.b_basis[0]),
     )
     assert not check_identities(scrambled)
+    with pytest.raises(DualityViolation) as err:
+        require_identities(scrambled)
+    assert err.value.witness == 0
+    assert require_identities(sys) is sys
 
 
 def test_central_element_truncated():

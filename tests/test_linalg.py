@@ -10,10 +10,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
-from frobstab.linalg import Matrix, Subspace, kron, unvec, vec
+from frobstab.linalg import Matrix, Subspace, kron, kron_sum, unvec, vec
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -200,6 +201,72 @@ def test_vec_of_triple_product_matches_kron_route():
             direct = vec(a @ x @ b)
             route = kron(b.transpose(), a).apply(vec(x))
             assert direct == route
+
+
+def test_kron_sum_matches_entrywise_definition():
+    """Mixed pairs, including n x 1 and 1 x n factors, against a[i,j] * b[k,l]."""
+    rng = random.Random(17)
+    shapes = [((2, 1), (1, 3)), ((1, 2), (2, 1)), ((2, 2), (1, 1)), ((1, 1), (2, 2))]
+    for field in (Q, GF5):
+        for (ar, ac), (br, bc) in shapes:
+            pairs = [
+                (rand_matrix(field, rng, ar, ac), rand_matrix(field, rng, br, bc))
+                for _ in range(3)
+            ]
+            got = kron_sum(field, ar * br, ac * bc, pairs)
+            for r in range(ar * br):
+                for c in range(ac * bc):
+                    want = field.zero
+                    for a, b in pairs:
+                        x = field.mul(a.at(r // br, c // bc), b.at(r % br, c % bc))
+                        want = field.add(want, x)
+                    assert got.at(r, c) == want
+            assert kron(*pairs[0]) == kron_sum(field, ar * br, ac * bc, pairs[:1])
+
+
+def test_kron_sum_empty_is_zero_matrix():
+    assert kron_sum(GF3, 4, 6, []) == Matrix.zeros(GF3, 4, 6)
+    assert kron_sum(Q, 0, 3, []) == Matrix.zeros(Q, 0, 3)
+
+
+def test_kron_sum_guards():
+    a, b = Matrix.identity(Q, 2), mat(Q, [[1, 2]])
+    with pytest.raises(DimensionMismatch):
+        kron_sum(Q, 2, 4, [(a, b), (a, a)])
+    with pytest.raises(DimensionMismatch):
+        kron_sum(Q, 4, 2, [(a, b)])
+    with pytest.raises(FieldMismatch):
+        kron_sum(Q, 2, 4, [(a, mat(GF2, [[1, 0]]))])
+    with pytest.raises(FieldMismatch):
+        kron_sum(GF2, 2, 4, [(a, b)])
+
+
+def _matrices(field, nrows, ncols):
+    if field.kind == "rational":
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        scalar = st.integers(0, field.p - 1)
+    return st.lists(scalar, min_size=nrows * ncols, max_size=nrows * ncols).map(
+        lambda e: Matrix(field, nrows, ncols, tuple(e))
+    )
+
+
+@st.composite
+def _sandwich_terms(draw):
+    field = draw(st.sampled_from([GF5, Q]))
+    n, m, p, q = (draw(st.integers(1, 3)) for _ in range(4))
+    a, c = draw(_matrices(field, n, m)), draw(_matrices(field, n, m))
+    b, d = draw(_matrices(field, p, q)), draw(_matrices(field, p, q))
+    return field, a, b, c, d, draw(_matrices(field, m, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sandwich_terms())
+def test_kron_sum_applies_sum_of_sandwiches(terms):
+    field, a, b, c, d, x = terms
+    op = kron_sum(field, a.nrows * b.ncols, a.ncols * b.nrows,
+                  [(b.transpose(), a), (d.transpose(), c)])
+    assert op.apply(vec(x)) == vec(a @ x @ b + c @ x @ d)
 
 
 def test_matmul_against_hand_example():

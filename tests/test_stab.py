@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra
+from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
 from frobstab.exactfield import Field
+from frobstab.algebra import StructureAlgebra
 from frobstab.catalog import (
     cyclic_group,
     group_algebra,
@@ -15,7 +16,7 @@ from frobstab.catalog import (
     truncated_module,
     truncated_polynomial,
 )
-from frobstab.frobenius import twist
+from frobstab.frobenius import FrobeniusSystem, twist
 from frobstab.linalg import Matrix, Subspace, kron
 from frobstab.modrep import (
     ModuleRep,
@@ -146,6 +147,13 @@ def test_factoring_oracle_full_for_projective_source():
         vj = truncated_module(3, j, Q)
         oracle = factoring_ideal_oracle(inst.system, free1, vj)
         assert oracle == hom_A(free1, vj)
+
+
+def test_hom_over_zero_algebra_is_everything():
+    # No basis elements means no equations: every linear map is A-linear.
+    zero_alg = StructureAlgebra(GF3, 0, [], ())
+    m = ModuleRep(zero_alg, 2, ())
+    assert hom_A(m, m) == Subspace.full(GF3, 4)
 
 
 def test_zero_module_edge_case():
@@ -332,3 +340,25 @@ def test_mismatched_modules_rejected():
     other = truncated_module(3, 0, GF2)
     with pytest.raises(AlgebraMismatch):
         stable_hom(a2.system, m, other)
+
+
+def test_null_maps_outside_hom_are_rejected():
+    # Non-dual bases a = (1, x), b = (1, 1) give T(h) = (1 + x) h, which is onto
+    # Hom_k(V1, V1) and so leaves Hom_A.
+    inst = truncated_polynomial(2, GF2)
+    one = inst.algebra.basis_vector(0)
+    bad = FrobeniusSystem(inst.algebra, inst.system.trace, inst.system.a_basis, (one, one))
+    v1 = truncated_module(2, 1, GF2)
+    with pytest.raises(NotASubspace) as err:
+        stable_hom(bad, v1, v1)
+    assert err.value.witness == 0
+
+
+def test_tate_rejects_norm_image_outside_invariants():
+    # g acting by a unipotent Jordan block over GF(3) does not square to 1,
+    # so this unvalidated "module" has norm maps that are not invariant.
+    inst = group_algebra(cyclic_group(2), GF3)
+    jordan = Matrix.from_rows(GF3, [[1, 1], [0, 1]])
+    m = ModuleRep(inst.algebra, 2, (Matrix.identity(GF3, 2), jordan))
+    with pytest.raises(NotASubspace):
+        tate0(inst.system, m, m)
