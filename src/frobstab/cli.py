@@ -85,7 +85,7 @@ def _emit(obj) -> None:
 
 
 def _matrix_json(mat, fmt) -> list[list[str]]:
-    return [[fmt(mat.at(r, c)) for c in range(mat.ncols)] for r in range(mat.nrows)]
+    return [[fmt(x) for x in mat.row(r)] for r in range(mat.nrows)]
 
 
 def _write_json(path: Path, obj) -> None:

@@ -3,7 +3,10 @@
 Rational scalars are `fractions.Fraction` values (auto-reduced, positive
 denominator); GF(p) scalars are plain ints in [0, p).  A `Field` instance
 owns parsing, formatting and arithmetic for its scalars, so values stay
-canonical and scalar equality is plain ``==``.
+canonical and scalar equality is plain ``==``.  The operations are bound
+once per field: `zero`, `one`, `add`, `sub`, `mul` and `neg` are attributes
+set on construction (the `operator` functions over Q, functions of p over
+GF(p)), so arithmetic never tests which kind of field it is in.
 
 Scalar text format: ``"a"`` or ``"a/b"`` with integer a, positive integer b,
 reduced to lowest terms on input.  Prime fields only accept the integer
@@ -12,9 +15,11 @@ form; negative integers are reduced mod p.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DivisionByZero, NotPrime, ParseError
 
@@ -25,15 +30,50 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRAC_RE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)\Z")
 
 
+# The 13 prime bases up to 41 decide primality for every n below this
+# bound (Sorenson & Webster 2017); no moduli at or above it are accepted.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < _MODULUS_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _gf_add(p, x, y):
+    return (x + y) % p
+
+
+def _gf_sub(p, x, y):
+    return (x - y) % p
+
+
+def _gf_mul(p, x, y):
+    return (x * y) % p
+
+
+def _gf_neg(p, x):
+    return (-x) % p
 
 
 @dataclass(frozen=True)
@@ -47,11 +87,22 @@ class Field:
         if self.kind == RATIONAL:
             if self.p is not None:
                 raise ParseError("rational field takes no modulus")
+            ops = (Fraction(0), Fraction(1), operator.add, operator.sub,
+                   operator.mul, operator.neg)
         elif self.kind == PRIME:
+            if isinstance(self.p, int) and self.p >= _MODULUS_BOUND:
+                raise ParseError(
+                    f"modulus {self.p} is at or above {_MODULUS_BOUND}", witness=self.p
+                )
             if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise NotPrime(f"modulus {self.p!r} is not prime", witness=self.p)
+            p = self.p
+            ops = (0, 1, partial(_gf_add, p), partial(_gf_sub, p),
+                   partial(_gf_mul, p), partial(_gf_neg, p))
         else:
             raise ParseError(f"unknown field kind {self.kind!r}")
+        for name, op in zip(("zero", "one", "add", "sub", "mul", "neg"), ops):
+            object.__setattr__(self, name, op)
 
     @staticmethod
     def rationals() -> "Field":
@@ -65,40 +116,8 @@ class Field:
     def characteristic(self) -> int:
         return 0 if self.kind == RATIONAL else self.p  # type: ignore[return-value]
 
-    # canonical values ------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == RATIONAL else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == RATIONAL else 1 % self.p
-
     def from_int(self, n: int):
         return Fraction(n) if self.kind == RATIONAL else n % self.p
-
-    # arithmetic ------------------------------------------------------
-
-    def add(self, x, y):
-        if self.kind == RATIONAL:
-            return x + y
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        if self.kind == RATIONAL:
-            return x - y
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        if self.kind == RATIONAL:
-            return x * y
-        return (x * y) % self.p
-
-    def neg(self, x):
-        if self.kind == RATIONAL:
-            return -x
-        return (-x) % self.p
 
     def inv(self, x):
         if not x:

@@ -204,37 +204,3 @@ def enveloping_system(system: FrobeniusSystem) -> FrobeniusSystem:
             b_basis.append(_tensor_sum(alg, [(system.b_basis[i], system.a_basis[j])]))
     return require_identities(FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis)))
 
-
-# JSON ---------------------------------------------------------------
-
-
-def system_to_json(system: FrobeniusSystem) -> dict:
-    fmt = system.algebra.field.to_str
-    return {
-        "trace": [fmt(x) for x in system.trace],
-        "a_basis": [[fmt(x) for x in v] for v in system.a_basis],
-        "b_basis": [[fmt(x) for x in v] for v in system.b_basis],
-    }
-
-
-def system_from_json(algebra: StructureAlgebra, obj) -> FrobeniusSystem:
-    if not isinstance(obj, dict) or set(obj) != {"trace", "a_basis", "b_basis"}:
-        raise ParseError("system needs exactly trace, a_basis, b_basis")
-    n = algebra.dim
-    parse = algebra.field.parse
-
-    def parse_vec(v) -> tuple:
-        if not isinstance(v, list) or len(v) != n:
-            raise ParseError("system vector has wrong length")
-        return tuple(parse(s) for s in v)
-
-    if not isinstance(obj["a_basis"], list) or not isinstance(obj["b_basis"], list):
-        raise ParseError("dual bases must be lists")
-    if len(obj["a_basis"]) != n or len(obj["b_basis"]) != n:
-        raise ParseError("dual bases must have dim vectors")
-    return FrobeniusSystem(
-        algebra,
-        parse_vec(obj["trace"]),
-        tuple(parse_vec(v) for v in obj["a_basis"]),
-        tuple(parse_vec(v) for v in obj["b_basis"]),
-    )

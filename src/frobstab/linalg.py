@@ -112,10 +112,8 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        ent = [z] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = o
+        ent = [field.zero] * (n * n)
+        ent[:: n + 1] = [field.one] * n
         return Matrix(field, n, n, tuple(ent))
 
     @staticmethod
@@ -157,33 +155,21 @@ class Matrix:
 
     # arithmetic ------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix", what: str) -> "Matrix":
         _check_same_field(self.field, other.field)
         if self.shape != other.shape:
-            raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        add = self.field.add
-        return Matrix(
-            self.field, self.nrows, self.ncols,
-            tuple(add(x, y) for x, y in zip(self.entries, other.entries)),
-        )
+            raise DimensionMismatch(f"{what} {self.shape} vs {other.shape}")
+        entries = tuple(map(op, self.entries, other.entries))
+        return Matrix(self.field, self.nrows, self.ncols, entries)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(self.field.add, other, "add")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self.field, other.field)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        sub = self.field.sub
-        return Matrix(
-            self.field, self.nrows, self.ncols,
-            tuple(sub(x, y) for x, y in zip(self.entries, other.entries)),
-        )
+        return self._entrywise(self.field.sub, other, "sub")
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.nrows, self.ncols, tuple(neg(x) for x in self.entries))
-
-    def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, self.nrows, self.ncols, tuple(mul(c, x) for x in self.entries))
+        return Matrix(self.field, self.nrows, self.ncols, tuple(map(self.field.neg, self.entries)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self.field, other.field)
@@ -215,14 +201,14 @@ class Matrix:
         zero = self.field.zero
         out = [zero] * self.nrows
         e = self.entries
+        nz = [(j, x) for j, x in enumerate(v) if x]
         for i in range(self.nrows):
             base = i * self.ncols
             acc = zero
-            for j, x in enumerate(v):
-                if x:
-                    a = e[base + j]
-                    if a:
-                        acc = add(acc, mul(a, x))
+            for j, x in nz:
+                a = e[base + j]
+                if a:
+                    acc = add(acc, mul(a, x))
             out[i] = acc
         return tuple(out)
 

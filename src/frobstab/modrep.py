@@ -58,11 +58,9 @@ class ModuleRep:
         if len(x) != self.algebra.dim:
             raise DimensionMismatch("element length mismatch")
         f = self.algebra.field
-        acc = Matrix.zeros(f, self.dim, self.dim)
-        for c, m in zip(x, self.action):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
+        return kron_sum(f, self.dim, self.dim, (
+            (Matrix(f, 1, 1, (c,)), m) for c, m in zip(x, self.action) if c
+        ))
 
     def same_algebra(self, other: "ModuleRep") -> None:
         if self.algebra != other.algebra:
@@ -73,14 +71,14 @@ class ModuleRep:
 
 def validate_module(m: ModuleRep) -> None:
     """Unit acts as identity; products follow the structure constants."""
-    alg = m.algebra
-    if m.action_of(alg.unit) != Matrix.identity(alg.field, m.dim):
+    alg, f = m.algebra, m.algebra.field
+    if m.action_of(alg.unit) != Matrix.identity(f, m.dim):
         raise NotAModule("unit does not act as identity", witness="unit")
     for i in range(alg.dim):
         for j in range(alg.dim):
-            expect = Matrix.zeros(alg.field, m.dim, m.dim)
-            for k, v in alg.cells[i][j]:
-                expect = expect + m.action[k].scale(v)
+            expect = kron_sum(f, m.dim, m.dim, (
+                (Matrix(f, 1, 1, (v,)), m.action[k]) for k, v in alg.cells[i][j]
+            ))
             if m.action[i] @ m.action[j] != expect:
                 raise NotAModule(
                     f"action breaks on basis product ({i},{j})", witness=(i, j)
@@ -178,62 +176,51 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
     total = sum(m.dim for m in mods)
     action = []
     for i in range(first.algebra.dim):
-        rows = [[f.zero] * total for _ in range(total)]
-        off = 0
+        rows, off = [], 0
         for m in mods:
-            blk = m.action[i]
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    x = blk.at(r, c)
-                    if x:
-                        rows[off + r][off + c] = x
+            left, right = (f.zero,) * off, (f.zero,) * (total - off - m.dim)
+            rows.extend(left + m.action[i].row(r) + right for r in range(m.dim))
             off += m.dim
         action.append(Matrix.from_rows(f, rows, ncols=total))
     name = "+".join(m.name for m in mods)
     return ModuleRep(first.algebra, total, tuple(action), name=name)
 
 
-def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
-    """Restrict the action to an invariant subspace, in its canonical basis."""
+def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
+    """Each basis action restricted to sub, in its canonical basis; raises
+    NotInvariant, witnessed by the first basis index that leaves sub."""
     if sub.ambient != m.dim:
         raise DimensionMismatch("subspace of the wrong ambient space")
-    f = m.algebra.field
-    d = sub.dim
+    f, d = m.algebra.field, sub.dim
     action = []
-    for i in range(m.algebra.dim):
+    for i, rho in enumerate(m.action):
         cols = []
         for v in sub.basis_vectors():
-            w = m.action[i].apply(v)
-            if not sub.contains(w):
+            c = sub.coords(rho.apply(v))
+            if c is None:
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
-            cols.append([w[p] for p in sub.pivots])
-        rows = [[cols[t][r] for t in range(d)] for r in range(d)]
-        action.append(Matrix.from_rows(f, rows, ncols=d))
-    return ModuleRep(m.algebra, d, tuple(action), name=f"{m.name}|sub{d}")
+            cols.extend(c)
+        action.append(Matrix(f, d, d, tuple(cols)).transpose())
+    return tuple(action)
+
+
+def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
+    """Restrict the action to an invariant subspace, in its canonical basis."""
+    action = _restricted_action(m, sub)
+    return ModuleRep(m.algebra, sub.dim, action, name=f"{m.name}|sub{sub.dim}")
 
 
 def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     """Action on M / sub, coordinatized by the non-pivot coset representatives."""
-    if sub.ambient != m.dim:
-        raise DimensionMismatch("subspace of the wrong ambient space")
+    _restricted_action(m, sub)  # M / sub is a module only if sub is a submodule
     f = m.algebra.field
     piv = set(sub.pivots)
     npv = [q for q in range(m.dim) if q not in piv]
-    d = len(npv)
-    for i in range(m.algebra.dim):
-        for v in sub.basis_vectors():
-            if not sub.contains(m.action[i].apply(v)):
-                raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
     action = []
-    for i in range(m.algebra.dim):
-        cols = []
-        for q in npv:
-            e = tuple(f.one if t == q else f.zero for t in range(m.dim))
-            w = sub.reduce(m.action[i].apply(e))
-            cols.append([w[qq] for qq in npv])
-        rows = [[cols[t][r] for t in range(d)] for r in range(d)]
-        action.append(Matrix.from_rows(f, rows, ncols=d))
-    return ModuleRep(m.algebra, d, tuple(action), name=f"{m.name}/sub{sub.dim}")
+    for rho in m.action:
+        cols = [sub.reduce(rho.col(q)) for q in npv]
+        action.append(Matrix.from_rows(f, [[w[q] for w in cols] for q in npv], ncols=len(npv)))
+    return ModuleRep(m.algebra, len(npv), tuple(action), name=f"{m.name}/sub{sub.dim}")
 
 
 # JSON ---------------------------------------------------------------
@@ -247,7 +234,7 @@ def module_to_json(m: ModuleRep) -> dict:
         "algebra": m.algebra.name,
         "dim": m.dim,
         "action": [
-            [[fmt(mat.at(r, c)) for c in range(m.dim)] for r in range(m.dim)]
+            [[fmt(x) for x in mat.row(r)] for r in range(m.dim)]
             for mat in m.action
         ],
     }

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import NonInvertibleTwist
 from .exactfield import Field
 from .catalog import (
     cyclic_group,
@@ -242,7 +243,7 @@ def criterion_6(audit: Audit | None = None) -> CriterionResult:
             side = "left" if done % 2 == 0 else "right"
             try:
                 twisted = twist(system, d, side)
-            except Exception:
+            except NonInvertibleTwist:
                 continue
             done += 1
             checks += 1

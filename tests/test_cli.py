@@ -215,6 +215,15 @@ def test_exit_code_for_composite_characteristic(capsys, tmp_path):
     assert code == 2
 
 
+def test_exit_code_for_modulus_above_primality_bound(capsys, tmp_path):
+    code, report, _ = run_json(
+        capsys, "catalog", "trunc-poly", "--n", "2",
+        "--field", "gf:3317044064679887385961981", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert report["error"] == "ParseError"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "stable-hom")[0] == 3
     assert run(capsys, "no-such-command")[0] == 3

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,10 +66,41 @@ def test_characteristic():
     assert GF3.characteristic == 3
 
 
-@pytest.mark.parametrize("p", [4, 6, 9, 1, 0, -3])
+# 561 is a Carmichael number; 3825123056546413051 is a strong pseudoprime
+# to every prime base up to 23.
+@pytest.mark.parametrize("p", [4, 6, 9, 1, 0, -3, 561, 3825123056546413051])
 def test_composite_modulus_rejected(p):
     with pytest.raises(NotPrime):
         Field.prime(p)
+
+
+def test_large_prime_moduli_accepted_quickly():
+    start = time.perf_counter()
+    for p in (10**18 + 3, 2**61 - 1):
+        assert Field.prime(p).from_int(-1) == p - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_modulus_at_primality_bound_rejected():
+    # Miller-Rabin over the prime bases up to 41 is only proven below this.
+    for p in (3317044064679887385961981, 10**30 + 57):
+        with pytest.raises(ParseError):
+            Field.prime(p)
+
+
+def test_field_equality_hash_and_pickle():
+    assert Field.prime(5) == GF5 and hash(Field.prime(5)) == hash(GF5)
+    assert Field("rational") == Q and hash(Field("rational")) == hash(Q)
+    assert GF5 != GF3 and GF5 != Q
+    for f in (Q, GF2, GF5):
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and hash(back) == hash(f)
+        x, y = f.from_int(3), f.from_int(-4)
+        assert back.add(x, y) == f.from_int(-1)
+        assert back.sub(x, y) == f.from_int(7)
+        assert back.mul(x, y) == f.from_int(-12)
+        assert back.neg(x) == f.from_int(-3)
+        assert (back.zero, back.one) == (f.from_int(0), f.from_int(1))
 
 
 def test_unknown_kind_rejected():

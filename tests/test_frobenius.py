@@ -8,7 +8,6 @@ import pytest
 
 from frobstab.errors import DegenerateTrace, DualityViolation, NonInvertibleTwist, ParseError
 from frobstab.exactfield import Field
-from frobstab.algebra import algebra_from_json, algebra_to_json
 from frobstab.catalog import (
     cyclic_group,
     group_algebra,
@@ -26,8 +25,6 @@ from frobstab.frobenius import (
     frobenius_element,
     gram_matrix,
     require_identities,
-    system_from_json,
-    system_to_json,
     twist,
 )
 from frobstab.stab import stable_hom
@@ -212,14 +209,3 @@ def test_enveloping_system():
             )
     # its own central element passes the centrality check
     frobenius_element(env)
-
-
-def test_system_json_round_trip():
-    inst = group_algebra(klein_four_group(), GF3)
-    obj = system_to_json(inst.system)
-    alg2, trace2 = algebra_from_json(algebra_to_json(inst.algebra, trace=inst.system.trace))
-    back = system_from_json(inst.algebra, obj)
-    assert back.trace == inst.system.trace
-    assert back.a_basis == inst.system.a_basis
-    assert back.b_basis == inst.system.b_basis
-    assert trace2 == inst.system.trace

@@ -175,9 +175,10 @@ def test_submodule_rejects_non_invariant():
     inst = truncated_polynomial(3, Q)
     reg = regular_module(inst.algebra)
     line = Subspace.from_vectors(Q, 3, [(Q.zero, Q.one, Q.zero)])
-    with pytest.raises(NotInvariant) as exc:
-        submodule(reg, line)
-    assert exc.value.witness == 1
+    for build in (submodule, quotient_module):
+        with pytest.raises(NotInvariant) as exc:
+            build(reg, line)
+        assert exc.value.witness == 1
 
 
 def test_quotient_by_socle():
@@ -205,12 +206,13 @@ def test_direct_sum_hom_additivity():
     inst = truncated_polynomial(3, GF2)
     v0 = truncated_module(3, 0, GF2)
     v1 = truncated_module(3, 1, GF2)
-    both = direct_sum([v0, v1])
-    validate_module(both)
-    assert both.dim == 3
+    v2 = truncated_module(3, 2, GF2)
+    total = direct_sum([v0, v2, v1])
+    validate_module(total)
+    assert total.dim == 6
     assert (
-        hom_A(both, v1).dim
-        == hom_A(v0, v1).dim + hom_A(v1, v1).dim
+        hom_A(total, v1).dim
+        == hom_A(v0, v1).dim + hom_A(v2, v1).dim + hom_A(v1, v1).dim
     )
 
 

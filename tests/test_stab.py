@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
 from frobstab.exactfield import Field
@@ -214,6 +215,38 @@ def test_adjunction_between_shifts():
             left = stable_hom(inst.system, shift_minus(vi), vj).stable_dim
             right = stable_hom(inst.system, vi, shift_plus(inst.system, vj)).stable_dim
             assert left == right
+
+
+@st.composite
+def _conjugated_module(draw):
+    """V_i over k[x]/(x^n) and the same module in a random basis P."""
+    field = draw(st.sampled_from([GF3, Q]))
+    n = draw(st.integers(2, 4))
+    vi = truncated_module(n, draw(st.integers(0, n - 1)), field)
+    entries = draw(st.lists(st.integers(-2, 2), min_size=vi.dim ** 2, max_size=vi.dim ** 2))
+    pm = Matrix(field, vi.dim, vi.dim, tuple(map(field.from_int, entries)))
+    pm_inv = pm.inverse()
+    assume(pm_inv is not None)
+    action = tuple(pm_inv @ a @ pm for a in vi.action)
+    return truncated_polynomial(n, field), vi, ModuleRep(vi.algebra, vi.dim, action)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_conjugated_module())
+def test_shifts_and_ext_are_invariant_under_conjugation(case):
+    # Conjugated actions are dense, unlike the permutation-like catalog
+    # bases, so shifts build sub- and quotient modules on dense subspaces.
+    inst, vi, conj = case
+    for steps in (1, 2):
+        for shifted, ref in (
+            (shift_plus(inst.system, conj, steps), shift_plus(inst.system, vi, steps)),
+            (shift_minus(conj, steps), shift_minus(vi, steps)),
+        ):
+            validate_module(shifted)
+            assert shifted.dim == ref.dim
+    for d in (-2, -1, 1, 2):
+        got = stable_ext(inst.system, conj, conj, d).stable_dim
+        assert got == stable_ext(inst.system, vi, vi, d).stable_dim
 
 
 def test_frobenius_ideal_values():
