@@ -12,6 +12,7 @@ the display name and basis names do not participate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -213,6 +214,33 @@ class StructureAlgebra:
             )
 
     # derived structure ----------------------------------------------
+
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices whose elements generate A as an algebra.
+
+        Greedy in basis order: e_i is kept unless it already lies in the
+        subalgebra generated by the indices kept so far, which is the
+        closure of span{unit} under left multiplication by them.  Each new
+        generator first multiplies the whole closure so far; after that,
+        every round multiplies only the vectors the last round added.
+        """
+        f = self.field
+        gens: list[tuple] = []
+        kept: list[int] = []
+        span = Subspace.from_vectors(f, self.dim, [self.unit])
+        for i in range(self.dim):
+            e = self.basis_vector(i)
+            if span.contains(e):
+                continue
+            gens.append(e)
+            kept.append(i)
+            frontier = [self.mul(e, v) for v in span.basis_vectors()]
+            while frontier:
+                added = [v for v in frontier if not span.contains(v)]
+                span = span + Subspace.from_vectors(f, self.dim, added)
+                frontier = [self.mul(g, v) for v in added for g in gens]
+        return tuple(kept)
 
     def center_basis(self) -> Subspace:
         """Kernel of the stacked commutator maps a |-> e_i a - a e_i."""

@@ -1,5 +1,11 @@
 """Stable morphism spaces over a Frobenius system.
 
+Every function here takes modules, as `validate_module` checks them; a
+`ModuleRep` that breaks the module axioms can give wrong answers.
+Hom_A(M, N) is solved from the equations of a generating set of A
+(`StructureAlgebra.generators`), not one block per basis element, which
+is exact only because the action is multiplicative.
+
 The stable Hom between modules M, N is Hom_A(M, N) modulo the maps that
 factor through a projective (equivalently injective) module.  With a
 Frobenius system ({a_i}, {b_i}) the factoring maps are exactly the image of
@@ -53,26 +59,31 @@ def _check_system_module(system: FrobeniusSystem, *mods: ModuleRep) -> None:
 def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     """A-linear maps M -> N as a subspace of vectorized matrices.
 
-    H is A-linear iff action_N(e_i) H - H action_M(e_i) = 0 for every basis
-    element; on vec(H) that is the block kron(I, action_N(e_i)) -
-    kron(action_M(e_i)^T, I).  The blocks form one system, block i at rows
-    i*dim(M)*dim(N) as kron(e_i, block) with e_i a unit column, written as
-    kron(kron(e_i, x), y) == kron(e_i, kron(x, y)).  It is solved exactly.
+    M and N must be modules (`validate_module`); every CLI command checks
+    that on load.  H is then A-linear iff action_N(g) H - H action_M(g) = 0
+    for every g in the generating set `algebra.generators`: H commutes with
+    each word in the generators, the words span A, and the unit acts as I.
+    On vec(H) the equations of g are the block kron(I, action_N(g)) -
+    kron(action_M(g)^T, I).  The blocks form one system, block t at rows
+    t*dim(M)*dim(N) as kron(e_t, block) with e_t a unit column, written as
+    kron(kron(e_t, x), y) == kron(e_t, kron(x, y)).  It is solved exactly.
     """
     m.same_algebra(n_)
     f = m.algebra.field
-    d = m.algebra.dim
+    gens = m.algebra.generators
+    k = len(gens)
     mn, mm = n_.dim, m.dim
     amb = mn * mm
     eye_m, minus_eye_n = Matrix.identity(f, mm), -Matrix.identity(f, mn)
+    eye_k = Matrix.identity(f, k)
 
     def terms():
-        for i, (rn, rm) in enumerate(zip(n_.action, m.action)):
-            e_i = Matrix(f, d, 1, m.algebra.basis_vector(i))
-            yield kron(e_i, eye_m), rn
-            yield kron(e_i, rm.transpose()), minus_eye_n
+        for t, g in enumerate(gens):
+            e_t = Matrix(f, k, 1, eye_k.col(t))
+            yield kron(e_t, eye_m), n_.action[g]
+            yield kron(e_t, m.action[g].transpose()), minus_eye_n
 
-    return kron_sum(f, d * amb, amb, terms()).kernel_basis()
+    return kron_sum(f, k * amb, amb, terms()).kernel_basis()
 
 
 def null_homotopy_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Matrix:
@@ -209,18 +220,19 @@ def stable_center(system: FrobeniusSystem) -> StableCenterResult:
                 )
     reps = center.complement_of(ideal)
     k = len(reps)
-    span_rows = list(reps) + list(ideal.basis_vectors())
-    bt = Matrix.from_rows(alg.field, span_rows, ncols=alg.dim).transpose() if span_rows \
-        else Matrix.from_rows(alg.field, [[] for _ in range(alg.dim)], ncols=0)
+    # reps + ideal is a basis of the center: one inverse turns center
+    # coordinates into coordinates in that basis.
+    span = [center.coords(v) for v in reps + ideal.basis_vectors()]
+    to_span = Matrix.from_rows(alg.field, span, ncols=center.dim).transpose().inverse()
     table: list[tuple[int, int, int, object]] = []
     for s in range(k):
         for t in range(k):
-            prod = alg.mul(reps[s], reps[t])
-            x = bt.solve(prod)
-            if x is None:
+            y = center.coords(alg.mul(reps[s], reps[t]))
+            if y is None:
                 raise IdealClosureViolation(
                     "central product escapes center + ideal", witness=(s, t)
                 )
+            x = to_span.apply(y)
             for c in range(k):
                 if x[c]:
                     table.append((s, t, c, x[c]))

@@ -172,6 +172,45 @@ def test_enveloping_dim_and_validity():
     assert env_s3.dim == 36
 
 
+def test_generators_of_catalog_algebras():
+    cases = [
+        (truncated_polynomial(2, GF2).algebra, (1,)),
+        (truncated_polynomial(24, GF2).algebra, (1,)),
+        (group_algebra(cyclic_group(5), GF3).algebra, (1,)),
+        (group_algebra(klein_four_group(), GF2).algebra, (1, 2)),
+        (group_algebra(symmetric_group_3(), GF3).algebra, (1, 3)),
+        (enveloping(group_algebra(symmetric_group_3(), Q).algebra), (1, 3, 6, 18)),
+        (StructureAlgebra(GF3, 0, [], ()), ()),
+        (truncated_polynomial(1, Q).algebra, ()),
+    ]
+    for alg, gens in cases:
+        assert alg.generators == gens
+
+
+def _word_span(alg):
+    """Span of all words in the generators, grown from span{unit} by whole
+    rounds of left multiplication until it stops growing."""
+    span = Subspace.from_vectors(alg.field, alg.dim, [alg.unit])
+    while True:
+        words = [
+            alg.mul(alg.basis_vector(g), v)
+            for g in alg.generators for v in span.basis_vectors()
+        ]
+        grown = span + Subspace.from_vectors(alg.field, alg.dim, words)
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_generators_generate_the_algebra():
+    algs = [truncated_polynomial(n, f).algebra for n in range(1, 7) for f in (GF2, GF3, Q)]
+    algs += [group_algebra(g, f).algebra
+             for g in (klein_four_group(), symmetric_group_3()) for f in (GF2, GF3, Q)]
+    algs += [enveloping(a) for a in algs if a.dim <= 6]
+    for alg in algs:
+        assert _word_span(alg) == Subspace.full(alg.field, alg.dim), alg
+
+
 def test_center_of_commutative_is_everything():
     for n in (1, 2, 5):
         alg = truncated_polynomial(n, Q).algebra

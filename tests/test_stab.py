@@ -17,11 +17,13 @@ from frobstab.catalog import (
     truncated_module,
     truncated_polynomial,
 )
-from frobstab.frobenius import FrobeniusSystem, twist
+from frobstab.frobenius import FrobeniusSystem, derive_system, twist
 from frobstab.linalg import Matrix, Subspace, kron
 from frobstab.modrep import (
     ModuleRep,
+    bimodule_regular,
     free_module,
+    hom_bimodule,
     regular_module,
     validate_module,
 )
@@ -84,25 +86,68 @@ def test_schur_for_distinct_simples():
     assert hom_A(sgn, sgn).dim == 1
 
 
-def test_hom_matches_kron_built_kernel():
-    # independent route: intertwiners = kernel of the stacked matrices
-    # kron(I, rho_N(e_i)) - kron(rho_M(e_i)^T, I) acting on vec(H)
-    cases = [
-        (truncated_polynomial(3, GF2), truncated_module(3, 1, GF2), truncated_module(3, 2, GF2)),
-        (group_algebra(cyclic_group(2), Q), None, None),
+def _full_basis_hom(m, n_):
+    """Independent route: intertwiners as the kernel of the stacked blocks
+    kron(I, rho_N(e_i)) - kron(rho_M(e_i)^T, I) over every basis element."""
+    f = m.algebra.field
+    im = Matrix.identity(f, m.dim)
+    in_ = Matrix.identity(f, n_.dim)
+    blocks = [
+        kron(im, rn) - kron(rm.transpose(), in_) for rn, rm in zip(n_.action, m.action)
     ]
-    for inst, m, n_ in cases:
-        if m is None:
-            m = regular_module(inst.algebra)
-            n_ = trivial_module(inst.algebra)
-        f = inst.algebra.field
-        blocks = []
-        im = Matrix.identity(f, m.dim)
-        in_ = Matrix.identity(f, n_.dim)
-        for i in range(inst.algebra.dim):
-            blocks.append(kron(im, n_.action[i]) - kron(m.action[i].transpose(), in_))
-        stacked = Matrix.stack_rows(blocks)
-        assert stacked.kernel_basis() == hom_A(m, n_)
+    return Matrix.stack_rows(blocks).kernel_basis()
+
+
+def _random_conjugate(draw, m):
+    """The module m in a random basis P, drawn until P is invertible."""
+    f = m.algebra.field
+    entries = draw(st.lists(st.integers(-2, 2), min_size=m.dim ** 2, max_size=m.dim ** 2))
+    pm = Matrix(f, m.dim, m.dim, tuple(map(f.from_int, entries)))
+    pm_inv = pm.inverse()
+    assume(pm_inv is not None)
+    return ModuleRep(m.algebra, m.dim, tuple(pm_inv @ a @ pm for a in m.action), name=m.name)
+
+
+@st.composite
+def _hom_case(draw):
+    """A pair of modules (M, N): conjugated truncated modules, group algebra
+    regular/trivial modules, or a Hom bimodule over the enveloping algebra."""
+    kind = draw(st.sampled_from(["trunc", "group", "bimodule"]))
+    if kind == "group":
+        group = draw(st.sampled_from([klein_four_group(), symmetric_group_3()]))
+        alg = group_algebra(group, draw(st.sampled_from([GF2, GF3, Q]))).algebra
+        mods = [regular_module(alg), trivial_module(alg)]
+        return draw(st.sampled_from(mods)), draw(st.sampled_from(mods))
+    field = draw(st.sampled_from([GF3, Q]))
+    n = draw(st.integers(1, 4 if kind == "trunc" else 3))
+    m, n_ = (truncated_module(n, draw(st.integers(0, n - 1)), field) for _ in range(2))
+    if kind == "trunc":
+        return _random_conjugate(draw, m), _random_conjugate(draw, n_)
+    bim = hom_bimodule(m, n_)
+    return draw(st.sampled_from([(bimodule_regular(m.algebra), bim), (bim, bim)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_case())
+def test_hom_matches_kron_built_kernel(case):
+    # The generating-set system has the same kernel as the full-basis one.
+    m, n_ = case
+    assert hom_A(m, n_) == _full_basis_hom(m, n_)
+
+
+def test_hom_solves_one_block_per_generator(monkeypatch):
+    # k[x]/(x^24) is generated by x: one 576x576 block, not 24 of them.
+    shapes = []
+    orig = Matrix.kernel_basis
+
+    def record(self):
+        shapes.append(self.shape)
+        return orig(self)
+
+    monkeypatch.setattr(Matrix, "kernel_basis", record)
+    reg = regular_module(truncated_polynomial(24, GF2).algebra)
+    hom_A(reg, reg)
+    assert shapes == [(576, 576)]
 
 
 def test_null_homotopy_operator_footnote_form():
@@ -292,6 +337,47 @@ def test_stable_center_structure_constants():
         (2, 0, 2): Q.one,
         (1, 1, 2): Q.one,
     }
+
+
+def _in_basis(inst, pm):
+    """The same algebra and trace in the basis whose j-th vector is column j
+    of the invertible matrix pm."""
+    alg, f = inst.algebra, inst.algebra.field
+    to_new = pm.inverse()
+    cols = [pm.col(j) for j in range(alg.dim)]
+    entries = [
+        (a, b, c, v)
+        for a in range(alg.dim) for b in range(alg.dim)
+        for c, v in enumerate(to_new.apply(alg.mul(cols[a], cols[b]))) if v
+    ]
+    new = StructureAlgebra.from_entries(f, alg.dim, entries, to_new.apply(alg.unit))
+    return derive_system(new, tuple(inst.system.trace_of(v) for v in cols))
+
+
+def test_stable_center_matches_per_product_solve():
+    # Oracle: solve for each product of representatives in the basis reps + ideal.
+    # In the basis 1, x, x^2, x^2 + x^3 of k[x]/(x^4) the ideal, spanned by
+    # x^3, is not a row of the center's canonical basis.
+    skew = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    for system in (
+        truncated_polynomial(4, GF2).system,
+        truncated_polynomial(6, GF3).system,
+        truncated_polynomial(5, Q).system,
+        group_algebra(klein_four_group(), GF2).system,
+        group_algebra(symmetric_group_3(), GF3).system,
+        _in_basis(truncated_polynomial(4, Q), skew),
+    ):
+        alg = system.algebra
+        ideal = frobenius_ideal(system)
+        reps = alg.center_basis().complement_of(ideal)
+        span = Matrix.from_rows(alg.field, reps + ideal.basis_vectors(), ncols=alg.dim)
+        table = []
+        for s, r in enumerate(reps):
+            for t, r2 in enumerate(reps):
+                x = span.transpose().solve(alg.mul(r, r2))
+                table += [(s, t, c, x[c]) for c in range(len(reps)) if x[c]]
+        res = stable_center(system)
+        assert (res.reps, res.ideal, res.mult_table) == (reps, ideal, table)
 
 
 def test_stable_center_ideal_properties():
