@@ -221,26 +221,12 @@ class StructureAlgebra:
 
         Greedy in basis order: e_i is kept unless it already lies in the
         subalgebra generated by the indices kept so far, which is the
-        closure of span{unit} under left multiplication by them.  Each new
-        generator first multiplies the whole closure so far; after that,
-        every round multiplies only the vectors the last round added.
+        closure of span{unit} under left multiplication by them.  The set
+        is found once per structurally equal algebra (see `__eq__`), since
+        constructors such as the catalog's and `enveloping` rebuild equal
+        algebras on every call.
         """
-        f = self.field
-        gens: list[tuple] = []
-        kept: list[int] = []
-        span = Subspace.from_vectors(f, self.dim, [self.unit])
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            if span.contains(e):
-                continue
-            gens.append(e)
-            kept.append(i)
-            frontier = [self.mul(e, v) for v in span.basis_vectors()]
-            while frontier:
-                added = [v for v in frontier if not span.contains(v)]
-                span = span + Subspace.from_vectors(f, self.dim, added)
-                frontier = [self.mul(g, v) for v in added for g in gens]
-        return tuple(kept)
+        return _generating_set(self)
 
     def center_basis(self) -> Subspace:
         """Kernel of the stacked commutator maps a |-> e_i a - a e_i."""
@@ -251,6 +237,31 @@ class StructureAlgebra:
             e = self.basis_vector(i)
             blocks.append(self.left_mult_matrix(e) - self.right_mult_matrix(e))
         return Matrix.stack_rows(blocks).kernel_basis()
+
+
+@functools.lru_cache(maxsize=8)
+def _generating_set(a: StructureAlgebra) -> tuple[int, ...]:
+    """`StructureAlgebra.generators`, memoized by structural equality.
+
+    Each new generator first multiplies the whole closure so far; after
+    that, every round multiplies only the vectors the last round added.
+    """
+    f = a.field
+    gens: list[tuple] = []
+    kept: list[int] = []
+    span = Subspace.from_vectors(f, a.dim, [a.unit])
+    for i in range(a.dim):
+        e = a.basis_vector(i)
+        if span.contains(e):
+            continue
+        gens.append(e)
+        kept.append(i)
+        frontier = [a.mul(e, v) for v in span.basis_vectors()]
+        while frontier:
+            added = [v for v in frontier if not span.contains(v)]
+            span = span + Subspace.from_vectors(f, a.dim, added)
+            frontier = [a.mul(g, v) for v in added for g in gens]
+    return tuple(kept)
 
 
 def opposite(a: StructureAlgebra) -> StructureAlgebra:

@@ -123,7 +123,7 @@ class Field:
         if not x:
             raise DivisionByZero("inverse of zero")
         if self.kind == RATIONAL:
-            return 1 / x
+            return 1 / Fraction(x)
         return pow(x, -1, self.p)
 
     def div(self, x, y):

@@ -10,7 +10,12 @@ Conventions fixed package-wide:
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * `kron_sum` is the one function that builds sums of Kronecker products
   (equation systems, operators on vectorized maps, embeddings, tensor
-  elements); `kron` is its one-pair case.
+  elements); `kron` is its one-pair case;
+* row reduction over Q runs on integer rows: each row is cleared of
+  denominators once, eliminated with `int` arithmetic and divided by its
+  content whenever it was scaled, and each pivot row is divided by its
+  pivot into `Fraction`s once at the end (one division per entry); GF(p)
+  uses the field-generic loop.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
@@ -18,9 +23,11 @@ Everything is pure exact arithmetic; there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, IndexOutOfRange, NotASubspace
-from .exactfield import Field
+from .exactfield import RATIONAL, Field
 
 
 def _check_same_field(a: Field, b: Field) -> None:
@@ -30,6 +37,19 @@ def _check_same_field(a: Field, b: Field) -> None:
 
 def _rref_inplace(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
     """Full reduced row echelon form, in place.  Returns (pivot columns, rank).
+
+    Rows below the rank come out zero.  Over Q the rows are reduced as
+    integer rows (`_rref_rational`); over GF(p) by `_rref_field`.  RREF is
+    unique, so both routes give the same entries, pivots and rank.
+    """
+    if field.kind == RATIONAL:
+        return _rref_rational(rows, ncols, field.zero)
+    return _rref_field(rows, ncols, field)
+
+
+def _rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
+    """Gauss-Jordan with field arithmetic: the GF(p) route of `_rref_inplace`,
+    and the oracle the tests hold the rational route to.
 
     Skips zero coefficients throughout so that the common sparse inputs
     (block and permutation shaped matrices) reduce quickly.
@@ -69,6 +89,76 @@ def _rref_inplace(rows: list[list], ncols: int, field: Field) -> tuple[list[int]
         r += 1
         if r == nrows:
             break
+    return piv_cols, r
+
+
+def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan over Q; the rational route of `_rref_inplace`.
+
+    Each row is scaled once to a primitive integer row.  To clear an entry
+    g against the pivot p, the row loses (g // p) times the pivot row if p
+    divides g; otherwise, with h = gcd(p, g), it is scaled by p/h, loses
+    (g/h) times the pivot row and is divided by its content.  Pivot rows
+    are not normalized during elimination: each is divided by its pivot
+    once at the end, so every entry costs one `Fraction` division.
+
+    Entries that are the `zero` object itself, as the builders of this
+    module fill them in, are skipped by identity before any `Fraction`
+    attribute is read; zero entries come out as `zero`.
+    """
+    work = []
+    for row in rows:
+        nz = [(j, x.as_integer_ratio()) for j, x in enumerate(row) if x is not zero]
+        den = lcm(*[d for _, (_, d) in nz])
+        ints = [0] * ncols
+        for j, (n, d) in nz:
+            ints[j] = n * (den // d)
+        h = gcd(*ints)
+        work.append([x // h for x in ints] if h > 1 else ints)
+    nrows = len(work)
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if work[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+        piv = work[r]
+        p = piv[c]
+        support = [(j, piv[j]) for j in range(c, ncols) if piv[j]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = work[i]
+            g = row[c]
+            if not g:
+                continue
+            if g % p == 0:
+                q = g // p
+                for j, y in support:
+                    row[j] -= q * y
+            else:
+                h = gcd(p, g)
+                a, b = p // h, g // h
+                row = [a * x for x in row]
+                for j, y in support:
+                    row[j] -= b * y
+                h = gcd(*row)
+                work[i] = [x // h for x in row] if h > 1 else row
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for t, c in enumerate(piv_cols):
+        p = work[t][c]
+        rows[t] = [Fraction(x, p) if x else zero for x in work[t]]
+    for t in range(r, nrows):
+        rows[t] = [zero] * ncols
     return piv_cols, r
 
 
@@ -286,8 +376,10 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
 
     Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q;
     every term must have the given shape, and an empty sum is the zero
-    matrix.  Zero entries of a and b are skipped.  `pairs` may be a
-    generator, so callers need not hold every factor at once.
+    matrix.  Zero entries of a and b are skipped, and a product landing on
+    a cell that is still zero is stored as it is (`mul` returns canonical
+    scalars).  `pairs` may be a generator, so callers need not hold every
+    factor at once.
     """
     add, mul = field.add, field.mul
     out = [field.zero] * (nrows * ncols)
@@ -304,7 +396,9 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
             if x:
                 base = t // a.ncols * p * ncols + t % a.ncols * q
                 for off, y in b_nz:
-                    out[base + off] = add(out[base + off], mul(x, y))
+                    k = base + off
+                    z = out[k]
+                    out[k] = add(z, mul(x, y)) if z else mul(x, y)
     return Matrix(field, nrows, ncols, tuple(out))
 
 

@@ -17,6 +17,7 @@ from frobstab.errors import (
 from frobstab.exactfield import Field
 from frobstab.algebra import (
     StructureAlgebra,
+    _generating_set,
     algebra_from_json,
     algebra_to_json,
     enveloping,
@@ -185,6 +186,21 @@ def test_generators_of_catalog_algebras():
     ]
     for alg, gens in cases:
         assert alg.generators == gens
+
+
+def test_generators_found_once_per_equal_algebra():
+    # Q(sqrt 7) on the basis 1, r with r * r = 7, built twice
+    def build():
+        entries = [(0, 0, 0, Q.one), (0, 1, 1, Q.one), (1, 0, 1, Q.one), (1, 1, 0, Q.from_int(7))]
+        return StructureAlgebra.from_entries(Q, 2, entries, (Q.one, Q.zero))
+
+    a, b = build(), build()
+    assert a is not b and a == b
+    before = _generating_set.cache_info()
+    assert a.generators == (1,)
+    assert b.generators is a.generators
+    after = _generating_set.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def _word_span(alg):

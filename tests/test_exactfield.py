@@ -55,6 +55,12 @@ def test_basic_arithmetic():
     assert Q.div(Fraction(1), Fraction(4)) == Fraction(1, 4)
 
 
+def test_rational_inverse_of_int_is_a_fraction():
+    for x, want in ((4, Fraction(1, 4)), (-3, Fraction(-1, 3)), (Fraction(2, 3), Fraction(3, 2))):
+        assert Q.inv(x) == want and type(Q.inv(x)) is Fraction
+    assert Q.div(1, 4) == Fraction(1, 4) and type(Q.div(1, 4)) is Fraction
+
+
 def test_inverse_of_zero_raises():
     for f in (Q, GF2, GF5):
         with pytest.raises(DivisionByZero):

@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobstab import linalg
 from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
-from frobstab.linalg import Matrix, Subspace, kron, kron_sum, unvec, vec
+from frobstab.linalg import (
+    Matrix, Subspace, _rref_field, _rref_rational, kron, kron_sum, unvec, vec,
+)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -68,6 +72,97 @@ def test_rref_idempotent_random():
             r1, piv1, k1 = m.rref()
             r2, piv2, k2 = r1.rref()
             assert r1 == r2 and piv1 == piv2 and k1 == k2
+
+
+# the rational route against the field-generic loop ----------------------
+
+_BIG = 2**64
+_q_scalars = st.one_of(
+    st.sampled_from([Q.zero, Fraction(0), 0]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(Fraction, st.integers(-4 * _BIG, 4 * _BIG), st.sampled_from([1, 3, _BIG + 13])),
+)
+
+
+@st.composite
+def _rational_rows(draw):
+    """(ncols, rows): tall, wide or square, with dependent, zero and huge entries."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(_q_scalars) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        s, t = draw(_q_scalars), draw(_q_scalars)
+        rows[2] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[c] = Fraction(0)
+    return ncols, rows
+
+
+def _scalars(*results):
+    """Every scalar of the given matrices, subspaces and vectors."""
+    out = []
+    for r in results:
+        if isinstance(r, Subspace):
+            r = r.basis
+        out.extend(r.entries if isinstance(r, Matrix) else r or ())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_rational_route_matches_field_route(case):
+    ncols, rows = case
+    fast, slow = [list(r) for r in rows], [list(r) for r in rows]
+    assert _rref_rational(fast, ncols, Q.zero) == _rref_field(slow, ncols, Q)
+    assert fast == slow
+    assert all(type(x) is Fraction for r in fast for x in r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_rows(), st.data())
+def test_public_api_matches_field_route(case, data):
+    ncols, rows = case
+    m = Matrix.from_rows(Q, rows, ncols=ncols)
+    k = min(m.nrows, ncols)
+    square = Matrix.from_rows(Q, [r[:k] for r in rows[:k]], ncols=k)
+    b = tuple(data.draw(_q_scalars) for _ in range(m.nrows))
+    # a zero row with a nonzero right-hand side is never consistent
+    padded = Matrix.from_rows(Q, rows + [[Q.zero] * ncols], ncols=ncols)
+
+    def results():
+        return (m.rref(), m.rank(), m.kernel_basis(), m.image_basis(), m.solve(b),
+                padded.solve(b + (Q.one,)), square.inverse(),
+                Subspace.from_vectors(Q, ncols, rows))
+
+    fast = results()
+    with mock.patch.object(linalg, "_rref_inplace", _rref_field):
+        slow = results()
+    assert fast == slow
+    assert fast[5] is None
+    rref, _, kernel, image, x, _, inv, span = fast
+    assert all(type(s) is Fraction for s in _scalars(rref[0], kernel, image, x, inv, span))
+
+
+def test_int_entries_over_q_give_exact_fractions():
+    assert Matrix.from_rows(Q, [[3, 1], [1, 1]]).inverse() == Matrix.from_rows(
+        Q, [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]
+    )
+    for rows in ([[3, 1], [1, 1]], [[2, 1], [1, 3]], [[1, 2, 3], [2, 4, 6]], [[0, 2], [0, 1], [5, 0]]):
+        ints = Matrix.from_rows(Q, rows)
+        fracs = Matrix.from_rows(Q, [[Fraction(x) for x in r] for r in rows])
+        b = tuple(range(1, ints.nrows + 1))
+
+        def results(m, rhs):
+            inv = m.inverse() if m.nrows == m.ncols else None
+            return m.rref(), inv, m.solve(rhs), m.kernel_basis()
+
+        got = results(ints, b)
+        assert got == results(fracs, tuple(map(Fraction, b)))
+        rref, inv, x, kernel = got
+        assert all(type(s) is Fraction for s in _scalars(rref[0], inv, x, kernel))
 
 
 # kernel / image -----------------------------------------------------
@@ -239,6 +334,16 @@ def test_kron_sum_guards():
         kron_sum(Q, 2, 4, [(a, mat(GF2, [[1, 0]]))])
     with pytest.raises(FieldMismatch):
         kron_sum(GF2, 2, 4, [(a, b)])
+
+
+def test_kron_sum_reduces_noncanonical_gf5_entries():
+    a = Matrix(GF5, 2, 2, (7, -3, 0, 12))
+    b = Matrix(GF5, 1, 2, (6, -1))
+    c = Matrix(GF5, 2, 2, (-1, 5, 9, 1))
+    assert kron(a, b) == Matrix(GF5, 2, 4, (2, 3, 2, 3, 0, 0, 2, 3))
+    got = kron_sum(GF5, 2, 4, [(a, b), (c, b)])
+    assert all(0 <= x < 5 for x in got.entries)
+    assert got == kron(a, b) + kron(c, b)
 
 
 def _matrices(field, nrows, ncols):
