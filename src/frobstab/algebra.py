@@ -106,9 +106,6 @@ class StructureAlgebra:
 
     # elements --------------------------------------------------------
 
-    def zero_vector(self) -> tuple:
-        return (self.field.zero,) * self.dim
-
     def basis_vector(self, i: int) -> tuple:
         if not (0 <= i < self.dim):
             raise IndexOutOfRange(f"basis index {i}")

@@ -126,9 +126,6 @@ class Field:
             return 1 / Fraction(x)
         return pow(x, -1, self.p)
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     # text ------------------------------------------------------------
 
     def parse(self, text: str):

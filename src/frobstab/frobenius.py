@@ -4,15 +4,22 @@ A system on an algebra A is (trace, {a_i}, {b_i}) with, for every a in A,
 
     sum_i a_i * trace(b_i * a) = a = sum_i trace(a * a_i) * b_i.
 
+The dual bases enter every formula only through the Frobenius element
+sum_i a_i (x) b_i = sum_{p,q} C[p][q] e_p (x) e_q, where C = sum_i a_i b_i^T
+is `FrobeniusSystem.element_matrix`.  With the Gram matrix
+G[i][j] = trace(e_i e_j), the two identities read CG = I (column j is the
+left identity at e_j) and GC = I (row j is the right identity at e_j).
+
 `derive_system` builds one from a trace alone: with a_i = e_i, duality
-forces b_i = sum_k (G^-1)[i][k] e_k where G[i][j] = trace(e_i e_j) is the
-Gram matrix, and nondegeneracy of the trace is exactly invertibility of G.
-Systems form a torsor under the invertible elements (`twist`), and transport
-to the enveloping algebra A (x) A^op (`enveloping_system`).
+forces b_i = sum_k (G^-1)[i][k] e_k, so C = G^-1, and nondegeneracy of the
+trace is exactly invertibility of G.  Systems form a torsor under the
+invertible elements (`twist`), and transport to the enveloping algebra
+A (x) A^op (`enveloping_system`), where C becomes kron(C, C^T).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -44,13 +51,15 @@ class FrobeniusSystem:
             if len(v) != n:
                 raise DimensionMismatch("dual basis element has wrong length")
 
-    def trace_of(self, x: tuple):
-        f = self.algebra.field
-        acc = f.zero
-        for c, t in zip(x, self.trace):
-            if c and t:
-                acc = f.add(acc, f.mul(c, t))
-        return acc
+    @functools.cached_property
+    def element_matrix(self) -> Matrix:
+        """C = sum_i a_i b_i^T; its row c_p gives sum_i a_i (x) b_i =
+        sum_p e_p (x) c_p."""
+        f, n = self.algebra.field, self.algebra.dim
+        return kron_sum(f, n, n, (
+            (Matrix(f, n, 1, a_i), Matrix(f, 1, n, b_i))
+            for a_i, b_i in zip(self.a_basis, self.b_basis)
+        ))
 
 
 def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:
@@ -103,26 +112,18 @@ def require_identities(system: FrobeniusSystem) -> FrobeniusSystem:
 
 
 def _identity_failure(system: FrobeniusSystem) -> int | None:
-    """Index of the first basis element where an identity fails, or None."""
+    """Index of the first basis element where an identity fails, or None.
+
+    Column j of CG is sum_i a_i trace(b_i e_j) and row j of GC is
+    sum_i trace(e_j a_i) b_i; both must be e_j.
+    """
     alg = system.algebra
-    f = alg.field
-    n = alg.dim
-    for j in range(n):
+    c = system.element_matrix
+    g = gram_matrix(alg, system.trace)
+    cg, gc = c @ g, g @ c
+    for j in range(alg.dim):
         e = alg.basis_vector(j)
-        left = [f.zero] * n
-        right = [f.zero] * n
-        for i in range(n):
-            c1 = system.trace_of(alg.mul(system.b_basis[i], e))
-            if c1:
-                for p, x in enumerate(system.a_basis[i]):
-                    if x:
-                        left[p] = f.add(left[p], f.mul(c1, x))
-            c2 = system.trace_of(alg.mul(e, system.a_basis[i]))
-            if c2:
-                for p, x in enumerate(system.b_basis[i]):
-                    if x:
-                        right[p] = f.add(right[p], f.mul(c2, x))
-        if tuple(left) != e or tuple(right) != e:
+        if cg.col(j) != e or gc.row(j) != e:
             return j
     return None
 
@@ -131,19 +132,18 @@ def frobenius_element(system: FrobeniusSystem) -> tuple:
     """sum_i a_i (x) b_i as a vector over the i-major product basis.
 
     Verifies the centrality property sum_i (a a_i) (x) b_i =
-    sum_i a_i (x) (b_i a) on every basis element a before returning.
+    sum_i a_i (x) (b_i a) on every basis element a before returning; for
+    a = e_t the two sides are L(e_t) C and C R(e_t)^T.
     """
     alg = system.algebra
-    pairs = list(zip(system.a_basis, system.b_basis))
+    c = system.element_matrix
     for t in range(alg.dim):
         e = alg.basis_vector(t)
-        lhs = _tensor_sum(alg, [(alg.mul(e, a_i), b_i) for a_i, b_i in pairs])
-        rhs = _tensor_sum(alg, [(a_i, alg.mul(b_i, e)) for a_i, b_i in pairs])
-        if lhs != rhs:
+        if alg.left_mult_matrix(e) @ c != c @ alg.right_mult_matrix(e).transpose():
             raise CentralityViolation(
                 f"centrality fails against basis element {t}", witness=t
             )
-    return _tensor_sum(alg, pairs)
+    return c.entries
 
 
 def _tensor_sum(alg: StructureAlgebra, terms) -> tuple:
@@ -171,17 +171,13 @@ def twist(system: FrobeniusSystem, d: tuple, side: str = "left") -> FrobeniusSys
     d_inv = element_inverse(alg, d)
     if d_inv is None:
         raise NonInvertibleTwist("twist element is not invertible", witness=tuple(d))
-    n = alg.dim
+    trace = Matrix(alg.field, 1, alg.dim, system.trace)
     if side == "left":
-        new_trace = tuple(
-            system.trace_of(alg.mul(alg.basis_vector(j), d)) for j in range(n)
-        )
+        new_trace = (trace @ alg.right_mult_matrix(d)).entries
         a_basis = tuple(alg.mul(a, d_inv) for a in system.a_basis)
         b_basis = system.b_basis
     elif side == "right":
-        new_trace = tuple(
-            system.trace_of(alg.mul(d, alg.basis_vector(j))) for j in range(n)
-        )
+        new_trace = (trace @ alg.left_mult_matrix(d)).entries
         a_basis = system.a_basis
         b_basis = tuple(alg.mul(d_inv, b) for b in system.b_basis)
     else:

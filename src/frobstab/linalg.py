@@ -240,9 +240,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     # arithmetic ------------------------------------------------------
 
     def _entrywise(self, op, other: "Matrix", what: str) -> "Matrix":

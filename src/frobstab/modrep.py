@@ -6,8 +6,9 @@ modules are handled downstream through vectorization; this module supplies
 the constructions (regular, free, direct sum, sub, quotient) and the two
 canonical maps in and out of the free cover:
 
-* the embedding M -> A (x) M_0, v |-> sum_i a_i (x) (b_i v), split by
-  a (x) v |-> trace(a) v, and
+* the embedding M -> A (x) M_0, v |-> sum_i a_i (x) (b_i v) =
+  sum_p e_p (x) (c_p v) with c_p the rows of the Frobenius matrix, split
+  by a (x) v |-> trace(a) v, and
 * the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v.
 
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
@@ -28,7 +29,6 @@ from .errors import (
     ParseError,
 )
 from .algebra import StructureAlgebra, enveloping, _require_keys
-from .exactfield import Field
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, kron_sum
 
@@ -105,6 +105,8 @@ def free_module(a: StructureAlgebra, k: int) -> ModuleRep:
 def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     """Matrix of v |-> sum_i a_i (x) (b_i v) from M into A (x) M_0.
 
+    Block p of the rows is action_M(c_p), for c_p row p of the Frobenius
+    matrix `element_matrix`, since sum_i a_i (x) b_i = sum_p e_p (x) c_p.
     Checked on construction: the map intertwines the actions, and composing
     with the trace splitting a (x) v |-> trace(a) v gives the identity, so
     it is injective.
@@ -115,9 +117,9 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     f = alg.field
     n = alg.dim
     md = m.dim
-    phi = kron_sum(f, n * md, md, (
-        (Matrix(f, n, 1, a_i), m.action_of(b_i))
-        for a_i, b_i in zip(system.a_basis, system.b_basis)
+    c = system.element_matrix
+    phi = Matrix(f, n * md, md, tuple(
+        x for p in range(n) for x in m.action_of(c.row(p)).entries
     ))
     free = free_module(alg, md)
     for q in range(n):

@@ -11,17 +11,19 @@ factor through a projective (equivalently injective) module.  With a
 Frobenius system ({a_i}, {b_i}) the factoring maps are exactly the image of
 the operator
 
-    T : Hom_k(M, N) -> Hom_k(M, N),   T(h) = sum_i a_i h(b_i -),
+    T : Hom_k(M, N) -> Hom_k(M, N),   T(h) = sum_i a_i h(b_i -).
 
-acting on vectorized maps as sum_i kron(action_M(b_i)^T, action_N(a_i)).
+With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`) and c_p
+its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
+sum_p kron(action_M(c_p)^T, action_N(e_p)).
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.
 
 Shifts are cokernel/kernel of the canonical embedding/multiplication maps,
 iterated for stable Ext in either direction.  The stable center is the
-ordinary center modulo the ideal sum_i a_i z b_i, with a second route
-through endomorphisms of A as a bimodule over A (x) A^op.
+ordinary center modulo the ideal sum_i a_i z b_i = sum_p e_p z c_p, with a
+second route through endomorphisms of A as a bimodule over A (x) A^op.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .errors import (
     IdealClosureViolation,
     NotAGroupAlgebra,
 )
-from .algebra import StructureAlgebra
 from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_sum, unvec, vec
 from .modrep import (
@@ -91,9 +92,10 @@ def null_homotopy_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep)
     _check_system_module(system, m, n_)
     m.same_algebra(n_)
     amb = n_.dim * m.dim
+    c = system.element_matrix
     return kron_sum(m.algebra.field, amb, amb, (
-        (m.action_of(b_i).transpose(), n_.action_of(a_i))
-        for a_i, b_i in zip(system.a_basis, system.b_basis)
+        (m.action_of(c.row(p)).transpose(), rho)
+        for p, rho in enumerate(n_.action)
     ))
 
 
@@ -178,13 +180,13 @@ def stable_ext(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep, degree: int
 
 
 def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
-    """Image of z |-> sum_i a_i z b_i, an ideal of the center."""
+    """Image of z |-> sum_i a_i z b_i = sum_p e_p z c_p, an ideal of the center."""
     alg = system.algebra
-    f = alg.field
-    n = alg.dim
-    acc = Matrix.zeros(f, n, n)
-    for a_i, b_i in zip(system.a_basis, system.b_basis):
-        acc = acc + alg.left_mult_matrix(a_i) @ alg.right_mult_matrix(b_i)
+    c = system.element_matrix
+    acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
+    for p in range(alg.dim):
+        left = alg.left_mult_matrix(alg.basis_vector(p))
+        acc = acc + left @ alg.right_mult_matrix(c.row(p))
     return acc.image_basis()
 
 

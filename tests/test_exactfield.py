@@ -52,13 +52,13 @@ def test_basic_arithmetic():
     assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert GF2.add(1, 1) == 0
     assert GF3.neg(1) == 2
-    assert Q.div(Fraction(1), Fraction(4)) == Fraction(1, 4)
+    assert Q.mul(Fraction(1), Q.inv(Fraction(4))) == Fraction(1, 4)
 
 
 def test_rational_inverse_of_int_is_a_fraction():
     for x, want in ((4, Fraction(1, 4)), (-3, Fraction(-1, 3)), (Fraction(2, 3), Fraction(3, 2))):
         assert Q.inv(x) == want and type(Q.inv(x)) is Fraction
-    assert Q.div(1, 4) == Fraction(1, 4) and type(Q.div(1, 4)) is Fraction
+    assert Q.mul(1, Q.inv(4)) == Fraction(1, 4) and type(Q.mul(1, Q.inv(4))) is Fraction
 
 
 def test_inverse_of_zero_raises():

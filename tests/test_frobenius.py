@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobstab.errors import DegenerateTrace, DualityViolation, NonInvertibleTwist, ParseError
+from frobstab.algebra import StructureAlgebra
+from frobstab.errors import (
+    CentralityViolation,
+    DegenerateTrace,
+    DualityViolation,
+    NonInvertibleTwist,
+    ParseError,
+)
 from frobstab.exactfield import Field
 from frobstab.catalog import (
     cyclic_group,
@@ -27,6 +37,7 @@ from frobstab.frobenius import (
     require_identities,
     twist,
 )
+from frobstab.linalg import kron
 from frobstab.stab import stable_hom
 
 Q = Field.rationals()
@@ -112,8 +123,6 @@ def test_central_element_group():
 
 
 def test_centrality_violation_for_non_dual_bases():
-    from frobstab.errors import CentralityViolation
-
     inst = group_algebra(symmetric_group_3(), Q)
     sys = inst.system
     fake = FrobeniusSystem(
@@ -132,7 +141,7 @@ def test_element_inverse():
     assert alg.mul(d, inv) == alg.unit
     assert alg.mul(inv, d) == alg.unit
     assert element_inverse(alg, alg.basis_vector(1)) is None
-    assert element_inverse(alg, alg.zero_vector()) is None
+    assert element_inverse(alg, (Q.zero,) * alg.dim) is None
 
 
 def test_left_twist_explicit():
@@ -209,3 +218,173 @@ def test_enveloping_system():
             )
     # its own central element passes the centrality check
     frobenius_element(env)
+
+
+# The per-element loops the matrix checks replaced, kept as oracles: both
+# identities at every e_j and centrality against every e_t, through algebra
+# products and plain tensor sums.
+
+
+def _trace_of(system, x):
+    f = system.algebra.field
+    acc = f.zero
+    for c, t in zip(x, system.trace):
+        acc = f.add(acc, f.mul(c, t))
+    return acc
+
+
+def _identity_failure_oracle(system):
+    alg, f, n = system.algebra, system.algebra.field, system.algebra.dim
+    for j in range(n):
+        e = alg.basis_vector(j)
+        left, right = [f.zero] * n, [f.zero] * n
+        for a_i, b_i in zip(system.a_basis, system.b_basis):
+            c1 = _trace_of(system, alg.mul(b_i, e))
+            c2 = _trace_of(system, alg.mul(e, a_i))
+            for p in range(n):
+                left[p] = f.add(left[p], f.mul(c1, a_i[p]))
+                right[p] = f.add(right[p], f.mul(c2, b_i[p]))
+        if tuple(left) != e or tuple(right) != e:
+            return j
+    return None
+
+
+def _tensor(alg, terms):
+    f, n = alg.field, alg.dim
+    out = [f.zero] * (n * n)
+    for x, y in terms:
+        for p in range(n):
+            for q in range(n):
+                out[p * n + q] = f.add(out[p * n + q], f.mul(x[p], y[q]))
+    return tuple(out)
+
+
+def _centrality_failure_oracle(system):
+    alg = system.algebra
+    pairs = list(zip(system.a_basis, system.b_basis))
+    for t in range(alg.dim):
+        e = alg.basis_vector(t)
+        lhs = _tensor(alg, [(alg.mul(e, a_i), b_i) for a_i, b_i in pairs])
+        rhs = _tensor(alg, [(a_i, alg.mul(b_i, e)) for a_i, b_i in pairs])
+        if lhs != rhs:
+            return t
+    return None
+
+
+def _catalog_systems():
+    systems = [truncated_polynomial(n, f).system for n in range(1, 6) for f in (GF2, GF3, Q)]
+    systems += [
+        group_algebra(g, f).system
+        for g in (cyclic_group(3), klein_four_group(), symmetric_group_3())
+        for f in (GF2, GF3, Q)
+    ]
+    return systems
+
+
+def _random_unit(rng, alg):
+    f = alg.field
+    while True:
+        d = tuple(f.from_int(rng.randrange(-2, 3)) for _ in range(alg.dim))
+        if element_inverse(alg, d) is not None:
+            return d
+
+
+@functools.lru_cache(maxsize=None)
+def _system_pool():
+    """Catalog systems, one left and one right twist of each, and the
+    enveloping systems of those of dim <= 4."""
+    base = _catalog_systems()
+    rng = random.Random(6)
+    twisted = [
+        twist(s, _random_unit(rng, s.algebra), side=side)
+        for s in base for side in ("left", "right")
+    ]
+    env = [enveloping_system(s) for s in base if s.algebra.dim <= 4]
+    return tuple(base + twisted + env)
+
+
+@st.composite
+def _perturbed_system(draw):
+    """A pool system with one entry of one a_i or b_i shifted, or unchanged."""
+    s = draw(st.sampled_from(_system_pool()))
+    f, n = s.algebra.field, s.algebra.dim
+    if draw(st.integers(0, 3)) == 0:
+        return s
+    if f.p is None:
+        delta = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3)]))
+    else:
+        delta = draw(st.integers(1, f.p - 1))
+    bases = [list(map(list, s.a_basis)), list(map(list, s.b_basis))]
+    which = draw(st.integers(0, 1))
+    i, p = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    bases[which][i][p] = f.add(bases[which][i][p], delta)
+    a_basis, b_basis = (tuple(map(tuple, b)) for b in bases)
+    return FrobeniusSystem(s.algebra, s.trace, a_basis, b_basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_system())
+def test_matrix_checks_match_per_element_loops(system):
+    want = _identity_failure_oracle(system)
+    assert check_identities(system) == (want is None)
+    if want is None:
+        assert require_identities(system) is system
+    else:
+        with pytest.raises(DualityViolation) as err:
+            require_identities(system)
+        assert err.value.witness == want
+    want_t = _centrality_failure_oracle(system)
+    if want_t is None:
+        pairs = zip(system.a_basis, system.b_basis)
+        assert frobenius_element(system) == _tensor(system.algebra, pairs)
+    else:
+        with pytest.raises(CentralityViolation) as err:
+            frobenius_element(system)
+        assert err.value.witness == want_t
+
+
+def test_identity_and_centrality_checks_make_no_algebra_products(monkeypatch):
+    systems = _catalog_systems()
+    trunc3 = truncated_polynomial(3, Q).system
+    s3 = group_algebra(symmetric_group_3(), GF3).system
+
+    def refuse(self, x, y):
+        raise AssertionError("StructureAlgebra.mul called")
+
+    monkeypatch.setattr(StructureAlgebra, "mul", refuse)
+    for s in systems + [enveloping_system(trunc3), enveloping_system(s3)]:
+        fresh = FrobeniusSystem(s.algebra, s.trace, s.a_basis, s.b_basis)
+        assert require_identities(fresh) is fresh
+        frobenius_element(fresh)
+
+
+def test_element_matrix_closed_forms():
+    # derive_system takes a_i = e_i, so C is the inverse Gram matrix; the
+    # enveloping system's dual bases a_i (x) b_j, b_i (x) a_j give kron(C, C^T).
+    rng = random.Random(5)
+    for s in _catalog_systems():
+        alg = s.algebra
+        tw = twist(s, _random_unit(rng, alg), side=rng.choice(("left", "right")))
+        for trace in (s.trace, tw.trace):
+            derived = derive_system(alg, trace)
+            assert derived.element_matrix == gram_matrix(alg, trace).inverse()
+        if alg.dim <= 4:
+            for sys_ in (s, tw):
+                c = sys_.element_matrix
+                assert enveloping_system(sys_).element_matrix == kron(c, c.transpose())
+
+
+def test_twisted_trace_on_a_noncommutative_algebra():
+    # x |-> trace(x d) on the left, trace(d x) on the right.  The group trace
+    # of S3 is symmetric, so the base trace is twisted by s to tell the sides
+    # apart: it becomes x |-> trace(x s), and r s != s r.
+    s3 = group_algebra(symmetric_group_3(), Q).system
+    alg = s3.algebra
+    one, r, s = (alg.basis_vector(i) for i in (0, 1, 3))
+    base = twist(s3, s, side="left")
+    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    for d in (r, tuple(map(Q.add, one, r))):
+        left, right = twist(base, d, side="left"), twist(base, d, side="right")
+        assert left.trace == tuple(_trace_of(base, alg.mul(e, d)) for e in basis)
+        assert right.trace == tuple(_trace_of(base, alg.mul(d, e)) for e in basis)
+        assert left.trace != right.trace

@@ -18,10 +18,11 @@ from frobstab.catalog import (
     truncated_polynomial,
 )
 from frobstab.frobenius import FrobeniusSystem, derive_system, twist
-from frobstab.linalg import Matrix, Subspace, kron
+from frobstab.linalg import Matrix, Subspace, kron, kron_sum
 from frobstab.modrep import (
     ModuleRep,
     bimodule_regular,
+    canonical_embedding,
     free_module,
     hom_bimodule,
     regular_module,
@@ -164,7 +165,61 @@ def test_null_operator_on_one_dimensional_module():
     inst = truncated_polynomial(2, Q)
     v0 = truncated_module(2, 0, Q)
     t = null_homotopy_operator(inst.system, v0, v0)
-    assert t.is_zero()
+    assert not any(t.entries)
+
+
+def _dual_basis_operator(system, m, n_):
+    """T = sum_i kron(action_M(b_i)^T, action_N(a_i)), straight from the bases."""
+    amb = n_.dim * m.dim
+    return kron_sum(system.algebra.field, amb, amb, [
+        (m.action_of(b_i).transpose(), n_.action_of(a_i))
+        for a_i, b_i in zip(system.a_basis, system.b_basis)
+    ])
+
+
+def _dual_basis_embedding(system, m):
+    """phi = sum_i kron(a_i as a column, action_M(b_i))."""
+    f, n = system.algebra.field, system.algebra.dim
+    return kron_sum(f, n * m.dim, m.dim, [
+        (Matrix(f, n, 1, a_i), m.action_of(b_i))
+        for a_i, b_i in zip(system.a_basis, system.b_basis)
+    ])
+
+
+def _dual_basis_ideal(system):
+    """Image of z |-> sum_i a_i z b_i."""
+    alg = system.algebra
+    acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
+    for a_i, b_i in zip(system.a_basis, system.b_basis):
+        acc = acc + alg.left_mult_matrix(a_i) @ alg.right_mult_matrix(b_i)
+    return acc.image_basis()
+
+
+def test_operators_from_frobenius_matrix_match_dual_basis_sums():
+    # Twisted group systems have a dense Frobenius matrix C, so every row c_p
+    # enters T, phi and the ideal; the 0-dimensional algebra has empty sums.
+    cases = []
+    for field, left, right in (
+        (Q, (1, 2, 0, 1, 0, 3), (2, 0, 1, 1, 1, 0)),
+        (GF5, (2, 1, 2, 0, 0, 2), (0, 0, 0, 2, 2, 0)),
+    ):
+        inst = group_algebra(symmetric_group_3(), field)
+        left, right = (tuple(map(field.from_int, d)) for d in (left, right))
+        system = twist(twist(inst.system, left, side="left"), right, side="right")
+        assert all(system.element_matrix.entries)
+        alg = inst.algebra
+        cases.append((system, [trivial_module(alg), sign_module(field), regular_module(alg)]))
+    tw = twist(truncated_polynomial(4, Q).system, (Q.one, Q.from_int(2), Q.one, Q.from_int(3)))
+    cases.append((tw, [truncated_module(4, i, Q) for i in range(4)]))
+    alg0 = StructureAlgebra(Q, 0, [], ())
+    cases.append((derive_system(alg0, ()), [ModuleRep(alg0, 0, ())]))
+    for system, mods in cases:
+        assert frobenius_ideal(system) == _dual_basis_ideal(system)
+        for m in mods:
+            assert canonical_embedding(system, m) == _dual_basis_embedding(system, m)
+            for n_ in mods:
+                t = null_homotopy_operator(system, m, n_)
+                assert t == _dual_basis_operator(system, m, n_)
 
 
 def test_stable_hom_known_values():
@@ -351,7 +406,7 @@ def _in_basis(inst, pm):
         for c, v in enumerate(to_new.apply(alg.mul(cols[a], cols[b]))) if v
     ]
     new = StructureAlgebra.from_entries(f, alg.dim, entries, to_new.apply(alg.unit))
-    return derive_system(new, tuple(inst.system.trace_of(v) for v in cols))
+    return derive_system(new, pm.transpose().apply(inst.system.trace))
 
 
 def test_stable_center_matches_per_product_solve():
