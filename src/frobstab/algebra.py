@@ -12,6 +12,7 @@ the display name and basis names do not participate.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -220,8 +221,8 @@ class StructureAlgebra:
         subalgebra generated by the indices kept so far, which is the
         closure of span{unit} under left multiplication by them.  The set
         is found once per structurally equal algebra (see `__eq__`), since
-        constructors such as the catalog's and `enveloping` rebuild equal
-        algebras on every call.
+        constructors such as the catalog's and `enveloping` return a new,
+        structurally equal algebra on every call.
         """
         return _generating_set(self)
 
@@ -292,21 +293,33 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     unit = tuple(
         field.mul(a.unit[p], b.unit[q]) for p in range(a.dim) for q in range(nb)
     )
-    names = None
-    if a.basis_names is not None and b.basis_names is not None:
-        names = tuple(
-            f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names
-        )
     return StructureAlgebra(
-        field, dim, raw, unit, name=f"{a.name}(x){b.name}", basis_names=names
+        field, dim, raw, unit, name=f"{a.name}(x){b.name}",
+        basis_names=_tensor_names(a, b),
     )
 
 
+def _tensor_names(a: StructureAlgebra, b: StructureAlgebra) -> tuple | None:
+    if a.basis_names is None or b.basis_names is None:
+        return None
+    return tuple(f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names)
+
+
 def enveloping(a: StructureAlgebra) -> StructureAlgebra:
-    """A (x) A^op, the algebra whose left modules are (A, A)-bimodules."""
-    env = tensor(a, opposite(a))
+    """A (x) A^op, the algebra whose left modules are (A, A)-bimodules.
+
+    The product is built once per structurally equal algebra (see
+    `__eq__`); every call returns its own copy, named after `a`.
+    """
+    env = copy.copy(_enveloping_structure(a))
     env.name = f"{a.name}^env"
+    env.basis_names = _tensor_names(a, a)
     return env
+
+
+@functools.lru_cache(maxsize=4)
+def _enveloping_structure(a: StructureAlgebra) -> StructureAlgebra:
+    return tensor(a, opposite(a))
 
 
 # JSON ---------------------------------------------------------------

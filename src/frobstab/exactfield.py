@@ -6,7 +6,9 @@ owns parsing, formatting and arithmetic for its scalars, so values stay
 canonical and scalar equality is plain ``==``.  The operations are bound
 once per field: `zero`, `one`, `add`, `sub`, `mul` and `neg` are attributes
 set on construction (the `operator` functions over Q, functions of p over
-GF(p)), so arithmetic never tests which kind of field it is in.
+GF(p)), so arithmetic never tests which kind of field it is in.  A zero
+from `from_int` or `parse` over Q is the field's `zero` object itself,
+which the integer routes of `linalg` skip by identity.
 
 Scalar text format: ``"a"`` or ``"a/b"`` with integer a, positive integer b,
 reduced to lowest terms on input.  Prime fields only accept the integer
@@ -117,7 +119,9 @@ class Field:
         return 0 if self.kind == RATIONAL else self.p  # type: ignore[return-value]
 
     def from_int(self, n: int):
-        return Fraction(n) if self.kind == RATIONAL else n % self.p
+        if self.kind == PRIME:
+            return n % self.p
+        return Fraction(n) if n else self.zero
 
     def inv(self, x):
         if not x:
@@ -143,7 +147,7 @@ class Field:
         num, den = int(m.group(1)), int(m.group(2))
         if den <= 0:
             raise ParseError(f"bad denominator in {text!r}")
-        return Fraction(num, den)
+        return Fraction(num, den) if num else self.zero
 
     def to_str(self, x) -> str:
         """Canonical text: "a" or "a/b" (lowest terms, b > 0); decimal for GF(p)."""

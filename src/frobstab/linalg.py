@@ -10,12 +10,19 @@ Conventions fixed package-wide:
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * `kron_sum` is the one function that builds sums of Kronecker products
   (equation systems, operators on vectorized maps, embeddings, tensor
-  elements); `kron` is its one-pair case;
+  elements); `kron` is its one-pair case.  Over Q a sum is accumulated in
+  `int`s: each factor is cleared of denominators once, every term is
+  scaled to one common denominator D, and each nonzero entry is divided
+  by D once.  Callers that need only a kernel or an image take the
+  D-scaled integer matrix (`_scaled_kron_sum`) and skip the division;
 * row reduction over Q runs on integer rows: each row is cleared of
   denominators once, eliminated with `int` arithmetic and divided by its
   content whenever it was scaled, and each pivot row is divided by its
   pivot into `Fraction`s once at the end (one division per entry); GF(p)
-  uses the field-generic loop.
+  uses the field-generic loop;
+* Kronecker sums, matrix sums, differences and negations (and
+  `Field.from_int` and `Field.parse`) give the field's `zero` object for
+  a zero over Q, which both integer routes skip by identity.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
@@ -31,7 +38,7 @@ from .exactfield import RATIONAL, Field
 
 
 def _check_same_field(a: Field, b: Field) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatch(f"mixed fields {a} and {b}")
 
 
@@ -246,8 +253,14 @@ class Matrix:
         _check_same_field(self.field, other.field)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{what} {self.shape} vs {other.shape}")
-        entries = tuple(map(op, self.entries, other.entries))
-        return Matrix(self.field, self.nrows, self.ncols, entries)
+        zero = self.field.zero
+        entries = [zero] * len(self.entries)
+        for k, (x, y) in enumerate(zip(self.entries, other.entries)):
+            if x is not zero or y is not zero:
+                z = op(x, y)
+                if z:
+                    entries[k] = z
+        return Matrix(self.field, self.nrows, self.ncols, tuple(entries))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(self.field.add, other, "add")
@@ -256,7 +269,9 @@ class Matrix:
         return self._entrywise(self.field.sub, other, "sub")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, tuple(map(self.field.neg, self.entries)))
+        neg, zero = self.field.neg, self.field.zero
+        entries = tuple(zero if x is zero or not x else neg(x) for x in self.entries)
+        return Matrix(self.field, self.nrows, self.ncols, entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self.field, other.field)
@@ -368,26 +383,91 @@ class Matrix:
         return tuple(x)
 
 
+def _check_term(field: Field, nrows: int, ncols: int, a: Matrix, b: Matrix) -> None:
+    _check_same_field(field, a.field)
+    _check_same_field(field, b.field)
+    if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
+        raise DimensionMismatch(f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}")
+
+
+def _integer_entries(m: Matrix) -> tuple[int, list[tuple[int, int]]]:
+    """Over Q: (d, [(t, n), ...]) with entry t of m equal to n / d, for its
+    nonzero entries; d is the least common denominator of m.
+
+    Entries that are the field's `zero` object are skipped by identity,
+    other zeros after their ratio.  The result is kept on m, so a matrix
+    that enters many Kronecker sums (a module's action) is cleared once.
+    """
+    got = m.__dict__.get("_integer_entries")
+    if got is None:
+        zero = m.field.zero
+        nz, d = [], 1
+        for t, x in enumerate(m.entries):
+            if x is not zero:
+                n, q = x.as_integer_ratio()
+                if n:
+                    nz.append((t, n, q))
+                    d = lcm(d, q)
+        got = m.__dict__["_integer_entries"] = (d, [(t, n * (d // q)) for t, n, q in nz])
+    return got
+
+
+def _rational_kron_sum(field: Field, nrows: int, ncols: int, pairs, exact: bool) -> Matrix:
+    """`kron_sum` over Q if `exact`, else D times it with `int` entries.
+
+    Only the cells a product reached are revisited at the end: divided by
+    D if `exact`, and set to the field's `zero` where the sum cancelled.
+    """
+    zero = field.zero
+    terms = []
+    den = 1
+    for a, b in pairs:
+        _check_term(field, nrows, ncols, a, b)
+        da, a_nz = _integer_entries(a)
+        db, b_nz = _integer_entries(b)
+        terms.append((da * db, a.ncols, b.nrows, b.ncols, a_nz, b_nz))
+        den = lcm(den, da * db)
+    out = [zero] * (nrows * ncols)
+    touched = []
+    for d, acols, p, q, a_nz, b_nz in terms:
+        s = den // d
+        b_off = [(t // q * ncols + t % q, y) for t, y in b_nz]
+        for t, x in a_nz:
+            x *= s
+            base = t // acols * p * ncols + t % acols * q
+            for off, y in b_off:
+                k = base + off
+                z = out[k]
+                if z is zero:
+                    out[k] = x * y
+                    touched.append(k)
+                else:
+                    out[k] = z + x * y
+    for k in touched:
+        x = out[k]
+        out[k] = (Fraction(x, den) if exact else x) if x else zero
+    return Matrix(field, nrows, ncols, tuple(out))
+
+
 def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
     """Sum of kron(a, b) over the (a, b) pairs, as an nrows x ncols matrix.
 
     Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q;
     every term must have the given shape, and an empty sum is the zero
-    matrix.  Zero entries of a and b are skipped, and a product landing on
-    a cell that is still zero is stored as it is (`mul` returns canonical
-    scalars).  `pairs` may be a generator, so callers need not hold every
-    factor at once.
+    matrix.  Over Q the sum is accumulated in `int`s over one common
+    denominator, with one division per nonzero entry at the end and the
+    field's `zero` in every zero entry.  Over GF(p) zero entries of a and b
+    are skipped, and a product landing on a cell that is still zero is
+    stored as it is (`mul` returns canonical scalars).  `pairs` may be a
+    generator, so callers need not hold every factor at once.
     """
+    if field.kind == RATIONAL:
+        return _rational_kron_sum(field, nrows, ncols, pairs, exact=True)
     add, mul = field.add, field.mul
     out = [field.zero] * (nrows * ncols)
     for a, b in pairs:
-        _check_same_field(field, a.field)
-        _check_same_field(field, b.field)
+        _check_term(field, nrows, ncols, a, b)
         p, q = b.nrows, b.ncols
-        if (a.nrows * p, a.ncols * q) != (nrows, ncols):
-            raise DimensionMismatch(
-                f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}"
-            )
         b_nz = [(t // q * ncols + t % q, y) for t, y in enumerate(b.entries) if y]
         for t, x in enumerate(a.entries):
             if x:
@@ -397,6 +477,18 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
                     z = out[k]
                     out[k] = add(z, mul(x, y)) if z else mul(x, y)
     return Matrix(field, nrows, ncols, tuple(out))
+
+
+def _scaled_kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
+    """A nonzero multiple of `kron_sum`, with the same kernel and image.
+
+    Over Q it is D times the sum, with `int` entries that row reduction
+    takes as they are; callers use it only for `kernel_basis` and
+    `image_basis` and never return it.  Over GF(p) it is `kron_sum`.
+    """
+    if field.kind == RATIONAL:
+        return _rational_kron_sum(field, nrows, ncols, pairs, exact=False)
+    return kron_sum(field, nrows, ncols, pairs)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -16,6 +16,10 @@ the operator
 With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`) and c_p
 its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
 sum_p kron(action_M(c_p)^T, action_N(e_p)).
+Over Q, the kernel of the hom_A system and the images of T and of the
+`tate0` norm are taken from D-scaled integer Kronecker sums: scaling by
+the common denominator D changes neither, and row reduction takes the
+integer rows as they are.  `null_homotopy_operator` returns T exactly.
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.
@@ -38,7 +42,7 @@ from .errors import (
     NotAGroupAlgebra,
 )
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, kron, kron_sum, unvec, vec
+from .linalg import Matrix, Subspace, _scaled_kron_sum, kron, kron_sum, unvec, vec
 from .modrep import (
     ModuleRep,
     bimodule_regular,
@@ -84,19 +88,23 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
             yield kron(e_t, eye_m), n_.action[g]
             yield kron(e_t, m.action[g].transpose()), minus_eye_n
 
-    return kron_sum(f, k * amb, amb, terms()).kernel_basis()
+    return _scaled_kron_sum(f, k * amb, amb, terms()).kernel_basis()
+
+
+def _operator_terms(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep):
+    """(dim Hom_k(M, N), the (a, b) pairs whose Kronecker sum is T)."""
+    _check_system_module(system, m, n_)
+    m.same_algebra(n_)
+    c = system.element_matrix
+    return n_.dim * m.dim, (
+        (m.action_of(c.row(p)).transpose(), rho) for p, rho in enumerate(n_.action)
+    )
 
 
 def null_homotopy_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Matrix:
     """The operator T above on vec(Hom_k(M, N)); its image is the null space."""
-    _check_system_module(system, m, n_)
-    m.same_algebra(n_)
-    amb = n_.dim * m.dim
-    c = system.element_matrix
-    return kron_sum(m.algebra.field, amb, amb, (
-        (m.action_of(c.row(p)).transpose(), rho)
-        for p, rho in enumerate(n_.action)
-    ))
+    amb, terms = _operator_terms(system, m, n_)
+    return kron_sum(m.algebra.field, amb, amb, terms)
 
 
 @dataclass
@@ -112,8 +120,8 @@ class StableHomResult:
 def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHomResult:
     """Hom_A(M, N) modulo the image of T, with canonical coset representatives."""
     hom = hom_A(m, n_)
-    t = null_homotopy_operator(system, m, n_)
-    null = t.image_basis()
+    amb, terms = _operator_terms(system, m, n_)
+    null = _scaled_kron_sum(m.algebra.field, amb, amb, terms).image_basis()
     # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
     reps = [unvec(m.algebra.field, v, n_.dim, m.dim) for v in hom.complement_of(null)]
     return StableHomResult(hom.dim, null.dim, hom.dim - null.dim, hom, null, reps)
@@ -318,7 +326,7 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
         )
     inv = hom_A(m, n_)
     amb = n_.dim * m.dim
-    norm = kron_sum(system.algebra.field, amb, amb, [
+    norm = _scaled_kron_sum(system.algebra.field, amb, amb, [
         (m.action[g.inverse[gi]].transpose(), n_.action[gi])
         for gi in range(system.algebra.dim)
     ])

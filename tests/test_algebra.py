@@ -17,6 +17,7 @@ from frobstab.errors import (
 from frobstab.exactfield import Field
 from frobstab.algebra import (
     StructureAlgebra,
+    _enveloping_structure,
     _generating_set,
     algebra_from_json,
     algebra_to_json,
@@ -31,6 +32,7 @@ from frobstab.catalog import (
     symmetric_group_3,
     truncated_polynomial,
 )
+from frobstab import algebra as algebra_module
 from frobstab.linalg import Matrix, Subspace, kron
 
 Q = Field.rationals()
@@ -171,6 +173,34 @@ def test_enveloping_dim_and_validity():
     env.validate()
     env_s3 = enveloping(group_algebra(symmetric_group_3(), GF2).algebra)
     assert env_s3.dim == 36
+
+
+def test_enveloping_built_once_per_equal_algebra(monkeypatch):
+    calls = []
+
+    def counting_tensor(a, b):
+        calls.append((a, b))
+        return tensor(a, b)
+
+    monkeypatch.setattr(algebra_module, "tensor", counting_tensor)
+    _enveloping_structure.cache_clear()
+    a = truncated_polynomial(3, GF3).algebra
+    b = truncated_polynomial(3, GF3).algebra
+    b.name, b.basis_names = "other", ("u", "v", "w")
+    plain = StructureAlgebra(GF3, 3, a.cells, a.unit)
+    envs = [enveloping(x) for x in (a, b, plain, a)]
+    assert len(calls) == 1
+    assert all(e == envs[0] for e in envs)
+    assert len({id(e) for e in envs}) == 4
+    # each copy is named after its own algebra, as tensor(x, opposite(x)) would be
+    for x, e in zip((a, b, plain), envs):
+        ref = tensor(x, opposite(x))
+        assert (e.name, e.basis_names) == (f"{x.name}^env", ref.basis_names)
+        assert (e.cells, e.unit, e.group) == (ref.cells, ref.unit, None)
+    assert envs[1].basis_names[:2] == ("u(x)u", "u(x)v") and envs[2].basis_names is None
+    envs[0].name = "changed"
+    assert envs[3].name == enveloping(a).name == f"{a.name}^env"
+    assert len(calls) == 1
 
 
 def test_generators_of_catalog_algebras():

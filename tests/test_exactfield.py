@@ -61,6 +61,15 @@ def test_rational_inverse_of_int_is_a_fraction():
     assert Q.mul(1, Q.inv(4)) == Fraction(1, 4) and type(Q.mul(1, Q.inv(4))) is Fraction
 
 
+def test_rational_zero_is_the_field_zero_object():
+    # Row reduction and Kronecker sums skip entries that are `Q.zero` itself.
+    assert Q.from_int(0) is Q.zero
+    for text in ("0", "-0", " 0 ", "0/7", "-0/3"):
+        assert Q.parse(text) is Q.zero
+    assert Q.from_int(3) == 3 and Q.parse("0/1") == 0 and Q.parse("2/4") == Fraction(1, 2)
+    assert GF5.from_int(10) == 0 and GF5.parse("-5") == 0
+
+
 def test_inverse_of_zero_raises():
     for f in (Q, GF2, GF5):
         with pytest.raises(DivisionByZero):

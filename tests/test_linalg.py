@@ -17,7 +17,8 @@ from frobstab import linalg
 from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.linalg import (
-    Matrix, Subspace, _rref_field, _rref_rational, kron, kron_sum, unvec, vec,
+    Matrix, Subspace, _rref_field, _rref_rational, _scaled_kron_sum, kron, kron_sum,
+    unvec, vec,
 )
 
 Q = Field.rationals()
@@ -346,6 +347,95 @@ def test_kron_sum_reduces_noncanonical_gf5_entries():
     assert got == kron(a, b) + kron(c, b)
 
 
+def _kron_sum_by_definition(field, nrows, ncols, pairs):
+    """Field-generic oracle for the integer route over Q: each product
+    a[i,j] * b[k,l] added at (i*p + k, j*q + l) with field arithmetic."""
+    out = [field.zero] * (nrows * ncols)
+    for a, b in pairs:
+        p, q = b.nrows, b.ncols
+        for i in range(a.nrows):
+            for j in range(a.ncols):
+                for k in range(p):
+                    for l in range(q):
+                        c = (i * p + k) * ncols + j * q + l
+                        out[c] = field.add(out[c], field.mul(a.at(i, j), b.at(k, l)))
+    return out
+
+
+@st.composite
+def _rational_kron_terms(draw):
+    """(nrows, ncols, pairs) over Q: up to three terms of one shape, with
+    n x 1, 1 x n and 1 x 1 factors, mixed and huge denominators, and zeros
+    given as `Q.zero`, a fresh `Fraction(0)` and `int` 0."""
+    ar, ac, br, bc = (draw(st.integers(1, 3)) for _ in range(4))
+
+    def factor(r, c):
+        return Matrix(Q, r, c, tuple(draw(_q_scalars) for _ in range(r * c)))
+
+    pairs = [(factor(ar, ac), factor(br, bc)) for _ in range(draw(st.integers(0, 3)))]
+    return ar * br, ac * bc, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_kron_terms())
+def test_rational_kron_sum_matches_field_definition(case):
+    nrows, ncols, pairs = case
+    want = _kron_sum_by_definition(Q, nrows, ncols, pairs)
+    got = kron_sum(Q, nrows, ncols, pairs)
+    assert got.shape == (nrows, ncols)
+    assert list(got.entries) == want
+    assert all(type(x) is Fraction for x in got.entries)
+    assert all(x is Q.zero for x in got.entries if not x)
+    # The scaled sum is one positive multiple D of the exact sum: ints in
+    # the nonzero cells, the field's zero object in the others.
+    scaled = _scaled_kron_sum(Q, nrows, ncols, iter(pairs))
+    assert scaled.shape == (nrows, ncols)
+    assert all((s is Q.zero) if not w else type(s) is int for s, w in zip(scaled.entries, want))
+    nonzero = [(s, w) for s, w in zip(scaled.entries, want) if w]
+    if nonzero:
+        d = Fraction(nonzero[0][0]) / nonzero[0][1]
+        assert d > 0 and all(s == d * w for s, w in nonzero)
+    # Clearing a factor leaves it equal to what it was.
+    for a, _ in pairs:
+        assert a == Matrix(Q, a.nrows, a.ncols, a.entries)
+
+
+def test_scaled_kron_sum_keeps_kernel_and_image():
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    a = Matrix.from_rows(Q, [[half, third], [1, Fraction(5, 7)]])
+    b = Matrix.from_rows(Q, [[third, 2], [Fraction(1, 6), -1]])  # rank 1
+    c = Matrix.from_rows(Q, [[1, half], [2, 1]])
+    pairs = [(a, b), (c, b)]
+    exact = kron_sum(Q, 4, 4, pairs)
+    scaled = _scaled_kron_sum(Q, 4, 4, pairs)
+    # D = lcm(42 * 6, 2 * 6): each term over the product of its factors'
+    # least common denominators
+    assert scaled.entries == tuple(
+        Q.zero if not x else int(252 * x) for x in exact.entries
+    )
+    assert scaled.kernel_basis() == exact.kernel_basis()
+    assert scaled.image_basis() == exact.image_basis()
+    assert exact.kernel_basis().dim == 2  # the sum is kron(a + c, b)
+    for field in (GF5, GF2):
+        rng = random.Random(3)
+        fp = [(rand_matrix(field, rng, 2, 3), rand_matrix(field, rng, 3, 1)) for _ in range(3)]
+        assert _scaled_kron_sum(field, 6, 3, fp) == kron_sum(field, 6, 3, fp)
+
+
+def test_kron_sum_over_q_empty_and_unit_shapes():
+    zero = kron_sum(Q, 2, 3, [])
+    assert zero == Matrix.zeros(Q, 2, 3) and all(x is Q.zero for x in zero.entries)
+    assert _scaled_kron_sum(Q, 2, 3, iter(())) == zero
+    col = Matrix(Q, 2, 1, (Fraction(1, 2), 0))
+    row = Matrix(Q, 1, 2, (Fraction(0), Fraction(-4, 3)))
+    outer = (Q.zero, Fraction(-2, 3), Q.zero, Q.zero)  # col @ row, either way round
+    assert kron(col, row).entries == outer and kron(row, col).entries == outer
+    assert kron(row, col).entries[0] is Q.zero
+    scalar = Matrix(Q, 1, 1, (Fraction(3, 2),))
+    assert kron_sum(Q, 1, 1, [(scalar, scalar), (scalar, scalar)]).entries == (Fraction(9, 2),)
+    assert kron_sum(Q, 1, 1, [(scalar, scalar), (-scalar, scalar)]).entries[0] is Q.zero
+
+
 def _matrices(field, nrows, ncols):
     if field.kind == "rational":
         scalar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -372,6 +462,23 @@ def test_kron_sum_applies_sum_of_sandwiches(terms):
     op = kron_sum(field, a.nrows * b.ncols, a.ncols * b.nrows,
                   [(b.transpose(), a), (d.transpose(), c)])
     assert op.apply(vec(x)) == vec(a @ x @ b + c @ x @ d)
+
+
+def test_rational_zero_entries_are_the_field_zero_object():
+    a = Matrix.from_rows(Q, [[Fraction(1, 2), Q.zero, Fraction(0)], [0, Fraction(-3), 2]])
+    b = Matrix.from_rows(Q, [[Fraction(1, 2), Fraction(0), Q.zero], [1, Fraction(3), 2]])
+    for got, want in (
+        (a - a, (0,) * 6),
+        (a + (-a), (0,) * 6),
+        (a - b, (0, 0, 0, -1, -6, 0)),
+        (a + b, (1, 0, 0, 1, 0, 4)),
+        (-a, (Fraction(-1, 2), 0, 0, 0, 3, -2)),
+    ):
+        assert got.entries == want
+        assert all(x is Q.zero for x in got.entries if not x)
+    g = Matrix.from_rows(GF3, [[1, 2], [0, 1]])
+    assert (g + g).entries == (2, 1, 0, 2) and (g - g).entries == (0,) * 4
+    assert (-g).entries == (2, 1, 0, 2)
 
 
 def test_matmul_against_hand_example():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from frobstab import stab
 from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
@@ -220,6 +224,47 @@ def test_operators_from_frobenius_matrix_match_dual_basis_sums():
             for n_ in mods:
                 t = null_homotopy_operator(system, m, n_)
                 assert t == _dual_basis_operator(system, m, n_)
+
+
+@st.composite
+def _conjugated_pair_over_q(draw):
+    """(system, M, N, is a group algebra): conjugated truncated modules, or
+    conjugated trivial/sign/regular modules of a group algebra, over Q."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        inst = truncated_polynomial(n, Q)
+        mods = [truncated_module(n, draw(st.integers(0, n - 1)), Q) for _ in range(2)]
+        group = False
+    else:
+        s3 = draw(st.booleans())
+        inst = group_algebra(symmetric_group_3() if s3 else klein_four_group(), Q)
+        pool = [trivial_module(inst.algebra), regular_module(inst.algebra)]
+        pool += [sign_module(Q)] if s3 else []
+        mods = [draw(st.sampled_from(pool)) for _ in range(2)]
+        group = True
+    m, n_ = (_random_conjugate(draw, x) for x in mods)
+    return inst.system, m, n_, group
+
+
+@settings(max_examples=30, deadline=None)
+@given(_conjugated_pair_over_q())
+def test_integer_assembly_matches_exact_kron_sums(case):
+    # hom_A, the image of T and the tate0 norm read the D-scaled integer
+    # Kronecker sums; the exact sums must give the same subspaces.
+    system, m, n_, group = case
+
+    def results():
+        return (hom_A(m, n_), stable_hom(system, m, n_),
+                tate0(system, m, n_) if group else None)
+
+    fast = results()
+    with mock.patch.object(stab, "_scaled_kron_sum", kron_sum):
+        slow = results()
+    assert fast == slow
+    t = null_homotopy_operator(system, m, n_)
+    assert t == _dual_basis_operator(system, m, n_)
+    assert all(type(x) is Fraction for x in t.entries)
+    assert fast[1].null_basis == t.image_basis()
 
 
 def test_stable_hom_known_values():
