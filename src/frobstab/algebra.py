@@ -6,15 +6,16 @@ Elements are coefficient tuples in the fixed basis.  Tensor and enveloping
 constructions use the i-major basis order: basis (i, j) of A (x) B sits at
 flat index i * dim(B) + j.
 
-Mathematical equality of algebras is structural on (field, dim, cells, unit);
-the display name and basis names do not participate.
+Algebras are immutable values.  Mathematical equality is structural on
+(field, dim, cells, unit); the display name, basis names and group do not
+participate.  Derived structure (`generators`, `enveloping`) is computed
+once per instance and cached on it.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
     DimensionMismatch,
@@ -59,22 +60,27 @@ class AlgebraReport:
         return not self.associative_failures and not self.unit_failures
 
 
+@dataclass(frozen=True)
 class StructureAlgebra:
-    def __init__(self, field: Field, dim: int, cells, unit, name: str = "A",
-                 basis_names=None, group=None):
-        if dim < 0:
+    field: Field
+    dim: int
+    cells: tuple[tuple[Cell, ...], ...]
+    unit: tuple
+    name: str = dataclass_field(default="A", compare=False)
+    basis_names: tuple[str, ...] | None = dataclass_field(default=None, compare=False)
+    group: object = dataclass_field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.dim < 0:
             raise DimensionMismatch("negative dimension")
-        if len(unit) != dim:
+        if len(self.unit) != self.dim:
             raise DimensionMismatch("unit vector has wrong length")
-        if basis_names is not None and len(basis_names) != dim:
+        if self.basis_names is not None and len(self.basis_names) != self.dim:
             raise DimensionMismatch("basis_names has wrong length")
-        self.field = field
-        self.dim = dim
-        self.cells = _normalize_cells(field, dim, cells)
-        self.unit = tuple(unit)
-        self.name = name
-        self.basis_names = tuple(basis_names) if basis_names is not None else None
-        self.group = group
+        object.__setattr__(self, "cells", _normalize_cells(self.field, self.dim, self.cells))
+        object.__setattr__(self, "unit", tuple(self.unit))
+        if self.basis_names is not None:
+            object.__setattr__(self, "basis_names", tuple(self.basis_names))
 
     @staticmethod
     def from_entries(field: Field, dim: int, entries, unit, name: str = "A",
@@ -86,21 +92,6 @@ class StructureAlgebra:
                 raise IndexOutOfRange(f"factor index ({i},{j}) outside basis")
             raw[i][j].append((k, v))
         return StructureAlgebra(field, dim, raw, unit, name, basis_names, group)
-
-    # identity --------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureAlgebra):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.dim == other.dim
-            and self.cells == other.cells
-            and self.unit == other.unit
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.cells, self.unit))
 
     def __repr__(self):
         return f"StructureAlgebra({self.name!r}, dim={self.dim})"
@@ -219,12 +210,30 @@ class StructureAlgebra:
 
         Greedy in basis order: e_i is kept unless it already lies in the
         subalgebra generated by the indices kept so far, which is the
-        closure of span{unit} under left multiplication by them.  The set
-        is found once per structurally equal algebra (see `__eq__`), since
-        constructors such as the catalog's and `enveloping` return a new,
-        structurally equal algebra on every call.
+        closure of span{unit} under left multiplication by them.  Each new
+        generator first multiplies the whole closure so far; after that,
+        every round multiplies only the vectors the last round added.
         """
-        return _generating_set(self)
+        f = self.field
+        gens: list[tuple] = []
+        kept: list[int] = []
+        span = Subspace.from_vectors(f, self.dim, [self.unit])
+        for i in range(self.dim):
+            e = self.basis_vector(i)
+            if span.contains(e):
+                continue
+            gens.append(e)
+            kept.append(i)
+            frontier = [self.mul(e, v) for v in span.basis_vectors()]
+            while frontier:
+                added = [v for v in frontier if not span.contains(v)]
+                span = span + Subspace.from_vectors(f, self.dim, added)
+                frontier = [self.mul(g, v) for v in added for g in gens]
+        return tuple(kept)
+
+    @functools.cached_property
+    def _enveloping(self) -> "StructureAlgebra":
+        return tensor(self, opposite(self), name=f"{self.name}^env")
 
     def center_basis(self) -> Subspace:
         """Kernel of the stacked commutator maps a |-> e_i a - a e_i."""
@@ -237,31 +246,6 @@ class StructureAlgebra:
         return Matrix.stack_rows(blocks).kernel_basis()
 
 
-@functools.lru_cache(maxsize=8)
-def _generating_set(a: StructureAlgebra) -> tuple[int, ...]:
-    """`StructureAlgebra.generators`, memoized by structural equality.
-
-    Each new generator first multiplies the whole closure so far; after
-    that, every round multiplies only the vectors the last round added.
-    """
-    f = a.field
-    gens: list[tuple] = []
-    kept: list[int] = []
-    span = Subspace.from_vectors(f, a.dim, [a.unit])
-    for i in range(a.dim):
-        e = a.basis_vector(i)
-        if span.contains(e):
-            continue
-        gens.append(e)
-        kept.append(i)
-        frontier = [a.mul(e, v) for v in span.basis_vectors()]
-        while frontier:
-            added = [v for v in frontier if not span.contains(v)]
-            span = span + Subspace.from_vectors(f, a.dim, added)
-            frontier = [a.mul(g, v) for v in added for g in gens]
-    return tuple(kept)
-
-
 def opposite(a: StructureAlgebra) -> StructureAlgebra:
     """Same space, reversed multiplication."""
     raw = [[a.cells[j][i] for j in range(a.dim)] for i in range(a.dim)]
@@ -270,8 +254,10 @@ def opposite(a: StructureAlgebra) -> StructureAlgebra:
     )
 
 
-def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """Tensor product algebra on the i-major product basis."""
+def tensor(a: StructureAlgebra, b: StructureAlgebra,
+           name: str | None = None) -> StructureAlgebra:
+    """Tensor product algebra on the i-major product basis, named
+    `name` or else after both factors."""
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
     field = a.field
@@ -293,33 +279,21 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     unit = tuple(
         field.mul(a.unit[p], b.unit[q]) for p in range(a.dim) for q in range(nb)
     )
+    names = None
+    if a.basis_names is not None and b.basis_names is not None:
+        names = tuple(f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names)
     return StructureAlgebra(
-        field, dim, raw, unit, name=f"{a.name}(x){b.name}",
-        basis_names=_tensor_names(a, b),
+        field, dim, raw, unit, name=name or f"{a.name}(x){b.name}", basis_names=names
     )
-
-
-def _tensor_names(a: StructureAlgebra, b: StructureAlgebra) -> tuple | None:
-    if a.basis_names is None or b.basis_names is None:
-        return None
-    return tuple(f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names)
 
 
 def enveloping(a: StructureAlgebra) -> StructureAlgebra:
     """A (x) A^op, the algebra whose left modules are (A, A)-bimodules.
 
-    The product is built once per structurally equal algebra (see
-    `__eq__`); every call returns its own copy, named after `a`.
+    Built once per instance: every call on `a` returns the same algebra,
+    `tensor(a, opposite(a))` named `a.name + "^env"`.
     """
-    env = copy.copy(_enveloping_structure(a))
-    env.name = f"{a.name}^env"
-    env.basis_names = _tensor_names(a, a)
-    return env
-
-
-@functools.lru_cache(maxsize=4)
-def _enveloping_structure(a: StructureAlgebra) -> StructureAlgebra:
-    return tensor(a, opposite(a))
+    return a._enveloping
 
 
 # JSON ---------------------------------------------------------------

@@ -8,10 +8,18 @@ Basis enumerations are fixed once and for all:
   (r a 3-cycle, s a transposition, products composed right-to-left);
 * group algebras carry the identity-coefficient trace with dual bases
   {g} and {g^-1}.
+
+`truncated_polynomial` and `group_algebra` return one shared instance per
+argument tuple, so the derived structure cached on an algebra (its
+generating set, its enveloping algebra) is computed once per process;
+the instances are kept for the life of the process.
+Orders read from outside (`group_from_string`, `check_order`) are capped at
+MAX_ORDER before any table is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +37,20 @@ from .exactfield import Field
 from .frobenius import FrobeniusSystem, require_identities
 from .linalg import Matrix
 from .modrep import ModuleRep
+
+
+# Largest order accepted from outside.  A cyclic table of order k costs k^3
+# associativity checks and k[x]/(x^n) about n^2/2 products, so 64 keeps both
+# well under a second; the documented examples and the benchmark stay at or
+# below 24.
+MAX_ORDER = 64
+
+
+def check_order(n: int, what: str) -> int:
+    """Reject an order read from outside that is above MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise ParseError(f"{what} {n} is above {MAX_ORDER}", witness=n)
+    return n
 
 
 class AlgebraInstance(NamedTuple):
@@ -120,10 +142,11 @@ def group_from_string(text: str) -> GroupTable:
             raise ParseError(f"bad cyclic order in {text!r}") from None
         if k < 1:
             raise ParseError(f"cyclic order must be >= 1 in {text!r}")
-        return cyclic_group(k)
+        return cyclic_group(check_order(k, "cyclic order"))
     raise ParseError(f"unknown group {text!r}")
 
 
+@functools.cache
 def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
     """kG with its standard Frobenius system (trace = identity coefficient)."""
     n = g.order
@@ -140,6 +163,7 @@ def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
     return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
 
 
+@functools.cache
 def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
     """k[x]/(x^n) with the top-coefficient trace and ordered dual bases."""
     if n < 1:

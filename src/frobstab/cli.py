@@ -17,6 +17,7 @@ from .errors import FrobstabError, ParseError
 from .exactfield import Field
 from .algebra import algebra_from_json, algebra_to_json
 from .catalog import (
+    check_order,
     group_algebra,
     group_from_string,
     truncated_module,
@@ -232,7 +233,7 @@ def _cmd_catalog(args) -> int:
     written = []
     if args.kind == "trunc-poly":
         field = _parse_field(args.field)
-        algebra, system = truncated_polynomial(args.n, field)
+        algebra, system = truncated_polynomial(check_order(args.n, "truncation order"), field)
         apath = out_dir / f"{algebra.name}.json"
         _write_json(apath, algebra_to_json(algebra, trace=system.trace))
         written.append(str(apath))

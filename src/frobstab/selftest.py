@@ -36,7 +36,6 @@ from .stab import (
     enveloping_comparison,
     factoring_ideal_oracle,
     frobenius_ideal,
-    null_homotopy_operator,
     stable_center,
     stable_center_via_enveloping,
     stable_ext,
@@ -71,20 +70,14 @@ class CriterionResult:
         return not self.failures
 
 
-class Audit:
-    """Collects (label, hom basis, null basis) for criterion 5."""
-
-    def __init__(self):
-        self.entries: list[tuple[str, Subspace, Subspace]] = []
-
-    def record(self, label: str, hom: Subspace, null: Subspace) -> None:
-        self.entries.append((label, hom, null))
+# (label, hom basis, null basis) of every stable Hom, audited by criterion 5
+Audit = list[tuple[str, Subspace, Subspace]]
 
 
 def _stable(system, m, n_, audit: Audit | None, label: str):
     r = stable_hom(system, m, n_)
     if audit is not None:
-        audit.record(label, r.hom_basis, r.null_basis)
+        audit.append((label, r.hom_basis, r.null_basis))
     return r
 
 
@@ -194,9 +187,9 @@ def criterion_4(audit: Audit | None = None) -> CriterionResult:
 def criterion_5(audit: Audit | None = None) -> CriterionResult:
     """Null-homotopic maps are A-linear on every instance touched."""
     failures = []
-    entries = list(audit.entries) if audit is not None else []
+    entries = list(audit) if audit is not None else []
     if not entries:
-        own = Audit()
+        own: Audit = []
         for label, system, m, n_ in _oracle_instances():
             _stable(system, m, n_, own, label)
         for f in ENDO_FIELDS:
@@ -205,7 +198,7 @@ def criterion_5(audit: Audit | None = None) -> CriterionResult:
                 for i in range(n):
                     v = truncated_module(n, i, f)
                     _stable(system, v, v, own, f"endo n={n} i={i} {_fname(f)}")
-        entries = own.entries
+        entries = own
     checks = 0
     for label, hom, null in entries:
         checks += 1
@@ -412,7 +405,7 @@ def criterion_10(audit: Audit | None = None) -> CriterionResult:
     for d in range(-3, 4):
         r = stable_ext(system2, v0, v0, d)
         if audit is not None:
-            audit.record(f"ext d={d}", r.hom_basis, r.null_basis)
+            audit.append((f"ext d={d}", r.hom_basis, r.null_basis))
         checks += 1
         if r.stable_dim != 1:
             failures.append(f"Ext^{d}(V0, V0) over GF2 trunc2: dim {r.stable_dim}, expected 1")
@@ -435,7 +428,7 @@ CRITERIA = (
 
 def run_all(selected: list[int] | None = None) -> list[CriterionResult]:
     """Run criteria in order with a shared audit for criterion 5."""
-    audit = Audit()
+    audit: Audit = []
     wanted = set(selected) if selected else set(range(1, 11))
     results = []
     order = [1, 2, 3, 4, 6, 7, 8, 9, 10, 5]  # 5 last so the audit is full

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -17,8 +18,6 @@ from frobstab.errors import (
 from frobstab.exactfield import Field
 from frobstab.algebra import (
     StructureAlgebra,
-    _enveloping_structure,
-    _generating_set,
     algebra_from_json,
     algebra_to_json,
     enveloping,
@@ -175,32 +174,55 @@ def test_enveloping_dim_and_validity():
     assert env_s3.dim == 36
 
 
-def test_enveloping_built_once_per_equal_algebra(monkeypatch):
+def test_enveloping_built_once_per_instance(monkeypatch):
     calls = []
 
-    def counting_tensor(a, b):
+    def counting_tensor(a, b, name=None):
         calls.append((a, b))
-        return tensor(a, b)
+        return tensor(a, b, name)
 
     monkeypatch.setattr(algebra_module, "tensor", counting_tensor)
-    _enveloping_structure.cache_clear()
-    a = truncated_polynomial(3, GF3).algebra
-    b = truncated_polynomial(3, GF3).algebra
-    b.name, b.basis_names = "other", ("u", "v", "w")
-    plain = StructureAlgebra(GF3, 3, a.cells, a.unit)
-    envs = [enveloping(x) for x in (a, b, plain, a)]
-    assert len(calls) == 1
-    assert all(e == envs[0] for e in envs)
-    assert len({id(e) for e in envs}) == 4
-    # each copy is named after its own algebra, as tensor(x, opposite(x)) would be
-    for x, e in zip((a, b, plain), envs):
+    named = trunc2(GF3)
+    t3 = truncated_polynomial(3, GF3).algebra
+    basis_named = StructureAlgebra(GF3, 3, t3.cells, t3.unit, basis_names=t3.basis_names)
+    nameless = StructureAlgebra(GF3, 3, t3.cells, t3.unit)
+    algs = (named, basis_named, nameless)
+    envs = [enveloping(x) for x in algs]
+    assert [enveloping(x) for x in algs + algs] == envs + envs
+    assert all(enveloping(x) is e for x, e in zip(algs, envs))
+    assert len(calls) == 3
+    for x, e in zip(algs, envs):
         ref = tensor(x, opposite(x))
-        assert (e.name, e.basis_names) == (f"{x.name}^env", ref.basis_names)
-        assert (e.cells, e.unit, e.group) == (ref.cells, ref.unit, None)
-    assert envs[1].basis_names[:2] == ("u(x)u", "u(x)v") and envs[2].basis_names is None
-    envs[0].name = "changed"
-    assert envs[3].name == enveloping(a).name == f"{a.name}^env"
-    assert len(calls) == 1
+        assert e.name == f"{x.name}^env"
+        assert (e.basis_names, e.cells, e.unit) == (ref.basis_names, ref.cells, ref.unit)
+    assert envs[0].basis_names is None and envs[2].basis_names is None
+    assert envs[1].basis_names[:2] == ("1(x)1", "1(x)x")
+    assert envs[2] == envs[1] and envs[2] is not envs[1]
+    assert nameless.name == "A" and envs[2].name == "A^env"
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("name", "other"), ("basis_names", ("u", "v")), ("cells", ()),
+])
+def test_algebras_are_immutable(attr, value):
+    catalog = truncated_polynomial(2, GF2).algebra
+    for alg in (trunc2(Q), catalog, enveloping(catalog)):
+        before = getattr(alg, attr)
+        with pytest.raises(AttributeError):
+            setattr(alg, attr, value)
+        assert getattr(alg, attr) == before
+    assert truncated_polynomial(2, GF2).algebra.name == "trunc_poly_2"
+
+
+def test_algebra_pickles_back_equal_and_immutable():
+    for alg in (trunc2(Q), group_algebra(symmetric_group_3(), GF3).algebra):
+        alg.generators
+        back = pickle.loads(pickle.dumps(alg))
+        assert back == alg and hash(back) == hash(alg)
+        assert (back.name, back.basis_names, back.group) == (alg.name, alg.basis_names, alg.group)
+        assert back.generators == alg.generators
+        with pytest.raises(AttributeError):
+            back.name = "other"
 
 
 def test_generators_of_catalog_algebras():
@@ -216,21 +238,6 @@ def test_generators_of_catalog_algebras():
     ]
     for alg, gens in cases:
         assert alg.generators == gens
-
-
-def test_generators_found_once_per_equal_algebra():
-    # Q(sqrt 7) on the basis 1, r with r * r = 7, built twice
-    def build():
-        entries = [(0, 0, 0, Q.one), (0, 1, 1, Q.one), (1, 0, 1, Q.one), (1, 1, 0, Q.from_int(7))]
-        return StructureAlgebra.from_entries(Q, 2, entries, (Q.one, Q.zero))
-
-    a, b = build(), build()
-    assert a is not b and a == b
-    before = _generating_set.cache_info()
-    assert a.generators == (1,)
-    assert b.generators is a.generators
-    after = _generating_set.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def _word_span(alg):

@@ -20,6 +20,7 @@ from frobstab.errors import (
 )
 from frobstab.exactfield import Field
 from frobstab.catalog import (
+    MAX_ORDER,
     GroupTable,
     cyclic_group,
     group_algebra,
@@ -116,6 +117,23 @@ def test_group_from_string():
         group_from_string("dihedral:8")
     with pytest.raises(ParseError):
         group_from_string("cyclic:0")
+    assert group_from_string(f"cyclic:{MAX_ORDER}").order == MAX_ORDER
+    with pytest.raises(ParseError) as err:
+        group_from_string(f"cyclic:{MAX_ORDER + 1}")
+    assert err.value.witness == MAX_ORDER + 1
+
+
+def test_catalog_returns_one_instance_per_arguments():
+    assert truncated_polynomial(4, GF3) is truncated_polynomial(4, Field.prime(3))
+    assert truncated_polynomial(4, GF3) is not truncated_polynomial(4, GF2)
+    s3 = symmetric_group_3()
+    fresh = GroupTable(s3.name, s3.names, s3.mult, s3.inverse)
+    assert fresh is not s3
+    inst = group_algebra(s3, Q)
+    assert group_algebra(fresh, Field.rationals()) is inst
+    assert group_algebra(symmetric_group_3(), Q) is inst
+    assert group_algebra(group_from_string("cyclic:3"), GF2) is group_algebra(cyclic_group(3), GF2)
+    assert group_algebra(cyclic_group(3), GF2) is not group_algebra(cyclic_group(3), GF3)
 
 
 def test_group_algebras_validate():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -222,6 +223,21 @@ def test_exit_code_for_modulus_above_primality_bound(capsys, tmp_path):
     )
     assert code == 3
     assert report["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("kind", [
+    ("trunc-poly", "--n", "1000000000"),
+    ("group", "--type", "cyclic:1000000000"),
+])
+def test_oversized_catalog_order_fails_fast(capsys, tmp_path, kind):
+    start = time.perf_counter()
+    code, report, _ = run_json(
+        capsys, "catalog", *kind, "--field", "gf:2", "--out", str(tmp_path),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert (report["error"], report["witness"]) == ("ParseError", 10**9)
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_errors(capsys):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from frobstab import selftest
+import functools
+
+from frobstab import algebra as algebra_module
+from frobstab import catalog, selftest
+from frobstab.algebra import StructureAlgebra, tensor
 from frobstab.errors import DualityViolation
 
 
@@ -16,3 +20,33 @@ def test_criterion_6_lists_a_twist_that_breaks_the_identities(monkeypatch):
     assert res.checks == 20
     assert len(res.failures) == 20
     assert all(f.endswith("identities fail") for f in res.failures)
+
+
+def test_derived_structure_is_computed_once_per_catalog_instance(monkeypatch):
+    """The catalog shares its algebras, so one run computes each generating
+    set and each enveloping algebra once, and a second run computes none."""
+    gens_of, tensors = [], []
+    generators = StructureAlgebra.__dict__["generators"]
+
+    def counting_generators(alg):
+        gens_of.append(alg)
+        return generators.func(alg)
+
+    def counting_tensor(a, b, name=None):
+        tensors.append((a, b))
+        return tensor(a, b, name)
+
+    prop = functools.cached_property(counting_generators)
+    prop.__set_name__(StructureAlgebra, "generators")
+    monkeypatch.setattr(StructureAlgebra, "generators", prop)
+    monkeypatch.setattr(algebra_module, "tensor", counting_tensor)
+    catalog.truncated_polynomial.cache_clear()
+    catalog.group_algebra.cache_clear()
+
+    first = selftest.run_all()
+    assert all(r.passed for r in first)
+    assert 0 < len(gens_of) <= 60 and 0 < len(tensors) <= 21
+    counted = len(gens_of), len(tensors)
+    second = selftest.run_all()
+    assert (len(gens_of), len(tensors)) == counted
+    assert [(r.cid, r.checks) for r in second] == [(r.cid, r.checks) for r in first]
