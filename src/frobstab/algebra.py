@@ -8,8 +8,8 @@ flat index i * dim(B) + j.
 
 Algebras are immutable values.  Mathematical equality is structural on
 (field, dim, cells, unit); the display name, basis names and group do not
-participate.  Derived structure (`generators`, `enveloping`) is computed
-once per instance and cached on it.
+participate.  Derived structure is cached on its instance: `generators`,
+`enveloping`, and `left` / `right`, the only matrices built from `cells`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     UnitMismatch,
 )
 from .exactfield import Field, field_from_json, field_to_json
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, kron, linear_combination
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -123,38 +123,16 @@ class StructureAlgebra:
         return tuple(out)
 
     def left_mult_matrix(self, x: tuple) -> Matrix:
-        """Matrix of a |-> x * a in the basis (columns are x * e_j)."""
+        """Matrix of a |-> x * a in the basis: sum_i x_i left[i]."""
         if len(x) != self.dim:
             raise DimensionMismatch("element length mismatch")
-        add, mul = self.field.add, self.field.mul
-        n = self.dim
-        out = [self.field.zero] * (n * n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.cells[i]
-            for j in range(n):
-                for k, v in row[j]:
-                    idx = k * n + j
-                    out[idx] = add(out[idx], mul(xi, v))
-        return Matrix(self.field, n, n, tuple(out))
+        return linear_combination(self.field, self.dim, self.dim, zip(x, self.left))
 
     def right_mult_matrix(self, x: tuple) -> Matrix:
-        """Matrix of a |-> a * x in the basis (columns are e_j * x)."""
+        """Matrix of a |-> a * x in the basis: sum_i x_i right[i]."""
         if len(x) != self.dim:
             raise DimensionMismatch("element length mismatch")
-        add, mul = self.field.add, self.field.mul
-        n = self.dim
-        out = [self.field.zero] * (n * n)
-        for j in range(n):
-            row = self.cells[j]
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for k, v in row[i]:
-                    idx = k * n + j
-                    out[idx] = add(out[idx], mul(xi, v))
-        return Matrix(self.field, n, n, tuple(out))
+        return linear_combination(self.field, self.dim, self.dim, zip(x, self.right))
 
     # validation ------------------------------------------------------
 
@@ -232,6 +210,16 @@ class StructureAlgebra:
         return tuple(kept)
 
     @functools.cached_property
+    def left(self) -> tuple[Matrix, ...]:
+        """left[i] is the matrix of a |-> e_i a; its column j is e_i e_j."""
+        return _left_matrices(self.field, self.cells)
+
+    @functools.cached_property
+    def right(self) -> tuple[Matrix, ...]:
+        """right[i] is the matrix of a |-> a e_i; its column j is e_j e_i."""
+        return _left_matrices(self.field, tuple(zip(*self.cells)))
+
+    @functools.cached_property
     def _enveloping(self) -> "StructureAlgebra":
         return tensor(self, opposite(self), name=f"{self.name}^env")
 
@@ -239,51 +227,53 @@ class StructureAlgebra:
         """Kernel of the stacked commutator maps a |-> e_i a - a e_i."""
         if self.dim == 0:
             return Subspace.zero(self.field, 0)
-        blocks = []
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            blocks.append(self.left_mult_matrix(e) - self.right_mult_matrix(e))
+        blocks = [left - right for left, right in zip(self.left, self.right)]
         return Matrix.stack_rows(blocks).kernel_basis()
 
 
+def _left_matrices(field: Field, cells) -> tuple[Matrix, ...]:
+    """Left multiplication by each e_i: matrix i has column j equal to cells[i][j]."""
+    n = len(cells)
+    out = []
+    for row in cells:
+        entries = [field.zero] * (n * n)
+        for j, cell in enumerate(row):
+            for k, v in cell:
+                entries[k * n + j] = v
+        out.append(Matrix(field, n, n, tuple(entries)))
+    return tuple(out)
+
+
+def _cells_of(zero, left) -> list[list[Cell]]:
+    """Inverse of `_left_matrices`; zeros other than `zero` itself drop out on normalizing."""
+    return [
+        [tuple((k, v) for k, v in enumerate(m.col(j)) if v is not zero) for j in range(m.ncols)]
+        for m in left
+    ]
+
+
 def opposite(a: StructureAlgebra) -> StructureAlgebra:
-    """Same space, reversed multiplication."""
-    raw = [[a.cells[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    """Same space, reversed multiplication: e_i acts on the left as on A's right."""
     return StructureAlgebra(
-        a.field, a.dim, raw, a.unit, name=f"{a.name}^op", basis_names=a.basis_names
+        a.field, a.dim, _cells_of(a.field.zero, a.right), a.unit,
+        name=f"{a.name}^op", basis_names=a.basis_names,
     )
 
 
 def tensor(a: StructureAlgebra, b: StructureAlgebra,
            name: str | None = None) -> StructureAlgebra:
-    """Tensor product algebra on the i-major product basis, named
-    `name` or else after both factors."""
+    """Tensor product algebra on the i-major product basis, named `name` or else
+    after both factors; L(e_i (x) e_j) = L(e_i) (x) L(e_j), and its unit is 1 (x) 1."""
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    field = a.field
-    nb = b.dim
-    dim = a.dim * nb
-    raw = [[None] * dim for _ in range(dim)]
-    for i1 in range(a.dim):
-        for j1 in range(nb):
-            r = raw[i1 * nb + j1]
-            for i2 in range(a.dim):
-                ca = a.cells[i1][i2]
-                for j2 in range(nb):
-                    cb = b.cells[j1][j2]
-                    r[i2 * nb + j2] = tuple(
-                        (k1 * nb + k2, field.mul(v1, v2))
-                        for k1, v1 in ca
-                        for k2, v2 in cb
-                    )
-    unit = tuple(
-        field.mul(a.unit[p], b.unit[q]) for p in range(a.dim) for q in range(nb)
-    )
+    raw = _cells_of(a.field.zero, (kron(x, y) for x in a.left for y in b.left))
+    unit = kron(Matrix(a.field, 1, a.dim, a.unit), Matrix(a.field, 1, b.dim, b.unit))
     names = None
     if a.basis_names is not None and b.basis_names is not None:
         names = tuple(f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names)
     return StructureAlgebra(
-        field, dim, raw, unit, name=name or f"{a.name}(x){b.name}", basis_names=names
+        a.field, a.dim * b.dim, raw, unit.entries, name=name or f"{a.name}(x){b.name}",
+        basis_names=names,
     )
 
 

@@ -10,9 +10,9 @@ Basis enumerations are fixed once and for all:
   {g} and {g^-1}.
 
 `truncated_polynomial` and `group_algebra` return one shared instance per
-argument tuple, so the derived structure cached on an algebra (its
-generating set, its enveloping algebra) is computed once per process;
-the instances are kept for the life of the process.
+tuple of argument values, however they are passed, so the structure cached
+on an algebra is computed once per process; the instances are kept for the
+life of the process.
 Orders read from outside (`group_from_string`, `check_order`) are capped at
 MAX_ORDER before any table is built.
 """
@@ -20,6 +20,7 @@ MAX_ORDER before any table is built.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +52,19 @@ def check_order(n: int, what: str) -> int:
     if n > MAX_ORDER:
         raise ParseError(f"{what} {n} is above {MAX_ORDER}", witness=n)
     return n
+
+
+def _one_instance_per_arguments(build):
+    """`functools.cache` on the argument values, however they are passed."""
+    cached = functools.cache(build)
+    bind = inspect.signature(build).bind
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        return cached(*(bind(*args, **kwargs).args if kwargs else args))
+
+    shared.cache_clear = cached.cache_clear
+    return shared
 
 
 class AlgebraInstance(NamedTuple):
@@ -146,7 +160,7 @@ def group_from_string(text: str) -> GroupTable:
     raise ParseError(f"unknown group {text!r}")
 
 
-@functools.cache
+@_one_instance_per_arguments
 def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
     """kG with its standard Frobenius system (trace = identity coefficient)."""
     n = g.order
@@ -163,7 +177,7 @@ def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
     return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
 
 
-@functools.cache
+@_one_instance_per_arguments
 def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
     """k[x]/(x^n) with the top-coefficient trace and ordered dual bases."""
     if n < 1:

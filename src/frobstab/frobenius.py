@@ -137,9 +137,8 @@ def frobenius_element(system: FrobeniusSystem) -> tuple:
     """
     alg = system.algebra
     c = system.element_matrix
-    for t in range(alg.dim):
-        e = alg.basis_vector(t)
-        if alg.left_mult_matrix(e) @ c != c @ alg.right_mult_matrix(e).transpose():
+    for t, (left, right) in enumerate(zip(alg.left, alg.right)):
+        if left @ c != c @ right.transpose():
             raise CentralityViolation(
                 f"centrality fails against basis element {t}", witness=t
             )

@@ -10,7 +10,8 @@ Conventions fixed package-wide:
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * `kron_sum` is the one function that builds sums of Kronecker products
   (equation systems, operators on vectorized maps, embeddings, tensor
-  elements); `kron` is its one-pair case.  Over Q a sum is accumulated in
+  elements); `kron` and `linear_combination` are its cases of one pair
+  and of 1 x 1 left factors.  Over Q a sum is accumulated in
   `int`s: each factor is cleared of denominators once, every term is
   scaled to one common denominator D, and each nonzero entry is divided
   by D once.  Callers that need only a kernel or an image take the
@@ -494,6 +495,12 @@ def _scaled_kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l]."""
     return kron_sum(a.field, a.nrows * b.nrows, a.ncols * b.ncols, [(a, b)])
+
+
+def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
+    """Sum of c * m over the (c, m) terms: the `kron_sum` of (1 x 1 matrix c, m)."""
+    pairs = ((Matrix(field, 1, 1, (c,)), m) for c, m in terms if c)
+    return kron_sum(field, nrows, ncols, pairs)
 
 
 def vec(m: Matrix) -> tuple:

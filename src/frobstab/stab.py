@@ -192,8 +192,7 @@ def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
     alg = system.algebra
     c = system.element_matrix
     acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
-    for p in range(alg.dim):
-        left = alg.left_mult_matrix(alg.basis_vector(p))
+    for p, left in enumerate(alg.left):
         acc = acc + left @ alg.right_mult_matrix(c.row(p))
     return acc.image_basis()
 

@@ -33,6 +33,7 @@ from frobstab.catalog import (
 )
 from frobstab import algebra as algebra_module
 from frobstab.linalg import Matrix, Subspace, kron
+from frobstab.modrep import regular_module
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -111,11 +112,119 @@ def test_basic_products():
     assert kc2.mul(e_plus_g, e_plus_g) == (GF2.zero,) * kc2.dim
 
 
+# The loops that built multiplication matrices and structure constants
+# before `left` / `right`, kept as reference implementations.
+
+
+def _left_mult_loop(alg, x):
+    add, mul = alg.field.add, alg.field.mul
+    n = alg.dim
+    out = [alg.field.zero] * (n * n)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = alg.cells[i]
+        for j in range(n):
+            for k, v in row[j]:
+                idx = k * n + j
+                out[idx] = add(out[idx], mul(xi, v))
+    return Matrix(alg.field, n, n, tuple(out))
+
+
+def _right_mult_loop(alg, x):
+    add, mul = alg.field.add, alg.field.mul
+    n = alg.dim
+    out = [alg.field.zero] * (n * n)
+    for j in range(n):
+        row = alg.cells[j]
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for k, v in row[i]:
+                idx = k * n + j
+                out[idx] = add(out[idx], mul(xi, v))
+    return Matrix(alg.field, n, n, tuple(out))
+
+
+def _opposite_loop(a):
+    raw = [[a.cells[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    return StructureAlgebra(
+        a.field, a.dim, raw, a.unit, name=f"{a.name}^op", basis_names=a.basis_names
+    )
+
+
+def _tensor_loop(a, b):
+    field = a.field
+    nb = b.dim
+    dim = a.dim * nb
+    raw = [[None] * dim for _ in range(dim)]
+    for i1 in range(a.dim):
+        for j1 in range(nb):
+            r = raw[i1 * nb + j1]
+            for i2 in range(a.dim):
+                ca = a.cells[i1][i2]
+                for j2 in range(nb):
+                    cb = b.cells[j1][j2]
+                    r[i2 * nb + j2] = tuple(
+                        (k1 * nb + k2, field.mul(v1, v2))
+                        for k1, v1 in ca
+                        for k2, v2 in cb
+                    )
+    unit = tuple(
+        field.mul(a.unit[p], b.unit[q]) for p in range(a.dim) for q in range(nb)
+    )
+    return StructureAlgebra(field, dim, raw, unit)
+
+
+def _reference_algebras():
+    for n in range(1, 7):
+        for f in (Q, GF3):
+            yield truncated_polynomial(n, f).algebra
+    for g in (cyclic_group(2), cyclic_group(3), klein_four_group(), symmetric_group_3()):
+        for f in (GF2, Q):
+            yield group_algebra(g, f).algebra
+
+
+def test_mult_matrices_match_the_loops():
+    rng = random.Random(5)
+    for alg in _reference_algebras():
+        for i in range(alg.dim):
+            e = alg.basis_vector(i)
+            assert alg.left[i] == _left_mult_loop(alg, e)
+            assert alg.right[i] == _right_mult_loop(alg, e)
+        for x in [alg.unit] + [rand_elem(alg, rng) for _ in range(4)]:
+            assert alg.left_mult_matrix(x) == _left_mult_loop(alg, x)
+            assert alg.right_mult_matrix(x) == _right_mult_loop(alg, x)
+        zero = (alg.field.zero,) * alg.dim
+        assert alg.left_mult_matrix(zero) == Matrix.zeros(alg.field, alg.dim, alg.dim)
+
+
+def test_opposite_and_tensor_match_the_loops():
+    algs = list(_reference_algebras())
+    for a in algs:
+        op, ref = opposite(a), _opposite_loop(a)
+        assert (op.cells, op.unit, op.name, op.basis_names) == (
+            ref.cells, ref.unit, ref.name, ref.basis_names)
+        env, env_ref = enveloping(a), _tensor_loop(a, ref)
+        assert (env.cells, env.unit) == (env_ref.cells, env_ref.unit)
+    small = [a for a in algs if a.dim <= 4]
+    for a in small:
+        for b in small:
+            if a.field == b.field:
+                t, ref = tensor(a, b), _tensor_loop(a, b)
+                assert (t.dim, t.cells, t.unit) == (ref.dim, ref.cells, ref.unit)
+
+
 def test_mult_matrices_against_products():
     rng = random.Random(17)
+    s3 = group_algebra(symmetric_group_3(), GF2).algebra
     for alg in (
         truncated_polynomial(4, GF3).algebra,
-        group_algebra(symmetric_group_3(), GF2).algebra,
+        s3,
+        truncated_polynomial(4, Q).algebra,
+        group_algebra(symmetric_group_3(), Q).algebra,
+        # an enveloping algebra of a fresh (uncached) copy of s3, 36-dimensional
+        enveloping(StructureAlgebra(GF2, s3.dim, s3.cells, s3.unit)),
     ):
         for _ in range(10):
             a, b = rand_elem(alg, rng), rand_elem(alg, rng)
@@ -130,6 +239,22 @@ def test_mult_matrices_against_products():
             assert la @ rb == rb @ la
     alg = truncated_polynomial(3, Q).algebra
     assert alg.left_mult_matrix(alg.unit) == Matrix.identity(Q, 3)
+
+
+def test_mult_matrices_are_cached_per_instance():
+    alg = group_algebra(symmetric_group_3(), GF3).algebra
+    assert alg.left is alg.left and alg.right is alg.right
+    assert len(alg.left) == len(alg.right) == alg.dim
+    assert regular_module(alg).action is alg.left
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_wrong_element_length_is_rejected(length):
+    alg = truncated_polynomial(3, GF3).algebra
+    x = (GF3.one,) * length
+    for mult_matrix in (alg.left_mult_matrix, alg.right_mult_matrix, regular_module(alg).action_of):
+        with pytest.raises(DimensionMismatch):
+            mult_matrix(x)
 
 
 def test_opposite():
@@ -216,9 +341,10 @@ def test_algebras_are_immutable(attr, value):
 
 def test_algebra_pickles_back_equal_and_immutable():
     for alg in (trunc2(Q), group_algebra(symmetric_group_3(), GF3).algebra):
-        alg.generators
+        alg.generators, alg.left, alg.right
         back = pickle.loads(pickle.dumps(alg))
         assert back == alg and hash(back) == hash(alg)
+        assert (back.left, back.right) == (alg.left, alg.right)
         assert (back.name, back.basis_names, back.group) == (alg.name, alg.basis_names, alg.group)
         assert back.generators == alg.generators
         with pytest.raises(AttributeError):

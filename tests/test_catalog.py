@@ -125,6 +125,10 @@ def test_group_from_string():
 
 def test_catalog_returns_one_instance_per_arguments():
     assert truncated_polynomial(4, GF3) is truncated_polynomial(4, Field.prime(3))
+    inst = truncated_polynomial(3, GF3)
+    assert truncated_polynomial(3, field=GF3) is inst
+    assert truncated_polynomial(n=3, field=Field.prime(3)) is inst
+    assert truncated_polynomial(field=GF3, n=3) is inst
     assert truncated_polynomial(4, GF3) is not truncated_polynomial(4, GF2)
     s3 = symmetric_group_3()
     fresh = GroupTable(s3.name, s3.names, s3.mult, s3.inverse)
@@ -132,6 +136,9 @@ def test_catalog_returns_one_instance_per_arguments():
     inst = group_algebra(s3, Q)
     assert group_algebra(fresh, Field.rationals()) is inst
     assert group_algebra(symmetric_group_3(), Q) is inst
+    assert group_algebra(fresh, field=Q) is inst
+    assert group_algebra(g=s3, field=Field.rationals()) is inst
+    assert group_algebra(field=Q, g=fresh) is inst
     assert group_algebra(group_from_string("cyclic:3"), GF2) is group_algebra(cyclic_group(3), GF2)
     assert group_algebra(cyclic_group(3), GF2) is not group_algebra(cyclic_group(3), GF3)
 

@@ -240,6 +240,23 @@ def test_oversized_catalog_order_fails_fast(capsys, tmp_path, kind):
     assert not list(tmp_path.iterdir())
 
 
+def test_oversized_shift_fails_fast(capsys, tmp_path):
+    """Each shift step triples V1 over k[x]/(x^4); the free module of the
+    sixth step (dim 1944) is refused before it is allocated."""
+    alg, mod = make_trunc(capsys, tmp_path, 4, "gf:2", module_i=1)
+    out = tmp_path / "shifted.json"
+    for argv in (
+        ("ext", str(alg), str(mod), str(mod), "--degree", "9"),
+        ("shift", str(alg), str(mod), "--steps", "-9", "--out", str(out)),
+    ):
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert (report["error"], report["witness"]) == ("BudgetExceeded", 1944)
+    assert not out.exists()
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "stable-hom")[0] == 3
     assert run(capsys, "no-such-command")[0] == 3

@@ -6,6 +6,7 @@ import pytest
 
 from frobstab.errors import (
     AlgebraMismatch,
+    BudgetExceeded,
     NotAModule,
     NotInvariant,
     ParseError,
@@ -21,6 +22,7 @@ from frobstab.catalog import (
 from frobstab.frobenius import enveloping_system
 from frobstab.linalg import Matrix, Subspace
 from frobstab.modrep import (
+    MAX_FREE_ENTRIES,
     ModuleRep,
     bimodule_regular,
     canonical_embedding,
@@ -71,6 +73,20 @@ def test_free_rank_one_is_regular():
         free1 = free_module(inst.algebra, 1)
         reg = regular_module(inst.algebra)
         assert free1.action == reg.action
+
+
+def test_free_module_budget():
+    """Stable Ext in degree +-5 of V1 over k[x]/(x^4) needs a free module of
+    dim 648; the next shift would need dim 1944."""
+    alg = truncated_polynomial(4, GF2).algebra
+    assert alg.dim * 648**2 <= MAX_FREE_ENTRIES < alg.dim * 1944**2
+    with pytest.raises(BudgetExceeded) as exc:
+        free_module(alg, 486)
+    assert exc.value.witness == 1944
+    s3 = group_algebra(symmetric_group_3(), GF2).algebra
+    with pytest.raises(BudgetExceeded) as exc:
+        free_module(s3, 100)
+    assert exc.value.witness == 600
 
 
 def test_free_modules_validate():

@@ -24,7 +24,8 @@ def test_criterion_6_lists_a_twist_that_breaks_the_identities(monkeypatch):
 
 def test_derived_structure_is_computed_once_per_catalog_instance(monkeypatch):
     """The catalog shares its algebras, so one run computes each generating
-    set and each enveloping algebra once, and a second run computes none."""
+    set and each enveloping algebra once, and a second run computes none;
+    no enveloping algebra builds its multiplication matrices."""
     gens_of, tensors = [], []
     generators = StructureAlgebra.__dict__["generators"]
 
@@ -33,8 +34,8 @@ def test_derived_structure_is_computed_once_per_catalog_instance(monkeypatch):
         return generators.func(alg)
 
     def counting_tensor(a, b, name=None):
-        tensors.append((a, b))
-        return tensor(a, b, name)
+        tensors.append(tensor(a, b, name))
+        return tensors[-1]
 
     prop = functools.cached_property(counting_generators)
     prop.__set_name__(StructureAlgebra, "generators")
@@ -46,6 +47,9 @@ def test_derived_structure_is_computed_once_per_catalog_instance(monkeypatch):
     first = selftest.run_all()
     assert all(r.passed for r in first)
     assert 0 < len(gens_of) <= 60 and 0 < len(tensors) <= 21
+    # The enveloping algebras are used through their structure constants
+    # only, so none holds its dim^3 multiplication-matrix entries.
+    assert not [env.name for env in tensors if {"left", "right"} & set(vars(env))]
     counted = len(gens_of), len(tensors)
     second = selftest.run_all()
     assert (len(gens_of), len(tensors)) == counted
