@@ -218,7 +218,7 @@ def _cmd_compare_enveloping(args) -> int:
     algebra, system, _ = _load_system(args.algebra)
     m = _load_module(args.module_m, algebra, args.algebra)
     n_ = _load_module(args.module_n, algebra, args.algebra)
-    direct, via = enveloping_comparison(system, m, n_, budget=args.budget)
+    direct, via = enveloping_comparison(system, m, n_)
     out = {"direct": direct, "via_enveloping": via, "agree": direct == via}
     _emit(out)
     return 0 if out["agree"] else 2
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("module_m")
     p.add_argument("module_n")
-    p.add_argument("--budget", type=int, default=20000)
     p.set_defaults(fn=_cmd_compare_enveloping)
 
     p = sub.add_parser("catalog", help="emit built-in algebras and modules as files")

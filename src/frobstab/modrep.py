@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import (
     AlgebraMismatch,
-    BudgetExceeded,
     DimensionMismatch,
     EmbeddingNotInjective,
     FieldMismatch,
@@ -29,15 +28,12 @@ from .errors import (
     NotInvariant,
     ParseError,
 )
-from .algebra import StructureAlgebra, enveloping, _require_keys
+from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_keys
+from .algebra import _check_entries, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, kron_sum, linear_combination
 
 MODULE_FORMAT = "frobstab-module/1"
-
-# Largest dim(A) * dim(F)^2, the entry count of a free module F's action: over
-# k[x]/(x^4), stable Ext of V1 in degree +-5 needs dim(F) = 648 (1.7M), +-6 1944 (15M).
-MAX_FREE_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -72,17 +68,21 @@ class ModuleRep:
 
 
 def validate_module(m: ModuleRep) -> None:
-    """Unit acts as identity; products follow the structure constants."""
-    alg, f = m.algebra, m.algebra.field
-    if m.action_of(alg.unit) != Matrix.identity(f, m.dim):
+    """Unit acts as identity; products follow the structure constants.
+
+    Precondition: m.algebra passes `validate()`, as the CLI checks on load.
+    Then, with rho(1) = I, g in `generators` suffices: the a with rho(a) rho(x)
+    = rho(a x) for all x form a subspace holding 1 and closed under left
+    multiplication by g, as rho(g a) rho(x) = rho(g (a x)) = rho((g a) x), so it
+    holds the words in the generators.  Only on failure is every (i, j) read,
+    so NotAModule names the first failing product in basis order.
+    """
+    alg = m.algebra
+    if m.action_of(alg.unit) != Matrix.identity(alg.field, m.dim):
         raise NotAModule("unit does not act as identity", witness="unit")
-    for i, row in enumerate(alg.cells):
-        for j, cell in enumerate(row):
-            expect = linear_combination(f, m.dim, m.dim, ((v, m.action[k]) for k, v in cell))
-            if m.action[i] @ m.action[j] != expect:
-                raise NotAModule(
-                    f"action breaks on basis product ({i},{j})", witness=(i, j)
-                )
+    if any(_product_failures(alg, m.action, alg.generators)):
+        i, j, _ = next(_product_failures(alg, m.action, range(alg.dim)))
+        raise NotAModule(f"action breaks on basis product ({i},{j})", witness=(i, j))
 
 
 def regular_module(a: StructureAlgebra) -> ModuleRep:
@@ -95,21 +95,21 @@ def free_module(a: StructureAlgebra, k: int) -> ModuleRep:
     if k < 0:
         raise DimensionMismatch("negative rank")
     d = a.dim * k
-    if a.dim * d * d > MAX_FREE_ENTRIES:
-        raise BudgetExceeded(f"dim {d} free module over {MAX_FREE_ENTRIES} entries", witness=d)
+    _check_entries(a.dim * d * d, d, f"dim {d} free module")
     ident = Matrix.identity(a.field, k)
     action = tuple(kron(left, ident) for left in a.left)
     return ModuleRep(a, d, action, name=f"free{k}")
 
 
-def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
+def canonical_embedding(system: FrobeniusSystem, m: ModuleRep,
+                        free: ModuleRep | None = None) -> Matrix:
     """Matrix of v |-> sum_i a_i (x) (b_i v) from M into A (x) M_0.
 
     Block p of the rows is action_M(c_p), for c_p row p of the Frobenius
     matrix `element_matrix`, since sum_i a_i (x) b_i = sum_p e_p (x) c_p.
     Checked on construction: the map intertwines the actions, and composing
     with the trace splitting a (x) v |-> trace(a) v gives the identity, so
-    it is injective.
+    it is injective.  `free` is A (x) M_0, built here unless passed in.
     """
     alg = system.algebra
     if m.algebra != alg:
@@ -117,7 +117,8 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     f = alg.field
     n = alg.dim
     md = m.dim
-    free = free_module(alg, md)
+    if free is None:
+        free = free_module(alg, md)
     c = system.element_matrix
     phi = Matrix(f, n * md, md, tuple(
         x for p in range(n) for x in m.action_of(c.row(p)).entries
@@ -145,17 +146,21 @@ def hom_bimodule(m: ModuleRep, n_: ModuleRep) -> ModuleRep:
 
     Via vectorization, basis element e_i (x) e_j acts on vec(H) by
     kron(action_M(e_j)^T, action_N(e_i)), matching ((a (x) b) h)(v) = a h(b v).
+    Its dim(A)^2 * d^2 entries, d = dim M * dim N, are bounded by MAX_FREE_ENTRIES.
     """
     m.same_algebra(n_)
+    d = n_.dim * m.dim
+    _check_entries(m.algebra.dim ** 2 * d * d, d, f"dim {d} Hom bimodule")
     env = enveloping(m.algebra)
     action = tuple(kron(mj.transpose(), ni) for ni in n_.action for mj in m.action)
-    return ModuleRep(env, n_.dim * m.dim, action, name=f"Hom({m.name},{n_.name})")
+    return ModuleRep(env, d, action, name=f"Hom({m.name},{n_.name})")
 
 
 def bimodule_regular(a: StructureAlgebra) -> ModuleRep:
     """A as a module over A (x) A^op: (a (x) b) x = a x b."""
+    env = enveloping(a)
     action = tuple(left @ right for left in a.left for right in a.right)
-    return ModuleRep(enveloping(a), a.dim, action, name=f"{a.name}-bimodule")
+    return ModuleRep(env, a.dim, action, name=f"{a.name}-bimodule")
 
 
 def direct_sum(mods: list[ModuleRep]) -> ModuleRep:

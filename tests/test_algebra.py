@@ -6,6 +6,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobstab.errors import (
     DimensionMismatch,
@@ -33,7 +34,7 @@ from frobstab.catalog import (
 )
 from frobstab import algebra as algebra_module
 from frobstab.linalg import Matrix, Subspace, kron
-from frobstab.modrep import regular_module
+from frobstab.modrep import regular_module, validate_module
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -59,7 +60,7 @@ def test_hand_built_algebra_validates():
     a = trunc2(Q)
     a.validate()
     rep = a.validation_report()
-    assert rep.ok
+    assert (rep.associative_failures, rep.unit_failures) == ([], [])
 
 
 def unital_entries(field, dim, extra):
@@ -82,7 +83,6 @@ def test_perturbed_constant_breaks_associativity():
         unit=(one, Q.zero, Q.zero),
     )
     rep = bad.validation_report()
-    assert not rep.ok
     assert (1, 1, 2) in rep.associative_failures
     with pytest.raises(NotAssociative) as exc:
         bad.validate()
@@ -99,6 +99,83 @@ def test_broken_unit_reported():
     assert rep.unit_failures
     with pytest.raises(UnitMismatch):
         a.validate()
+
+
+def _validation_report_loop(alg):
+    """Associativity on all dim^3 basis triples by dictionary sums, and the
+    two-sided unit: the reference for `validation_report`."""
+    add, mul, zero = alg.field.add, alg.field.mul, alg.field.zero
+    n = alg.dim
+    assoc = []
+    for i in range(n):
+        ci = alg.cells[i]
+        for j in range(n):
+            for k in range(n):
+                left, right = {}, {}
+                for l, v in ci[j]:
+                    for m, w in alg.cells[l][k]:
+                        left[m] = add(left.get(m, zero), mul(v, w))
+                for l, v in alg.cells[j][k]:
+                    for m, w in ci[l]:
+                        right[m] = add(right.get(m, zero), mul(v, w))
+                if any(left.get(m, zero) != right.get(m, zero) for m in set(left) | set(right)):
+                    assoc.append((i, j, k))
+    unit_bad = []
+    for j in range(n):
+        e = alg.basis_vector(j)
+        if alg.mul(alg.unit, e) != e or alg.mul(e, alg.unit) != e:
+            unit_bad.append(j)
+    return assoc, unit_bad
+
+
+def _nonzero(draw, field):
+    if field.kind == "rational":
+        num = draw(st.integers(-3, 3).filter(bool))
+        return field.parse(f"{num}/{draw(st.integers(1, 3))}")
+    return draw(st.integers(1, field.p - 1))
+
+
+@st.composite
+def _perturbed_algebra(draw):
+    """A catalog algebra with one structure constant shifted, and sometimes
+    one unit coordinate."""
+    alg = draw(st.sampled_from(list(_reference_algebras())))
+    f, n = alg.field, alg.dim
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    cells = [list(row) for row in alg.cells]
+    cells[i][j] = cells[i][j] + ((k, _nonzero(draw, f)),)
+    unit = list(alg.unit)
+    if draw(st.booleans()):
+        t = draw(st.integers(0, n - 1))
+        unit[t] = f.add(unit[t], _nonzero(draw, f))
+    return StructureAlgebra(f, n, cells, unit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perturbed_algebra())
+def test_validation_report_matches_the_triple_loop(alg):
+    rep = alg.validation_report()
+    assert (rep.associative_failures, rep.unit_failures) == _validation_report_loop(alg)
+
+
+def test_validation_reads_the_generators_only(monkeypatch):
+    """k[x]/(x^24) has one generator, x, so checking it and its regular
+    module takes 24 products each; the full basis would take 24^2."""
+    t24 = truncated_polynomial(24, GF2).algebra
+    alg = StructureAlgebra(GF2, t24.dim, t24.cells, t24.unit)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting_matmul(a, b):
+        products.append(a.shape)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    alg.validate()
+    assert len(products) == 24
+    products.clear()
+    validate_module(regular_module(alg))
+    assert len(products) == 24
 
 
 def test_basic_products():

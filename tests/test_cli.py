@@ -163,10 +163,14 @@ def test_compare_enveloping_command(capsys, tmp_path):
     assert code == 0
     assert out["direct"] == out["via_enveloping"] == 1
     assert out["agree"] is True
-    code2, _, _ = run(
-        capsys, "compare-enveloping", str(alg), str(mod), str(mod), "--budget", "1"
-    )
+    # Hom_k(R, R) for the regular module R of k[x]/(x^12) is a 144-dim module
+    # over A (x) A^op whose action needs 144 * 144^2 entries, over the bound.
+    big_alg, reg = make_trunc(capsys, tmp_path, 12, "gf:2", module_i=11)
+    code2, out2, _ = run_json(capsys, "compare-enveloping", str(big_alg), str(reg), str(reg))
     assert code2 == 2
+    assert (out2["error"], out2["witness"]) == ("BudgetExceeded", 144)
+    code3, _, _ = run(capsys, "compare-enveloping", str(alg), str(mod), str(mod), "--budget", "1")
+    assert code3 == 3
 
 
 def test_selftest_subset(capsys):

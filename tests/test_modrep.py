@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobstab.errors import (
     AlgebraMismatch,
@@ -15,12 +16,14 @@ from frobstab.exactfield import Field
 from frobstab.catalog import (
     cyclic_group,
     group_algebra,
+    klein_four_group,
     symmetric_group_3,
+    trivial_module,
     truncated_module,
     truncated_polynomial,
 )
 from frobstab.frobenius import enveloping_system
-from frobstab.linalg import Matrix, Subspace
+from frobstab.linalg import Matrix, Subspace, linear_combination
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
     ModuleRep,
@@ -66,6 +69,60 @@ def test_validate_module_catches_bad_product():
     with pytest.raises(NotAModule) as exc:
         validate_module(bad)
     assert exc.value.witness == (1, 1)
+
+
+def _module_failure_loop(m):
+    """The first failing module axiom over all dim^2 basis products, or None:
+    the reference for `validate_module`."""
+    alg, f = m.algebra, m.algebra.field
+    if m.action_of(alg.unit) != Matrix.identity(f, m.dim):
+        return "unit"
+    for i, row in enumerate(alg.cells):
+        for j, cell in enumerate(row):
+            expect = linear_combination(f, m.dim, m.dim, ((v, m.action[k]) for k, v in cell))
+            if m.action[i] @ m.action[j] != expect:
+                return (i, j)
+    return None
+
+
+def _catalog_modules():
+    for f in (GF2, Field.prime(3), Q):
+        for n in range(2, 6):
+            yield from (truncated_module(n, i, f) for i in range(n))
+        for g in (cyclic_group(3), klein_four_group(), symmetric_group_3()):
+            alg = group_algebra(g, f).algebra
+            yield trivial_module(alg)
+            yield regular_module(alg)
+
+
+@st.composite
+def _perturbed_module(draw):
+    """A catalog module with one entry of one action matrix shifted."""
+    m = draw(st.sampled_from(list(_catalog_modules())))
+    f = m.algebra.field
+    b = draw(st.integers(0, m.algebra.dim - 1))
+    pos = draw(st.integers(0, m.dim * m.dim - 1))
+    if f.kind == "rational":
+        delta = f.parse(f"{draw(st.integers(-3, 3).filter(bool))}/{draw(st.integers(1, 3))}")
+    else:
+        delta = draw(st.integers(1, f.p - 1))
+    entries = list(m.action[b].entries)
+    entries[pos] = f.add(entries[pos], delta)
+    action = list(m.action)
+    action[b] = Matrix(f, m.dim, m.dim, tuple(entries))
+    return ModuleRep(m.algebra, m.dim, tuple(action), name=m.name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perturbed_module())
+def test_validate_module_matches_the_full_loop(m):
+    want = _module_failure_loop(m)
+    if want is None:
+        validate_module(m)
+    else:
+        with pytest.raises(NotAModule) as exc:
+            validate_module(m)
+        assert exc.value.witness == want
 
 
 def test_free_rank_one_is_regular():

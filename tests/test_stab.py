@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobstab import stab
+from frobstab import modrep, stab
 from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
@@ -24,6 +24,7 @@ from frobstab.catalog import (
 from frobstab.frobenius import FrobeniusSystem, derive_system, twist
 from frobstab.linalg import Matrix, Subspace, kron, kron_sum
 from frobstab.modrep import (
+    MAX_FREE_ENTRIES,
     ModuleRep,
     bimodule_regular,
     canonical_embedding,
@@ -323,6 +324,26 @@ def test_shift_dimensions():
         validate_module(down)
 
 
+def test_each_shift_step_builds_one_free_module(monkeypatch):
+    """The intertwining check of the canonical embedding and the quotient
+    read the same free module A (x) M_0."""
+    dims = []
+
+    def counting_free_module(a, k):
+        dims.append(a.dim * k)
+        return free_module(a, k)
+
+    monkeypatch.setattr(stab, "free_module", counting_free_module)
+    monkeypatch.setattr(modrep, "free_module", counting_free_module)
+    inst = truncated_polynomial(4, GF2)
+    v1 = truncated_module(4, 1, GF2)
+    assert shift_plus(inst.system, v1, 3).dim == 54
+    assert dims == [8, 24, 72]
+    dims.clear()
+    factoring_ideal_oracle(inst.system, v1, v1)
+    assert dims == [8]
+
+
 def test_shift_preserves_stable_dims():
     inst = truncated_polynomial(3, GF2)
     pairs = [(1, 1), (1, 2), (0, 2)]
@@ -500,10 +521,26 @@ def test_stable_center_both_routes_agree():
 
 
 def test_enveloping_comparison_budget():
-    inst = group_algebra(symmetric_group_3(), GF2)
+    """Hom_k(R, R) for the regular module R of k[x]/(x^12) needs
+    144 * 144^2 (about 3.0M) entries; it is refused before anything is solved."""
+    inst = truncated_polynomial(12, GF2)
     reg = regular_module(inst.algebra)
-    with pytest.raises(BudgetExceeded):
-        enveloping_comparison(inst.system, reg, reg, budget=100)
+    assert inst.algebra.dim ** 2 * 144 ** 2 > MAX_FREE_ENTRIES
+    unsolved = mock.patch.object(stab, "stable_hom", side_effect=AssertionError("solved"))
+    with unsolved, pytest.raises(BudgetExceeded) as exc:
+        enveloping_comparison(inst.system, reg, reg)
+    assert exc.value.witness == 144
+
+
+def test_enveloping_size_is_bounded():
+    """A (x) A^op and A's bimodule action hold dim(A)^4 entries: dim(A) = 37
+    is under the bound and 38 over it, refused with witness dim(A)^2."""
+    assert 37 ** 4 <= MAX_FREE_ENTRIES < 38 ** 4
+    inst = truncated_polynomial(38, GF2)
+    for route in (stable_center_via_enveloping, lambda s: bimodule_regular(s.algebra)):
+        with pytest.raises(BudgetExceeded) as exc:
+            route(inst.system)
+        assert exc.value.witness == 38 ** 2
 
 
 def test_enveloping_comparison_small():
