@@ -194,7 +194,7 @@ class StructureAlgebra:
             frontier = [self.mul(e, v) for v in span.basis_vectors()]
             while frontier:
                 added = [v for v in frontier if not span.contains(v)]
-                span = span + Subspace.from_vectors(f, self.dim, added)
+                span = Subspace.from_vectors(f, self.dim, span.basis_vectors() + added)
                 frontier = [self.mul(g, v) for v in added for g in gens]
         return tuple(kept)
 

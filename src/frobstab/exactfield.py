@@ -30,6 +30,8 @@ PRIME = "prime"
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRAC_RE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)\Z")
+# Integer texts joined by NUL, which is not whitespace and not a digit.
+_INTS_RE = re.compile(r"\s*-?[0-9]+\s*(?:\0\s*-?[0-9]+\s*)*\Z")
 
 
 # The 13 prime bases up to 41 decide primality for every n below this
@@ -148,6 +150,28 @@ class Field:
         if den <= 0:
             raise ParseError(f"bad denominator in {text!r}")
         return Fraction(num, den) if num else self.zero
+
+    def parse_many(self, texts: list) -> list:
+        """`parse` of each text: the same values and, for the first
+        malformed text, the same ParseError.
+
+        If every text is an integer, one regular-expression match over the
+        texts joined by NUL checks them all and `int` converts each; a text
+        that holds a NUL passes that match but fails `int`.  Anything else
+        (including a text that is not a string, which fails the join) is
+        parsed one text at a time.
+        """
+        try:
+            ints = _INTS_RE.fullmatch("\0".join(texts)) and [int(t) for t in texts]
+        except (TypeError, ValueError):
+            ints = None
+        if not ints:
+            return [self.parse(t) for t in texts]
+        if self.kind == PRIME:
+            p = self.p
+            return [n % p for n in ints]
+        zero = self.zero
+        return [Fraction(n) if n else zero for n in ints]
 
     def to_str(self, x) -> str:
         """Canonical text: "a" or "a/b" (lowest terms, b > 0); decimal for GF(p)."""

@@ -8,19 +8,26 @@ Conventions fixed package-wide:
   equal entry for entry;
 * `vec` is column-major (stacks the columns of a matrix), which gives the
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
-* `kron_sum` is the one function that builds sums of Kronecker products
-  (equation systems, operators on vectorized maps, embeddings, tensor
-  elements); `kron` and `linear_combination` are its cases of one pair
-  and of 1 x 1 left factors.  Over Q a sum is accumulated in
+* `kron_sum` is the one function that builds dense sums of Kronecker
+  products (operators on vectorized maps, embeddings, tensor elements);
+  `kron` and `linear_combination` are its cases of one pair and of
+  1 x 1 left factors.  Over Q a sum is accumulated in
   `int`s: each factor is cleared of denominators once, every term is
   scaled to one common denominator D, and each nonzero entry is divided
-  by D once.  Callers that need only a kernel or an image take the
-  D-scaled integer matrix (`_scaled_kron_sum`) and skip the division;
-* row reduction over Q runs on integer rows: each row is cleared of
-  denominators once, eliminated with `int` arithmetic and divided by its
-  content whenever it was scaled, and each pivot row is divided by its
-  pivot into `Fraction`s once at the end (one division per entry); GF(p)
-  uses the field-generic loop;
+  by D once;
+* callers that need only the kernel or the image of a Kronecker sum call
+  `kron_kernel` or `kron_image`.  Over GF(p) the sum is never dense: its
+  nonzero rows are assembled as sparse maps {column: value}
+  (`_kron_rows`) and reduced by `_rref_sparse`; the image is the row
+  space of the sum of kron(a^T, b^T).  Over Q they reduce the D-scaled
+  integer matrix and skip the division;
+* row reduction over GF(p) is `_rref_sparse` everywhere: dense rows are
+  turned into sparse maps, each row is inserted against the pivot rows
+  found so far, and one back-substitution pass gives the RREF.  Over Q it
+  runs on integer rows: each row is cleared of denominators once,
+  eliminated with `int` arithmetic and divided by its content whenever it
+  was scaled, and each pivot row is divided by its pivot into `Fraction`s
+  once at the end (one division per entry);
 * Kronecker sums, matrix sums, differences and negations (and
   `Field.from_int` and `Field.parse`) give the field's `zero` object for
   a zero over Q, which both integer routes skip by identity.
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, FieldMismatch, IndexOutOfRange, NotASubspace
+from .errors import DimensionMismatch, FieldMismatch, NotASubspace
 from .exactfield import RATIONAL, Field
 
 
@@ -47,57 +54,76 @@ def _rref_inplace(rows: list[list], ncols: int, field: Field) -> tuple[list[int]
     """Full reduced row echelon form, in place.  Returns (pivot columns, rank).
 
     Rows below the rank come out zero.  Over Q the rows are reduced as
-    integer rows (`_rref_rational`); over GF(p) by `_rref_field`.  RREF is
-    unique, so both routes give the same entries, pivots and rank.
+    integer rows (`_rref_rational`); over GF(p) they are turned into sparse
+    maps and reduced by `_rref_sparse`.  RREF is unique, so both routes
+    give the entries, pivots and rank of field-generic Gauss-Jordan.
     """
     if field.kind == RATIONAL:
         return _rref_rational(rows, ncols, field.zero)
-    return _rref_field(rows, ncols, field)
+    p = field.p
+    pivots = _rref_sparse([{j: y for j, x in enumerate(r) if x and (y := x % p)} for r in rows], p)
+    for t, row in enumerate(pivots.values()):
+        rows[t] = _dense(row, ncols)
+    for t in range(len(pivots), len(rows)):
+        rows[t] = [0] * ncols
+    return list(pivots), len(pivots)
 
 
-def _rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
-    """Gauss-Jordan with field arithmetic: the GF(p) route of `_rref_inplace`,
-    and the oracle the tests hold the rational route to.
+def _dense(row: dict, ncols: int) -> list:
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
 
-    Skips zero coefficients throughout so that the common sparse inputs
-    (block and permutation shaped matrices) reduce quickly.
+
+def _rref_sparse(rows: list[dict], p: int) -> dict[int, dict]:
+    """RREF over GF(p) of sparse rows {column: nonzero int in [0, p)}.
+
+    Returns {pivot column: its RREF row}, in column order; each row holds
+    its pivot's 1.  The rows are consumed.  Each row is inserted against
+    the pivot rows found so far: while its leading column is a pivot
+    column, it loses that multiple of the pivot row.  A row left with a
+    new leading column becomes a pivot row, normalised once, and a row
+    that cancels is dropped.  Pivot rows are then in echelon form; one
+    back-substitution pass, from the last pivot to the first, clears the
+    other pivot columns, since the later pivot rows are already reduced.
     """
-    sub, mul, inv = field.sub, field.mul, field.inv
-    one = field.one
-    nrows = len(rows)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
+    tails: dict[int, dict] = {}  # pivot column -> the rest of its row
+    for row in rows:
+        while row:
+            c = min(row)
+            g = row.pop(c)
+            tail = tails.get(c)
+            if tail is None:
+                if g != 1:
+                    g = pow(g, -1, p)
+                    for j, x in row.items():
+                        row[j] = x * g % p
+                tails[c] = row
                 break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        f = piv[c]
-        if f != one:
-            finv = inv(f)
-            for j in range(c, ncols):
-                if piv[j]:
-                    piv[j] = mul(piv[j], finv)
-        support = [j for j in range(c, ncols) if piv[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            g = row[c]
-            if g:
-                for j in support:
-                    row[j] = sub(row[j], mul(g, piv[j]))
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return piv_cols, r
+            _sub_multiple(row, g, tail, p)
+    cols = sorted(tails)
+    for c in reversed(cols):
+        row = tails[c]
+        for j in [j for j in row if j in tails]:
+            _sub_multiple(row, row.pop(j), tails[j], p)
+    for c in cols:
+        tails[c][c] = 1
+    return {c: tails[c] for c in cols}
+
+
+def _sub_multiple(row: dict, g: int, other: dict, p: int) -> None:
+    """row -= g * other over GF(p), for g and the entries of other nonzero.
+
+    Each product is nonzero mod p, so an entry cancels only where row had
+    one, and that entry is deleted.
+    """
+    for j, y in other.items():
+        x = (row.get(j, 0) - g * y) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
@@ -229,11 +255,6 @@ class Matrix:
         return Matrix(f, sum(m.nrows for m in mats), ncols, tuple(ent))
 
     # access ----------------------------------------------------------
-
-    def at(self, i: int, j: int):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexOutOfRange(f"({i},{j}) outside {self.nrows}x{self.ncols}")
-        return self.entries[i * self.ncols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.ncols : (i + 1) * self.ncols]
@@ -480,16 +501,90 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
     return Matrix(field, nrows, ncols, tuple(out))
 
 
-def _scaled_kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
-    """A nonzero multiple of `kron_sum`, with the same kernel and image.
+def _kron_rows(field: Field, nrows: int, ncols: int, pairs, transpose: bool = False) -> list[dict]:
+    """Over GF(p): the nonzero rows of `kron_sum`, as maps {column: value},
+    or with `transpose` the nonzero rows of its transpose, the sum of
+    kron(a^T, b^T), read from the same factors without transposing them.
 
-    Over Q it is D times the sum, with `int` entries that row reduction
-    takes as they are; callers use it only for `kernel_basis` and
-    `image_basis` and never return it.  Over GF(p) it is `kron_sum`.
+    Products are summed as plain ints and each cell is reduced mod p once;
+    cells that cancel are dropped, and so are rows left empty.
+    """
+    p = field.p
+    out: dict[int, dict] = {}
+    for a, b in pairs:
+        _check_term(field, nrows, ncols, a, b)
+        if transpose:
+            height, width, lines = b.ncols, b.nrows, (b.col(l) for l in range(b.ncols))
+        else:
+            height, width, lines = b.nrows, b.ncols, (b.row(k) for k in range(b.nrows))
+        b_rows = []
+        for k, line in enumerate(lines):
+            nz = [(l, y) for l, y in enumerate(line) if y]
+            if nz:
+                b_rows.append((k, nz))
+        for t, x in enumerate(a.entries):
+            if x:
+                i, j = divmod(t, a.ncols)
+                if transpose:
+                    i, j = j, i
+                base = j * width
+                for k, nz in b_rows:
+                    r = i * height + k
+                    row = out.get(r)
+                    if row is None:
+                        row = out[r] = {}
+                    for l, y in nz:
+                        c = base + l
+                        row[c] = row.get(c, 0) + x * y
+    rows = []
+    for r in sorted(out):
+        row = {c: y for c, v in out[r].items() if (y := v % p)}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Subspace":
+    """The `Subspace` whose RREF rows `_rref_sparse` returned."""
+    flat = [x for row in pivots.values() for x in _dense(row, ambient)]
+    return Subspace(field, ambient, Matrix(field, len(pivots), ambient, tuple(flat)),
+                    tuple(pivots))
+
+
+def kron_kernel(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
+    """The kernel of `kron_sum(field, nrows, ncols, pairs)`.
+
+    Over GF(p) the sparse rows (`_kron_rows`) go to `_rref_sparse`; each
+    free column f gives the kernel vector e_f - sum of R[c, f] e_c over
+    the pivot rows R, and those sparse vectors are reduced once more into
+    the canonical basis.  Over Q the sum is scaled to `int` entries by its
+    common denominator, which leaves the kernel unchanged, and reduced by
+    `kernel_basis`.
     """
     if field.kind == RATIONAL:
-        return _rational_kron_sum(field, nrows, ncols, pairs, exact=False)
-    return kron_sum(field, nrows, ncols, pairs)
+        return _rational_kron_sum(field, nrows, ncols, pairs, exact=False).kernel_basis()
+    p = field.p
+    pivots = _rref_sparse(_kron_rows(field, nrows, ncols, pairs), p)
+    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, x in row.items():
+            if f != c:
+                vecs[f][c] = p - x
+    return _sparse_subspace(field, ncols, _rref_sparse(list(vecs.values()), p))
+
+
+def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
+    """The column space of `kron_sum(field, nrows, ncols, pairs)`.
+
+    It is the row space of the transpose, the sum of kron(a^T, b^T).  Over
+    GF(p) the sparse rows of that transpose go straight to `_rref_sparse`.
+    Over Q the sum is scaled to `int` entries, as in `kron_kernel`, and
+    reduced by `image_basis`.
+    """
+    if field.kind == RATIONAL:
+        return _rational_kron_sum(field, nrows, ncols, pairs, exact=False).image_basis()
+    rows = _kron_rows(field, nrows, ncols, pairs, transpose=True)
+    return _sparse_subspace(field, nrows, _rref_sparse(rows, field.p))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -541,18 +636,12 @@ class Subspace:
             if len(r) != ambient:
                 raise DimensionMismatch(f"vector length {len(r)} != ambient {ambient}")
         piv, rank = _rref_inplace(rows, ambient, field)
-        basis = Matrix.from_rows(field, rows[:rank], ncols=ambient)
+        basis = Matrix(field, rank, ambient, tuple(x for r in rows[:rank] for x in r))
         return Subspace(field, ambient, basis, tuple(piv))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
         return Subspace(field, ambient, Matrix.from_rows(field, [], ncols=ambient), ())
-
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(
-            field, ambient, Matrix.identity(field, ambient), tuple(range(ambient))
-        )
 
     @property
     def dim(self) -> int:

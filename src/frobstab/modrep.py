@@ -208,8 +208,18 @@ def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
 
 
 def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
-    """Action on M / sub, coordinatized by the non-pivot coset representatives."""
-    _restricted_action(m, sub)  # M / sub is a module only if sub is a submodule
+    """Action on M / sub, coordinatized by the non-pivot coset representatives.
+
+    M / sub is a module only if sub is a submodule.  M is a module and the
+    words in `algebra.generators` span A, so sub is one if each generator
+    keeps it.  Only if one does not is every basis element read, so that
+    NotInvariant names the first basis index that moves sub.
+    """
+    if sub.ambient != m.dim:
+        raise DimensionMismatch("subspace of the wrong ambient space")
+    basis = sub.basis_vectors()
+    if not all(sub.contains(m.action[g].apply(v)) for g in m.algebra.generators for v in basis):
+        _restricted_action(m, sub)  # raises NotInvariant
     f = m.algebra.field
     piv = set(sub.pivots)
     npv = [q for q in range(m.dim) if q not in piv]
@@ -256,15 +266,15 @@ def module_from_json(obj, algebra: StructureAlgebra, accept_names=None) -> Modul
     act = obj["action"]
     if not isinstance(act, list) or len(act) != algebra.dim:
         raise ParseError(f"action must list {algebra.dim} matrices")
-    parse = algebra.field.parse
+    f = algebra.field
     mats = []
     for mat in act:
         if not isinstance(mat, list) or len(mat) != dim:
             raise ParseError("action matrix has wrong row count")
-        rows = []
+        texts = []
         for row in mat:
             if not isinstance(row, list) or len(row) != dim:
                 raise ParseError("action matrix has wrong column count")
-            rows.append([parse(s) for s in row])
-        mats.append(Matrix.from_rows(algebra.field, rows, ncols=dim))
+            texts.extend(row)
+        mats.append(Matrix(f, dim, dim, tuple(f.parse_many(texts))))
     return ModuleRep(algebra, dim, tuple(mats), name=obj["name"])

@@ -16,10 +16,10 @@ the operator
 With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`) and c_p
 its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
 sum_p kron(action_M(c_p)^T, action_N(e_p)).
-Over Q, the kernel of the hom_A system and the images of T and of the
-`tate0` norm are taken from D-scaled integer Kronecker sums: scaling by
-the common denominator D changes neither, and row reduction takes the
-integer rows as they are.  `null_homotopy_operator` returns T exactly.
+The kernel of the hom_A system and the images of T and of the `tate0`
+norm come from `kron_kernel` and `kron_image`, which never build those
+Kronecker sums as dense matrices over GF(p) and reduce their D-scaled
+integer form over Q.  `null_homotopy_operator` returns T exactly.
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.
@@ -41,7 +41,7 @@ from .errors import (
     NotAGroupAlgebra,
 )
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, _scaled_kron_sum, kron, kron_sum, unvec, vec
+from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, unvec, vec
 from .modrep import (
     ModuleRep,
     bimodule_regular,
@@ -87,7 +87,7 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
             yield kron(e_t, eye_m), n_.action[g]
             yield kron(e_t, m.action[g].transpose()), minus_eye_n
 
-    return _scaled_kron_sum(f, k * amb, amb, terms()).kernel_basis()
+    return kron_kernel(f, k * amb, amb, terms())
 
 
 def _operator_terms(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep):
@@ -119,7 +119,7 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     """Hom_A(M, N) modulo the image of T, with canonical coset representatives."""
     hom = hom_A(m, n_)
     amb, terms = _operator_terms(system, m, n_)
-    null = _scaled_kron_sum(m.algebra.field, amb, amb, terms).image_basis()
+    null = kron_image(m.algebra.field, amb, amb, terms)
     # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
     reps = [unvec(m.algebra.field, v, n_.dim, m.dim) for v in hom.complement_of(null)]
     return StableHomResult(hom.dim, null.dim, hom.dim - null.dim, hom, null, reps)
@@ -312,10 +312,9 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
         )
     inv = hom_A(m, n_)
     amb = n_.dim * m.dim
-    norm = _scaled_kron_sum(system.algebra.field, amb, amb, [
+    image = kron_image(system.algebra.field, amb, amb, [
         (m.action[g.inverse[gi]].transpose(), n_.action[gi])
         for gi in range(system.algebra.dim)
     ])
-    image = norm.image_basis()
     # quotient_dim raises NotASubspace if the norm image is not invariant.
     return Tate0Result(inv.dim, image.dim, inv.quotient_dim(image))

@@ -35,6 +35,7 @@ from frobstab.catalog import (
 from frobstab import algebra as algebra_module
 from frobstab.linalg import Matrix, Subspace, kron
 from frobstab.modrep import regular_module, validate_module
+from helpers import full_subspace
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -464,7 +465,7 @@ def test_generators_generate_the_algebra():
              for g in (klein_four_group(), symmetric_group_3()) for f in (GF2, GF3, Q)]
     algs += [enveloping(a) for a in algs if a.dim <= 6]
     for alg in algs:
-        assert _word_span(alg) == Subspace.full(alg.field, alg.dim), alg
+        assert _word_span(alg) == full_subspace(alg.field, alg.dim), alg
 
 
 def test_center_of_commutative_is_everything():

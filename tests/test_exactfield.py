@@ -37,6 +37,34 @@ def test_parse_rejects_fraction_over_prime_field():
         GF5.parse("1/2")
 
 
+_BAD_SCALARS = ["", "a", "1.5", "--1", "+1", "1 2", "1_0", "\u0663", "1\x002", "\x00", "1/0",
+                "1/-2", "1/2/3", 3, None]
+
+
+def _parse_error(field, text):
+    with pytest.raises(ParseError) as exc:
+        field.parse(text)
+    return str(exc.value), exc.value.witness
+
+
+def test_parse_many_matches_parse():
+    good = ["0", "-0", " 7 ", "\t-12\n", "5", "123456789012345678901234567890", "\u20031"]
+    for f in (Q, GF2, GF5):
+        want = [f.parse(t) for t in good]
+        got = f.parse_many(good)
+        assert got == want and [type(x) for x in got] == [type(x) for x in want]
+        assert f.parse_many([]) == []
+    assert Q.parse_many(["0", "2/4", "-0/3"]) == [Q.zero, Fraction(1, 2), Q.zero]
+    assert all(x is Q.zero for x in Q.parse_many(["0", " -0 "]))
+    for f, extra in ((Q, []), (GF5, ["1/2"])):
+        for bad in _BAD_SCALARS + extra:
+            for at in (0, 3):
+                texts = good[:at] + [bad] + good[at:] + ["x"]
+                with pytest.raises(ParseError) as exc:
+                    f.parse_many(texts)
+                assert (str(exc.value), exc.value.witness) == _parse_error(f, bad), bad
+
+
 def test_to_str_round_trip():
     for f in (Q, GF2, GF3, GF5):
         for n in range(-7, 8):

@@ -17,9 +17,10 @@ from frobstab import linalg
 from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.linalg import (
-    Matrix, Subspace, _rref_field, _rref_rational, _scaled_kron_sum, kron, kron_sum,
-    unvec, vec,
+    Matrix, Subspace, _rational_kron_sum, _rref_rational, _rref_sparse, kron, kron_image,
+    kron_kernel, kron_sum, unvec, vec,
 )
+from helpers import at, full_subspace, rref_field
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -117,9 +118,63 @@ def _scalars(*results):
 def test_rational_route_matches_field_route(case):
     ncols, rows = case
     fast, slow = [list(r) for r in rows], [list(r) for r in rows]
-    assert _rref_rational(fast, ncols, Q.zero) == _rref_field(slow, ncols, Q)
+    assert _rref_rational(fast, ncols, Q.zero) == rref_field(slow, ncols, Q)
     assert fast == slow
     assert all(type(x) is Fraction for r in fast for x in r)
+
+
+@st.composite
+def _prime_rows(draw):
+    """(field, ncols, rows) over GF(2), GF(3), GF(5) or GF(7): empty, tall
+    or wide, sparse or dense, with zero, repeated and dependent rows."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Field.prime(7)]))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    entry = st.integers(1, field.p - 1)
+
+    def row():
+        return [draw(entry) if draw(st.floats(0, 1)) < density else 0 for _ in range(ncols)]
+
+    rows = [row() for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    if nrows >= 3 and draw(st.booleans()):
+        s, t = draw(entry), draw(entry)
+        rows[1] = [field.add(field.mul(s, x), field.mul(t, y)) for x, y in zip(rows[0], rows[2])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    return field, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_rows())
+def test_sparse_route_matches_field_route(case):
+    field, ncols, rows = case
+    dense = [list(r) for r in rows]
+    piv, rank = rref_field(dense, ncols, field)
+    got = _rref_sparse([{j: x for j, x in enumerate(r) if x} for r in rows], field.p)
+    assert list(got) == piv and len(got) == rank
+    assert [[row.get(j, 0) for j in range(ncols)] for row in got.values()] == dense[:rank]
+    assert not any(x for r in dense[rank:] for x in r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_prime_rows(), st.data())
+def test_public_api_over_gf_p_matches_field_route(case, data):
+    field, ncols, rows = case
+    m = Matrix.from_rows(field, rows, ncols=ncols)
+    k = min(m.nrows, ncols)
+    square = Matrix.from_rows(field, [r[:k] for r in rows[:k]], ncols=k)
+    b = tuple(data.draw(st.integers(0, field.p - 1)) for _ in range(m.nrows))
+
+    def results():
+        return (m.rref(), m.rank(), m.kernel_basis(), m.image_basis(), m.solve(b),
+                square.inverse(), Subspace.from_vectors(field, ncols, rows))
+
+    fast = results()
+    with mock.patch.object(linalg, "_rref_inplace", rref_field):
+        slow = results()
+    assert fast == slow
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +194,7 @@ def test_public_api_matches_field_route(case, data):
                 Subspace.from_vectors(Q, ncols, rows))
 
     fast = results()
-    with mock.patch.object(linalg, "_rref_inplace", _rref_field):
+    with mock.patch.object(linalg, "_rref_inplace", rref_field):
         slow = results()
     assert fast == slow
     assert fast[5] is None
@@ -245,7 +300,7 @@ def test_quotient_dim_and_errors():
 
 
 def test_complement_of():
-    full = Subspace.full(Q, 3)
+    full = full_subspace(Q, 3)
     line = Subspace.from_vectors(Q, 3, [[0, 0, 1]])
     reps = full.complement_of(line)
     assert len(reps) == 2
@@ -281,8 +336,8 @@ def test_kron_entry_placement():
     b = mat(Q, [[1, 0], [0, 2]])
     k = kron(a, b)
     # block (0,1) of k is b, every other block zero
-    assert k.at(0, 2) == 1 and k.at(1, 3) == 2
-    assert k.at(0, 0) == 0 and k.at(2, 2) == 0
+    assert at(k, 0, 2) == 1 and at(k, 1, 3) == 2
+    assert at(k, 0, 0) == 0 and at(k, 2, 2) == 0
 
 
 def test_vec_of_triple_product_matches_kron_route():
@@ -314,9 +369,9 @@ def test_kron_sum_matches_entrywise_definition():
                 for c in range(ac * bc):
                     want = field.zero
                     for a, b in pairs:
-                        x = field.mul(a.at(r // br, c // bc), b.at(r % br, c % bc))
+                        x = field.mul(at(a, r // br, c // bc), at(b, r % br, c % bc))
                         want = field.add(want, x)
-                    assert got.at(r, c) == want
+                    assert at(got, r, c) == want
             assert kron(*pairs[0]) == kron_sum(field, ar * br, ac * bc, pairs[:1])
 
 
@@ -358,7 +413,7 @@ def _kron_sum_by_definition(field, nrows, ncols, pairs):
                 for k in range(p):
                     for l in range(q):
                         c = (i * p + k) * ncols + j * q + l
-                        out[c] = field.add(out[c], field.mul(a.at(i, j), b.at(k, l)))
+                        out[c] = field.add(out[c], field.mul(at(a, i, j), at(b, k, l)))
     return out
 
 
@@ -388,7 +443,7 @@ def test_rational_kron_sum_matches_field_definition(case):
     assert all(x is Q.zero for x in got.entries if not x)
     # The scaled sum is one positive multiple D of the exact sum: ints in
     # the nonzero cells, the field's zero object in the others.
-    scaled = _scaled_kron_sum(Q, nrows, ncols, iter(pairs))
+    scaled = _rational_kron_sum(Q, nrows, ncols, iter(pairs), exact=False)
     assert scaled.shape == (nrows, ncols)
     assert all((s is Q.zero) if not w else type(s) is int for s, w in zip(scaled.entries, want))
     nonzero = [(s, w) for s, w in zip(scaled.entries, want) if w]
@@ -407,25 +462,64 @@ def test_scaled_kron_sum_keeps_kernel_and_image():
     c = Matrix.from_rows(Q, [[1, half], [2, 1]])
     pairs = [(a, b), (c, b)]
     exact = kron_sum(Q, 4, 4, pairs)
-    scaled = _scaled_kron_sum(Q, 4, 4, pairs)
+    scaled = _rational_kron_sum(Q, 4, 4, pairs, exact=False)
     # D = lcm(42 * 6, 2 * 6): each term over the product of its factors'
     # least common denominators
     assert scaled.entries == tuple(
         Q.zero if not x else int(252 * x) for x in exact.entries
     )
-    assert scaled.kernel_basis() == exact.kernel_basis()
-    assert scaled.image_basis() == exact.image_basis()
+    assert scaled.kernel_basis() == exact.kernel_basis() == kron_kernel(Q, 4, 4, pairs)
+    assert scaled.image_basis() == exact.image_basis() == kron_image(Q, 4, 4, pairs)
     assert exact.kernel_basis().dim == 2  # the sum is kron(a + c, b)
-    for field in (GF5, GF2):
-        rng = random.Random(3)
-        fp = [(rand_matrix(field, rng, 2, 3), rand_matrix(field, rng, 3, 1)) for _ in range(3)]
-        assert _scaled_kron_sum(field, 6, 3, fp) == kron_sum(field, 6, 3, fp)
+
+
+@st.composite
+def _kron_terms(draw):
+    """(field, nrows, ncols, pairs) over GF(2), GF(3), GF(5) or Q: up to
+    three sparse or dense terms of one shape, and sums that cancel."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    ar, ac, br, bc = (draw(st.integers(1, 3)) for _ in range(4))
+    if field.kind == "rational":
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        scalar = st.integers(0, field.p - 1)
+    scalar = st.one_of(st.just(field.zero), scalar)
+
+    def factor(r, c):
+        return Matrix(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
+
+    pairs = [(factor(ar, ac), factor(br, bc)) for _ in range(draw(st.integers(0, 3)))]
+    if pairs and draw(st.booleans()):
+        a, b = pairs[0]
+        pairs.append((-a, b))
+    return field, ar * br, ac * bc, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kron_terms())
+def test_kron_kernel_and_image_match_dense_sum(case):
+    # The dense side is reduced by the oracle, not by the sparse route.
+    field, nrows, ncols, pairs = case
+    dense = kron_sum(field, nrows, ncols, pairs)
+    with mock.patch.object(linalg, "_rref_inplace", rref_field):
+        want = dense.kernel_basis(), dense.image_basis()
+    assert kron_kernel(field, nrows, ncols, iter(pairs)) == want[0]
+    assert kron_image(field, nrows, ncols, iter(pairs)) == want[1]
+
+
+def test_kron_kernel_and_image_check_every_term():
+    a, b = Matrix.identity(GF3, 2), Matrix.from_rows(GF3, [[1, 2]])
+    for build in (kron_kernel, kron_image):
+        with pytest.raises(DimensionMismatch):
+            build(GF3, 2, 4, [(a, b), (a, a)])
+        with pytest.raises(FieldMismatch):
+            build(GF3, 2, 4, [(a, Matrix.from_rows(GF5, [[1, 0]]))])
 
 
 def test_kron_sum_over_q_empty_and_unit_shapes():
     zero = kron_sum(Q, 2, 3, [])
     assert zero == Matrix.zeros(Q, 2, 3) and all(x is Q.zero for x in zero.entries)
-    assert _scaled_kron_sum(Q, 2, 3, iter(())) == zero
+    assert _rational_kron_sum(Q, 2, 3, iter(()), exact=False) == zero
     col = Matrix(Q, 2, 1, (Fraction(1, 2), 0))
     row = Matrix(Q, 1, 2, (Fraction(0), Fraction(-4, 3)))
     outer = (Q.zero, Fraction(-2, 3), Q.zero, Q.zero)  # col @ row, either way round

@@ -22,6 +22,7 @@ from frobstab.catalog import (
     truncated_module,
     truncated_polynomial,
 )
+from frobstab import modrep
 from frobstab.frobenius import enveloping_system
 from frobstab.linalg import Matrix, Subspace, linear_combination
 from frobstab.modrep import (
@@ -315,6 +316,54 @@ def test_module_json_strictness():
     bad["padding"] = []
     with pytest.raises(ParseError):
         module_from_json(bad, inst.algebra, accept_names={good["algebra"]})
+
+
+@pytest.mark.parametrize("field", [GF2, Q], ids=["gf2", "q"])
+def test_module_json_scalar_errors_match_parse(field):
+    inst = truncated_polynomial(3, field)
+    good = module_to_json(truncated_module(3, 2, field))
+    back = module_from_json(good, inst.algebra, accept_names={good["algebra"]})
+    assert back == truncated_module(3, 2, field)
+    for bad in ["", "x", "+1", "1_0", "1.5", "1\x002", "1/0", 7, "1/2"]:
+        want = None
+        try:
+            field.parse(bad)
+        except ParseError as err:
+            want = str(err)
+        for i, r, c in ((0, 0, 0), (2, 2, 1)):
+            obj = module_to_json(truncated_module(3, 2, field))
+            obj["action"][i][r][c] = bad
+            if want is None:
+                module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
+                continue
+            with pytest.raises(ParseError) as exc:
+                module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
+            assert str(exc.value) == want
+
+
+def test_quotient_reads_only_the_generators(monkeypatch):
+    # The full basis is read only to name the witness of a failure, which
+    # must be the first basis index that moves the subspace.
+    f = Field.prime(3)
+    alg = group_algebra(symmetric_group_3(), f).algebra
+    reg = regular_module(alg)
+    subs = [Subspace.from_vectors(f, 6, [alg.basis_vector(i) for i in c])
+            for c in ((0, 1), (0, 1, 2), (3, 4, 5), (2, 4))]
+    subs.append(Subspace.from_vectors(f, 6, [(1,) * 6]))
+    witnesses = []
+    for sub in subs:
+        try:
+            submodule(reg, sub)
+        except NotInvariant as err:
+            with pytest.raises(NotInvariant) as exc:
+                quotient_module(reg, sub)
+            assert exc.value.witness == err.witness
+            witnesses.append(err.witness)
+        else:
+            with monkeypatch.context() as mp:
+                mp.setattr(modrep, "_restricted_action", None)
+                assert quotient_module(reg, sub).dim == 6 - sub.dim
+    assert witnesses == [1, 3, 3, 1]
 
 
 def test_same_algebra_guard():

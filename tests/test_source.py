@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import frobstab
@@ -19,3 +21,25 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's tracer wraps still exists, so a
+    refactor that drops one fails here and not only under `--trace 1`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for name, target, attr, _ in spans.TARGETS:
+        mod_name, _, cls_name = target.partition(":")
+        owner = importlib.import_module(mod_name)
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append((name, target, attr))
+    assert len(spans.TARGETS) >= 30
+    assert missing == []

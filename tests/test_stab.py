@@ -47,6 +47,7 @@ from frobstab.stab import (
     stable_hom,
     tate0,
 )
+from helpers import full_subspace
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -144,13 +145,13 @@ def test_hom_matches_kron_built_kernel(case):
 def test_hom_solves_one_block_per_generator(monkeypatch):
     # k[x]/(x^24) is generated by x: one 576x576 block, not 24 of them.
     shapes = []
-    orig = Matrix.kernel_basis
+    orig = stab.kron_kernel
 
-    def record(self):
-        shapes.append(self.shape)
-        return orig(self)
+    def record(field, nrows, ncols, pairs):
+        shapes.append((nrows, ncols))
+        return orig(field, nrows, ncols, pairs)
 
-    monkeypatch.setattr(Matrix, "kernel_basis", record)
+    monkeypatch.setattr(stab, "kron_kernel", record)
     reg = regular_module(truncated_polynomial(24, GF2).algebra)
     hom_A(reg, reg)
     assert shapes == [(576, 576)]
@@ -247,11 +248,20 @@ def _conjugated_pair_over_q(draw):
     return inst.system, m, n_, group
 
 
+def _exact_kernel(field, nrows, ncols, pairs):
+    return kron_sum(field, nrows, ncols, pairs).kernel_basis()
+
+
+def _exact_image(field, nrows, ncols, pairs):
+    return kron_sum(field, nrows, ncols, pairs).image_basis()
+
+
 @settings(max_examples=30, deadline=None)
 @given(_conjugated_pair_over_q())
 def test_integer_assembly_matches_exact_kron_sums(case):
-    # hom_A, the image of T and the tate0 norm read the D-scaled integer
-    # Kronecker sums; the exact sums must give the same subspaces.
+    # hom_A, the image of T and the tate0 norm call kron_kernel and
+    # kron_image, which reduce the D-scaled integer Kronecker sums; the
+    # exact sums must give the same subspaces.
     system, m, n_, group = case
 
     def results():
@@ -259,7 +269,8 @@ def test_integer_assembly_matches_exact_kron_sums(case):
                 tate0(system, m, n_) if group else None)
 
     fast = results()
-    with mock.patch.object(stab, "_scaled_kron_sum", kron_sum):
+    with mock.patch.object(stab, "kron_kernel", _exact_kernel), \
+            mock.patch.object(stab, "kron_image", _exact_image):
         slow = results()
     assert fast == slow
     t = null_homotopy_operator(system, m, n_)
@@ -300,7 +311,7 @@ def test_hom_over_zero_algebra_is_everything():
     # No basis elements means no equations: every linear map is A-linear.
     zero_alg = StructureAlgebra(GF3, 0, [], ())
     m = ModuleRep(zero_alg, 2, ())
-    assert hom_A(m, m) == Subspace.full(GF3, 4)
+    assert hom_A(m, m) == full_subspace(GF3, 4)
 
 
 def test_zero_module_edge_case():
