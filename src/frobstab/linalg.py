@@ -28,6 +28,9 @@ Conventions fixed package-wide:
   eliminated with `int` arithmetic and divided by its content whenever it
   was scaled, and each pivot row is divided by its pivot into `Fraction`s
   once at the end (one division per entry);
+* shift steps read module actions sparse: a matrix's nonzero columns
+  (`_sparse_cols`, read off the factors of a `kron`), `_sparse_apply`, and
+  `Subspace._residual` against the subspace's sparse RREF rows;
 * Kronecker sums, matrix sums, differences and negations (and
   `Field.from_int` and `Field.parse`) give the field's `zero` object for
   a zero over Q, which both integer routes skip by identity.
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, NotASubspace
@@ -336,6 +340,17 @@ class Matrix:
             out[i] = acc
         return tuple(out)
 
+    @cached_property
+    def _sparse_cols(self) -> list[list[tuple]]:
+        """Each column as its nonzero (row, value) pairs, in row order.  A
+        `kron(a, b)` reads them off its factors' in O(nnz)."""
+        if "_factors" in self.__dict__:
+            a, b = self._factors
+            mul, q = self.field.mul, b.nrows
+            return [[(i * q + k, mul(x, y)) for i, x in ca for k, y in cb]
+                    for ca in a._sparse_cols for cb in b._sparse_cols]
+        return [[(i, x) for i, x in enumerate(self.col(j)) if x] for j in range(self.ncols)]
+
     def transpose(self) -> "Matrix":
         e = self.entries
         n, m = self.nrows, self.ncols
@@ -432,6 +447,23 @@ def _integer_entries(m: Matrix) -> tuple[int, list[tuple[int, int]]]:
                     d = lcm(d, q)
         got = m.__dict__["_integer_entries"] = (d, [(t, n * (d // q)) for t, n, q in nz])
     return got
+
+
+def _canonical(w: dict, p: int) -> dict:
+    """The sparse map w without its zeros; over GF(p) (p > 0) its plain-int
+    sums are reduced mod p here, once."""
+    if p:
+        return {j: y for j, x in w.items() if (y := x % p)}
+    return {j: x for j, x in w.items() if x}
+
+
+def _sparse_apply(m: Matrix, v: dict) -> dict:
+    """m @ v for a sparse vector v {column: value}, over m's sparse columns."""
+    w: dict = {}
+    for j, x in v.items():
+        for i, y in m._sparse_cols[j]:
+            w[i] = w.get(i, 0) + x * y
+    return _canonical(w, m.field.characteristic)
 
 
 def _rational_kron_sum(field: Field, nrows: int, ncols: int, pairs, exact: bool) -> Matrix:
@@ -589,7 +621,9 @@ def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l]."""
-    return kron_sum(a.field, a.nrows * b.nrows, a.ncols * b.ncols, [(a, b)])
+    out = kron_sum(a.field, a.nrows * b.nrows, a.ncols * b.ncols, [(a, b)])
+    out.__dict__["_factors"] = (a, b)  # for Matrix._sparse_cols
+    return out
 
 
 def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
@@ -622,6 +656,11 @@ class Subspace:
     `basis` rows are the RREF basis with zero rows dropped; `pivots` are its
     pivot columns.  Structural equality of two Subspace values is exactly
     equality of subspaces.
+
+    Two reductions read the basis: `reduce` (and `contains`, `coords`) on
+    dense tuples, and `_residual` on the sparse maps of the shift path's
+    module actions.  Routing the dense callers through `_residual` made
+    selftest and trunc_sparse slower: their vectors are short or dense.
     """
 
     field: Field
@@ -669,6 +708,24 @@ class Subspace:
                     if x:
                         w[j] = sub(w[j], mul(c, x))
         return tuple(w)
+
+    @cached_property
+    def _echelon(self) -> dict[int, dict]:
+        """{pivot column: its basis row as a sparse map}."""
+        return {pc: {j: x for j, x in enumerate(self.basis.row(t)[pc:], pc) if x}
+                for t, pc in enumerate(self.pivots)}
+
+    def _residual(self, v: dict) -> dict:
+        """`reduce` of a sparse v {column: value}, as a sparse map: empty
+        iff v lies in the subspace.  In RREF, v's entry at a pivot is the
+        multiple of that basis row to subtract; each sum is reduced once,
+        at the end (`_canonical`).  v is consumed."""
+        rows = self._echelon
+        for c in [c for c in v if c in rows]:
+            g = v[c]
+            for j, y in rows[c].items():
+                v[j] = v.get(j, 0) - g * y
+        return _canonical(v, self.field.characteristic)
 
     def contains(self, v: tuple) -> bool:
         return not any(self.reduce(v))
@@ -733,15 +790,13 @@ class Subspace:
     def complement_of(self, small: "Subspace") -> list[tuple]:
         """Rows of this basis that complete a basis of `small` to one of self.
 
-        Deterministic: walks the canonical basis rows in order and keeps those
-        independent of `small` plus the rows already kept.  The result is a
-        list of coset representatives for self / small.
+        Deterministic: the canonical basis rows, in order, independent of
+        `small` plus the rows kept before.  Row t is kept unless a vector of
+        small, in this basis (read at the pivots), ends at t: one reduction
+        of small's coordinates in reverse order finds those ends.  The
+        result is a list of coset representatives for self / small.
         """
         self._require_inside(small, "complement of")
-        reps: list[tuple] = []
-        work = small
-        for v in self.basis_vectors():
-            if not work.contains(v):
-                reps.append(v)
-                work = work + Subspace.from_vectors(self.field, self.ambient, [v])
-        return reps
+        coords = [[v[pc] for pc in reversed(self.pivots)] for v in small.basis_vectors()]
+        ends = set(Subspace.from_vectors(self.field, self.dim, coords).pivots)
+        return [v for t, v in enumerate(self.basis_vectors()) if self.dim - 1 - t not in ends]

@@ -12,6 +12,8 @@ canonical maps in and out of the free cover:
 * the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v.
 
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
+Sub- and quotient modules read the actions' sparse columns, so a shift
+step costs O(nnz), not a dense apply and reduce per vector.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_ke
 from .algebra import _check_entries, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, kron_sum, linear_combination
+from .linalg import _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
 
@@ -132,13 +135,16 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep,
     return phi
 
 
+def _surjection_terms(m: ModuleRep) -> list[tuple[Matrix, Matrix]]:
+    """The (e_p^T, action_M(e_p)) pairs whose Kronecker sum is the surjection."""
+    alg = m.algebra
+    return [(Matrix(alg.field, 1, alg.dim, alg.basis_vector(p)), rho)
+            for p, rho in enumerate(m.action)]
+
+
 def multiplication_surjection(m: ModuleRep) -> Matrix:
     """Matrix of A (x) M_0 -> M, e_p (x) v_j |-> e_p v_j."""
-    alg = m.algebra
-    return kron_sum(alg.field, m.dim, alg.dim * m.dim, [
-        (Matrix(alg.field, 1, alg.dim, alg.basis_vector(p)), rho)
-        for p, rho in enumerate(m.action)
-    ])
+    return kron_sum(m.algebra.field, m.dim, m.algebra.dim * m.dim, _surjection_terms(m))
 
 
 def hom_bimodule(m: ModuleRep, n_: ModuleRep) -> ModuleRep:
@@ -184,20 +190,23 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
 
 
 def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
-    """Each basis action restricted to sub, in its canonical basis; raises
+    """Each basis action restricted to sub, in its canonical basis, column t
+    being rho v_t (over rho's sparse columns) read at the pivots; raises
     NotInvariant, witnessed by the first basis index that leaves sub."""
     if sub.ambient != m.dim:
         raise DimensionMismatch("subspace of the wrong ambient space")
     f, d = m.algebra.field, sub.dim
+    at = {pc: s * d for s, pc in enumerate(sub.pivots)}
     action = []
     for i, rho in enumerate(m.action):
-        cols = []
-        for v in sub.basis_vectors():
-            c = sub.coords(rho.apply(v))
-            if c is None:
+        out = [f.zero] * (d * d)
+        for t, v in enumerate(sub._echelon.values()):
+            w = _sparse_apply(rho, v)
+            for pc in w.keys() & at.keys():
+                out[at[pc] + t] = w[pc]
+            if sub._residual(w):
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
-            cols.extend(c)
-        action.append(Matrix(f, d, d, tuple(cols)).transpose())
+        action.append(Matrix(f, d, d, tuple(out)))
     return tuple(action)
 
 
@@ -213,21 +222,26 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     M / sub is a module only if sub is a submodule.  M is a module and the
     words in `algebra.generators` span A, so sub is one if each generator
     keeps it.  Only if one does not is every basis element read, so that
-    NotInvariant names the first basis index that moves sub.
+    NotInvariant names the first basis index that moves sub.  Column q of
+    an action is the residual of rho's sparse column q.
     """
     if sub.ambient != m.dim:
         raise DimensionMismatch("subspace of the wrong ambient space")
-    basis = sub.basis_vectors()
-    if not all(sub.contains(m.action[g].apply(v)) for g in m.algebra.generators for v in basis):
+    if any(sub._residual(_sparse_apply(m.action[g], v))
+           for g in m.algebra.generators for v in sub._echelon.values()):
         _restricted_action(m, sub)  # raises NotInvariant
     f = m.algebra.field
     piv = set(sub.pivots)
-    npv = [q for q in range(m.dim) if q not in piv]
+    at = {q: s for s, q in enumerate(q for q in range(m.dim) if q not in piv)}
+    n = len(at)
     action = []
     for rho in m.action:
-        cols = [sub.reduce(rho.col(q)) for q in npv]
-        action.append(Matrix.from_rows(f, [[w[q] for w in cols] for q in npv], ncols=len(npv)))
-    return ModuleRep(m.algebra, len(npv), tuple(action), name=f"{m.name}/sub{sub.dim}")
+        out = [f.zero] * (n * n)
+        for q, b in at.items():
+            for r, x in sub._residual(dict(rho._sparse_cols[q])).items():
+                out[at[r] * n + b] = x
+        action.append(Matrix(f, n, n, tuple(out)))
+    return ModuleRep(m.algebra, n, tuple(action), name=f"{m.name}/sub{sub.dim}")
 
 
 # JSON ---------------------------------------------------------------

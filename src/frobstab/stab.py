@@ -44,11 +44,11 @@ from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, unvec, vec
 from .modrep import (
     ModuleRep,
+    _surjection_terms,
     bimodule_regular,
     canonical_embedding,
     free_module,
     hom_bimodule,
-    multiplication_surjection,
     quotient_module,
     submodule,
 )
@@ -167,8 +167,8 @@ def shift_minus(m: ModuleRep, steps: int = 1) -> ModuleRep:
     cur = m
     for _ in range(steps):
         free = free_module(cur.algebra, cur.dim)
-        mu = multiplication_surjection(cur)
-        cur = submodule(free, mu.kernel_basis())
+        kernel = kron_kernel(free.algebra.field, cur.dim, free.dim, _surjection_terms(cur))
+        cur = submodule(free, kernel)
     return ModuleRep(cur.algebra, cur.dim, cur.action, name=f"{m.name}[-{steps}]")
 
 

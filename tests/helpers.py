@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from frobstab.errors import NotInvariant
 from frobstab.exactfield import Field
 from frobstab.linalg import Matrix, Subspace
+from frobstab.modrep import ModuleRep
 
 
 def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
@@ -60,3 +62,46 @@ def at(m: Matrix, i: int, j: int):
 def full_subspace(field: Field, ambient: int) -> Subspace:
     """All of F^ambient."""
     return Subspace(field, ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
+
+
+def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
+    """Dense per-vector restriction of each basis action to sub: the oracle
+    for `modrep._restricted_action`.  Raises NotInvariant, witnessed by the
+    first basis index that leaves sub."""
+    f, d = m.algebra.field, sub.dim
+    action = []
+    for i, rho in enumerate(m.action):
+        cols = []
+        for v in sub.basis_vectors():
+            c = sub.coords(rho.apply(v))
+            if c is None:
+                raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
+            cols.extend(c)
+        action.append(Matrix(f, d, d, tuple(cols)).transpose())
+    return tuple(action)
+
+
+def quotient_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
+    """Dense per-column action on M / sub over the non-pivot coordinates:
+    the oracle for `modrep.quotient_module`, with its NotInvariant witness."""
+    restricted_action(m, sub)
+    f = m.algebra.field
+    piv = set(sub.pivots)
+    npv = [q for q in range(m.dim) if q not in piv]
+    action = []
+    for rho in m.action:
+        cols = [sub.reduce(rho.col(q)) for q in npv]
+        action.append(Matrix.from_rows(f, [[w[q] for w in cols] for q in npv], ncols=len(npv)))
+    return tuple(action)
+
+
+def complement_oracle(big: Subspace, small: Subspace) -> list[tuple]:
+    """The rows of big's basis kept by re-reducing small plus the rows kept
+    so far: the oracle for `Subspace.complement_of`."""
+    reps: list[tuple] = []
+    work = small
+    for v in big.basis_vectors():
+        if not work.contains(v):
+            reps.append(v)
+            work = work + Subspace.from_vectors(big.field, big.ambient, [v])
+    return reps

@@ -20,7 +20,7 @@ from frobstab.linalg import (
     Matrix, Subspace, _rational_kron_sum, _rref_rational, _rref_sparse, kron, kron_image,
     kron_kernel, kron_sum, unvec, vec,
 )
-from helpers import at, full_subspace, rref_field
+from helpers import at, complement_oracle, full_subspace, rref_field
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -306,6 +306,25 @@ def test_complement_of():
     assert len(reps) == 2
     span = line + Subspace.from_vectors(Q, 3, reps)
     assert span == full
+
+
+@st.composite
+def _nested_subspaces(draw):
+    """A random subspace and one spanned by random combinations of its basis."""
+    field = draw(st.sampled_from([GF2, GF3, Q]))
+    amb = draw(st.integers(1, 7))
+    vecs = draw(st.lists(_matrices(field, 1, amb), max_size=amb + 1))
+    big = Subspace.from_vectors(field, amb, [m.row(0) for m in vecs])
+    coeffs = draw(st.lists(_matrices(field, 1, big.dim), max_size=big.dim + 1))
+    span = big.basis.transpose()
+    return big, Subspace.from_vectors(field, amb, [span.apply(c.row(0)) for c in coeffs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_subspaces())
+def test_complement_of_matches_the_re_reducing_loop(case):
+    big, small = case
+    assert big.complement_of(small) == complement_oracle(big, small)
 
 
 def test_reduce_membership():

@@ -24,7 +24,7 @@ from frobstab.catalog import (
 )
 from frobstab import modrep
 from frobstab.frobenius import enveloping_system
-from frobstab.linalg import Matrix, Subspace, linear_combination
+from frobstab.linalg import Matrix, Subspace, linear_combination, unvec
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
     ModuleRep,
@@ -42,6 +42,7 @@ from frobstab.modrep import (
     validate_module,
 )
 from frobstab.stab import hom_A
+from helpers import quotient_action, restricted_action
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -364,6 +365,61 @@ def test_quotient_reads_only_the_generators(monkeypatch):
                 mp.setattr(modrep, "_restricted_action", None)
                 assert quotient_module(reg, sub).dim == 6 - sub.dim
     assert witnesses == [1, 3, 3, 1]
+
+
+def _scalar(draw, f):
+    if f.kind == "rational":
+        return f.parse(f"{draw(st.integers(-3, 3))}/{draw(st.integers(1, 3))}")
+    return draw(st.integers(0, f.p - 1))
+
+
+@st.composite
+def _module_and_subspace(draw):
+    """(kind, module, subspace): a cyclic submodule, the kernel of a module
+    map, or the span of random vectors, which is rarely invariant."""
+    f = draw(st.sampled_from((GF2, Field.prime(3), Q)))
+    families = [[truncated_module(n, i, f) for i in range(n)] for n in (3, 4)]
+    for g in (cyclic_group(3), klein_four_group(), symmetric_group_3()):
+        alg = group_algebra(g, f).algebra
+        families.append([trivial_module(alg), regular_module(alg)])
+    family = draw(st.sampled_from(families))
+    m = draw(st.sampled_from(family))
+    if draw(st.booleans()):
+        m = direct_sum([m, draw(st.sampled_from(family))])
+
+    def vector(dim):
+        return tuple(_scalar(draw, f) for _ in range(dim))
+
+    kind = draw(st.sampled_from(("cyclic", "kernel", "random")))
+    if kind == "cyclic":
+        v = vector(m.dim)
+        return kind, m, Subspace.from_vectors(f, m.dim, [rho.apply(v) for rho in m.action])
+    if kind == "kernel":
+        n_ = draw(st.sampled_from(family))
+        hom = hom_A(m, n_)
+        h = Matrix(f, 1, hom.dim, vector(hom.dim)) @ hom.basis
+        return kind, m, unvec(f, h.row(0), n_.dim, m.dim).kernel_basis()
+    vecs = [vector(m.dim) for _ in range(draw(st.integers(1, 3)))]
+    return kind, m, Subspace.from_vectors(f, m.dim, vecs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_module_and_subspace())
+def test_sparse_actions_match_the_dense_oracle(case):
+    kind, m, sub = case
+    zero = m.algebra.field.zero
+    for build, oracle in ((submodule, restricted_action), (quotient_module, quotient_action)):
+        try:
+            want = oracle(m, sub)
+        except NotInvariant as err:
+            assert kind == "random"
+            with pytest.raises(NotInvariant) as exc:
+                build(m, sub)
+            assert exc.value.witness == err.witness
+            continue
+        got = build(m, sub).action
+        assert got == want
+        assert all(x is zero for a in got for x in a.entries if not x)
 
 
 def test_same_algebra_guard():

@@ -30,6 +30,7 @@ from frobstab.modrep import (
     canonical_embedding,
     free_module,
     hom_bimodule,
+    multiplication_surjection,
     regular_module,
     validate_module,
 )
@@ -47,7 +48,7 @@ from frobstab.stab import (
     stable_hom,
     tate0,
 )
-from helpers import full_subspace
+from helpers import full_subspace, quotient_action, restricted_action
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -353,6 +354,42 @@ def test_each_shift_step_builds_one_free_module(monkeypatch):
     dims.clear()
     factoring_ideal_oracle(inst.system, v1, v1)
     assert dims == [8]
+
+
+def test_shifts_read_no_dense_vector_route(monkeypatch):
+    """Shift steps build their sub- and quotient modules from sparse
+    columns: with the dense per-vector reads disabled they still give the
+    modules of the dense oracle route."""
+    inst = truncated_polynomial(4, GF2)
+    up = down = truncated_module(4, 1, GF2)
+    for _ in range(3):
+        free = free_module(inst.algebra, up.dim)
+        image = canonical_embedding(inst.system, up, free).image_basis()
+        up = ModuleRep(inst.algebra, free.dim - image.dim, quotient_action(free, image))
+        free = free_module(inst.algebra, down.dim)
+        kernel = multiplication_surjection(down).kernel_basis()
+        down = ModuleRep(inst.algebra, kernel.dim, restricted_action(free, kernel))
+
+    def dense(*args):
+        raise AssertionError("dense per-vector route")
+
+    assert inst.algebra.generators  # computed once per algebra, outside the shifts
+    for cls, name in ((Matrix, "apply"), (Subspace, "coords"), (Subspace, "reduce")):
+        monkeypatch.setattr(cls, name, dense)
+    v1 = truncated_module(4, 1, GF2)
+    assert shift_plus(inst.system, v1, 3).action == up.action
+    assert shift_minus(v1, 3).action == down.action
+
+
+def test_ext_five_over_k_x4():
+    """Stable Ext^{+-5}(V0, V1) over k[x]/(x^4), GF(2), through shifts of
+    V1 to dim 2 * 3^5 = 486: Omega^{+-1} V1 is V1 up to projective summands,
+    so both are the stable Hom(V0, V1) of dim 1."""
+    inst = truncated_polynomial(4, GF2)
+    v0, v1 = truncated_module(4, 0, GF2), truncated_module(4, 1, GF2)
+    for d in (5, -5):
+        res = stable_ext(inst.system, v0, v1, d)
+        assert (res.hom_dim, res.null_dim, res.stable_dim) == (122, 121, 1)
 
 
 def test_shift_preserves_stable_dims():
