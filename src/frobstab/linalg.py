@@ -15,12 +15,14 @@ Conventions fixed package-wide:
   `int`s: each factor is cleared of denominators once, every term is
   scaled to one common denominator D, and each nonzero entry is divided
   by D once;
-* callers that need only the kernel or the image of a Kronecker sum call
-  `kron_kernel` or `kron_image`.  Over GF(p) the sum is never dense: its
-  nonzero rows are assembled as sparse maps {column: value}
-  (`_kron_rows`) and reduced by `_rref_sparse`; the image is the row
-  space of the sum of kron(a^T, b^T).  Over Q they reduce the D-scaled
-  integer matrix and skip the division;
+* callers that need only the image of a Kronecker sum call `kron_image`,
+  and callers that need the common kernel of several sums (one system of
+  equations per sum) call `kron_kernel`, which builds no stacked matrix.
+  Over GF(p) a sum is never dense: its nonzero rows are assembled as
+  sparse maps {column: value} (`_kron_rows`) and reduced by
+  `_rref_sparse`; the image is the row space of the sum of kron(a^T, b^T).
+  Over Q they reduce the D-scaled integer rows of each sum and skip the
+  division;
 * row reduction over GF(p) is `_rref_sparse` everywhere: dense rows are
   turned into sparse maps, each row is inserted against the pivot rows
   found so far, and one back-substitution pass gives the RREF.  Over Q it
@@ -351,6 +353,23 @@ class Matrix:
                     for ca in a._sparse_cols for cb in b._sparse_cols]
         return [[(i, x) for i, x in enumerate(self.col(j)) if x] for j in range(self.ncols)]
 
+    @cached_property
+    def _integer_entries(self) -> tuple[int, list[tuple[int, int]]]:
+        """Over Q: (d, [(t, n), ...]) with entry t equal to n / d, for the
+        nonzero entries; d is the least common denominator.  Entries that
+        are the field's `zero` object are skipped by identity, other zeros
+        after their ratio.  Cached, so a matrix that enters many Kronecker
+        sums (a module's action) is cleared once."""
+        zero = self.field.zero
+        nz, d = [], 1
+        for t, x in enumerate(self.entries):
+            if x is not zero:
+                n, q = x.as_integer_ratio()
+                if n:
+                    nz.append((t, n, q))
+                    d = lcm(d, q)
+        return d, [(t, n * (d // q)) for t, n, q in nz]
+
     def transpose(self) -> "Matrix":
         e = self.entries
         n, m = self.nrows, self.ncols
@@ -371,22 +390,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace of F^ncols."""
-        rows = self.to_rows()
-        piv, rank = _rref_inplace(rows, self.ncols, self.field)
-        piv_set = set(piv)
-        free = [j for j in range(self.ncols) if j not in piv_set]
-        neg = self.field.neg
-        zero, one = self.field.zero, self.field.one
-        vecs = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for t, pc in enumerate(piv):
-                coeff = rows[t][f]
-                if coeff:
-                    v[pc] = neg(coeff)
-            vecs.append(v)
-        return Subspace.from_vectors(self.field, self.ncols, vecs)
+        return _row_kernel(self.field, self.to_rows(), self.ncols)
 
     def image_basis(self) -> "Subspace":
         """Column space as a canonical subspace of F^nrows."""
@@ -420,33 +424,29 @@ class Matrix:
         return tuple(x)
 
 
+def _row_kernel(field: Field, rows: list[list], ncols: int) -> "Subspace":
+    """{v : r . v = 0 for every row r}; the rows are reduced in place."""
+    piv, rank = _rref_inplace(rows, ncols, field)
+    piv_set = set(piv)
+    free = [j for j in range(ncols) if j not in piv_set]
+    neg, zero, one = field.neg, field.zero, field.one
+    vecs = []
+    for f in free:
+        v = [zero] * ncols
+        v[f] = one
+        for t, pc in enumerate(piv):
+            coeff = rows[t][f]
+            if coeff:
+                v[pc] = neg(coeff)
+        vecs.append(v)
+    return Subspace.from_vectors(field, ncols, vecs)
+
+
 def _check_term(field: Field, nrows: int, ncols: int, a: Matrix, b: Matrix) -> None:
     _check_same_field(field, a.field)
     _check_same_field(field, b.field)
     if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
         raise DimensionMismatch(f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}")
-
-
-def _integer_entries(m: Matrix) -> tuple[int, list[tuple[int, int]]]:
-    """Over Q: (d, [(t, n), ...]) with entry t of m equal to n / d, for its
-    nonzero entries; d is the least common denominator of m.
-
-    Entries that are the field's `zero` object are skipped by identity,
-    other zeros after their ratio.  The result is kept on m, so a matrix
-    that enters many Kronecker sums (a module's action) is cleared once.
-    """
-    got = m.__dict__.get("_integer_entries")
-    if got is None:
-        zero = m.field.zero
-        nz, d = [], 1
-        for t, x in enumerate(m.entries):
-            if x is not zero:
-                n, q = x.as_integer_ratio()
-                if n:
-                    nz.append((t, n, q))
-                    d = lcm(d, q)
-        got = m.__dict__["_integer_entries"] = (d, [(t, n * (d // q)) for t, n, q in nz])
-    return got
 
 
 def _canonical(w: dict, p: int) -> dict:
@@ -477,8 +477,8 @@ def _rational_kron_sum(field: Field, nrows: int, ncols: int, pairs, exact: bool)
     den = 1
     for a, b in pairs:
         _check_term(field, nrows, ncols, a, b)
-        da, a_nz = _integer_entries(a)
-        db, b_nz = _integer_entries(b)
+        da, a_nz = a._integer_entries
+        db, b_nz = b._integer_entries
         terms.append((da * db, a.ncols, b.nrows, b.ncols, a_nz, b_nz))
         den = lcm(den, da * db)
     out = [zero] * (nrows * ncols)
@@ -583,20 +583,24 @@ def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Su
                     tuple(pivots))
 
 
-def kron_kernel(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
-    """The kernel of `kron_sum(field, nrows, ncols, pairs)`.
+def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
+    """The common kernel of the Kronecker sums `kron_sum(field, nrows, ncols,
+    pairs)`, one for each `pairs` in `sums`: the kernel of their row stack,
+    which is never built as a matrix.  With no sums it is all of F^ncols.
 
-    Over GF(p) the sparse rows (`_kron_rows`) go to `_rref_sparse`; each
-    free column f gives the kernel vector e_f - sum of R[c, f] e_c over
-    the pivot rows R, and those sparse vectors are reduced once more into
-    the canonical basis.  Over Q the sum is scaled to `int` entries by its
-    common denominator, which leaves the kernel unchanged, and reduced by
-    `kernel_basis`.
+    Over GF(p) the sparse rows of every sum (`_kron_rows`) go to one
+    `_rref_sparse`; each free column f gives the kernel vector e_f - sum of
+    R[c, f] e_c over the pivot rows R, and those sparse vectors are reduced
+    once more into the canonical basis.  Over Q each sum is scaled to `int`
+    entries by its own common denominator, which leaves its kernel
+    unchanged, and the integer rows of all sums are reduced together.
     """
     if field.kind == RATIONAL:
-        return _rational_kron_sum(field, nrows, ncols, pairs, exact=False).kernel_basis()
+        rows = [row for pairs in sums
+                for row in _rational_kron_sum(field, nrows, ncols, pairs, exact=False).to_rows()]
+        return _row_kernel(field, rows, ncols)
     p = field.p
-    pivots = _rref_sparse(_kron_rows(field, nrows, ncols, pairs), p)
+    pivots = _rref_sparse([row for pairs in sums for row in _kron_rows(field, nrows, ncols, pairs)], p)
     vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
         for f, x in row.items():

@@ -7,8 +7,9 @@ the constructions (regular, free, direct sum, sub, quotient) and the two
 canonical maps in and out of the free cover:
 
 * the embedding M -> A (x) M_0, v |-> sum_i a_i (x) (b_i v) =
-  sum_p e_p (x) (c_p v) with c_p the rows of the Frobenius matrix, split
-  by a (x) v |-> trace(a) v, and
+  sum_p e_p (x) (c_p v) with c_p the rows of the Frobenius matrix C, split
+  by a (x) v |-> trace(a) v.  Its blocks action_M(c_p) are the rows of
+  one product C R, which both of its checks read; and
 * the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v.
 
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
@@ -104,33 +105,31 @@ def free_module(a: StructureAlgebra, k: int) -> ModuleRep:
     return ModuleRep(a, d, action, name=f"free{k}")
 
 
-def canonical_embedding(system: FrobeniusSystem, m: ModuleRep,
-                        free: ModuleRep | None = None) -> Matrix:
+def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     """Matrix of v |-> sum_i a_i (x) (b_i v) from M into A (x) M_0.
 
-    Block p of the rows is action_M(c_p), for c_p row p of the Frobenius
-    matrix `element_matrix`, since sum_i a_i (x) b_i = sum_p e_p (x) c_p.
-    Checked on construction: the map intertwines the actions, and composing
-    with the trace splitting a (x) v |-> trace(a) v gives the identity, so
-    it is injective.  `free` is A (x) M_0, built here unless passed in.
+    As sum_i a_i (x) b_i = sum_p e_p (x) c_p, for c_p row p of the Frobenius
+    matrix C (`element_matrix`), block p of the rows is action_M(c_p): row p
+    of `blocks` = C R, where row r of R is action_M(e_r) flattened.  Both
+    checks read `blocks`.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block
+    p of its product with phi is sum_s L(e_q)[p, s] block s, row p of
+    L(e_q) `blocks`; phi intertwines iff that is phi action_M(e_q).  The
+    trace splitting a (x) v |-> trace(a) v of phi is trace `blocks`, which
+    must be I, so phi is injective.  BudgetExceeded, as `free_module`, if
+    A (x) M_0 is over MAX_FREE_ENTRIES.
     """
     alg = system.algebra
     if m.algebra != alg:
         raise AlgebraMismatch("module is not over the system's algebra")
-    f = alg.field
-    n = alg.dim
-    md = m.dim
-    if free is None:
-        free = free_module(alg, md)
-    c = system.element_matrix
-    phi = Matrix(f, n * md, md, tuple(
-        x for p in range(n) for x in m.action_of(c.row(p)).entries
-    ))
-    for q in range(n):
-        if free.action[q] @ phi != phi @ m.action[q]:
+    f, n, md = alg.field, alg.dim, m.dim
+    _check_entries(n * (n * md) ** 2, n * md, f"dim {n * md} free module")
+    rows = Matrix(f, n, md * md, tuple(x for rho in m.action for x in rho.entries))
+    blocks = system.element_matrix @ rows
+    phi = Matrix(f, n * md, md, blocks.entries)
+    for q, rho in enumerate(m.action):
+        if (alg.left[q] @ blocks).entries != (phi @ rho).entries:
             raise NotALinearMap(f"embedding fails to intertwine basis {q}", witness=q)
-    split = kron(Matrix(f, 1, n, system.trace), Matrix.identity(f, md))
-    if split @ phi != Matrix.identity(f, md):
+    if (Matrix(f, 1, n, system.trace) @ blocks).entries != Matrix.identity(f, md).entries:
         raise EmbeddingNotInjective("trace splitting does not recover the identity")
     return phi
 

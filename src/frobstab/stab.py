@@ -16,10 +16,11 @@ the operator
 With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`) and c_p
 its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
 sum_p kron(action_M(c_p)^T, action_N(e_p)).
-The kernel of the hom_A system and the images of T and of the `tate0`
-norm come from `kron_kernel` and `kron_image`, which never build those
-Kronecker sums as dense matrices over GF(p) and reduce their D-scaled
-integer form over Q.  `null_homotopy_operator` returns T exactly.
+Hom_A(M, N) is the common kernel of one Kronecker sum per generator
+(`kron_kernel`), and the images of T and of the `tate0` norm come from
+`kron_image`; neither builds those sums as dense matrices over GF(p), and
+over Q both reduce their D-scaled integer form.  `null_homotopy_operator`
+returns T exactly.
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.
@@ -41,7 +42,7 @@ from .errors import (
     NotAGroupAlgebra,
 )
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, unvec, vec
+from .linalg import Matrix, Subspace, kron_image, kron_kernel, kron_sum, unvec, vec
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -67,27 +68,18 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     that on load.  H is then A-linear iff action_N(g) H - H action_M(g) = 0
     for every g in the generating set `algebra.generators`: H commutes with
     each word in the generators, the words span A, and the unit acts as I.
-    On vec(H) the equations of g are the block kron(I, action_N(g)) -
-    kron(action_M(g)^T, I).  The blocks form one system, block t at rows
-    t*dim(M)*dim(N) as kron(e_t, block) with e_t a unit column, written as
-    kron(kron(e_t, x), y) == kron(e_t, kron(x, y)).  It is solved exactly.
+    On vec(H) the equations of g are the Kronecker sum kron(I, action_N(g))
+    - kron(action_M(g)^T, I), and Hom_A(M, N) is the common kernel of these
+    sums, solved exactly.
     """
     m.same_algebra(n_)
     f = m.algebra.field
-    gens = m.algebra.generators
-    k = len(gens)
-    mn, mm = n_.dim, m.dim
-    amb = mn * mm
-    eye_m, minus_eye_n = Matrix.identity(f, mm), -Matrix.identity(f, mn)
-    eye_k = Matrix.identity(f, k)
-
-    def terms():
-        for t, g in enumerate(gens):
-            e_t = Matrix(f, k, 1, eye_k.col(t))
-            yield kron(e_t, eye_m), n_.action[g]
-            yield kron(e_t, m.action[g].transpose()), minus_eye_n
-
-    return kron_kernel(f, k * amb, amb, terms())
+    amb = n_.dim * m.dim
+    eye_m, minus_eye_n = Matrix.identity(f, m.dim), -Matrix.identity(f, n_.dim)
+    return kron_kernel(f, amb, amb, *(
+        [(eye_m, n_.action[g]), (m.action[g].transpose(), minus_eye_n)]
+        for g in m.algebra.generators
+    ))
 
 
 def _operator_terms(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep):
@@ -139,7 +131,7 @@ def factoring_ideal_oracle(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep)
     amb = n_.dim * m.dim
     if m.dim == 0:
         return Subspace.zero(f, amb)
-    phi = canonical_embedding(system, m, free)
+    phi = canonical_embedding(system, m)
     vecs = [vec(unvec(f, v, n_.dim, free.dim) @ phi) for v in through.basis_vectors()]
     return Subspace.from_vectors(f, amb, vecs)
 
@@ -155,7 +147,7 @@ def shift_plus(system: FrobeniusSystem, m: ModuleRep, steps: int = 1) -> ModuleR
     cur = m
     for _ in range(steps):
         free = free_module(system.algebra, cur.dim)
-        phi = canonical_embedding(system, cur, free)
+        phi = canonical_embedding(system, cur)
         cur = quotient_module(free, phi.image_basis())
     return ModuleRep(cur.algebra, cur.dim, cur.action, name=f"{m.name}[+{steps}]")
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from frobstab.errors import NotInvariant
+from frobstab.errors import EmbeddingNotInjective, NotALinearMap, NotInvariant
 from frobstab.exactfield import Field
-from frobstab.linalg import Matrix, Subspace
-from frobstab.modrep import ModuleRep
+from frobstab.frobenius import FrobeniusSystem
+from frobstab.linalg import Matrix, Subspace, kron
+from frobstab.modrep import ModuleRep, free_module
 
 
 def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
@@ -93,6 +94,28 @@ def quotient_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
         cols = [sub.reduce(rho.col(q)) for q in npv]
         action.append(Matrix.from_rows(f, [[w[q] for w in cols] for q in npv], ncols=len(npv)))
     return tuple(action)
+
+
+def free_cover_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
+    """The canonical embedding M -> A (x) M_0, checked on the free module
+    itself: the oracle for `modrep.canonical_embedding`, with its errors and
+    witnesses.  Block p is action_M(c_p); the intertwining check multiplies
+    phi by the dense free action kron(L(e_q), I), and the splitting check
+    by kron(trace, I)."""
+    alg = system.algebra
+    f, n, md = alg.field, alg.dim, m.dim
+    free = free_module(alg, md)
+    c = system.element_matrix
+    phi = Matrix(f, n * md, md, tuple(
+        x for p in range(n) for x in m.action_of(c.row(p)).entries
+    ))
+    for q in range(n):
+        if free.action[q] @ phi != phi @ m.action[q]:
+            raise NotALinearMap(f"embedding fails to intertwine basis {q}", witness=q)
+    split = kron(Matrix(f, 1, n, system.trace), Matrix.identity(f, md))
+    if split @ phi != Matrix.identity(f, md):
+        raise EmbeddingNotInjective("trace splitting does not recover the identity")
+    return phi
 
 
 def complement_oracle(big: Subspace, small: Subspace) -> list[tuple]:

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from frobstab.errors import (
     AlgebraMismatch,
     BudgetExceeded,
+    EmbeddingNotInjective,
+    NotALinearMap,
     NotAModule,
     NotInvariant,
     ParseError,
@@ -23,7 +25,7 @@ from frobstab.catalog import (
     truncated_polynomial,
 )
 from frobstab import modrep
-from frobstab.frobenius import enveloping_system
+from frobstab.frobenius import FrobeniusSystem, enveloping_system
 from frobstab.linalg import Matrix, Subspace, linear_combination, unvec
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
@@ -42,10 +44,11 @@ from frobstab.modrep import (
     validate_module,
 )
 from frobstab.stab import hom_A
-from helpers import quotient_action, restricted_action
+from helpers import free_cover_embedding, quotient_action, restricted_action
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
+GF3 = Field.prime(3)
 
 
 def test_regular_action_matrices():
@@ -88,19 +91,22 @@ def _module_failure_loop(m):
 
 
 def _catalog_modules():
-    for f in (GF2, Field.prime(3), Q):
+    """(Frobenius system, module) for each catalog module tried."""
+    for f in (GF2, GF3, Q):
         for n in range(2, 6):
-            yield from (truncated_module(n, i, f) for i in range(n))
+            inst = truncated_polynomial(n, f)
+            yield from ((inst.system, truncated_module(n, i, f)) for i in range(n))
         for g in (cyclic_group(3), klein_four_group(), symmetric_group_3()):
-            alg = group_algebra(g, f).algebra
-            yield trivial_module(alg)
-            yield regular_module(alg)
+            inst = group_algebra(g, f)
+            yield inst.system, trivial_module(inst.algebra)
+            yield inst.system, regular_module(inst.algebra)
 
 
 @st.composite
-def _perturbed_module(draw):
-    """A catalog module with one entry of one action matrix shifted."""
-    m = draw(st.sampled_from(list(_catalog_modules())))
+def _perturbed_module(draw, with_system=False):
+    """A catalog module with one entry of one action matrix shifted, after
+    its algebra's Frobenius system if `with_system`."""
+    system, m = draw(st.sampled_from(list(_catalog_modules())))
     f = m.algebra.field
     b = draw(st.integers(0, m.algebra.dim - 1))
     pos = draw(st.integers(0, m.dim * m.dim - 1))
@@ -112,7 +118,8 @@ def _perturbed_module(draw):
     entries[pos] = f.add(entries[pos], delta)
     action = list(m.action)
     action[b] = Matrix(f, m.dim, m.dim, tuple(entries))
-    return ModuleRep(m.algebra, m.dim, tuple(action), name=m.name)
+    out = ModuleRep(m.algebra, m.dim, tuple(action), name=m.name)
+    return (system, out) if with_system else out
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,6 +162,16 @@ def test_free_modules_validate():
         assert m.dim == 2 * k
 
 
+def test_canonical_embedding_budget():
+    # Its target A (x) M_0 is refused, as by free_module, before phi is built.
+    alg = truncated_polynomial(4, GF2).algebra
+    ident = Matrix.identity(GF2, 486)
+    big = ModuleRep(alg, 486, (ident,) * 4)
+    with pytest.raises(BudgetExceeded) as exc:
+        canonical_embedding(truncated_polynomial(4, GF2).system, big)
+    assert exc.value.witness == 1944
+
+
 def test_canonical_embedding_explicit():
     inst = truncated_polynomial(2, Q)
     v0 = truncated_module(2, 0, Q)
@@ -185,6 +202,56 @@ def test_canonical_embedding_of_regular_has_full_rank():
         reg = regular_module(inst.algebra)
         phi = canonical_embedding(inst.system, reg)
         assert phi.rank() == reg.dim
+
+
+def _embedding_outcome(build, system, m):
+    """(phi, None), or (None, (error class, witness)) if build raises."""
+    try:
+        return build(system, m), None
+    except (NotALinearMap, EmbeddingNotInjective) as exc:
+        return None, (type(exc), exc.witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perturbed_module(with_system=True))
+def test_embedding_checks_match_the_free_cover_oracle(case):
+    # Read on the blocks C R, the checks fail exactly when the dense free
+    # action kron(L(e_q), I) and the splitting kron(trace, I) say so.
+    system, m = case
+    assert _embedding_outcome(canonical_embedding, system, m) == \
+        _embedding_outcome(free_cover_embedding, system, m)
+
+
+def test_embedding_of_catalog_modules_matches_the_oracle():
+    # s3 is not commutative, so L(e_q) and R(e_q) differ on its modules.
+    for system, m in _catalog_modules():
+        assert canonical_embedding(system, m) == free_cover_embedding(system, m)
+
+
+def test_embedding_of_a_non_module_fails_to_intertwine():
+    # g acting by a Jordan block over GF(3) does not square to 1, so the
+    # embedding [I; J] of this C2 "module" fails at basis element g.
+    inst = group_algebra(cyclic_group(2), GF3)
+    jordan = Matrix.from_rows(GF3, [[1, 1], [0, 1]])
+    m = ModuleRep(inst.algebra, 2, (Matrix.identity(GF3, 2), jordan))
+    for build in (canonical_embedding, free_cover_embedding):
+        with pytest.raises(NotALinearMap) as exc:
+            build(inst.system, m)
+        assert exc.value.witness == 1
+
+
+def test_embedding_under_a_doubled_trace_is_not_split():
+    # Doubling the trace but not the dual bases keeps phi A-linear; the
+    # splitting then gives 2 I, not I.
+    inst = truncated_polynomial(3, GF3)
+    s = inst.system
+    doubled = FrobeniusSystem(s.algebra, tuple(GF3.add(t, t) for t in s.trace),
+                              s.a_basis, s.b_basis)
+    for m in (truncated_module(3, 1, GF3), regular_module(inst.algebra)):
+        canonical_embedding(s, m)
+        for build in (canonical_embedding, free_cover_embedding):
+            with pytest.raises(EmbeddingNotInjective):
+                build(doubled, m)
 
 
 def test_multiplication_surjection():

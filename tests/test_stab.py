@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobstab import modrep, stab
+from frobstab import linalg, modrep, stab
 from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
@@ -144,18 +144,40 @@ def test_hom_matches_kron_built_kernel(case):
 
 
 def test_hom_solves_one_block_per_generator(monkeypatch):
-    # k[x]/(x^24) is generated by x: one 576x576 block, not 24 of them.
+    # One Kronecker sum per generator goes to kron_kernel: k[x]/(x^24) is
+    # generated by x (one 576x576 sum, not 24), klein4 and s3 by two
+    # elements, and s3^env by four.  No Kronecker product is built.
+    s3 = group_algebra(symmetric_group_3(), GF3).algebra
+    cases = [
+        (regular_module(truncated_polynomial(24, GF2).algebra), [(576, 576)]),
+        (regular_module(group_algebra(klein_four_group(), GF2).algebra), [(16, 16)] * 2),
+        (regular_module(s3), [(36, 36)] * 2),
+        (bimodule_regular(s3), [(36, 36)] * 4),
+    ]
     shapes = []
     orig = stab.kron_kernel
 
-    def record(field, nrows, ncols, pairs):
-        shapes.append((nrows, ncols))
-        return orig(field, nrows, ncols, pairs)
+    def record(field, nrows, ncols, *sums):
+        sums = [list(pairs) for pairs in sums]
+        for pairs in sums:
+            assert len(pairs) == 2
+            shapes.append((nrows, ncols))
+            for a, b in pairs:
+                assert (a.nrows * b.nrows, a.ncols * b.ncols) == (nrows, ncols)
+        return orig(field, nrows, ncols, *sums)
 
+    def no_kron(a, b):
+        raise AssertionError("hom_A built a Kronecker product")
+
+    for m, _ in cases:
+        assert m.algebra.generators  # computed outside the recorded calls
     monkeypatch.setattr(stab, "kron_kernel", record)
-    reg = regular_module(truncated_polynomial(24, GF2).algebra)
-    hom_A(reg, reg)
-    assert shapes == [(576, 576)]
+    monkeypatch.setattr(linalg, "kron", no_kron)
+    monkeypatch.setattr(modrep, "kron", no_kron)
+    for m, want in cases:
+        shapes.clear()
+        hom_A(m, m)
+        assert shapes == want
 
 
 def test_null_homotopy_operator_footnote_form():
@@ -249,8 +271,10 @@ def _conjugated_pair_over_q(draw):
     return inst.system, m, n_, group
 
 
-def _exact_kernel(field, nrows, ncols, pairs):
-    return kron_sum(field, nrows, ncols, pairs).kernel_basis()
+def _exact_kernel(field, nrows, ncols, *sums):
+    """The kernel of the row stack of the exact dense sums."""
+    blocks = [kron_sum(field, nrows, ncols, pairs) for pairs in sums]
+    return Matrix.stack_rows([Matrix.zeros(field, 0, ncols)] + blocks).kernel_basis()
 
 
 def _exact_image(field, nrows, ncols, pairs):
@@ -337,8 +361,8 @@ def test_shift_dimensions():
 
 
 def test_each_shift_step_builds_one_free_module(monkeypatch):
-    """The intertwining check of the canonical embedding and the quotient
-    read the same free module A (x) M_0."""
+    """A shift step builds the free module A (x) M_0 once, for the quotient:
+    the canonical embedding reads its blocks and builds no free module."""
     dims = []
 
     def counting_free_module(a, k):
@@ -364,7 +388,7 @@ def test_shifts_read_no_dense_vector_route(monkeypatch):
     up = down = truncated_module(4, 1, GF2)
     for _ in range(3):
         free = free_module(inst.algebra, up.dim)
-        image = canonical_embedding(inst.system, up, free).image_basis()
+        image = canonical_embedding(inst.system, up).image_basis()
         up = ModuleRep(inst.algebra, free.dim - image.dim, quotient_action(free, image))
         free = free_module(inst.algebra, down.dim)
         kernel = multiplication_surjection(down).kernel_basis()
