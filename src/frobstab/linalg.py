@@ -21,15 +21,23 @@ Conventions fixed package-wide:
   Over GF(p) a sum is never dense: its nonzero rows are assembled as
   sparse maps {column: value} (`_kron_rows`) and reduced by
   `_rref_sparse`; the image is the row space of the sum of kron(a^T, b^T).
-  Over Q they reduce the D-scaled integer rows of each sum and skip the
-  division;
+  Over Q they start from the D-scaled integer rows of each sum and skip
+  the division;
 * row reduction over GF(p) is `_rref_sparse` everywhere: dense rows are
   turned into sparse maps, each row is inserted against the pivot rows
-  found so far, and one back-substitution pass gives the RREF.  Over Q it
-  runs on integer rows: each row is cleared of denominators once,
-  eliminated with `int` arithmetic and divided by its content whenever it
-  was scaled, and each pivot row is divided by its pivot into `Fraction`s
-  once at the end (one division per entry);
+  found so far, and one back-substitution pass gives the RREF.  A kernel
+  (`_sparse_kernel`) reduces the rows, then the vectors that its free
+  columns give;
+* row reduction over Q: a kernel (`_row_kernel`, under `kernel_basis` and
+  `kron_kernel`) is solved mod the prime 2^61 - 1 by `_sparse_kernel`,
+  lifted by rational reconstruction and certified by checking A . v = 0
+  exactly for every lifted row v; rank mod a prime is at most the rank
+  over Q, so the checked rows are the exact RREF basis (the proof is in
+  `_row_kernel`).  Every other reduction, and a kernel whose lift or
+  check fails, is `_rref_rational` on integer rows: each row is cleared
+  of denominators once, eliminated with `int` arithmetic and divided by
+  its content whenever it was scaled, and each pivot row is divided by
+  its pivot into `Fraction`s once at the end (one division per entry);
 * shift steps read module actions sparse: a matrix's nonzero columns
   (`_sparse_cols`, read off the factors of a `kron`), `_sparse_apply`, and
   `Subspace._residual` against the subspace's sparse RREF rows;
@@ -66,17 +74,21 @@ def _rref_inplace(rows: list[list], ncols: int, field: Field) -> tuple[list[int]
     """
     if field.kind == RATIONAL:
         return _rref_rational(rows, ncols, field.zero)
-    p = field.p
-    pivots = _rref_sparse([{j: y for j, x in enumerate(r) if x and (y := x % p)} for r in rows], p)
+    pivots = _rref_sparse(_sparse_mod(rows, field.p), field.p)
     for t, row in enumerate(pivots.values()):
-        rows[t] = _dense(row, ncols)
+        rows[t] = _dense(row, ncols, 0)
     for t in range(len(pivots), len(rows)):
         rows[t] = [0] * ncols
     return list(pivots), len(pivots)
 
 
-def _dense(row: dict, ncols: int) -> list:
-    out = [0] * ncols
+def _sparse_mod(rows, p: int) -> list[dict]:
+    """Dense rows of `int`s as sparse maps {column: value mod p}, zeros dropped."""
+    return [{j: y for j, x in enumerate(r) if x and (y := x % p)} for r in rows]
+
+
+def _dense(row: dict, ncols: int, zero) -> list:
+    out = [zero] * ncols
     for j, x in row.items():
         out[j] = x
     return out
@@ -148,11 +160,9 @@ def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
     """
     work = []
     for row in rows:
-        nz = [(j, x.as_integer_ratio()) for j, x in enumerate(row) if x is not zero]
-        den = lcm(*[d for _, (_, d) in nz])
         ints = [0] * ncols
-        for j, (n, d) in nz:
-            ints[j] = n * (den // d)
+        for j, n in _cleared(row, zero):
+            ints[j] = n
         h = gcd(*ints)
         work.append([x // h for x in ints] if h > 1 else ints)
     nrows = len(work)
@@ -200,6 +210,66 @@ def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
     for t in range(r, nrows):
         rows[t] = [zero] * ncols
     return piv_cols, r
+
+
+def _cleared(row, zero) -> list[tuple[int, int]]:
+    """A row of rationals times the least common denominator of its
+    entries, as (column, n) pairs for its nonzero entries.  Entries that are
+    the `zero` object itself are skipped by identity before any `Fraction`
+    attribute is read; `int` entries pass with denominator 1."""
+    nz = [(j, x.as_integer_ratio()) for j, x in enumerate(row) if x is not zero]
+    den = lcm(*[d for _, (_, d) in nz])
+    return [(j, n * (den // d)) for j, (n, d) in nz if n]
+
+
+# The prime of the certified kernel route over Q, and the bound on the
+# numerators and denominators it reconstructs.  2 * (_RECON_BOUND - 1)^2 < _P,
+# so a residue mod _P has at most one preimage n/d with |n|, d < _RECON_BOUND
+# (Wang 1981), and the half-extended Euclid of `_reconstruct` finds it.
+_P = (1 << 61) - 1
+_RECON_BOUND = 1 << 30
+
+
+def _reconstruct(u: int) -> "Fraction | None":
+    """The n/d with |n|, d < _RECON_BOUND and n = u * d mod _P, for u in
+    (0, _P), or None if the half-extended Euclid on (_P, u) finds none."""
+    r0, r1, t0, t1 = _P, u, 0, 1
+    while r1 >= _RECON_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if -_RECON_BOUND < t1 < _RECON_BOUND:
+        return Fraction(r1, t1)
+    return None
+
+
+def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]],
+                    one) -> "dict[int, dict] | None":
+    """The rows of `basis` (an RREF mod _P of a kernel) lifted to Q, each
+    checked to be in the kernel of the integer matrix whose column j holds
+    the (row, value) pairs cols[j]; None if an entry has no reconstruction
+    or a lifted row v fails A . v = 0.  The check clears v of denominators
+    and sums over its support's columns only: nnz(A) products at most."""
+    lifted = {}
+    for c, row in basis.items():
+        v = {}
+        den = 1
+        for j, u in row.items():
+            if j != c:
+                x = _reconstruct(u)
+                if x is None:
+                    return None
+                v[j] = x
+                den = lcm(den, x.denominator)
+        v[c] = one
+        acc: dict[int, int] = {}
+        for j, x in v.items():
+            s = x.numerator * (den // x.denominator)
+            for i, y in cols[j]:
+                acc[i] = acc.get(i, 0) + s * y
+        if any(acc.values()):
+            return None
+        lifted[c] = v
+    return lifted
 
 
 @dataclass(frozen=True)
@@ -390,7 +460,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace of F^ncols."""
-        return _row_kernel(self.field, self.to_rows(), self.ncols)
+        return _row_kernel(self.field, (self.row(i) for i in range(self.nrows)), self.ncols)
 
     def image_basis(self) -> "Subspace":
         """Column space as a canonical subspace of F^nrows."""
@@ -424,22 +494,75 @@ class Matrix:
         return tuple(x)
 
 
-def _row_kernel(field: Field, rows: list[list], ncols: int) -> "Subspace":
-    """{v : r . v = 0 for every row r}; the rows are reduced in place."""
-    piv, rank = _rref_inplace(rows, ncols, field)
-    piv_set = set(piv)
-    free = [j for j in range(ncols) if j not in piv_set]
-    neg, zero, one = field.neg, field.zero, field.one
+def _row_kernel(field: Field, rows, ncols: int) -> "Subspace":
+    """{v : r . v = 0 for every row r}, for an iterable of dense rows.
+
+    Over GF(p) the rows go to `_sparse_kernel` as sparse maps.  Over Q each
+    row is cleared of denominators into `int`s, and the kernel is first
+    solved mod the prime _P by `_sparse_kernel`; each entry of that RREF
+    basis is lifted to Q by rational reconstruction and every lifted row v
+    is checked exactly, A . v = 0 over the integer rows (`_certified_lift`).
+    This gives the exact RREF basis of ker_Q:
+
+    * rank_P(A) <= rank_Q(A), since a nonzero minor mod P is nonzero over
+      Q, so there are ncols - rank_P >= dim ker_Q lifted rows;
+    * each has a unit pivot and zeros in the other pivot columns (a zero
+      mod P lifts to an exact zero), so they are independent;
+    * each passes the exact check, so they span a subspace of ker_Q of
+      dimension >= dim ker_Q: all of it, with the same RREF basis.
+
+    If an entry has no reconstruction or a check fails, the kernel is
+    computed again by the exact `_rref_rational`.
+    """
+    if field.kind != RATIONAL:
+        p = field.p
+        return _sparse_subspace(field, ncols, _sparse_kernel(ncols, _sparse_mod(rows, p), p))
+    zero = field.zero
+    cols: list[list[tuple]] = [[] for _ in range(ncols)]  # A's nonzero (row, int) pairs
+    mod_rows = []
+    for i, row in enumerate(rows):
+        mod_row = {}
+        for j, n in _cleared(row, zero):
+            cols[j].append((i, n))
+            if y := n % _P:
+                mod_row[j] = y
+        mod_rows.append(mod_row)
+    nrows = len(mod_rows)
+    lifted = _certified_lift(_sparse_kernel(ncols, mod_rows, _P), cols, field.one)
+    if lifted is not None:
+        return _sparse_subspace(field, ncols, lifted)
+    exact = [[zero] * ncols for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, n in col:
+            exact[i][j] = n
+    piv, _ = _rref_rational(exact, ncols, zero)
     vecs = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(piv)):
         v = [zero] * ncols
-        v[f] = one
+        v[f] = field.one
         for t, pc in enumerate(piv):
-            coeff = rows[t][f]
+            coeff = exact[t][f]
             if coeff:
-                v[pc] = neg(coeff)
+                v[pc] = -coeff
         vecs.append(v)
     return Subspace.from_vectors(field, ncols, vecs)
+
+
+def _sparse_kernel(ncols: int, rows: list[dict], p: int) -> dict[int, dict]:
+    """The kernel over GF(p) of sparse rows {column: nonzero int in [0, p)},
+    as the RREF rows that `_rref_sparse` returns; the rows are consumed.
+
+    Each free column f of the rows' RREF R gives the kernel vector e_f - sum
+    of R[c, f] e_c over the pivot rows, and those sparse vectors are reduced
+    once more into the canonical basis.
+    """
+    pivots = _rref_sparse(rows, p)
+    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, x in row.items():
+            if f != c:
+                vecs[f][c] = p - x
+    return _rref_sparse(list(vecs.values()), p)
 
 
 def _check_term(field: Field, nrows: int, ncols: int, a: Matrix, b: Matrix) -> None:
@@ -577,8 +700,8 @@ def _kron_rows(field: Field, nrows: int, ncols: int, pairs, transpose: bool = Fa
 
 
 def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Subspace":
-    """The `Subspace` whose RREF rows `_rref_sparse` returned."""
-    flat = [x for row in pivots.values() for x in _dense(row, ambient)]
+    """The `Subspace` whose sparse RREF rows are `pivots` {pivot column: row}."""
+    flat = [x for row in pivots.values() for x in _dense(row, ambient, field.zero)]
     return Subspace(field, ambient, Matrix(field, len(pivots), ambient, tuple(flat)),
                     tuple(pivots))
 
@@ -589,24 +712,16 @@ def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
     which is never built as a matrix.  With no sums it is all of F^ncols.
 
     Over GF(p) the sparse rows of every sum (`_kron_rows`) go to one
-    `_rref_sparse`; each free column f gives the kernel vector e_f - sum of
-    R[c, f] e_c over the pivot rows R, and those sparse vectors are reduced
-    once more into the canonical basis.  Over Q each sum is scaled to `int`
-    entries by its own common denominator, which leaves its kernel
-    unchanged, and the integer rows of all sums are reduced together.
+    `_sparse_kernel`.  Over Q each sum is scaled to `int` entries by its own
+    common denominator, which leaves its kernel unchanged, and the integer
+    rows of all sums go to `_row_kernel`: solved mod a prime, lifted and
+    checked exactly.
     """
     if field.kind == RATIONAL:
-        rows = [row for pairs in sums
-                for row in _rational_kron_sum(field, nrows, ncols, pairs, exact=False).to_rows()]
-        return _row_kernel(field, rows, ncols)
-    p = field.p
-    pivots = _rref_sparse([row for pairs in sums for row in _kron_rows(field, nrows, ncols, pairs)], p)
-    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
-    for c, row in pivots.items():
-        for f, x in row.items():
-            if f != c:
-                vecs[f][c] = p - x
-    return _sparse_subspace(field, ncols, _rref_sparse(list(vecs.values()), p))
+        scaled = (_rational_kron_sum(field, nrows, ncols, pairs, exact=False) for pairs in sums)
+        return _row_kernel(field, (m.row(i) for m in scaled for i in range(nrows)), ncols)
+    rows = [row for pairs in sums for row in _kron_rows(field, nrows, ncols, pairs)]
+    return _sparse_subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
 
 
 def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":

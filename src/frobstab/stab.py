@@ -18,9 +18,10 @@ its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
 sum_p kron(action_M(c_p)^T, action_N(e_p)).
 Hom_A(M, N) is the common kernel of one Kronecker sum per generator
 (`kron_kernel`), and the images of T and of the `tate0` norm come from
-`kron_image`; neither builds those sums as dense matrices over GF(p), and
-over Q both reduce their D-scaled integer form.  `null_homotopy_operator`
-returns T exactly.
+`kron_image`; neither builds those sums as dense matrices over GF(p).  Over
+Q both start from their D-scaled integer form: the kernel is solved mod a
+prime and certified exactly, the image is reduced exactly.
+`null_homotopy_operator` returns T exactly.
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.
@@ -70,14 +71,15 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     each word in the generators, the words span A, and the unit acts as I.
     On vec(H) the equations of g are the Kronecker sum kron(I, action_N(g))
     - kron(action_M(g)^T, I), and Hom_A(M, N) is the common kernel of these
-    sums, solved exactly.
+    sums, solved exactly.  The second term is passed as kron(-action_M(g)^T,
+    I), which negates a dim M x dim M factor instead of the dim N identity.
     """
     m.same_algebra(n_)
     f = m.algebra.field
     amb = n_.dim * m.dim
-    eye_m, minus_eye_n = Matrix.identity(f, m.dim), -Matrix.identity(f, n_.dim)
+    eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n_.dim)
     return kron_kernel(f, amb, amb, *(
-        [(eye_m, n_.action[g]), (m.action[g].transpose(), minus_eye_n)]
+        [(eye_m, n_.action[g]), (-m.action[g].transpose(), eye_n)]
         for g in m.algebra.generators
     ))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from frobstab import linalg
 from frobstab.errors import EmbeddingNotInjective, NotALinearMap, NotInvariant
 from frobstab.exactfield import Field
 from frobstab.frobenius import FrobeniusSystem
@@ -51,6 +52,28 @@ def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], i
         if r == nrows:
             break
     return piv_cols, r
+
+
+def exact_kernel(field: Field, rows, ncols: int) -> Subspace:
+    """{v : r . v = 0 for every row r} by exact elimination: the rows'
+    RREF R from `linalg._rref_inplace` (`_rref_rational` over Q), then the
+    vectors e_f - sum of R[c, f] e_c, one per free column f, reduced by
+    `Subspace.from_vectors`.  The oracle for `linalg._row_kernel`, whose
+    route over Q is solved mod a prime and certified; with `_rref_inplace`
+    patched to `rref_field` it is the field-generic route."""
+    rows = [list(r) for r in rows]
+    piv, _ = linalg._rref_inplace(rows, ncols, field)
+    vecs = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for t, pc in enumerate(piv):
+            if rows[t][f]:
+                v[pc] = field.neg(rows[t][f])
+        vecs.append(v)
+    return Subspace.from_vectors(field, ncols, vecs)
 
 
 def at(m: Matrix, i: int, j: int):

@@ -6,8 +6,12 @@ triple-product expansion) before anything downstream relies on it.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,7 +24,7 @@ from frobstab.linalg import (
     Matrix, Subspace, _rational_kron_sum, _rref_rational, _rref_sparse, kron, kron_image,
     kron_kernel, kron_sum, unvec, vec,
 )
-from helpers import at, complement_oracle, full_subspace, rref_field
+from helpers import at, complement_oracle, exact_kernel, full_subspace, rref_field
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -40,6 +44,11 @@ def rand_matrix(field, rng, nrows, ncols, lo=-4, hi=4):
     else:
         entries = [rng.randrange(field.p) for _ in range(nrows * ncols)]
     return Matrix(field, nrows, ncols, tuple(entries))
+
+
+def _field_route():
+    """Every reduction, kernels included, by the dense field-generic oracle."""
+    return mock.patch.multiple(linalg, _rref_inplace=rref_field, _row_kernel=exact_kernel)
 
 
 # rref ---------------------------------------------------------------
@@ -172,7 +181,7 @@ def test_public_api_over_gf_p_matches_field_route(case, data):
                 square.inverse(), Subspace.from_vectors(field, ncols, rows))
 
     fast = results()
-    with mock.patch.object(linalg, "_rref_inplace", rref_field):
+    with _field_route():
         slow = results()
     assert fast == slow
 
@@ -194,7 +203,7 @@ def test_public_api_matches_field_route(case, data):
                 Subspace.from_vectors(Q, ncols, rows))
 
     fast = results()
-    with mock.patch.object(linalg, "_rref_inplace", rref_field):
+    with _field_route():
         slow = results()
     assert fast == slow
     assert fast[5] is None
@@ -219,6 +228,102 @@ def test_int_entries_over_q_give_exact_fractions():
         assert got == results(fracs, tuple(map(Fraction, b)))
         rref, inv, x, kernel = got
         assert all(type(s) is Fraction for s in _scalars(rref[0], inv, x, kernel))
+
+
+# the certified kernel over Q against the exact route --------------------
+
+_tall = st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40))
+
+
+@st.composite
+def _kernel_rows(draw):
+    """(ncols, rows) over Q: sparse or dense, integer, rational or tall
+    entries (past the reconstruction bound), with dependent and zero rows."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    scalar = draw(st.sampled_from([
+        st.integers(-5, 5).map(Fraction),
+        st.fractions(min_value=-6, max_value=6, max_denominator=12),
+        st.one_of(st.integers(-3, 3).map(Fraction), _tall),
+    ]))
+
+    def row():
+        return [draw(scalar) if draw(st.floats(0, 1)) < density else Q.zero for _ in range(ncols)]
+
+    rows = [row() for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        s, t = draw(scalar), draw(scalar)
+        rows[2] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    return ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_rows())
+def test_certified_kernel_matches_exact_route(case):
+    ncols, rows = case
+    got = linalg._row_kernel(Q, iter(rows), ncols)
+    want = exact_kernel(Q, rows, ncols)
+    assert got.pivots == want.pivots
+    assert got.basis.entries == want.basis.entries
+    assert [str(x) for x in got.basis.entries] == [str(x) for x in want.basis.entries]
+    assert all(type(x) is Fraction for x in got.basis.entries)
+    assert all(x is Q.zero for x in got.basis.entries if not x)
+
+
+# Rows whose kernel the certified route cannot give, with the exact kernel
+# basis: [P, 1] has rank 0 mod P, so e_0 passes mod P and fails the exact
+# check; 2^-40 = 2^21 mod P (2^61 = 1), which reconstructs as 2^21 and fails
+# the check; -3^20 has no reconstruction with |n|, d < 2^30.
+_FALLBACKS = [
+    ([linalg._P, 1], ["1", str(-linalg._P)]),
+    ([1, -2**40], ["1", "1/1099511627776"]),
+    ([3**20, 1], ["1", str(-3**20)]),
+]
+
+
+@pytest.mark.parametrize("row, basis", _FALLBACKS)
+def test_certified_kernel_falls_back_to_exact_route(row, basis):
+    m = Matrix.from_rows(Q, [[Fraction(x) for x in row]])
+    with mock.patch.object(linalg, "_rref_rational", wraps=linalg._rref_rational) as exact:
+        k = m.kernel_basis()
+    assert exact.called
+    assert k == exact_kernel(Q, m.to_rows(), m.ncols)
+    assert [str(x) for x in k.basis.entries] == basis and k.pivots == (0,)
+
+
+def test_reconstruct_inverts_reduction_mod_p_within_the_bound():
+    p, top = linalg._P, 2**30 - 1
+    for x in (Fraction(5), Fraction(-7), Fraction(3, 4), Fraction(-top, top - 2), Fraction(top)):
+        assert linalg._reconstruct(x.numerator * pow(x.denominator, -1, p) % p) == x
+    assert linalg._reconstruct(2**30) is None  # just past the bound
+    assert linalg._reconstruct(p - 3**20) is None
+
+
+def test_certified_kernel_checks_survive_optimized_mode():
+    """The lifted kernel is checked by an `if`, not an `assert`, so under
+    python -O the fallback cases still get their exact kernels."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from frobstab.exactfield import Field\n"
+        "from frobstab.linalg import Matrix\n"
+        f"rows = {[row for row, _ in _FALLBACKS]!r}\n"
+        "for row in rows:\n"
+        "    k = Matrix.from_rows(Field.rationals(), [[Fraction(x) for x in row]]).kernel_basis()\n"
+        "    print(sys.flags.optimize, *k.pivots, *map(str, k.basis.entries))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [" ".join(["1", "0", *basis]) for _, basis in _FALLBACKS]
 
 
 # kernel / image -----------------------------------------------------
@@ -520,7 +625,7 @@ def test_kron_kernel_and_image_match_dense_sum(case):
     # The dense side is reduced by the oracle, not by the sparse route.
     field, nrows, ncols, pairs = case
     dense = kron_sum(field, nrows, ncols, pairs)
-    with mock.patch.object(linalg, "_rref_inplace", rref_field):
+    with _field_route():
         want = dense.kernel_basis(), dense.image_basis()
     assert kron_kernel(field, nrows, ncols, iter(pairs)) == want[0]
     assert kron_image(field, nrows, ncols, iter(pairs)) == want[1]

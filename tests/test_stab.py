@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -48,7 +49,7 @@ from frobstab.stab import (
     stable_hom,
     tate0,
 )
-from helpers import full_subspace, quotient_action, restricted_action
+from helpers import exact_kernel, full_subspace, quotient_action, restricted_action
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -272,9 +273,11 @@ def _conjugated_pair_over_q(draw):
 
 
 def _exact_kernel(field, nrows, ncols, *sums):
-    """The kernel of the row stack of the exact dense sums."""
+    """The kernel of the row stack of the exact dense sums, by exact
+    elimination (`exact_kernel`)."""
     blocks = [kron_sum(field, nrows, ncols, pairs) for pairs in sums]
-    return Matrix.stack_rows([Matrix.zeros(field, 0, ncols)] + blocks).kernel_basis()
+    stacked = Matrix.stack_rows([Matrix.zeros(field, 0, ncols)] + blocks)
+    return exact_kernel(field, stacked.to_rows(), ncols)
 
 
 def _exact_image(field, nrows, ncols, pairs):
@@ -285,8 +288,8 @@ def _exact_image(field, nrows, ncols, pairs):
 @given(_conjugated_pair_over_q())
 def test_integer_assembly_matches_exact_kron_sums(case):
     # hom_A, the image of T and the tate0 norm call kron_kernel and
-    # kron_image, which reduce the D-scaled integer Kronecker sums; the
-    # exact sums must give the same subspaces.
+    # kron_image, which start from the D-scaled integer Kronecker sums; the
+    # exact sums, reduced exactly, must give the same subspaces.
     system, m, n_, group = case
 
     def results():
@@ -302,6 +305,31 @@ def test_integer_assembly_matches_exact_kron_sums(case):
     assert t == _dual_basis_operator(system, m, n_)
     assert all(type(x) is Fraction for x in t.entries)
     assert fast[1].null_basis == t.image_basis()
+
+
+def test_hom_over_q_takes_the_certified_route():
+    # dense_q's V6' -> V6': V6 over k[x]/(x^10), Q, in a random basis with
+    # entries in [-3, 3].  With the exact elimination made to raise, hom_A
+    # still answers, so its kernel was solved mod P and certified, with no
+    # fallback; the answer is the exact one.
+    rng = random.Random(1)
+    v6 = truncated_module(10, 6, Q)
+    pm_inv = None
+    while pm_inv is None:
+        pm = Matrix(Q, 7, 7, tuple(Q.from_int(rng.randint(-3, 3)) for _ in range(49)))
+        pm_inv = pm.inverse()
+    conj = ModuleRep(v6.algebra, 7, tuple(pm_inv @ a @ pm for a in v6.action), name="V6'")
+    assert conj.algebra.generators  # computed outside the patch
+
+    def refuse(*args):
+        raise AssertionError("the certified kernel fell back to _rref_rational")
+
+    with mock.patch.object(linalg, "_rref_rational", refuse):
+        got = hom_A(conj, conj)
+    with mock.patch.object(stab, "kron_kernel", _exact_kernel):
+        want = hom_A(conj, conj)
+    assert got == want and got.dim == 7
+    assert any(x.denominator > 1 for x in got.basis.entries)
 
 
 def test_stable_hom_known_values():
