@@ -8,42 +8,43 @@ Conventions fixed package-wide:
   equal entry for entry;
 * `vec` is column-major (stacks the columns of a matrix), which gives the
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
-* `kron_sum` is the one function that builds dense sums of Kronecker
-  products (operators on vectorized maps, embeddings, tensor elements);
-  `kron` and `linear_combination` are its cases of one pair and of
-  1 x 1 left factors.  Over Q a sum is accumulated in
-  `int`s: each factor is cleared of denominators once, every term is
-  scaled to one common denominator D, and each nonzero entry is divided
-  by D once;
+* `_kron_rows` is the one function that builds sums of Kronecker products
+  (operators on vectorized maps, embeddings, tensor elements), for both
+  fields: it reads each factor's cached nonzeros (`_integer_entries`),
+  accumulates the products in `int`s over one common denominator D (D = 1
+  over GF(p), where each cell is reduced mod p once) and returns the
+  nonzero rows of D times the sum as sparse maps {column: int}, or those
+  of its transpose, the sum of kron(a^T, b^T).  `kron_sum` writes them
+  into a dense matrix, dividing by D over Q, and `kron` writes one
+  pair's transposed rows, which it keeps as its sparse columns;
 * callers that need only the image of a Kronecker sum call `kron_image`,
   and callers that need the common kernel of several sums (one system of
-  equations per sum) call `kron_kernel`, which builds no stacked matrix.
-  Over GF(p) a sum is never dense: its nonzero rows are assembled as
-  sparse maps {column: value} (`_kron_rows`) and reduced by
-  `_rref_sparse`; the image is the row space of the sum of kron(a^T, b^T).
-  Over Q they start from the D-scaled integer rows of each sum and skip
-  the division;
+  equations per sum) call `kron_kernel`; both reduce the integer rows
+  directly (the D scaling changes neither kernel nor image) and build no
+  dense sum;
 * row reduction over GF(p) is `_rref_sparse` everywhere: dense rows are
   turned into sparse maps, each row is inserted against the pivot rows
   found so far, and one back-substitution pass gives the RREF.  A kernel
   (`_sparse_kernel`) reduces the rows, then the vectors that its free
   columns give;
-* row reduction over Q: a kernel (`_row_kernel`, under `kernel_basis` and
-  `kron_kernel`) is solved mod the prime 2^61 - 1 by `_sparse_kernel`,
-  lifted by rational reconstruction and certified by checking A . v = 0
-  exactly for every lifted row v; rank mod a prime is at most the rank
-  over Q, so the checked rows are the exact RREF basis (the proof is in
-  `_row_kernel`).  Every other reduction, and a kernel whose lift or
-  check fails, is `_rref_rational` on integer rows: each row is cleared
+* row reduction over Q: a kernel (`_row_kernel`, on the sparse integer
+  rows of `kernel_basis` and `kron_kernel`) is solved mod the prime
+  2^61 - 1 by `_sparse_kernel`, lifted by rational reconstruction and
+  certified by checking A . v = 0 exactly for every lifted row v; rank
+  mod a prime is at most the rank over Q, so the checked rows are the
+  exact RREF basis (the proof is in `_row_kernel`).  Every other
+  reduction, and a kernel whose lift or check fails, is
+  `_rref_rational` on integer rows: each row is cleared
   of denominators once, eliminated with `int` arithmetic and divided by
   its content whenever it was scaled, and each pivot row is divided by
   its pivot into `Fraction`s once at the end (one division per entry);
 * shift steps read module actions sparse: a matrix's nonzero columns
-  (`_sparse_cols`, read off the factors of a `kron`), `_sparse_apply`, and
+  (`_sparse_cols`, built with a `kron`), `_sparse_apply`, and
   `Subspace._residual` against the subspace's sparse RREF rows;
-* Kronecker sums, matrix sums, differences and negations (and
-  `Field.from_int` and `Field.parse`) give the field's `zero` object for
-  a zero over Q, which both integer routes skip by identity.
+* Kronecker sums, linear combinations, matrix sums, differences and
+  negations (and `Field.from_int` and `Field.parse`) give the field's
+  `zero` object for a zero over Q, which both integer routes skip by
+  identity.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
@@ -414,22 +415,21 @@ class Matrix:
 
     @cached_property
     def _sparse_cols(self) -> list[list[tuple]]:
-        """Each column as its nonzero (row, value) pairs, in row order.  A
-        `kron(a, b)` reads them off its factors' in O(nnz)."""
-        if "_factors" in self.__dict__:
-            a, b = self._factors
-            mul, q = self.field.mul, b.nrows
-            return [[(i * q + k, mul(x, y)) for i, x in ca for k, y in cb]
-                    for ca in a._sparse_cols for cb in b._sparse_cols]
+        """Each column as its nonzero (row, value) pairs; a `kron` is built
+        with them."""
         return [[(i, x) for i, x in enumerate(self.col(j)) if x] for j in range(self.ncols)]
 
     @cached_property
     def _integer_entries(self) -> tuple[int, list[tuple[int, int]]]:
-        """Over Q: (d, [(t, n), ...]) with entry t equal to n / d, for the
-        nonzero entries; d is the least common denominator.  Entries that
-        are the field's `zero` object are skipped by identity, other zeros
-        after their ratio.  Cached, so a matrix that enters many Kronecker
-        sums (a module's action) is cleared once."""
+        """(d, [(t, n), ...]) with entry t equal to n / d, for the nonzero
+        entries in row-major order.  Over Q, d is the least common
+        denominator; entries that are the field's `zero` object are skipped
+        by identity, other zeros after their ratio.  Over GF(p), d = 1 and
+        each n is the entry's residue in [1, p).  Cached, so a matrix that
+        enters many Kronecker sums (a module's action) is read once."""
+        if self.field.kind != RATIONAL:
+            p = self.field.p
+            return 1, [(t, y) for t, x in enumerate(self.entries) if x and (y := x % p)]
         zero = self.field.zero
         nz, d = [], 1
         for t, x in enumerate(self.entries):
@@ -460,7 +460,11 @@ class Matrix:
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace of F^ncols."""
-        return _row_kernel(self.field, (self.row(i) for i in range(self.nrows)), self.ncols)
+        rows: list[dict] = [{} for _ in range(self.nrows)]
+        for t, n in self._integer_entries[1]:
+            i, j = divmod(t, self.ncols)
+            rows[i][j] = n
+        return _row_kernel(self.field, rows, self.ncols)
 
     def image_basis(self) -> "Subspace":
         """Column space as a canonical subspace of F^nrows."""
@@ -494,15 +498,15 @@ class Matrix:
         return tuple(x)
 
 
-def _row_kernel(field: Field, rows, ncols: int) -> "Subspace":
-    """{v : r . v = 0 for every row r}, for an iterable of dense rows.
+def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
+    """{v : r . v = 0 for every row r}, for sparse integer rows {column: int}.
 
-    Over GF(p) the rows go to `_sparse_kernel` as sparse maps.  Over Q each
-    row is cleared of denominators into `int`s, and the kernel is first
-    solved mod the prime _P by `_sparse_kernel`; each entry of that RREF
-    basis is lifted to Q by rational reconstruction and every lifted row v
-    is checked exactly, A . v = 0 over the integer rows (`_certified_lift`).
-    This gives the exact RREF basis of ker_Q:
+    Over GF(p) the rows hold residues in [1, p) and go to `_sparse_kernel`,
+    which consumes them.  Over Q the kernel is first solved mod the prime
+    _P by `_sparse_kernel`; each entry of that RREF basis is lifted to Q by
+    rational reconstruction and every lifted row v is checked exactly,
+    A . v = 0 over the integer rows (`_certified_lift`).  This gives the
+    exact RREF basis of ker_Q:
 
     * rank_P(A) <= rank_Q(A), since a nonzero minor mod P is nonzero over
       Q, so there are ncols - rank_P >= dim ker_Q lifted rows;
@@ -515,26 +519,17 @@ def _row_kernel(field: Field, rows, ncols: int) -> "Subspace":
     computed again by the exact `_rref_rational`.
     """
     if field.kind != RATIONAL:
-        p = field.p
-        return _sparse_subspace(field, ncols, _sparse_kernel(ncols, _sparse_mod(rows, p), p))
-    zero = field.zero
+        return _sparse_subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
+    kernel = _sparse_kernel(ncols, [_canonical(row, _P) for row in rows], _P)
     cols: list[list[tuple]] = [[] for _ in range(ncols)]  # A's nonzero (row, int) pairs
-    mod_rows = []
     for i, row in enumerate(rows):
-        mod_row = {}
-        for j, n in _cleared(row, zero):
+        for j, n in row.items():
             cols[j].append((i, n))
-            if y := n % _P:
-                mod_row[j] = y
-        mod_rows.append(mod_row)
-    nrows = len(mod_rows)
-    lifted = _certified_lift(_sparse_kernel(ncols, mod_rows, _P), cols, field.one)
+    lifted = _certified_lift(kernel, cols, field.one)
     if lifted is not None:
         return _sparse_subspace(field, ncols, lifted)
-    exact = [[zero] * ncols for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, n in col:
-            exact[i][j] = n
+    zero = field.zero
+    exact = [_dense(row, ncols, zero) for row in rows]
     piv, _ = _rref_rational(exact, ncols, zero)
     vecs = []
     for f in sorted(set(range(ncols)) - set(piv)):
@@ -565,16 +560,9 @@ def _sparse_kernel(ncols: int, rows: list[dict], p: int) -> dict[int, dict]:
     return _rref_sparse(list(vecs.values()), p)
 
 
-def _check_term(field: Field, nrows: int, ncols: int, a: Matrix, b: Matrix) -> None:
-    _check_same_field(field, a.field)
-    _check_same_field(field, b.field)
-    if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
-        raise DimensionMismatch(f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}")
-
-
 def _canonical(w: dict, p: int) -> dict:
-    """The sparse map w without its zeros; over GF(p) (p > 0) its plain-int
-    sums are reduced mod p here, once."""
+    """The sparse map w without its zeros; for p > 0 (GF(p), or the prime of
+    the kernel route over Q) its plain-int sums are reduced mod p here, once."""
     if p:
         return {j: y for j, x in w.items() if (y := x % p)}
     return {j: x for j, x in w.items() if x}
@@ -589,41 +577,73 @@ def _sparse_apply(m: Matrix, v: dict) -> dict:
     return _canonical(w, m.field.characteristic)
 
 
-def _rational_kron_sum(field: Field, nrows: int, ncols: int, pairs, exact: bool) -> Matrix:
-    """`kron_sum` over Q if `exact`, else D times it with `int` entries.
+def _kron_rows(field: Field, nrows: int, ncols: int, pairs,
+               transpose: bool = False) -> tuple[int, dict[int, dict]]:
+    """(D, rows): D times the sum of kron(a, b) over the (a, b) pairs, as
+    its nonzero rows {row: {column: int}} in row order, or with `transpose`
+    those of its transpose, the sum of kron(a^T, b^T), read from the same
+    factors without transposing them.
 
-    Only the cells a product reached are revisited at the end: divided by
-    D if `exact`, and set to the field's `zero` where the sum cancelled.
+    Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q,
+    and must have the given shape.  The factors are read through their
+    cached `_integer_entries`: over Q, D is the least common multiple of
+    the terms' denominators; over GF(p), D = 1.  Products are summed as
+    plain ints and each cell is reduced mod p once over GF(p); cells that
+    cancel are dropped, and so are rows left empty.  `pairs` is iterated
+    once, so it may be a generator.
     """
-    zero = field.zero
     terms = []
     den = 1
     for a, b in pairs:
-        _check_term(field, nrows, ncols, a, b)
+        _check_same_field(field, a.field)
+        _check_same_field(field, b.field)
+        if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
+            raise DimensionMismatch(f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}")
         da, a_nz = a._integer_entries
         db, b_nz = b._integer_entries
         terms.append((da * db, a.ncols, b.nrows, b.ncols, a_nz, b_nz))
         den = lcm(den, da * db)
-    out = [zero] * (nrows * ncols)
-    touched = []
+    out: dict[int, dict] = {}
     for d, acols, p, q, a_nz, b_nz in terms:
         s = den // d
-        b_off = [(t // q * ncols + t % q, y) for t, y in b_nz]
+        height, width = (q, p) if transpose else (p, q)
+        lines: dict[int, list] = {}  # the nonzeros of b's rows (b^T's with `transpose`)
+        for t, y in b_nz:
+            k, l = divmod(t, q)
+            if transpose:
+                k, l = l, k
+            lines.setdefault(k, []).append((l, y))
         for t, x in a_nz:
+            i, j = divmod(t, acols)
+            if transpose:
+                i, j = j, i
             x *= s
-            base = t // acols * p * ncols + t % acols * q
-            for off, y in b_off:
-                k = base + off
-                z = out[k]
-                if z is zero:
-                    out[k] = x * y
-                    touched.append(k)
-                else:
-                    out[k] = z + x * y
-    for k in touched:
-        x = out[k]
-        out[k] = (Fraction(x, den) if exact else x) if x else zero
-    return Matrix(field, nrows, ncols, tuple(out))
+            base = j * width
+            for k, line in lines.items():
+                r = i * height + k
+                row = out.get(r)
+                if row is None:
+                    row = out[r] = {}
+                for l, y in line:
+                    c = base + l
+                    row[c] = row.get(c, 0) + x * y
+    p = field.characteristic
+    rows = {}
+    for r in sorted(out):
+        row = _canonical(out[r], p)
+        if row:
+            rows[r] = row
+    return den, rows
+
+
+def _field_rows(field: Field, den: int, rows: dict[int, dict]) -> dict[int, dict]:
+    """The rows of `_kron_rows` as field scalars: over Q each cell is
+    divided by D, in place; over GF(p) they already are."""
+    if field.kind == RATIONAL:
+        for row in rows.values():
+            for c, x in row.items():
+                row[c] = Fraction(x, den)
+    return rows
 
 
 def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
@@ -631,72 +651,16 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
 
     Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q;
     every term must have the given shape, and an empty sum is the zero
-    matrix.  Over Q the sum is accumulated in `int`s over one common
-    denominator, with one division per nonzero entry at the end and the
-    field's `zero` in every zero entry.  Over GF(p) zero entries of a and b
-    are skipped, and a product landing on a cell that is still zero is
-    stored as it is (`mul` returns canonical scalars).  `pairs` may be a
-    generator, so callers need not hold every factor at once.
+    matrix.  The nonzero rows of the sum come from `_kron_rows`, divided by
+    its D over Q, and every other entry is the field's `zero`.  `pairs` may
+    be a generator.
     """
-    if field.kind == RATIONAL:
-        return _rational_kron_sum(field, nrows, ncols, pairs, exact=True)
-    add, mul = field.add, field.mul
     out = [field.zero] * (nrows * ncols)
-    for a, b in pairs:
-        _check_term(field, nrows, ncols, a, b)
-        p, q = b.nrows, b.ncols
-        b_nz = [(t // q * ncols + t % q, y) for t, y in enumerate(b.entries) if y]
-        for t, x in enumerate(a.entries):
-            if x:
-                base = t // a.ncols * p * ncols + t % a.ncols * q
-                for off, y in b_nz:
-                    k = base + off
-                    z = out[k]
-                    out[k] = add(z, mul(x, y)) if z else mul(x, y)
+    for r, row in _field_rows(field, *_kron_rows(field, nrows, ncols, pairs)).items():
+        base = r * ncols
+        for c, x in row.items():
+            out[base + c] = x
     return Matrix(field, nrows, ncols, tuple(out))
-
-
-def _kron_rows(field: Field, nrows: int, ncols: int, pairs, transpose: bool = False) -> list[dict]:
-    """Over GF(p): the nonzero rows of `kron_sum`, as maps {column: value},
-    or with `transpose` the nonzero rows of its transpose, the sum of
-    kron(a^T, b^T), read from the same factors without transposing them.
-
-    Products are summed as plain ints and each cell is reduced mod p once;
-    cells that cancel are dropped, and so are rows left empty.
-    """
-    p = field.p
-    out: dict[int, dict] = {}
-    for a, b in pairs:
-        _check_term(field, nrows, ncols, a, b)
-        if transpose:
-            height, width, lines = b.ncols, b.nrows, (b.col(l) for l in range(b.ncols))
-        else:
-            height, width, lines = b.nrows, b.ncols, (b.row(k) for k in range(b.nrows))
-        b_rows = []
-        for k, line in enumerate(lines):
-            nz = [(l, y) for l, y in enumerate(line) if y]
-            if nz:
-                b_rows.append((k, nz))
-        for t, x in enumerate(a.entries):
-            if x:
-                i, j = divmod(t, a.ncols)
-                if transpose:
-                    i, j = j, i
-                base = j * width
-                for k, nz in b_rows:
-                    r = i * height + k
-                    row = out.get(r)
-                    if row is None:
-                        row = out[r] = {}
-                    for l, y in nz:
-                        c = base + l
-                        row[c] = row.get(c, 0) + x * y
-    rows = []
-    for r in sorted(out):
-        row = {c: y for c, v in out[r].items() if (y := v % p)}
-        if row:
-            rows.append(row)
-    return rows
 
 
 def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Subspace":
@@ -711,44 +675,74 @@ def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
     pairs)`, one for each `pairs` in `sums`: the kernel of their row stack,
     which is never built as a matrix.  With no sums it is all of F^ncols.
 
-    Over GF(p) the sparse rows of every sum (`_kron_rows`) go to one
-    `_sparse_kernel`.  Over Q each sum is scaled to `int` entries by its own
-    common denominator, which leaves its kernel unchanged, and the integer
-    rows of all sums go to `_row_kernel`: solved mod a prime, lifted and
-    checked exactly.
+    The integer rows of every sum (`_kron_rows`; its D leaves the kernel
+    unchanged) go to one `_row_kernel`.
     """
-    if field.kind == RATIONAL:
-        scaled = (_rational_kron_sum(field, nrows, ncols, pairs, exact=False) for pairs in sums)
-        return _row_kernel(field, (m.row(i) for m in scaled for i in range(nrows)), ncols)
-    rows = [row for pairs in sums for row in _kron_rows(field, nrows, ncols, pairs)]
-    return _sparse_subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
+    rows = [row for pairs in sums for row in _kron_rows(field, nrows, ncols, pairs)[1].values()]
+    return _row_kernel(field, rows, ncols)
 
 
 def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
     """The column space of `kron_sum(field, nrows, ncols, pairs)`.
 
-    It is the row space of the transpose, the sum of kron(a^T, b^T).  Over
-    GF(p) the sparse rows of that transpose go straight to `_rref_sparse`.
-    Over Q the sum is scaled to `int` entries, as in `kron_kernel`, and
-    reduced by `image_basis`.
+    It is the row space of the transpose, the sum of kron(a^T, b^T), whose
+    integer rows `_kron_rows` gives (its D leaves the row space unchanged).
+    They are reduced by `_rref_sparse` over GF(p), and by the exact
+    `_rref_rational` (`Subspace.from_vectors`) over Q.
     """
+    rows = _kron_rows(field, nrows, ncols, pairs, transpose=True)[1].values()
     if field.kind == RATIONAL:
-        return _rational_kron_sum(field, nrows, ncols, pairs, exact=False).image_basis()
-    rows = _kron_rows(field, nrows, ncols, pairs, transpose=True)
-    return _sparse_subspace(field, nrows, _rref_sparse(rows, field.p))
+        return Subspace.from_vectors(field, nrows, [_dense(r, nrows, field.zero) for r in rows])
+    return _sparse_subspace(field, nrows, _rref_sparse(list(rows), field.p))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l]."""
-    out = kron_sum(a.field, a.nrows * b.nrows, a.ncols * b.ncols, [(a, b)])
-    out.__dict__["_factors"] = (a, b)  # for Matrix._sparse_cols
-    return out
+    """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l].
+
+    It is assembled by columns, the rows of its transpose (`_kron_rows`),
+    in O(nnz), and keeps them as its `_sparse_cols`, which the shift path
+    reads from a free module's actions.
+    """
+    f, nrows, ncols = a.field, a.nrows * b.nrows, a.ncols * b.ncols
+    cols: list[list[tuple]] = [[] for _ in range(ncols)]
+    out = [f.zero] * (nrows * ncols)
+    for j, col in _field_rows(f, *_kron_rows(f, nrows, ncols, [(a, b)], transpose=True)).items():
+        cols[j] = list(col.items())
+        for i, x in cols[j]:
+            out[i * ncols + j] = x
+    m = Matrix(f, nrows, ncols, tuple(out))
+    m.__dict__["_sparse_cols"] = cols
+    return m
 
 
 def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
-    """Sum of c * m over the (c, m) terms: the `kron_sum` of (1 x 1 matrix c, m)."""
-    pairs = ((Matrix(field, 1, 1, (c,)), m) for c, m in terms if c)
-    return kron_sum(field, nrows, ncols, pairs)
+    """Sum of c * m over the (c, m) terms, each m an nrows x ncols matrix.
+
+    Each m is read through its cached `_integer_entries` and the products
+    are summed as ints over one common denominator D (D = 1 over GF(p)),
+    with one division by D over Q or one reduction mod p over GF(p) per
+    entry that a product reached.  Zero entries are the field's `zero`.
+    """
+    read = []
+    den = 1
+    for c, m in terms:
+        if c:
+            _check_same_field(field, m.field)
+            if m.shape != (nrows, ncols):
+                raise DimensionMismatch(f"term of shape {m.shape} is not {nrows}x{ncols}")
+            d, nz = m._integer_entries
+            read.append((c, d * c.denominator, nz))
+            den = lcm(den, d * c.denominator)
+    acc: dict[int, int] = {}
+    for c, d, nz in read:
+        s = c.numerator * (den // d)
+        for t, n in nz:
+            acc[t] = acc.get(t, 0) + s * n
+    p = field.characteristic
+    out = [field.zero] * (nrows * ncols)
+    for t, x in _canonical(acc, p).items():
+        out[t] = x if p else Fraction(x, den)
+    return Matrix(field, nrows, ncols, tuple(out))
 
 
 def vec(m: Matrix) -> tuple:

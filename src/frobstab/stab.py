@@ -18,10 +18,10 @@ its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
 sum_p kron(action_M(c_p)^T, action_N(e_p)).
 Hom_A(M, N) is the common kernel of one Kronecker sum per generator
 (`kron_kernel`), and the images of T and of the `tate0` norm come from
-`kron_image`; neither builds those sums as dense matrices over GF(p).  Over
-Q both start from their D-scaled integer form: the kernel is solved mod a
-prime and certified exactly, the image is reduced exactly.
-`null_homotopy_operator` returns T exactly.
+`kron_image`; neither builds those sums as dense matrices.  Both read the
+sparse integer rows of one Kronecker assembler, over either field: over Q
+the kernel is solved mod a prime and certified exactly, and the image is
+reduced exactly.  `null_homotopy_operator` returns T exactly.
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.

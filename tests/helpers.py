@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from frobstab import linalg
 from frobstab.errors import EmbeddingNotInjective, NotALinearMap, NotInvariant
 from frobstab.exactfield import Field
@@ -55,13 +58,15 @@ def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], i
 
 
 def exact_kernel(field: Field, rows, ncols: int) -> Subspace:
-    """{v : r . v = 0 for every row r} by exact elimination: the rows'
-    RREF R from `linalg._rref_inplace` (`_rref_rational` over Q), then the
-    vectors e_f - sum of R[c, f] e_c, one per free column f, reduced by
+    """{v : r . v = 0 for every row r}, for sparse integer rows {column: int}
+    as `linalg._row_kernel` takes them, by exact elimination: each cell as a
+    field scalar (`Field.from_int`), the rows' RREF R from
+    `linalg._rref_inplace` (`_rref_rational` over Q), then the vectors
+    e_f - sum of R[c, f] e_c, one per free column f, reduced by
     `Subspace.from_vectors`.  The oracle for `linalg._row_kernel`, whose
     route over Q is solved mod a prime and certified; with `_rref_inplace`
     patched to `rref_field` it is the field-generic route."""
-    rows = [list(r) for r in rows]
+    rows = [[field.from_int(r.get(j, 0)) for j in range(ncols)] for r in rows]
     piv, _ = linalg._rref_inplace(rows, ncols, field)
     vecs = []
     for f in range(ncols):
@@ -74,6 +79,34 @@ def exact_kernel(field: Field, rows, ncols: int) -> Subspace:
                 v[pc] = field.neg(rows[t][f])
         vecs.append(v)
     return Subspace.from_vectors(field, ncols, vecs)
+
+
+def integer_rows(rows) -> list[dict]:
+    """Dense rows of rationals or ints as the sparse integer rows {column:
+    int} that `linalg._row_kernel` takes, each scaled by the least common
+    multiple of its denominators, which keeps its kernel."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append({j: int(x * den) for j, x in enumerate(row) if x})
+    return out
+
+
+def kron_sum_by_definition(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
+    """Sum of kron(a, b) over the (a, b) pairs, entry by entry with field
+    arithmetic: each product a[i,j] * b[k,l] added at (i*p + k, j*q + l).
+    The oracle for `linalg._kron_rows` and every Kronecker sum built on it."""
+    out = [field.zero] * (nrows * ncols)
+    for a, b in pairs:
+        p, q = b.nrows, b.ncols
+        for i in range(a.nrows):
+            for j in range(a.ncols):
+                for k in range(p):
+                    for l in range(q):
+                        c = (i * p + k) * ncols + j * q + l
+                        out[c] = field.add(out[c], field.mul(at(a, i, j), at(b, k, l)))
+    return Matrix(field, nrows, ncols, tuple(out))
 
 
 def at(m: Matrix, i: int, j: int):

@@ -21,10 +21,13 @@ from frobstab import linalg
 from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.linalg import (
-    Matrix, Subspace, _rational_kron_sum, _rref_rational, _rref_sparse, kron, kron_image,
-    kron_kernel, kron_sum, unvec, vec,
+    Matrix, Subspace, _kron_rows, _rref_rational, _rref_sparse, kron, kron_image, kron_kernel,
+    kron_sum, linear_combination, unvec, vec,
 )
-from helpers import at, complement_oracle, exact_kernel, full_subspace, rref_field
+from helpers import (
+    at, complement_oracle, exact_kernel, full_subspace, integer_rows, kron_sum_by_definition,
+    rref_field,
+)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -263,7 +266,8 @@ def _kernel_rows(draw):
 @given(_kernel_rows())
 def test_certified_kernel_matches_exact_route(case):
     ncols, rows = case
-    got = linalg._row_kernel(Q, iter(rows), ncols)
+    rows = integer_rows(rows)
+    got = linalg._row_kernel(Q, rows, ncols)
     want = exact_kernel(Q, rows, ncols)
     assert got.pivots == want.pivots
     assert got.basis.entries == want.basis.entries
@@ -289,7 +293,7 @@ def test_certified_kernel_falls_back_to_exact_route(row, basis):
     with mock.patch.object(linalg, "_rref_rational", wraps=linalg._rref_rational) as exact:
         k = m.kernel_basis()
     assert exact.called
-    assert k == exact_kernel(Q, m.to_rows(), m.ncols)
+    assert k == exact_kernel(Q, integer_rows(m.to_rows()), m.ncols)
     assert [str(x) for x in k.basis.entries] == basis and k.pivots == (0,)
 
 
@@ -526,57 +530,56 @@ def test_kron_sum_reduces_noncanonical_gf5_entries():
     assert got == kron(a, b) + kron(c, b)
 
 
-def _kron_sum_by_definition(field, nrows, ncols, pairs):
-    """Field-generic oracle for the integer route over Q: each product
-    a[i,j] * b[k,l] added at (i*p + k, j*q + l) with field arithmetic."""
-    out = [field.zero] * (nrows * ncols)
-    for a, b in pairs:
-        p, q = b.nrows, b.ncols
-        for i in range(a.nrows):
-            for j in range(a.ncols):
-                for k in range(p):
-                    for l in range(q):
-                        c = (i * p + k) * ncols + j * q + l
-                        out[c] = field.add(out[c], field.mul(at(a, i, j), at(b, k, l)))
-    return out
+def _from_rows(field, nrows, ncols, rows):
+    """The nrows x ncols matrix whose nonzero rows are rows {row: {column: x}}."""
+    return Matrix.from_rows(field, [
+        [rows.get(r, {}).get(c, field.zero) for c in range(ncols)] for r in range(nrows)
+    ], ncols=ncols)
 
 
 @st.composite
-def _rational_kron_terms(draw):
-    """(nrows, ncols, pairs) over Q: up to three terms of one shape, with
-    n x 1, 1 x n and 1 x 1 factors, mixed and huge denominators, and zeros
-    given as `Q.zero`, a fresh `Fraction(0)` and `int` 0."""
+def _field_kron_terms(draw):
+    """(field, nrows, ncols, pairs) over GF(2), GF(3), GF(5) or Q: up to
+    three terms of one shape, with n x 1, 1 x n and 1 x 1 factors.  Over Q
+    with mixed and huge denominators, and zeros given as `Q.zero`, a fresh
+    `Fraction(0)` and `int` 0; over GF(p) with entries not reduced mod p."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    scalar = _q_scalars if field is Q else st.integers(-2 * field.p, 2 * field.p)
     ar, ac, br, bc = (draw(st.integers(1, 3)) for _ in range(4))
 
     def factor(r, c):
-        return Matrix(Q, r, c, tuple(draw(_q_scalars) for _ in range(r * c)))
+        return Matrix(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
 
     pairs = [(factor(ar, ac), factor(br, bc)) for _ in range(draw(st.integers(0, 3)))]
-    return ar * br, ac * bc, pairs
+    return field, ar * br, ac * bc, pairs
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rational_kron_terms())
+@given(_field_kron_terms())
 def test_rational_kron_sum_matches_field_definition(case):
-    nrows, ncols, pairs = case
-    want = _kron_sum_by_definition(Q, nrows, ncols, pairs)
-    got = kron_sum(Q, nrows, ncols, pairs)
+    field, nrows, ncols, pairs = case
+    want = kron_sum_by_definition(field, nrows, ncols, pairs)
+    got = kron_sum(field, nrows, ncols, iter(pairs))
     assert got.shape == (nrows, ncols)
-    assert list(got.entries) == want
-    assert all(type(x) is Fraction for x in got.entries)
-    assert all(x is Q.zero for x in got.entries if not x)
-    # The scaled sum is one positive multiple D of the exact sum: ints in
-    # the nonzero cells, the field's zero object in the others.
-    scaled = _rational_kron_sum(Q, nrows, ncols, iter(pairs), exact=False)
-    assert scaled.shape == (nrows, ncols)
-    assert all((s is Q.zero) if not w else type(s) is int for s, w in zip(scaled.entries, want))
-    nonzero = [(s, w) for s, w in zip(scaled.entries, want) if w]
-    if nonzero:
-        d = Fraction(nonzero[0][0]) / nonzero[0][1]
-        assert d > 0 and all(s == d * w for s, w in nonzero)
+    assert got.entries == want.entries
+    if field is Q:
+        assert all(type(x) is Fraction for x in got.entries)
+        assert all(x is Q.zero for x in got.entries if not x)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in got.entries)
+    # _kron_rows gives D times the sum, or its transpose, as int cells: one
+    # positive D (1 over GF(p)), with cancelled cells and empty rows dropped.
+    for transpose, dense in ((False, want), (True, want.transpose())):
+        d, rows = _kron_rows(field, nrows, ncols, iter(pairs), transpose)
+        assert d > 0 and (field is Q or d == 1)
+        assert list(rows) == sorted(rows)
+        assert all(row for row in rows.values())
+        assert all(type(x) is int and x for row in rows.values() for x in row.values())
+        scaled = Matrix(field, dense.nrows, dense.ncols, tuple(d * x for x in dense.entries))
+        assert _from_rows(field, dense.nrows, dense.ncols, rows) == scaled
     # Clearing a factor leaves it equal to what it was.
     for a, _ in pairs:
-        assert a == Matrix(Q, a.nrows, a.ncols, a.entries)
+        assert a == Matrix(field, a.nrows, a.ncols, a.entries)
 
 
 def test_scaled_kron_sum_keeps_kernel_and_image():
@@ -586,12 +589,16 @@ def test_scaled_kron_sum_keeps_kernel_and_image():
     c = Matrix.from_rows(Q, [[1, half], [2, 1]])
     pairs = [(a, b), (c, b)]
     exact = kron_sum(Q, 4, 4, pairs)
-    scaled = _rational_kron_sum(Q, 4, 4, pairs, exact=False)
     # D = lcm(42 * 6, 2 * 6): each term over the product of its factors'
     # least common denominators
+    d, rows = _kron_rows(Q, 4, 4, pairs)
+    scaled = _from_rows(Q, 4, 4, rows)
+    assert d == 252
     assert scaled.entries == tuple(
         Q.zero if not x else int(252 * x) for x in exact.entries
     )
+    d, rows = _kron_rows(Q, 4, 4, pairs, transpose=True)
+    assert d == 252 and _from_rows(Q, 4, 4, rows) == scaled.transpose()
     assert scaled.kernel_basis() == exact.kernel_basis() == kron_kernel(Q, 4, 4, pairs)
     assert scaled.image_basis() == exact.image_basis() == kron_image(Q, 4, 4, pairs)
     assert exact.kernel_basis().dim == 2  # the sum is kron(a + c, b)
@@ -622,9 +629,10 @@ def _kron_terms(draw):
 @settings(max_examples=200, deadline=None)
 @given(_kron_terms())
 def test_kron_kernel_and_image_match_dense_sum(case):
-    # The dense side is reduced by the oracle, not by the sparse route.
+    # The dense side is built and reduced by the oracles, not by the
+    # package's Kronecker assembly or sparse route.
     field, nrows, ncols, pairs = case
-    dense = kron_sum(field, nrows, ncols, pairs)
+    dense = kron_sum_by_definition(field, nrows, ncols, pairs)
     with _field_route():
         want = dense.kernel_basis(), dense.image_basis()
     assert kron_kernel(field, nrows, ncols, iter(pairs)) == want[0]
@@ -643,7 +651,7 @@ def test_kron_kernel_and_image_check_every_term():
 def test_kron_sum_over_q_empty_and_unit_shapes():
     zero = kron_sum(Q, 2, 3, [])
     assert zero == Matrix.zeros(Q, 2, 3) and all(x is Q.zero for x in zero.entries)
-    assert _rational_kron_sum(Q, 2, 3, iter(()), exact=False) == zero
+    assert _kron_rows(Q, 2, 3, iter(())) == _kron_rows(GF3, 2, 3, iter(()), True) == (1, {})
     col = Matrix(Q, 2, 1, (Fraction(1, 2), 0))
     row = Matrix(Q, 1, 2, (Fraction(0), Fraction(-4, 3)))
     outer = (Q.zero, Fraction(-2, 3), Q.zero, Q.zero)  # col @ row, either way round
@@ -652,6 +660,54 @@ def test_kron_sum_over_q_empty_and_unit_shapes():
     scalar = Matrix(Q, 1, 1, (Fraction(3, 2),))
     assert kron_sum(Q, 1, 1, [(scalar, scalar), (scalar, scalar)]).entries == (Fraction(9, 2),)
     assert kron_sum(Q, 1, 1, [(scalar, scalar), (-scalar, scalar)]).entries[0] is Q.zero
+    for transpose in (False, True):
+        assert _kron_rows(Q, 1, 1, [(scalar, scalar), (-scalar, scalar)], transpose) == (4, {})
+
+
+@st.composite
+def _combination_terms(draw):
+    """(field, nrows, ncols, terms) over GF(2), GF(3), GF(5) or Q: up to
+    four (c, m) terms with zero and unreduced coefficients, and sums that
+    cancel."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    scalar = _q_scalars if field is Q else st.integers(-2 * field.p, 2 * field.p)
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    def term():
+        entries = tuple(draw(scalar) for _ in range(nrows * ncols))
+        return draw(scalar), Matrix(field, nrows, ncols, entries)
+
+    terms = [term() for _ in range(draw(st.integers(0, 4)))]
+    if terms and draw(st.booleans()):
+        c, m = terms[0]
+        terms.append((c, -m))
+    return field, nrows, ncols, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_combination_terms())
+def test_linear_combination_matches_field_arithmetic(case):
+    field, nrows, ncols, terms = case
+    want = [field.zero] * (nrows * ncols)
+    for c, m in terms:
+        for t, x in enumerate(m.entries):
+            want[t] = field.add(want[t], field.mul(c, x))
+    got = linear_combination(field, nrows, ncols, iter(terms))
+    assert got.shape == (nrows, ncols) and list(got.entries) == want
+    if field is Q:
+        assert all(type(x) is Fraction for x in got.entries)
+        assert all(x is Q.zero for x in got.entries if not x)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in got.entries)
+
+
+def test_linear_combination_guards():
+    a = Matrix.identity(Q, 2)
+    with pytest.raises(DimensionMismatch):
+        linear_combination(Q, 2, 3, [(Q.one, a)])
+    with pytest.raises(FieldMismatch):
+        linear_combination(Q, 2, 2, [(Q.one, a), (Q.one, Matrix.identity(GF2, 2))])
+    with pytest.raises(FieldMismatch):
+        linear_combination(GF2, 2, 2, [(1, a)])
 
 
 def _matrices(field, nrows, ncols):

@@ -22,13 +22,14 @@ from frobstab.catalog import (
     truncated_module,
     truncated_polynomial,
 )
-from frobstab.frobenius import FrobeniusSystem, derive_system, twist
+from frobstab.frobenius import FrobeniusSystem, derive_system, element_inverse, twist
 from frobstab.linalg import Matrix, Subspace, kron, kron_sum
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
     ModuleRep,
     bimodule_regular,
     canonical_embedding,
+    direct_sum,
     free_module,
     hom_bimodule,
     multiplication_surjection,
@@ -49,7 +50,10 @@ from frobstab.stab import (
     stable_hom,
     tate0,
 )
-from helpers import exact_kernel, full_subspace, quotient_action, restricted_action
+from helpers import (
+    exact_kernel, full_subspace, integer_rows, kron_sum_by_definition, quotient_action,
+    restricted_action,
+)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -273,23 +277,24 @@ def _conjugated_pair_over_q(draw):
 
 
 def _exact_kernel(field, nrows, ncols, *sums):
-    """The kernel of the row stack of the exact dense sums, by exact
-    elimination (`exact_kernel`)."""
-    blocks = [kron_sum(field, nrows, ncols, pairs) for pairs in sums]
+    """The kernel of the row stack of the dense sums, each built entry by
+    entry (`kron_sum_by_definition`), by exact elimination (`exact_kernel`)."""
+    blocks = [kron_sum_by_definition(field, nrows, ncols, pairs) for pairs in sums]
     stacked = Matrix.stack_rows([Matrix.zeros(field, 0, ncols)] + blocks)
-    return exact_kernel(field, stacked.to_rows(), ncols)
+    return exact_kernel(field, integer_rows(stacked.to_rows()), ncols)
 
 
 def _exact_image(field, nrows, ncols, pairs):
-    return kron_sum(field, nrows, ncols, pairs).image_basis()
+    return kron_sum_by_definition(field, nrows, ncols, pairs).image_basis()
 
 
 @settings(max_examples=30, deadline=None)
 @given(_conjugated_pair_over_q())
 def test_integer_assembly_matches_exact_kron_sums(case):
     # hom_A, the image of T and the tate0 norm call kron_kernel and
-    # kron_image, which start from the D-scaled integer Kronecker sums; the
-    # exact sums, reduced exactly, must give the same subspaces.
+    # kron_image, which start from the D-scaled integer Kronecker rows; the
+    # sums built entry by entry, reduced exactly, must give the same
+    # subspaces.
     system, m, n_, group = case
 
     def results():
@@ -513,6 +518,60 @@ def test_shifts_and_ext_are_invariant_under_conjugation(case):
     for d in (-2, -1, 1, 2):
         got = stable_ext(inst.system, conj, conj, d).stable_dim
         assert got == stable_ext(inst.system, vi, vi, d).stable_dim
+
+
+@st.composite
+def _catalog_family(draw):
+    """(system, modules) over GF(2), GF(3) or Q: k[x]/(x^n) with its
+    truncated modules, or a group algebra with its trivial and regular
+    modules."""
+    field = draw(st.sampled_from([GF2, GF3, Q]))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        mods = [truncated_module(n, i, field) for i in range(n)]
+        return truncated_polynomial(n, field).system, mods
+    group = draw(st.sampled_from([cyclic_group(3), klein_four_group(), symmetric_group_3()]))
+    inst = group_algebra(group, field)
+    return inst.system, [trivial_module(inst.algebra), regular_module(inst.algebra)]
+
+
+def _module_or_sum(data, family):
+    """A module of the family, or the direct sum of two."""
+    mods = [data.draw(st.sampled_from(family)) for _ in range(data.draw(st.integers(1, 2)))]
+    return mods[0] if len(mods) == 1 else direct_sum(mods)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_catalog_family(), st.data())
+def test_twists_leave_the_null_subspace_unchanged(case, data):
+    # The maps factoring through a projective do not depend on the
+    # Frobenius system, so T and its twisted form have one image.
+    system, family = case
+    m, n_ = _module_or_sum(data, family), _module_or_sum(data, family)
+    alg = system.algebra
+    d = tuple(alg.field.from_int(data.draw(st.integers(-2, 2))) for _ in range(alg.dim))
+    assume(element_inverse(alg, d) is not None)
+    twisted = twist(system, d, side=data.draw(st.sampled_from(["left", "right"])))
+    base, after = stable_hom(system, m, n_), stable_hom(twisted, m, n_)
+    assert after.null_basis == base.null_basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(_catalog_family(), st.data())
+def test_stable_hom_dims_are_additive_over_direct_sums(case, data):
+    system, family = case
+    m, x, n_ = (data.draw(st.sampled_from(family)) for _ in range(3))
+    total = direct_sum([m, x])
+
+    def dims(a, b):
+        res = stable_hom(system, a, b)
+        return res.hom_dim, res.null_dim, res.stable_dim
+
+    def added(u, v):
+        return tuple(s + t for s, t in zip(u, v))
+
+    assert dims(total, n_) == added(dims(m, n_), dims(x, n_))
+    assert dims(n_, total) == added(dims(n_, m), dims(n_, x))
 
 
 def test_frobenius_ideal_values():
