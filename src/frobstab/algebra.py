@@ -27,7 +27,7 @@ from .errors import (
     UnitMismatch,
 )
 from .exactfield import Field, field_from_json, field_to_json
-from .linalg import Matrix, Subspace, linear_combination
+from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _row_kernel
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -221,11 +221,10 @@ class StructureAlgebra:
         return tensor(self, opposite(self), name=f"{self.name}^env")
 
     def center_basis(self) -> Subspace:
-        """Kernel of the stacked commutator maps a |-> e_i a - a e_i."""
-        if self.dim == 0:
-            return Subspace.zero(self.field, 0)
+        """Common kernel of the commutator maps a |-> e_i a - a e_i: one
+        system of their integer rows, since scaling a row keeps its kernel."""
         blocks = [left - right for left, right in zip(self.left, self.right)]
-        return Matrix.stack_rows(blocks).kernel_basis()
+        return _row_kernel(self.field, [r for b in blocks for r in _integer_rows(b)], self.dim)
 
 
 def _product_failures(alg: StructureAlgebra, action, indices):

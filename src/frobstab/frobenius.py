@@ -53,13 +53,12 @@ class FrobeniusSystem:
 
     @functools.cached_property
     def element_matrix(self) -> Matrix:
-        """C = sum_i a_i b_i^T; its row c_p gives sum_i a_i (x) b_i =
+        """C = sum_i a_i b_i^T = A^T B, for A and B the matrices whose rows
+        are the a_i and the b_i; its row c_p gives sum_i a_i (x) b_i =
         sum_p e_p (x) c_p."""
         f, n = self.algebra.field, self.algebra.dim
-        return kron_sum(f, n, n, (
-            (Matrix(f, n, 1, a_i), Matrix(f, 1, n, b_i))
-            for a_i, b_i in zip(self.a_basis, self.b_basis)
-        ))
+        a_t = Matrix(f, n, n, tuple(a_i[p] for p in range(n) for a_i in self.a_basis))
+        return a_t @ Matrix(f, n, n, tuple(x for b_i in self.b_basis for x in b_i))
 
 
 def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:

@@ -14,9 +14,9 @@ Conventions fixed package-wide:
   accumulates the products in `int`s over one common denominator D (D = 1
   over GF(p), where each cell is reduced mod p once) and returns the
   nonzero rows of D times the sum as sparse maps {column: int}, or those
-  of its transpose, the sum of kron(a^T, b^T).  `kron_sum` writes them
-  into a dense matrix, dividing by D over Q, and `kron` writes one
-  pair's transposed rows, which it keeps as its sparse columns;
+  of its transpose, the sum of kron(a^T, b^T).  `kron_sum` and `kron`
+  build their matrix from those rows, and `kron` also keeps its nonzero
+  columns (`_sparse_cols`);
 * callers that need only the image of a Kronecker sum call `kron_image`,
   and callers that need the common kernel of several sums (one system of
   equations per sum) call `kron_kernel`; both reduce the integer rows
@@ -38,13 +38,18 @@ Conventions fixed package-wide:
   of denominators once, eliminated with `int` arithmetic and divided by
   its content whenever it was scaled, and each pivot row is divided by
   its pivot into `Fraction`s once at the end (one division per entry);
+* producers that hold a matrix's nonzeros (`identity`, `kron`, `kron_sum`,
+  `linear_combination`, `@`, sub- and quotient-module actions) build it
+  with `Matrix._from_integers`, which fills `_integer_entries`; `@`
+  multiplies over both factors' `_integer_entries`;
 * shift steps read module actions sparse: a matrix's nonzero columns
   (`_sparse_cols`, built with a `kron`), `_sparse_apply`, and
-  `Subspace._residual` against the subspace's sparse RREF rows;
-* Kronecker sums, linear combinations, matrix sums, differences and
-  negations (and `Field.from_int` and `Field.parse`) give the field's
-  `zero` object for a zero over Q, which both integer routes skip by
-  identity.
+  `Subspace._residual` against the sparse RREF rows that
+  `_sparse_subspace` keeps as the subspace's `_echelon`;
+* Kronecker sums, products, linear combinations, matrix sums,
+  differences and negations (and `Field.from_int` and `Field.parse`) give
+  the field's `zero` object for a zero over Q, which both integer routes
+  skip by identity.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
@@ -162,7 +167,7 @@ def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
     work = []
     for row in rows:
         ints = [0] * ncols
-        for j, n in _cleared(row, zero):
+        for j, n in _cleared(enumerate(row), zero)[1]:
             ints[j] = n
         h = gcd(*ints)
         work.append([x // h for x in ints] if h > 1 else ints)
@@ -213,14 +218,21 @@ def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
     return piv_cols, r
 
 
-def _cleared(row, zero) -> list[tuple[int, int]]:
-    """A row of rationals times the least common denominator of its
-    entries, as (column, n) pairs for its nonzero entries.  Entries that are
-    the `zero` object itself are skipped by identity before any `Fraction`
-    attribute is read; `int` entries pass with denominator 1."""
-    nz = [(j, x.as_integer_ratio()) for j, x in enumerate(row) if x is not zero]
-    den = lcm(*[d for _, (_, d) in nz])
-    return [(j, n * (den // d)) for j, (n, d) in nz if n]
+def _cleared(pairs, zero) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(t, n), ...]) for (t, x) pairs of rationals, in their order: d
+    is the least common denominator of the x, and n = d * x for each
+    nonzero x.  An x that is the `zero` object itself is skipped by
+    identity before any `Fraction` attribute is read; `int` entries pass
+    with denominator 1."""
+    nz = [(t, x.as_integer_ratio()) for t, x in pairs if x is not zero]
+    d = lcm(*[q for _, (_, q) in nz])
+    return d, [(t, n * (d // q)) for t, (n, q) in nz if n]
+
+
+def _integers(field: Field, pairs) -> tuple[int, list[tuple[int, int]]]:
+    """(t, x) pairs of field scalars (residues in [1, p) over GF(p)) as
+    `_integer_entries` holds them."""
+    return _cleared(pairs, field.zero) if field.kind == RATIONAL else (1, pairs)
 
 
 # The prime of the certified kernel route over Q, and the bound on the
@@ -313,23 +325,31 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        ent = [field.zero] * (n * n)
-        ent[:: n + 1] = [field.one] * n
-        return Matrix(field, n, n, tuple(ent))
+        return Matrix._from_integers(field, n, n, (1, [(i * (n + 1), 1) for i in range(n)]))
 
     @staticmethod
-    def stack_rows(mats: list["Matrix"]) -> "Matrix":
-        if not mats:
-            raise DimensionMismatch("nothing to stack")
-        ncols = mats[0].ncols
-        f = mats[0].field
-        ent: list = []
-        for m in mats:
-            _check_same_field(f, m.field)
-            if m.ncols != ncols:
-                raise DimensionMismatch("column counts differ")
-            ent.extend(m.entries)
-        return Matrix(f, sum(m.nrows for m in mats), ncols, tuple(ent))
+    def _from_integers(field: Field, nrows: int, ncols: int, nonzeros) -> "Matrix":
+        """The matrix built with its `_integer_entries` filled: (d, [(t, n),
+        ...]), the pairs in any order, over GF(p) with d = 1 and each n in
+        [1, p).  Over Q, d and the n are divided by their gcd, so that d is
+        least, and an entry equal to 1 is the field's `one`; the entries not
+        given are the field's `zero`."""
+        d, nz = nonzeros
+        nz = sorted(nz)
+        ent = [field.zero] * (nrows * ncols)
+        if field.kind != RATIONAL:
+            for t, n in nz:
+                ent[t] = n
+        else:
+            if d > 1 and (g := gcd(d, *[n for _, n in nz])) > 1:
+                d //= g
+                nz = [(t, n // g) for t, n in nz]
+            one = field.one
+            for t, n in nz:
+                ent[t] = one if n == d else Fraction(n, d)
+        m = Matrix(field, nrows, ncols, tuple(ent))
+        m.__dict__["_integer_entries"] = (d, nz)
+        return m
 
     # access ----------------------------------------------------------
 
@@ -373,26 +393,27 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols, entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product over both factors' `_integer_entries`, summed as
+        `int`s and reduced mod p, or divided by d_a * d_b, once per entry."""
         _check_same_field(self.field, other.field)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"matmul {self.shape} @ {other.shape}")
-        add, mul = self.field.add, self.field.mul
-        zero = self.field.zero
-        n, m, k = self.nrows, self.ncols, other.ncols
-        out = [zero] * (n * k)
-        se, oe = self.entries, other.entries
-        for i in range(n):
-            base = i * m
-            obase = i * k
-            for t in range(m):
-                a = se[base + t]
-                if a:
-                    tb = t * k
-                    for j in range(k):
-                        b = oe[tb + j]
-                        if b:
-                            out[obase + j] = add(out[obase + j], mul(a, b))
-        return Matrix(self.field, n, k, tuple(out))
+        m, k = self.ncols, other.ncols
+        da, a_nz = self._integer_entries
+        db, b_nz = other._integer_entries
+        lines: dict[int, list] = {}  # other's nonzero (column, n) pairs by row
+        for t, y in b_nz:
+            s, j = divmod(t, k)
+            lines.setdefault(s, []).append((j, y))
+        acc: dict[int, int] = {}
+        for t, x in a_nz:
+            i, s = divmod(t, m)
+            base = i * k
+            for j, y in lines.get(s, ()):
+                c = base + j
+                acc[c] = acc.get(c, 0) + x * y
+        nz = _canonical(acc, self.field.characteristic).items()
+        return Matrix._from_integers(self.field, self.nrows, k, (da * db, nz))
 
     def apply(self, v: tuple) -> tuple:
         """Matrix-vector product; v has length ncols."""
@@ -425,20 +446,13 @@ class Matrix:
         entries in row-major order.  Over Q, d is the least common
         denominator; entries that are the field's `zero` object are skipped
         by identity, other zeros after their ratio.  Over GF(p), d = 1 and
-        each n is the entry's residue in [1, p).  Cached, so a matrix that
-        enters many Kronecker sums (a module's action) is read once."""
+        each n is the entry's residue in [1, p).  Filled at construction by
+        the producers that use `_from_integers`; any other matrix, such as a
+        module's action that enters many Kronecker sums, is read once."""
         if self.field.kind != RATIONAL:
             p = self.field.p
             return 1, [(t, y) for t, x in enumerate(self.entries) if x and (y := x % p)]
-        zero = self.field.zero
-        nz, d = [], 1
-        for t, x in enumerate(self.entries):
-            if x is not zero:
-                n, q = x.as_integer_ratio()
-                if n:
-                    nz.append((t, n, q))
-                    d = lcm(d, q)
-        return d, [(t, n * (d // q)) for t, n, q in nz]
+        return _cleared(enumerate(self.entries), self.field.zero)
 
     def transpose(self) -> "Matrix":
         e = self.entries
@@ -460,11 +474,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace of F^ncols."""
-        rows: list[dict] = [{} for _ in range(self.nrows)]
-        for t, n in self._integer_entries[1]:
-            i, j = divmod(t, self.ncols)
-            rows[i][j] = n
-        return _row_kernel(self.field, rows, self.ncols)
+        return _row_kernel(self.field, _integer_rows(self), self.ncols)
 
     def image_basis(self) -> "Subspace":
         """Column space as a canonical subspace of F^nrows."""
@@ -496,6 +506,15 @@ class Matrix:
         for t, pc in enumerate(piv):
             x[pc] = aug[t][self.ncols]
         return tuple(x)
+
+
+def _integer_rows(m: Matrix) -> list[dict]:
+    """d times m's rows, as fresh sparse maps {column: n} for `_row_kernel`."""
+    rows: list[dict] = [{} for _ in range(m.nrows)]
+    for t, n in m._integer_entries[1]:
+        i, j = divmod(t, m.ncols)
+        rows[i][j] = n
+    return rows
 
 
 def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
@@ -636,38 +655,26 @@ def _kron_rows(field: Field, nrows: int, ncols: int, pairs,
     return den, rows
 
 
-def _field_rows(field: Field, den: int, rows: dict[int, dict]) -> dict[int, dict]:
-    """The rows of `_kron_rows` as field scalars: over Q each cell is
-    divided by D, in place; over GF(p) they already are."""
-    if field.kind == RATIONAL:
-        for row in rows.values():
-            for c, x in row.items():
-                row[c] = Fraction(x, den)
-    return rows
-
-
 def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
     """Sum of kron(a, b) over the (a, b) pairs, as an nrows x ncols matrix.
 
     Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q;
     every term must have the given shape, and an empty sum is the zero
-    matrix.  The nonzero rows of the sum come from `_kron_rows`, divided by
-    its D over Q, and every other entry is the field's `zero`.  `pairs` may
-    be a generator.
+    matrix.  It is built from the integer rows of `_kron_rows` and their D.
+    `pairs` may be a generator.
     """
-    out = [field.zero] * (nrows * ncols)
-    for r, row in _field_rows(field, *_kron_rows(field, nrows, ncols, pairs)).items():
-        base = r * ncols
-        for c, x in row.items():
-            out[base + c] = x
-    return Matrix(field, nrows, ncols, tuple(out))
+    den, rows = _kron_rows(field, nrows, ncols, pairs)
+    nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
+    return Matrix._from_integers(field, nrows, ncols, (den, nz))
 
 
 def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Subspace":
-    """The `Subspace` whose sparse RREF rows are `pivots` {pivot column: row}."""
+    """The `Subspace` whose sparse RREF rows are `pivots` {pivot column: row},
+    which it keeps as its `_echelon`."""
     flat = [x for row in pivots.values() for x in _dense(row, ambient, field.zero)]
-    return Subspace(field, ambient, Matrix(field, len(pivots), ambient, tuple(flat)),
-                    tuple(pivots))
+    s = Subspace(field, ambient, Matrix(field, len(pivots), ambient, tuple(flat)), tuple(pivots))
+    s.__dict__["_echelon"] = pivots
+    return s
 
 
 def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
@@ -699,18 +706,17 @@ def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l].
 
-    It is assembled by columns, the rows of its transpose (`_kron_rows`),
-    in O(nnz), and keeps them as its `_sparse_cols`, which the shift path
-    reads from a free module's actions.
+    It is assembled from the integer rows of `_kron_rows` in O(nnz), and
+    keeps its nonzeros by column as its `_sparse_cols`, which the shift
+    path reads from a free module's actions.
     """
     f, nrows, ncols = a.field, a.nrows * b.nrows, a.ncols * b.ncols
+    den, rows = _kron_rows(f, nrows, ncols, [(a, b)])
+    nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
+    m = Matrix._from_integers(f, nrows, ncols, (den, nz))
     cols: list[list[tuple]] = [[] for _ in range(ncols)]
-    out = [f.zero] * (nrows * ncols)
-    for j, col in _field_rows(f, *_kron_rows(f, nrows, ncols, [(a, b)], transpose=True)).items():
-        cols[j] = list(col.items())
-        for i, x in cols[j]:
-            out[i * ncols + j] = x
-    m = Matrix(f, nrows, ncols, tuple(out))
+    for t, _ in nz:
+        cols[t % ncols].append((t // ncols, m.entries[t]))
     m.__dict__["_sparse_cols"] = cols
     return m
 
@@ -721,7 +727,7 @@ def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
     Each m is read through its cached `_integer_entries` and the products
     are summed as ints over one common denominator D (D = 1 over GF(p)),
     with one division by D over Q or one reduction mod p over GF(p) per
-    entry that a product reached.  Zero entries are the field's `zero`.
+    entry that a product reached.
     """
     read = []
     den = 1
@@ -738,11 +744,8 @@ def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
         s = c.numerator * (den // d)
         for t, n in nz:
             acc[t] = acc.get(t, 0) + s * n
-    p = field.characteristic
-    out = [field.zero] * (nrows * ncols)
-    for t, x in _canonical(acc, p).items():
-        out[t] = x if p else Fraction(x, den)
-    return Matrix(field, nrows, ncols, tuple(out))
+    nz = _canonical(acc, field.characteristic).items()
+    return Matrix._from_integers(field, nrows, ncols, (den, nz))
 
 
 def vec(m: Matrix) -> tuple:
@@ -877,23 +880,6 @@ class Subspace:
         return Subspace.from_vectors(
             self.field, self.ambient, self.basis_vectors() + other.basis_vectors()
         )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        da, db = self.dim, other.dim
-        if da == 0 or db == 0:
-            return Subspace.zero(self.field, self.ambient)
-        # Kernel of [A^T | -B^T]: a kernel vector (x, y) means
-        # sum x_t a_t = sum y_s b_s, a vector lying in both spans.
-        at = self.basis.transpose()
-        bt = other.basis.transpose()
-        neg = self.field.neg
-        rows = []
-        for i in range(self.ambient):
-            rows.append(list(at.row(i)) + [neg(x) for x in bt.row(i)])
-        k = Matrix.from_rows(self.field, rows, ncols=da + db).kernel_basis()
-        vecs = [at.apply(kv[:da]) for kv in k.basis_vectors()]
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
 
     def quotient_dim(self, small: "Subspace") -> int:
         """dim(self / small); raises NotASubspace if small is not inside self."""

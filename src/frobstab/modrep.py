@@ -9,17 +9,20 @@ canonical maps in and out of the free cover:
 * the embedding M -> A (x) M_0, v |-> sum_i a_i (x) (b_i v) =
   sum_p e_p (x) (c_p v) with c_p the rows of the Frobenius matrix C, split
   by a (x) v |-> trace(a) v.  Its blocks action_M(c_p) are the rows of
-  one product C R, which both of its checks read; and
+  one product C R, built from the actions' cached nonzeros, which both of
+  its checks read; and
 * the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v.
 
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
-Sub- and quotient modules read the actions' sparse columns, so a shift
-step costs O(nnz), not a dense apply and reduce per vector.
+Sub- and quotient modules read the actions' sparse columns and build
+their actions from the nonzeros they find (`Matrix._from_integers`), so a
+shift step costs O(nnz), and the next step does not scan its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     AlgebraMismatch,
@@ -35,7 +38,7 @@ from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_ke
 from .algebra import _check_entries, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, kron_sum, linear_combination
-from .linalg import _sparse_apply
+from .linalg import _integers, _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
 
@@ -110,12 +113,14 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
 
     As sum_i a_i (x) b_i = sum_p e_p (x) c_p, for c_p row p of the Frobenius
     matrix C (`element_matrix`), block p of the rows is action_M(c_p): row p
-    of `blocks` = C R, where row r of R is action_M(e_r) flattened.  Both
-    checks read `blocks`.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block
-    p of its product with phi is sum_s L(e_q)[p, s] block s, row p of
-    L(e_q) `blocks`; phi intertwines iff that is phi action_M(e_q).  The
-    trace splitting a (x) v |-> trace(a) v of phi is trace `blocks`, which
-    must be I, so phi is injective.  BudgetExceeded, as `free_module`, if
+    of `blocks` = C R, where row r of R is action_M(e_r) flattened.  R is
+    built from the actions' cached nonzeros, and phi shares the nonzeros of
+    `blocks`.  Both checks read `blocks`, and compare the products'
+    nonzeros.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block p of its
+    product with phi is sum_s L(e_q)[p, s] block s, row p of L(e_q)
+    `blocks`; phi intertwines iff that is phi action_M(e_q).  The trace
+    splitting a (x) v |-> trace(a) v of phi is trace `blocks`, which must
+    be I, so phi is injective.  BudgetExceeded, as `free_module`, if
     A (x) M_0 is over MAX_FREE_ENTRIES.
     """
     alg = system.algebra
@@ -123,13 +128,19 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
         raise AlgebraMismatch("module is not over the system's algebra")
     f, n, md = alg.field, alg.dim, m.dim
     _check_entries(n * (n * md) ** 2, n * md, f"dim {n * md} free module")
-    rows = Matrix(f, n, md * md, tuple(x for rho in m.action for x in rho.entries))
+    ints = [rho._integer_entries for rho in m.action]
+    d, sq = lcm(*[dr for dr, _ in ints]), md * md
+    rows = Matrix._from_integers(f, n, sq, (d, [
+        (r * sq + t, x * (d // dr)) for r, (dr, nz) in enumerate(ints) for t, x in nz
+    ]))
     blocks = system.element_matrix @ rows
     phi = Matrix(f, n * md, md, blocks.entries)
+    phi.__dict__["_integer_entries"] = blocks._integer_entries
     for q, rho in enumerate(m.action):
-        if (alg.left[q] @ blocks).entries != (phi @ rho).entries:
+        if (alg.left[q] @ blocks)._integer_entries != (phi @ rho)._integer_entries:
             raise NotALinearMap(f"embedding fails to intertwine basis {q}", witness=q)
-    if (Matrix(f, 1, n, system.trace) @ blocks).entries != Matrix.identity(f, md).entries:
+    split = Matrix(f, 1, n, system.trace) @ blocks
+    if split._integer_entries != Matrix.identity(f, md)._integer_entries:
         raise EmbeddingNotInjective("trace splitting does not recover the identity")
     return phi
 
@@ -198,14 +209,13 @@ def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
     at = {pc: s * d for s, pc in enumerate(sub.pivots)}
     action = []
     for i, rho in enumerate(m.action):
-        out = [f.zero] * (d * d)
+        nz = []
         for t, v in enumerate(sub._echelon.values()):
             w = _sparse_apply(rho, v)
-            for pc in w.keys() & at.keys():
-                out[at[pc] + t] = w[pc]
+            nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
             if sub._residual(w):
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
-        action.append(Matrix(f, d, d, tuple(out)))
+        action.append(Matrix._from_integers(f, d, d, _integers(f, nz)))
     return tuple(action)
 
 
@@ -235,11 +245,9 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     n = len(at)
     action = []
     for rho in m.action:
-        out = [f.zero] * (n * n)
-        for q, b in at.items():
-            for r, x in sub._residual(dict(rho._sparse_cols[q])).items():
-                out[at[r] * n + b] = x
-        action.append(Matrix(f, n, n, tuple(out)))
+        nz = [(at[r] * n + b, x) for q, b in at.items()
+              for r, x in sub._residual(dict(rho._sparse_cols[q])).items()]
+        action.append(Matrix._from_integers(f, n, n, _integers(f, nz)))
     return ModuleRep(m.algebra, n, tuple(action), name=f"{m.name}/sub{sub.dim}")
 
 

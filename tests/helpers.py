@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from frobstab import linalg
-from frobstab.errors import EmbeddingNotInjective, NotALinearMap, NotInvariant
+from frobstab.errors import DimensionMismatch, EmbeddingNotInjective, NotALinearMap, NotInvariant
 from frobstab.exactfield import Field
 from frobstab.frobenius import FrobeniusSystem
 from frobstab.linalg import Matrix, Subspace, kron
@@ -109,11 +109,50 @@ def kron_sum_by_definition(field: Field, nrows: int, ncols: int, pairs) -> Matri
     return Matrix(field, nrows, ncols, tuple(out))
 
 
+def matmul_by_definition(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b entry by entry with field arithmetic: entry (i, j) is the sum
+    over s of a[i,s] * b[s,j], each zero product skipped.  The oracle for
+    `Matrix.__matmul__`."""
+    f = a.field
+    out = [f.zero] * (a.nrows * b.ncols)
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            for s in range(a.ncols):
+                x, y = at(a, i, s), at(b, s, j)
+                if x and y:
+                    out[i * b.ncols + j] = f.add(out[i * b.ncols + j], f.mul(x, y))
+    return Matrix(f, a.nrows, b.ncols, tuple(out))
+
+
 def at(m: Matrix, i: int, j: int):
     """Entry (i, j) of m."""
     if not (0 <= i < m.nrows and 0 <= j < m.ncols):
         raise IndexError(f"({i},{j}) outside {m.nrows}x{m.ncols}")
     return m.entries[i * m.ncols + j]
+
+
+def stack_rows(mats: list[Matrix]) -> Matrix:
+    """The rows of the matrices, in order, as one matrix; they must share a
+    field and a column count."""
+    if not mats:
+        raise DimensionMismatch("nothing to stack")
+    f, ncols = mats[0].field, mats[0].ncols
+    if any(m.field != f or m.ncols != ncols for m in mats):
+        raise DimensionMismatch("fields or column counts differ")
+    return Matrix(f, sum(m.nrows for m in mats), ncols, tuple(x for m in mats for x in m.entries))
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a ∩ b, as the kernel of [A^T | -B^T]: a kernel vector (x, y) means
+    sum x_t a_t = sum y_s b_s, a vector lying in both spans."""
+    a._check_compatible(b)
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.field, a.ambient)
+    a_t, b_t = a.basis.transpose(), b.basis.transpose()
+    rows = [list(a_t.row(i)) + [a.field.neg(x) for x in b_t.row(i)] for i in range(a.ambient)]
+    k = Matrix.from_rows(a.field, rows, ncols=a.dim + b.dim).kernel_basis()
+    vecs = [a_t.apply(v[:a.dim]) for v in k.basis_vectors()]
+    return Subspace.from_vectors(a.field, a.ambient, vecs)
 
 
 def full_subspace(field: Field, ambient: int) -> Subspace:

@@ -11,22 +11,26 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobstab import linalg
+from frobstab.catalog import truncated_module, truncated_polynomial
 from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.linalg import (
     Matrix, Subspace, _kron_rows, _rref_rational, _rref_sparse, kron, kron_image, kron_kernel,
     kron_sum, linear_combination, unvec, vec,
 )
+from frobstab.modrep import ModuleRep
+from frobstab.stab import shift_minus, shift_plus
 from helpers import (
-    at, complement_oracle, exact_kernel, full_subspace, integer_rows, kron_sum_by_definition,
-    rref_field,
+    at, complement_oracle, exact_kernel, full_subspace, integer_rows, intersect,
+    kron_sum_by_definition, matmul_by_definition, rref_field,
 )
 
 Q = Field.rationals()
@@ -375,8 +379,8 @@ def test_sum_and_intersect_dims():
     e2 = Subspace.from_vectors(Q, 3, [[0, 1, 0]])
     plane = Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
     assert (e1 + e2) == plane
-    assert e1.intersect(e2).dim == 0
-    assert plane.intersect(e1) == e1
+    assert intersect(e1, e2).dim == 0
+    assert intersect(plane, e1) == e1
 
 
 def test_intersect_dimension_formula_random():
@@ -393,7 +397,7 @@ def test_intersect_dimension_formula_random():
                 [rand_matrix(field, rng, 1, amb).row(0) for _ in range(rng.randint(0, amb))],
             )
             s = a + b
-            i = a.intersect(b)
+            i = intersect(a, b)
             assert s.dim + i.dim == a.dim + b.dim
             assert a.contains_subspace(i) and b.contains_subspace(i)
             assert s.contains_subspace(a) and s.contains_subspace(b)
@@ -753,6 +757,114 @@ def test_rational_zero_entries_are_the_field_zero_object():
     g = Matrix.from_rows(GF3, [[1, 2], [0, 1]])
     assert (g + g).entries == (2, 1, 0, 2) and (g - g).entries == (0,) * 4
     assert (-g).entries == (2, 1, 0, 2)
+
+
+# caches filled at construction, and the sparse product ------------------
+
+
+def _assert_filled(m: Matrix) -> None:
+    """m was built with `_integer_entries` filled, and it and any filled
+    `_sparse_cols` equal what a fresh matrix with m's entries reads: the
+    nonzeros in row-major order, with d least over Q (gcd(d, n...) = 1)
+    and residues in [1, p) over GF(p)."""
+    fresh = Matrix(m.field, m.nrows, m.ncols, m.entries)
+    assert m.__dict__["_integer_entries"] == fresh._integer_entries
+    d, nz = m._integer_entries
+    assert gcd(d, *(n for _, n in nz)) == 1
+    if "_sparse_cols" in m.__dict__:
+        assert m.__dict__["_sparse_cols"] == fresh._sparse_cols
+
+
+def _assert_echelon_filled(s: Subspace) -> None:
+    """s was built with `_echelon` filled, equal to a fresh read of its
+    basis.  Over Q a kernel whose certified lift fails is reduced densely
+    and has none."""
+    got = s.__dict__.get("_echelon")
+    if got is not None or s.field is not Q:
+        assert got == Subspace(s.field, s.ambient, s.basis, s.pivots)._echelon
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_kron_terms(), st.data())
+def test_built_matrices_carry_the_caches_a_fresh_read_gives(case, data):
+    field, nrows, ncols, pairs = case
+    scalar = _q_scalars if field is Q else st.integers(-2 * field.p, 2 * field.p)
+    for n in (0, 1, nrows):
+        _assert_filled(Matrix.identity(field, n))
+    krons = [kron(a, b) for a, b in pairs]
+    for m in krons:
+        _assert_filled(m)
+    _assert_filled(kron_sum(field, nrows, ncols, pairs))
+    terms = [(data.draw(scalar), m) for m in krons]
+    _assert_filled(linear_combination(field, nrows, ncols, terms + [(-c, m) for c, m in terms[:1]]))
+    for a, b in pairs:
+        _assert_filled(a @ a.transpose() if a.ncols != b.nrows else a @ b)
+    if field is not Q:
+        _assert_echelon_filled(kron_image(field, nrows, ncols, pairs))
+    _assert_echelon_filled(kron_kernel(field, nrows, ncols, pairs))
+    _assert_echelon_filled(kron_sum(field, nrows, ncols, pairs).kernel_basis())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF5, Q]), st.integers(2, 4), st.data())
+def test_shifted_modules_carry_the_caches_a_fresh_read_gives(field, n, data):
+    # The free module's actions are krons, Ω^{-1} acts through quotient
+    # actions and Ω through submodule actions; the module is conjugated by
+    # a random P, so that over Q its actions have denominators.
+    inst = truncated_polynomial(n, field)
+    v = truncated_module(n, data.draw(st.integers(0, n - 2)), field)
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=v.dim ** 2, max_size=v.dim ** 2))
+    p = Matrix(field, v.dim, v.dim, tuple(map(field.from_int, entries)))
+    p_inv = p.inverse()
+    assume(p_inv is not None)
+    m = ModuleRep(v.algebra, v.dim, tuple(p_inv @ a @ p for a in v.action), name=v.name)
+    steps = data.draw(st.integers(1, 2))
+    for shifted in (shift_plus(inst.system, m, steps), shift_minus(m, steps)):
+        assert shifted.dim > 0
+        for rho in shifted.action:
+            _assert_filled(rho)
+
+
+@st.composite
+def _matmul_operands(draw):
+    """(a, b) over GF(2), GF(3), GF(5) or Q, with 0-row and 0-column
+    shapes, GF(p) entries outside [0, p), Q zeros as `Q.zero`, a fresh
+    `Fraction(0)` and `int` 0, and products that cancel: [a | a] @ [b; -b]."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    scalar = _q_scalars if field is Q else st.integers(-2 * field.p, 2 * field.p)
+    n, m, k = (draw(st.integers(0, 3)) for _ in range(3))
+    a = [[draw(scalar) for _ in range(m)] for _ in range(n)]
+    b = [[draw(scalar) for _ in range(k)] for _ in range(m)]
+    if draw(st.booleans()):
+        a = [r + r for r in a]
+        b = b + [[field.neg(x) for x in r] for r in b]
+        m *= 2
+    return (Matrix(field, n, m, tuple(x for r in a for x in r)),
+            Matrix(field, m, k, tuple(x for r in b for x in r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matmul_operands())
+def test_matmul_matches_field_arithmetic(operands):
+    a, b = operands
+    got = a @ b
+    assert got == matmul_by_definition(a, b) and got.shape == (a.nrows, b.ncols)
+    _assert_filled(got)
+    if a.field is Q:
+        assert all(x is Q.zero for x in got.entries if not x)
+    else:
+        assert all(type(x) is int and 0 <= x < a.field.p for x in got.entries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_matmul_operands())
+def test_matmul_rejects_bad_operands(operands):
+    a, b = operands
+    with pytest.raises(DimensionMismatch):
+        a @ Matrix.zeros(a.field, a.ncols + 1, b.ncols)
+    other = GF5 if a.field is not GF5 else GF3
+    with pytest.raises(FieldMismatch):
+        a @ Matrix.zeros(other, a.ncols, b.ncols)
 
 
 def test_matmul_against_hand_example():

@@ -52,7 +52,7 @@ from frobstab.stab import (
 )
 from helpers import (
     exact_kernel, full_subspace, integer_rows, kron_sum_by_definition, quotient_action,
-    restricted_action,
+    restricted_action, stack_rows,
 )
 
 Q = Field.rationals()
@@ -108,7 +108,7 @@ def _full_basis_hom(m, n_):
     blocks = [
         kron(im, rn) - kron(rm.transpose(), in_) for rn, rm in zip(n_.action, m.action)
     ]
-    return Matrix.stack_rows(blocks).kernel_basis()
+    return stack_rows(blocks).kernel_basis()
 
 
 def _random_conjugate(draw, m):
@@ -280,7 +280,7 @@ def _exact_kernel(field, nrows, ncols, *sums):
     """The kernel of the row stack of the dense sums, each built entry by
     entry (`kron_sum_by_definition`), by exact elimination (`exact_kernel`)."""
     blocks = [kron_sum_by_definition(field, nrows, ncols, pairs) for pairs in sums]
-    stacked = Matrix.stack_rows([Matrix.zeros(field, 0, ncols)] + blocks)
+    stacked = stack_rows([Matrix.zeros(field, 0, ncols)] + blocks)
     return exact_kernel(field, integer_rows(stacked.to_rows()), ncols)
 
 
