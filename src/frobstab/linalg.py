@@ -22,34 +22,38 @@ Conventions fixed package-wide:
   equations per sum) call `kron_kernel`; both reduce the integer rows
   directly (the D scaling changes neither kernel nor image) and build no
   dense sum;
-* row reduction over GF(p) is `_rref_sparse` everywhere: dense rows are
-  turned into sparse maps, each row is inserted against the pivot rows
-  found so far, and one back-substitution pass gives the RREF.  A kernel
+* every row reduction is `_rref` on sparse rows {column: nonzero}, which
+  returns the sparse RREF rows {pivot column: row}.  Over GF(p) it is
+  `_rref_sparse`: each row is inserted against the pivot rows found so
+  far, and one back-substitution pass gives the RREF.  A kernel
   (`_sparse_kernel`) reduces the rows, then the vectors that its free
   columns give;
-* row reduction over Q: a kernel (`_row_kernel`, on the sparse integer
-  rows of `kernel_basis` and `kron_kernel`) is solved mod the prime
-  2^61 - 1 by `_sparse_kernel`, lifted by rational reconstruction and
-  certified by checking A . v = 0 exactly for every lifted row v; rank
-  mod a prime is at most the rank over Q, so the checked rows are the
-  exact RREF basis (the proof is in `_row_kernel`).  Every other
-  reduction, and a kernel whose lift or check fails, is
-  `_rref_rational` on integer rows: each row is cleared
-  of denominators once, eliminated with `int` arithmetic and divided by
-  its content whenever it was scaled, and each pivot row is divided by
-  its pivot into `Fraction`s once at the end (one division per entry);
+* over Q, `_rref` is `_rref_rational`: each row is cleared of
+  denominators once, eliminated with `int` arithmetic and divided by its
+  content whenever it was scaled, and each pivot row is divided by its
+  pivot into `Fraction`s once at the end (one division per entry).  A
+  kernel (`_row_kernel`, on the sparse integer rows of `kernel_basis` and
+  `kron_kernel`) is first solved mod the prime 2^61 - 1 by
+  `_sparse_kernel`, lifted by rational reconstruction and certified by
+  checking A . v = 0 exactly for every lifted row v; rank mod a prime is
+  at most the rank over Q, so the checked rows are the exact RREF basis
+  (the proof is in `_row_kernel`).  A kernel whose lift or check fails
+  is `_sparse_kernel` over Q;
+* every `Subspace` is built from its sparse RREF rows by
+  `_sparse_subspace`, which keeps them as its `_echelon`; `reduce`,
+  `contains`, `coords` and the shift path's module actions reduce a
+  sparse vector against them (`Subspace._residual`);
 * producers that hold a matrix's nonzeros (`identity`, `kron`, `kron_sum`,
   `linear_combination`, `@`, sub- and quotient-module actions) build it
   with `Matrix._from_integers`, which fills `_integer_entries`; `@`
   multiplies over both factors' `_integer_entries`;
 * shift steps read module actions sparse: a matrix's nonzero columns
   (`_sparse_cols`, built with a `kron`), `_sparse_apply`, and
-  `Subspace._residual` against the sparse RREF rows that
-  `_sparse_subspace` keeps as the subspace's `_echelon`;
+  `Subspace._residual`;
 * Kronecker sums, products, linear combinations, matrix sums,
-  differences and negations (and `Field.from_int` and `Field.parse`) give
-  the field's `zero` object for a zero over Q, which both integer routes
-  skip by identity.
+  differences and negations, subspace bases and residuals (and
+  `Field.from_int` and `Field.parse`) give the field's `zero` object for a
+  zero over Q, which the integer reads (`_cleared`) skip by identity.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
@@ -70,27 +74,27 @@ def _check_same_field(a: Field, b: Field) -> None:
         raise FieldMismatch(f"mixed fields {a} and {b}")
 
 
-def _rref_inplace(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
-    """Full reduced row echelon form, in place.  Returns (pivot columns, rank).
+def _rref(rows: list[dict], ncols: int, p: int) -> dict[int, dict]:
+    """The one row reduction: the RREF of sparse rows {column: nonzero},
+    as {pivot column: its RREF row} in column order.  Over GF(p) the rows
+    hold residues in [1, p) and go to `_rref_sparse`; over Q (p = 0) they
+    hold `int`s or `Fraction`s and go to the exact `_rref_rational`.  The
+    rows are consumed."""
+    return _rref_sparse(rows, p) if p else _rref_rational(rows, ncols)
 
-    Rows below the rank come out zero.  Over Q the rows are reduced as
-    integer rows (`_rref_rational`); over GF(p) they are turned into sparse
-    maps and reduced by `_rref_sparse`.  RREF is unique, so both routes
-    give the entries, pivots and rank of field-generic Gauss-Jordan.
-    """
+
+def _sparse_rows(field: Field, vectors, ncols: int) -> list[dict]:
+    """Vectors of field scalars as fresh sparse maps {column: nonzero},
+    residues in [1, p) over GF(p); DimensionMismatch if a length is not
+    ncols."""
+    vectors = list(vectors)
+    for v in vectors:
+        if len(v) != ncols:
+            raise DimensionMismatch(f"vector length {len(v)} != ambient {ncols}")
     if field.kind == RATIONAL:
-        return _rref_rational(rows, ncols, field.zero)
-    pivots = _rref_sparse(_sparse_mod(rows, field.p), field.p)
-    for t, row in enumerate(pivots.values()):
-        rows[t] = _dense(row, ncols, 0)
-    for t in range(len(pivots), len(rows)):
-        rows[t] = [0] * ncols
-    return list(pivots), len(pivots)
-
-
-def _sparse_mod(rows, p: int) -> list[dict]:
-    """Dense rows of `int`s as sparse maps {column: value mod p}, zeros dropped."""
-    return [{j: y for j, x in enumerate(r) if x and (y := x % p)} for r in rows]
+        return [{j: x for j, x in enumerate(v) if x} for v in vectors]
+    p = field.p
+    return [{j: y for j, x in enumerate(v) if x and (y := x % p)} for v in vectors]
 
 
 def _dense(row: dict, ncols: int, zero) -> list:
@@ -150,24 +154,22 @@ def _sub_multiple(row: dict, g: int, other: dict, p: int) -> None:
             del row[j]
 
 
-def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan over Q; the rational route of `_rref_inplace`.
+def _rref_rational(rows: list[dict], ncols: int) -> dict[int, dict]:
+    """Fraction-free Gauss-Jordan over Q; the rational route of `_rref`.
 
-    Each row is scaled once to a primitive integer row.  To clear an entry
+    Each sparse row {column: int or Fraction} is cleared of denominators
+    and scaled once to a primitive dense integer row.  To clear an entry
     g against the pivot p, the row loses (g // p) times the pivot row if p
     divides g; otherwise, with h = gcd(p, g), it is scaled by p/h, loses
     (g/h) times the pivot row and is divided by its content.  Pivot rows
     are not normalized during elimination: each is divided by its pivot
-    once at the end, so every entry costs one `Fraction` division.
-
-    Entries that are the `zero` object itself, as the builders of this
-    module fill them in, are skipped by identity before any `Fraction`
-    attribute is read; zero entries come out as `zero`.
+    once at the end into a sparse row of `Fraction`s, so every nonzero
+    entry costs one `Fraction` division.
     """
     work = []
     for row in rows:
         ints = [0] * ncols
-        for j, n in _cleared(enumerate(row), zero)[1]:
+        for j, n in _cleared(row.items(), None)[1]:  # sparse: no zero object
             ints[j] = n
         h = gcd(*ints)
         work.append([x // h for x in ints] if h > 1 else ints)
@@ -210,12 +212,11 @@ def _rref_rational(rows: list[list], ncols: int, zero) -> tuple[list[int], int]:
         r += 1
         if r == nrows:
             break
+    out = {}
     for t, c in enumerate(piv_cols):
         p = work[t][c]
-        rows[t] = [Fraction(x, p) if x else zero for x in work[t]]
-    for t in range(r, nrows):
-        rows[t] = [zero] * ncols
-    return piv_cols, r
+        out[c] = {j: Fraction(x, p) for j, x in enumerate(work[t]) if x}
+    return out
 
 
 def _cleared(pairs, zero) -> tuple[int, list[tuple[int, int]]]:
@@ -461,50 +462,56 @@ class Matrix:
 
     # reductions ------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...], int]:
-        """(reduced echelon matrix, pivot columns, rank)."""
-        rows = self.to_rows()
-        piv, rank = _rref_inplace(rows, self.ncols, self.field)
-        flat = tuple(x for r in rows for x in r)
-        return Matrix(self.field, self.nrows, self.ncols, flat), tuple(piv), rank
-
     def rank(self) -> int:
-        rows = self.to_rows()
-        return _rref_inplace(rows, self.ncols, self.field)[1]
+        return len(_rref(_integer_rows(self), self.ncols, self.field.characteristic))
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace of F^ncols."""
         return _row_kernel(self.field, _integer_rows(self), self.ncols)
 
     def image_basis(self) -> "Subspace":
-        """Column space as a canonical subspace of F^nrows."""
-        cols = [list(self.col(j)) for j in range(self.ncols)]
-        return Subspace.from_vectors(self.field, self.nrows, cols)
+        """Column space as a canonical subspace of F^nrows: the row space of
+        the columns read from `_integer_entries` (d keeps it)."""
+        cols: list[dict] = [{} for _ in range(self.ncols)]
+        for t, n in self._integer_entries[1]:
+            i, j = divmod(t, self.ncols)
+            cols[j][i] = n
+        return _sparse_subspace(self.field, self.nrows,
+                                _rref(cols, self.nrows, self.field.characteristic))
 
     def inverse(self) -> "Matrix | None":
-        """Inverse of a square matrix, or None if singular."""
+        """Inverse of a square matrix, or None if singular: the right half
+        of the RREF of [dA | dI], whose pivots are its first n columns iff
+        A is invertible."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        aug = [list(self.row(i)) + list(ident.row(i)) for i in range(n)]
-        piv, rank = _rref_inplace(aug, 2 * n, self.field)
-        if rank < n or piv[:n] != list(range(n)):
+        rows = _integer_rows(self)
+        d = self._integer_entries[0]
+        for i, row in enumerate(rows):
+            row[n + i] = d
+        piv = _rref(rows, 2 * n, self.field.characteristic)
+        if list(piv) != list(range(n)):
             return None
-        return Matrix.from_rows(self.field, [r[n:] for r in aug], ncols=n)
+        ent = [self.field.zero] * (n * n)
+        for i, row in enumerate(piv.values()):
+            for j, x in row.items():
+                if j >= n:
+                    ent[i * n + j - n] = x
+        return Matrix(self.field, n, n, tuple(ent))
 
     def solve(self, b: tuple) -> "tuple | None":
         """One solution x of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
-        aug = [list(self.row(i)) + [b[i]] for i in range(self.nrows)]
-        piv, rank = _rref_inplace(aug, self.ncols + 1, self.field)
-        if piv and piv[-1] == self.ncols:
+        n, zero = self.ncols, self.field.zero
+        aug = [self.row(i) + (b[i],) for i in range(self.nrows)]
+        piv = _rref(_sparse_rows(self.field, aug, n + 1), n + 1, self.field.characteristic)
+        if n in piv:
             return None
-        zero = self.field.zero
-        x = [zero] * self.ncols
-        for t, pc in enumerate(piv):
-            x[pc] = aug[t][self.ncols]
+        x = [zero] * n
+        for c, row in piv.items():
+            x[c] = row.get(n, zero)
         return tuple(x)
 
 
@@ -535,7 +542,7 @@ def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
       dimension >= dim ker_Q: all of it, with the same RREF basis.
 
     If an entry has no reconstruction or a check fails, the kernel is
-    computed again by the exact `_rref_rational`.
+    computed again over Q, by `_sparse_kernel` with p = 0.
     """
     if field.kind != RATIONAL:
         return _sparse_subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
@@ -545,38 +552,27 @@ def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
         for j, n in row.items():
             cols[j].append((i, n))
     lifted = _certified_lift(kernel, cols, field.one)
-    if lifted is not None:
-        return _sparse_subspace(field, ncols, lifted)
-    zero = field.zero
-    exact = [_dense(row, ncols, zero) for row in rows]
-    piv, _ = _rref_rational(exact, ncols, zero)
-    vecs = []
-    for f in sorted(set(range(ncols)) - set(piv)):
-        v = [zero] * ncols
-        v[f] = field.one
-        for t, pc in enumerate(piv):
-            coeff = exact[t][f]
-            if coeff:
-                v[pc] = -coeff
-        vecs.append(v)
-    return Subspace.from_vectors(field, ncols, vecs)
+    return _sparse_subspace(field, ncols, lifted if lifted is not None
+                            else _sparse_kernel(ncols, rows, 0))
 
 
 def _sparse_kernel(ncols: int, rows: list[dict], p: int) -> dict[int, dict]:
-    """The kernel over GF(p) of sparse rows {column: nonzero int in [0, p)},
-    as the RREF rows that `_rref_sparse` returns; the rows are consumed.
+    """The kernel of sparse rows {column: nonzero}, as the RREF rows that
+    `_rref` returns: over GF(p), or over Q for p = 0.  The rows are
+    consumed.
 
     Each free column f of the rows' RREF R gives the kernel vector e_f - sum
-    of R[c, f] e_c over the pivot rows, and those sparse vectors are reduced
-    once more into the canonical basis.
+    of R[c, f] e_c over the pivot rows (p - x is -x mod p, and -x for
+    p = 0), and those sparse vectors are reduced once more into the
+    canonical basis.
     """
-    pivots = _rref_sparse(rows, p)
+    pivots = _rref(rows, ncols, p)
     vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
         for f, x in row.items():
             if f != c:
                 vecs[f][c] = p - x
-    return _rref_sparse(list(vecs.values()), p)
+    return _rref(list(vecs.values()), ncols, p)
 
 
 def _canonical(w: dict, p: int) -> dict:
@@ -670,7 +666,8 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
 
 def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Subspace":
     """The `Subspace` whose sparse RREF rows are `pivots` {pivot column: row},
-    which it keeps as its `_echelon`."""
+    which it keeps as its `_echelon`; every producer of a `Subspace` builds
+    it here."""
     flat = [x for row in pivots.values() for x in _dense(row, ambient, field.zero)]
     s = Subspace(field, ambient, Matrix(field, len(pivots), ambient, tuple(flat)), tuple(pivots))
     s.__dict__["_echelon"] = pivots
@@ -693,14 +690,11 @@ def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
     """The column space of `kron_sum(field, nrows, ncols, pairs)`.
 
     It is the row space of the transpose, the sum of kron(a^T, b^T), whose
-    integer rows `_kron_rows` gives (its D leaves the row space unchanged).
-    They are reduced by `_rref_sparse` over GF(p), and by the exact
-    `_rref_rational` (`Subspace.from_vectors`) over Q.
+    integer rows `_kron_rows` gives (its D leaves the row space unchanged),
+    reduced by `_rref`.
     """
     rows = _kron_rows(field, nrows, ncols, pairs, transpose=True)[1].values()
-    if field.kind == RATIONAL:
-        return Subspace.from_vectors(field, nrows, [_dense(r, nrows, field.zero) for r in rows])
-    return _sparse_subspace(field, nrows, _rref_sparse(list(rows), field.p))
+    return _sparse_subspace(field, nrows, _rref(list(rows), nrows, field.characteristic))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -771,12 +765,10 @@ class Subspace:
 
     `basis` rows are the RREF basis with zero rows dropped; `pivots` are its
     pivot columns.  Structural equality of two Subspace values is exactly
-    equality of subspaces.
-
-    Two reductions read the basis: `reduce` (and `contains`, `coords`) on
-    dense tuples, and `_residual` on the sparse maps of the shift path's
-    module actions.  Routing the dense callers through `_residual` made
-    selftest and trunc_sparse slower: their vectors are short or dense.
+    equality of subspaces.  It is built from its sparse RREF rows
+    (`_sparse_subspace`), which it keeps as `_echelon`; `reduce`,
+    `contains` and `coords` read them through the one residual,
+    `_residual`.
     """
 
     field: Field
@@ -786,17 +778,12 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient:
-                raise DimensionMismatch(f"vector length {len(r)} != ambient {ambient}")
-        piv, rank = _rref_inplace(rows, ambient, field)
-        basis = Matrix(field, rank, ambient, tuple(x for r in rows[:rank] for x in r))
-        return Subspace(field, ambient, basis, tuple(piv))
+        rows = _sparse_rows(field, vectors, ambient)
+        return _sparse_subspace(field, ambient, _rref(rows, ambient, field.characteristic))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Matrix.from_rows(field, [], ncols=ambient), ())
+        return _sparse_subspace(field, ambient, {})
 
     @property
     def dim(self) -> int:
@@ -811,23 +798,14 @@ class Subspace:
         The residual is zero iff v lies in the subspace, and is the canonical
         coset representative supported off the pivot columns otherwise.
         """
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-        sub, mul = self.field.sub, self.field.mul
-        w = list(v)
-        for t, pc in enumerate(self.pivots):
-            c = w[pc]
-            if c:
-                row = self.basis.row(t)
-                for j in range(pc, self.ambient):
-                    x = row[j]
-                    if x:
-                        w[j] = sub(w[j], mul(c, x))
-        return tuple(w)
+        w = self._residual(_sparse_rows(self.field, (v,), self.ambient)[0])
+        return tuple(_dense(w, self.ambient, self.field.zero))
 
     @cached_property
     def _echelon(self) -> dict[int, dict]:
-        """{pivot column: its basis row as a sparse map}."""
+        """{pivot column: its basis row as a sparse map}; filled by
+        `_sparse_subspace`, and read here only for a `Subspace` built
+        directly from a basis."""
         return {pc: {j: x for j, x in enumerate(self.basis.row(t)[pc:], pc) if x}
                 for t, pc in enumerate(self.pivots)}
 
@@ -844,7 +822,7 @@ class Subspace:
         return _canonical(v, self.field.characteristic)
 
     def contains(self, v: tuple) -> bool:
-        return not any(self.reduce(v))
+        return not self._residual(_sparse_rows(self.field, (v,), self.ambient)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -856,10 +834,10 @@ class Subspace:
         RREF makes this a read-off: the coefficient of basis row t is the
         entry of v at that row's pivot column.
         """
-        c = tuple(v[pc] for pc in self.pivots)
-        if any(self.reduce(v)):
-            return None
-        return c
+        w = _sparse_rows(self.field, (v,), self.ambient)[0]
+        zero = self.field.zero
+        c = tuple(w.get(pc, zero) for pc in self.pivots)
+        return None if self._residual(w) else c
 
     def _require_inside(self, small: "Subspace", what: str) -> None:
         """NotASubspace, witnessed by the first basis row of `small` outside self."""
@@ -896,6 +874,8 @@ class Subspace:
         result is a list of coset representatives for self / small.
         """
         self._require_inside(small, "complement of")
-        coords = [[v[pc] for pc in reversed(self.pivots)] for v in small.basis_vectors()]
-        ends = set(Subspace.from_vectors(self.field, self.dim, coords).pivots)
-        return [v for t, v in enumerate(self.basis_vectors()) if self.dim - 1 - t not in ends]
+        k = self.dim
+        at = {pc: k - 1 - t for t, pc in enumerate(self.pivots)}
+        coords = [{at[j]: x for j, x in row.items() if j in at} for row in small._echelon.values()]
+        ends = _rref(coords, k, self.field.characteristic)
+        return [v for t, v in enumerate(self.basis_vectors()) if k - 1 - t not in ends]

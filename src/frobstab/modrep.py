@@ -11,7 +11,8 @@ canonical maps in and out of the free cover:
   by a (x) v |-> trace(a) v.  Its blocks action_M(c_p) are the rows of
   one product C R, built from the actions' cached nonzeros, which both of
   its checks read; and
-* the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v.
+* the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v, as the
+  Kronecker terms (`_surjection_terms`) whose common kernel is Omega M.
 
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
 Sub- and quotient modules read the actions' sparse columns and build
@@ -37,7 +38,7 @@ from .errors import (
 from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_keys
 from .algebra import _check_entries, _product_failures
 from .frobenius import FrobeniusSystem
-from .linalg import Matrix, Subspace, kron, kron_sum, linear_combination
+from .linalg import Matrix, Subspace, kron, linear_combination
 from .linalg import _integers, _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
@@ -150,11 +151,6 @@ def _surjection_terms(m: ModuleRep) -> list[tuple[Matrix, Matrix]]:
     alg = m.algebra
     return [(Matrix(alg.field, 1, alg.dim, alg.basis_vector(p)), rho)
             for p, rho in enumerate(m.action)]
-
-
-def multiplication_surjection(m: ModuleRep) -> Matrix:
-    """Matrix of A (x) M_0 -> M, e_p (x) v_j |-> e_p v_j."""
-    return kron_sum(m.algebra.field, m.dim, m.algebra.dim * m.dim, _surjection_terms(m))
 
 
 def hom_bimodule(m: ModuleRep, n_: ModuleRep) -> ModuleRep:

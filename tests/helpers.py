@@ -9,13 +9,14 @@ from frobstab import linalg
 from frobstab.errors import DimensionMismatch, EmbeddingNotInjective, NotALinearMap, NotInvariant
 from frobstab.exactfield import Field
 from frobstab.frobenius import FrobeniusSystem
-from frobstab.linalg import Matrix, Subspace, kron
-from frobstab.modrep import ModuleRep, free_module
+from frobstab.linalg import Matrix, Subspace, kron, kron_sum
+from frobstab.modrep import ModuleRep, _surjection_terms, free_module
 
 
 def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
     """Dense Gauss-Jordan with field arithmetic, in place: the oracle that
-    both package routes (`_rref_rational`, `_rref_sparse`) are held to.
+    both routes of `linalg._rref` (`_rref_rational`, `_rref_sparse`) are
+    held to.
 
     Returns (pivot columns, rank); rows below the rank come out zero.
     """
@@ -57,26 +58,62 @@ def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], i
     return piv_cols, r
 
 
+def rref_by_oracle(rows: list[dict], ncols: int, p: int) -> dict[int, dict]:
+    """`linalg._rref` by the dense oracle `rref_field`: the sparse rows are
+    written out densely over GF(p), or over Q for p = 0, and the nonzero
+    rows of their RREF come back as sparse maps {pivot column: row}."""
+    field = Field.prime(p) if p else Field.rationals()
+    dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
+    piv, _ = rref_field(dense, ncols, field)
+    return {c: {j: x for j, x in enumerate(dense[t]) if x} for t, c in enumerate(piv)}
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
+    """(reduced echelon matrix, pivot columns, rank) of m: the RREF basis
+    of m's row space, padded with zero rows to m's shape."""
+    span = Subspace.from_vectors(m.field, m.ncols, m.to_rows())
+    zeros = [[m.field.zero] * m.ncols] * (m.nrows - span.dim)
+    return Matrix.from_rows(m.field, span.basis.to_rows() + zeros, ncols=m.ncols), span.pivots, span.dim
+
+
+def reduce_by_definition(s: Subspace, v) -> tuple:
+    """v minus, for each basis row in order, v's current entry at that
+    row's pivot times the row, entry by entry with field arithmetic: the
+    oracle for `Subspace.reduce`.  Each entry is first brought into the
+    field (`field.add(field.zero, x)`), so GF(p) entries outside [0, p)
+    come back as residues."""
+    if len(v) != s.ambient:
+        raise DimensionMismatch(f"vector length {len(v)} != ambient {s.ambient}")
+    f = s.field
+    w = [f.add(f.zero, x) for x in v]
+    for t, pc in enumerate(s.pivots):
+        c = w[pc]
+        if c:
+            row = s.basis.row(t)
+            for j in range(pc, s.ambient):
+                if row[j]:
+                    w[j] = f.sub(w[j], f.mul(c, row[j]))
+    return tuple(w)
+
+
 def exact_kernel(field: Field, rows, ncols: int) -> Subspace:
     """{v : r . v = 0 for every row r}, for sparse integer rows {column: int}
-    as `linalg._row_kernel` takes them, by exact elimination: each cell as a
-    field scalar (`Field.from_int`), the rows' RREF R from
-    `linalg._rref_inplace` (`_rref_rational` over Q), then the vectors
+    as `linalg._row_kernel` takes them, by exact elimination: the rows' RREF
+    R from `linalg._rref` (`_rref_rational` over Q), then the vectors
     e_f - sum of R[c, f] e_c, one per free column f, reduced by
     `Subspace.from_vectors`.  The oracle for `linalg._row_kernel`, whose
-    route over Q is solved mod a prime and certified; with `_rref_inplace`
-    patched to `rref_field` it is the field-generic route."""
-    rows = [[field.from_int(r.get(j, 0)) for j in range(ncols)] for r in rows]
-    piv, _ = linalg._rref_inplace(rows, ncols, field)
+    route over Q is solved mod a prime and certified; with `_rref` patched
+    to `rref_by_oracle` it is the field-generic route."""
+    piv = linalg._rref([dict(r) for r in rows], ncols, field.characteristic)
     vecs = []
     for f in range(ncols):
         if f in piv:
             continue
         v = [field.zero] * ncols
         v[f] = field.one
-        for t, pc in enumerate(piv):
-            if rows[t][f]:
-                v[pc] = field.neg(rows[t][f])
+        for c, row in piv.items():
+            if row.get(f):
+                v[c] = field.neg(row[f])
         vecs.append(v)
     return Subspace.from_vectors(field, ncols, vecs)
 
@@ -153,6 +190,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     k = Matrix.from_rows(a.field, rows, ncols=a.dim + b.dim).kernel_basis()
     vecs = [a_t.apply(v[:a.dim]) for v in k.basis_vectors()]
     return Subspace.from_vectors(a.field, a.ambient, vecs)
+
+
+def multiplication_surjection(m: ModuleRep) -> Matrix:
+    """Matrix of A (x) M_0 -> M, e_p (x) v_j |-> e_p v_j: the Kronecker sum of
+    the terms whose common kernel `shift_minus` takes."""
+    return kron_sum(m.algebra.field, m.dim, m.algebra.dim * m.dim, _surjection_terms(m))
 
 
 def full_subspace(field: Field, ambient: int) -> Subspace:

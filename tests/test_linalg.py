@@ -30,7 +30,8 @@ from frobstab.modrep import ModuleRep
 from frobstab.stab import shift_minus, shift_plus
 from helpers import (
     at, complement_oracle, exact_kernel, full_subspace, integer_rows, intersect,
-    kron_sum_by_definition, matmul_by_definition, rref_field,
+    kron_sum_by_definition, matmul_by_definition, reduce_by_definition, rref, rref_by_oracle,
+    rref_field,
 )
 
 Q = Field.rationals()
@@ -55,7 +56,7 @@ def rand_matrix(field, rng, nrows, ncols, lo=-4, hi=4):
 
 def _field_route():
     """Every reduction, kernels included, by the dense field-generic oracle."""
-    return mock.patch.multiple(linalg, _rref_inplace=rref_field, _row_kernel=exact_kernel)
+    return mock.patch.multiple(linalg, _rref=rref_by_oracle, _row_kernel=exact_kernel)
 
 
 # rref ---------------------------------------------------------------
@@ -63,7 +64,7 @@ def _field_route():
 
 def test_rref_rank_one_example():
     m = mat(Q, [[2, 4], [1, 2]])
-    r, piv, rank = m.rref()
+    r, piv, rank = rref(m)
     assert rank == 1
     assert piv == (0,)
     assert r == mat(Q, [[1, 2], [0, 0]])
@@ -71,13 +72,13 @@ def test_rref_rank_one_example():
 
 def test_rref_identity_fixed_point():
     m = Matrix.identity(GF3, 4)
-    r, piv, rank = m.rref()
+    r, piv, rank = rref(m)
     assert r == m and rank == 4 and piv == (0, 1, 2, 3)
 
 
 def test_rref_mod2():
     m = mat(GF2, [[1, 1], [1, 1]])
-    r, piv, rank = m.rref()
+    r, piv, rank = rref(m)
     assert rank == 1
     assert r == mat(GF2, [[1, 1], [0, 0]])
 
@@ -87,8 +88,8 @@ def test_rref_idempotent_random():
     for field in (Q, GF2, GF5):
         for _ in range(15):
             m = rand_matrix(field, rng, rng.randint(1, 5), rng.randint(1, 5))
-            r1, piv1, k1 = m.rref()
-            r2, piv2, k2 = r1.rref()
+            r1, piv1, k1 = rref(m)
+            r2, piv2, k2 = rref(r1)
             assert r1 == r2 and piv1 == piv2 and k1 == k2
 
 
@@ -133,10 +134,12 @@ def _scalars(*results):
 @given(_rational_rows())
 def test_rational_route_matches_field_route(case):
     ncols, rows = case
-    fast, slow = [list(r) for r in rows], [list(r) for r in rows]
-    assert _rref_rational(fast, ncols, Q.zero) == rref_field(slow, ncols, Q)
-    assert fast == slow
-    assert all(type(x) is Fraction for r in fast for x in r)
+    got = _rref_rational([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
+    dense = [list(r) for r in rows]
+    piv, rank = rref_field(dense, ncols, Q)
+    assert list(got) == piv and len(got) == rank
+    assert [[row.get(j, 0) for j in range(ncols)] for row in got.values()] == dense[:rank]
+    assert all(type(x) is Fraction and x for row in got.values() for x in row.values())
 
 
 @st.composite
@@ -184,13 +187,24 @@ def test_public_api_over_gf_p_matches_field_route(case, data):
     b = tuple(data.draw(st.integers(0, field.p - 1)) for _ in range(m.nrows))
 
     def results():
-        return (m.rref(), m.rank(), m.kernel_basis(), m.image_basis(), m.solve(b),
+        return (rref(m), m.rank(), m.kernel_basis(), m.image_basis(), m.solve(b),
                 square.inverse(), Subspace.from_vectors(field, ncols, rows))
 
     fast = results()
     with _field_route():
         slow = results()
     assert fast == slow
+    _assert_solutions(m, b, fast[4], square, fast[5])
+
+
+def _assert_solutions(m, b, x, square, inv):
+    """x solves m x = b and inv inverts square, where they are not None: a
+    check on how `solve` and `inverse` set up their rows, which the field
+    route shares."""
+    if x is not None:
+        assert m.apply(x) == tuple(m.field.add(m.field.zero, y) for y in b)
+    if inv is not None:
+        assert square @ inv == Matrix.identity(square.field, square.nrows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,7 +219,7 @@ def test_public_api_matches_field_route(case, data):
     padded = Matrix.from_rows(Q, rows + [[Q.zero] * ncols], ncols=ncols)
 
     def results():
-        return (m.rref(), m.rank(), m.kernel_basis(), m.image_basis(), m.solve(b),
+        return (rref(m), m.rank(), m.kernel_basis(), m.image_basis(), m.solve(b),
                 padded.solve(b + (Q.one,)), square.inverse(),
                 Subspace.from_vectors(Q, ncols, rows))
 
@@ -214,8 +228,9 @@ def test_public_api_matches_field_route(case, data):
         slow = results()
     assert fast == slow
     assert fast[5] is None
-    rref, _, kernel, image, x, _, inv, span = fast
-    assert all(type(s) is Fraction for s in _scalars(rref[0], kernel, image, x, inv, span))
+    _assert_solutions(m, b, fast[4], square, fast[6])
+    echelon, _, kernel, image, x, _, inv, span = fast
+    assert all(type(s) is Fraction for s in _scalars(echelon[0], kernel, image, x, inv, span))
 
 
 def test_int_entries_over_q_give_exact_fractions():
@@ -229,12 +244,12 @@ def test_int_entries_over_q_give_exact_fractions():
 
         def results(m, rhs):
             inv = m.inverse() if m.nrows == m.ncols else None
-            return m.rref(), inv, m.solve(rhs), m.kernel_basis()
+            return rref(m), inv, m.solve(rhs), m.kernel_basis()
 
         got = results(ints, b)
         assert got == results(fracs, tuple(map(Fraction, b)))
-        rref, inv, x, kernel = got
-        assert all(type(s) is Fraction for s in _scalars(rref[0], inv, x, kernel))
+        echelon, inv, x, kernel = got
+        assert all(type(s) is Fraction for s in _scalars(echelon[0], inv, x, kernel))
 
 
 # the certified kernel over Q against the exact route --------------------
@@ -438,6 +453,92 @@ def _nested_subspaces(draw):
 def test_complement_of_matches_the_re_reducing_loop(case):
     big, small = case
     assert big.complement_of(small) == complement_oracle(big, small)
+
+
+_small_q = st.one_of(
+    st.sampled_from([Q.zero, Fraction(0), 0]),
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+def _caller_scalars(field):
+    """Field scalars as callers pass them: GF(p) entries outside [0, p), and
+    Q zeros as `Q.zero`, a fresh `Fraction(0)` and `int` 0."""
+    return _small_q if field is Q else st.integers(-2 * field.p, 2 * field.p)
+
+
+_PRODUCERS = ["from_vectors", "image_basis", "kernel_basis", "kron_kernel", "kron_image", "zero"]
+
+
+@st.composite
+def _produced_subspaces(draw):
+    """A subspace over GF(2), GF(3), GF(5) or Q from each producer of a
+    `Subspace`, built from a random matrix or Kronecker sum."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    scalar = _caller_scalars(field)
+
+    def matrix(r, c):
+        return Matrix(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
+
+    producer = draw(st.sampled_from(_PRODUCERS))
+    if producer in ("kron_kernel", "kron_image"):
+        ar, ac, br, bc = (draw(st.integers(1, 2)) for _ in range(4))
+        pairs = [(matrix(ar, ac), matrix(br, bc)) for _ in range(draw(st.integers(0, 2)))]
+        build = kron_kernel if producer == "kron_kernel" else kron_image
+        return build(field, ar * br, ac * bc, pairs)
+    m = matrix(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    if producer == "from_vectors":
+        return Subspace.from_vectors(field, m.ncols, m.to_rows())
+    if producer == "zero":
+        return Subspace.zero(field, m.ncols)
+    return getattr(m, producer)()
+
+
+def _span_by_oracle(field, ambient, vectors) -> tuple[Matrix, tuple]:
+    """(RREF basis, pivots) of the span, by the dense oracle `rref_field`."""
+    rows = [[field.add(field.zero, x) for x in v] for v in vectors]
+    piv, rank = rref_field(rows, ambient, field)
+    return Matrix.from_rows(field, rows[:rank], ncols=ambient), tuple(piv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_produced_subspaces(), st.data())
+def test_one_residual_matches_the_dense_definition(s, data):
+    """`reduce`, `contains`, `coords`, `complement_of` and `+` against the
+    dense oracles, on subspaces from every producer."""
+    f, amb = s.field, s.ambient
+    scalar = _caller_scalars(f)
+    vector = st.lists(scalar, min_size=amb, max_size=amb).map(tuple)
+    coeffs = st.lists(scalar, min_size=s.dim, max_size=s.dim)
+    span = s.basis.transpose()
+    inside = [span.apply(tuple(f.add(f.zero, c) for c in cs))
+              for cs in data.draw(st.lists(coeffs, max_size=3))]
+    if f is not Q:  # the same vectors, with entries outside [0, p)
+        inside += [tuple(x + f.p * data.draw(st.integers(-2, 2)) for x in v) for v in inside]
+    for v in data.draw(st.lists(vector, max_size=3)) + inside:
+        want = reduce_by_definition(s, v)
+        got = s.reduce(v)
+        assert got == want
+        if f is Q:
+            assert all(x is Q.zero for x in got if not x)
+        else:
+            assert all(type(x) is int and 0 <= x < f.p for x in got)
+        assert s.contains(v) == (not any(want))
+        w = [f.add(f.zero, x) for x in v]
+        assert s.coords(v) == (None if any(want) else tuple(w[pc] for pc in s.pivots))
+    assert all(s.contains(v) for v in inside)
+    for method in (s.reduce, s.contains, s.coords):
+        with pytest.raises(DimensionMismatch):
+            method(tuple(f.one for _ in range(amb + 1)))
+    small = Subspace.from_vectors(f, amb, inside)
+    reps = s.complement_of(small)
+    assert reps == complement_oracle(s, small)
+    assert len(reps) == s.dim - small.dim
+    assert _span_by_oracle(f, amb, small.basis_vectors() + reps) == (s.basis, s.pivots)
+    other = data.draw(st.lists(vector, max_size=3))
+    total = s + Subspace.from_vectors(f, amb, other)
+    assert (total.basis, total.pivots) == _span_by_oracle(f, amb, s.basis_vectors() + other)
 
 
 def test_reduce_membership():
@@ -777,11 +878,8 @@ def _assert_filled(m: Matrix) -> None:
 
 def _assert_echelon_filled(s: Subspace) -> None:
     """s was built with `_echelon` filled, equal to a fresh read of its
-    basis.  Over Q a kernel whose certified lift fails is reduced densely
-    and has none."""
-    got = s.__dict__.get("_echelon")
-    if got is not None or s.field is not Q:
-        assert got == Subspace(s.field, s.ambient, s.basis, s.pivots)._echelon
+    basis."""
+    assert s.__dict__["_echelon"] == Subspace(s.field, s.ambient, s.basis, s.pivots)._echelon
 
 
 @settings(max_examples=200, deadline=None)
@@ -799,10 +897,11 @@ def test_built_matrices_carry_the_caches_a_fresh_read_gives(case, data):
     _assert_filled(linear_combination(field, nrows, ncols, terms + [(-c, m) for c, m in terms[:1]]))
     for a, b in pairs:
         _assert_filled(a @ a.transpose() if a.ncols != b.nrows else a @ b)
-    if field is not Q:
-        _assert_echelon_filled(kron_image(field, nrows, ncols, pairs))
-    _assert_echelon_filled(kron_kernel(field, nrows, ncols, pairs))
-    _assert_echelon_filled(kron_sum(field, nrows, ncols, pairs).kernel_basis())
+    total = kron_sum(field, nrows, ncols, pairs)
+    for s in (kron_image(field, nrows, ncols, pairs), kron_kernel(field, nrows, ncols, pairs),
+              total.kernel_basis(), total.image_basis(), Subspace.zero(field, ncols),
+              Subspace.from_vectors(field, ncols, total.to_rows())):
+        _assert_echelon_filled(s)
 
 
 @settings(max_examples=30, deadline=None)

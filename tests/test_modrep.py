@@ -37,14 +37,15 @@ from frobstab.modrep import (
     hom_bimodule,
     module_from_json,
     module_to_json,
-    multiplication_surjection,
     quotient_module,
     regular_module,
     submodule,
     validate_module,
 )
 from frobstab.stab import hom_A
-from helpers import free_cover_embedding, quotient_action, restricted_action
+from helpers import (
+    free_cover_embedding, multiplication_surjection, quotient_action, restricted_action,
+)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)

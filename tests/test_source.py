@@ -23,6 +23,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_one_row_reduction_entry_point():
+    """`_rref_sparse` and `_rref_rational` are named only inside
+    `linalg._rref` and imported by no other module, so every reduction of
+    the package goes through that one entry point."""
+    routes = {"_rref_sparse", "_rref_rational"}
+    inside, named, imported = [], 0, []
+    for path in sorted(Path(frobstab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in routes
+                or isinstance(node, ast.Attribute) and node.attr in routes]
+        named += len(uses)
+        inside += [(path.name, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if node in uses]
+        imported += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and {alias.name.rpartition(".")[2] for alias in node.names} & routes]
+    assert inside == [("linalg.py", "_rref")] * named and named == 2
+    assert imported == []
+
+
 def test_traced_names_resolve():
     """Every function the benchmark's tracer wraps still exists, so a
     refactor that drops one fails here and not only under `--trace 1`."""

@@ -32,7 +32,6 @@ from frobstab.modrep import (
     direct_sum,
     free_module,
     hom_bimodule,
-    multiplication_surjection,
     regular_module,
     validate_module,
 )
@@ -51,8 +50,8 @@ from frobstab.stab import (
     tate0,
 )
 from helpers import (
-    exact_kernel, full_subspace, integer_rows, kron_sum_by_definition, quotient_action,
-    restricted_action, stack_rows,
+    exact_kernel, full_subspace, integer_rows, kron_sum_by_definition, multiplication_surjection,
+    quotient_action, restricted_action, stack_rows,
 )
 
 Q = Field.rationals()
