@@ -1,11 +1,11 @@
-"""Dense exact matrices and canonical subspaces over a `Field`.
+"""Exact matrices and canonical subspaces over a `Field`.
 
 Conventions fixed package-wide:
 
 * vectors are plain tuples of field scalars;
-* a subspace is stored as the reduced row echelon basis of its span, with
-  zero rows dropped, so two subspaces are equal iff their stored bases are
-  equal entry for entry;
+* a subspace stores only the sparse reduced row echelon rows of its span,
+  {pivot column: row}, with zero rows dropped, so two subspaces are equal
+  iff their stored rows are equal; its dense `basis` is built when read;
 * `vec` is column-major (stacks the columns of a matrix), which gives the
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * `_kron_rows` is the one function that builds sums of Kronecker products
@@ -15,8 +15,7 @@ Conventions fixed package-wide:
   over GF(p), where each cell is reduced mod p once) and returns the
   nonzero rows of D times the sum as sparse maps {column: int}, or those
   of its transpose, the sum of kron(a^T, b^T).  `kron_sum` and `kron`
-  build their matrix from those rows, and `kron` also keeps its nonzero
-  columns (`_sparse_cols`);
+  build their matrix from those rows;
 * callers that need only the image of a Kronecker sum call `kron_image`,
   and callers that need the common kernel of several sums (one system of
   equations per sum) call `kron_kernel`; both reduce the integer rows
@@ -39,28 +38,31 @@ Conventions fixed package-wide:
   at most the rank over Q, so the checked rows are the exact RREF basis
   (the proof is in `_row_kernel`).  A kernel whose lift or check fails
   is `_sparse_kernel` over Q;
-* every `Subspace` is built from its sparse RREF rows by
-  `_sparse_subspace`, which keeps them as its `_echelon`; `reduce`,
-  `contains`, `coords` and the shift path's module actions reduce a
-  sparse vector against them (`Subspace._residual`);
-* producers that hold a matrix's nonzeros (`identity`, `kron`, `kron_sum`,
-  `linear_combination`, `@`, sub- and quotient-module actions) build it
-  with `Matrix._from_integers`, which fills `_integer_entries`; `@`
-  multiplies over both factors' `_integer_entries`;
-* shift steps read module actions sparse: a matrix's nonzero columns
-  (`_sparse_cols`, built with a `kron`), `_sparse_apply`, and
-  `Subspace._residual`;
-* Kronecker sums, products, linear combinations, matrix sums,
-  differences and negations, subspace bases and residuals (and
-  `Field.from_int` and `Field.parse`) give the field's `zero` object for a
-  zero over Q, which the integer reads (`_cleared`) skip by identity.
+* every producer of a `Subspace` builds it from its sparse RREF rows;
+  `reduce`, `contains`, `coords`, `contains_subspace` and the shift
+  path's module actions reduce a sparse vector against them
+  (`Subspace._residual`);
+* matrix arithmetic reads only a matrix's nonzeros, `_integer_entries`
+  and the nonzero columns derived from them (`_sparse_cols`): `+`, `-`
+  and unary `-` are `linear_combination`s, `transpose` permutes the
+  nonzeros, `@` multiplies over both factors' nonzeros and `apply` is
+  `_sparse_apply`.  Every producer that holds a matrix's nonzeros
+  (those, `identity`, `kron`, `kron_sum`, sub- and quotient-module
+  actions) builds it with `Matrix._from_integers`, which fills
+  `_integer_entries`;
+* shift steps read module actions sparse: `_sparse_cols`,
+  `_sparse_apply`, and `Subspace._residual`;
+* every matrix result, product `apply`, subspace basis and residual
+  holds residues in [0, p) over GF(p), and over Q (as do `Field.from_int`
+  and `Field.parse`) gives the field's `zero` object for a zero, which the
+  integer reads (`_cleared`) skip by identity.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -288,7 +290,8 @@ def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]],
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix; entries stored row-major as one flat tuple."""
+    """Immutable matrix; entries stored row-major as one flat tuple, which
+    arithmetic reads only through its nonzeros (`_integer_entries`)."""
 
     field: Field
     nrows: int
@@ -369,29 +372,14 @@ class Matrix:
 
     # arithmetic ------------------------------------------------------
 
-    def _entrywise(self, op, other: "Matrix", what: str) -> "Matrix":
-        _check_same_field(self.field, other.field)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"{what} {self.shape} vs {other.shape}")
-        zero = self.field.zero
-        entries = [zero] * len(self.entries)
-        for k, (x, y) in enumerate(zip(self.entries, other.entries)):
-            if x is not zero or y is not zero:
-                z = op(x, y)
-                if z:
-                    entries[k] = z
-        return Matrix(self.field, self.nrows, self.ncols, tuple(entries))
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other, "add")
+        return linear_combination(self.field, self.nrows, self.ncols, [(1, self), (1, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other, "sub")
+        return linear_combination(self.field, self.nrows, self.ncols, [(1, self), (-1, other)])
 
     def __neg__(self) -> "Matrix":
-        neg, zero = self.field.neg, self.field.zero
-        entries = tuple(zero if x is zero or not x else neg(x) for x in self.entries)
-        return Matrix(self.field, self.nrows, self.ncols, entries)
+        return linear_combination(self.field, self.nrows, self.ncols, [(-1, self)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product over both factors' `_integer_entries`, summed as
@@ -417,29 +405,25 @@ class Matrix:
         return Matrix._from_integers(self.field, self.nrows, k, (da * db, nz))
 
     def apply(self, v: tuple) -> tuple:
-        """Matrix-vector product; v has length ncols."""
+        """Matrix-vector product over the sparse columns; v has length ncols."""
         if len(v) != self.ncols:
             raise DimensionMismatch(f"apply {self.shape} to vector of length {len(v)}")
-        add, mul = self.field.add, self.field.mul
-        zero = self.field.zero
-        out = [zero] * self.nrows
-        e = self.entries
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        for i in range(self.nrows):
-            base = i * self.ncols
-            acc = zero
-            for j, x in nz:
-                a = e[base + j]
-                if a:
-                    acc = add(acc, mul(a, x))
-            out[i] = acc
-        return tuple(out)
+        w = _sparse_apply(self, _sparse_rows(self.field, (v,), self.ncols)[0])
+        return tuple(_dense(w, self.nrows, self.field.zero))
 
     @cached_property
     def _sparse_cols(self) -> list[list[tuple]]:
-        """Each column as its nonzero (row, value) pairs; a `kron` is built
-        with them."""
-        return [[(i, x) for i, x in enumerate(self.col(j)) if x] for j in range(self.ncols)]
+        """Each column as its nonzero (row, value) pairs, read off
+        `_integer_entries` in O(nnz): residues in [1, p) over GF(p), and
+        n / d as a `Fraction` (the field's `one` for 1) over Q."""
+        d, nz = self._integer_entries
+        if self.field.kind == RATIONAL:
+            one = self.field.one
+            nz = [(t, one if n == d else Fraction(n, d)) for t, n in nz]
+        cols: list[list[tuple]] = [[] for _ in range(self.ncols)]
+        for t, x in nz:
+            cols[t % self.ncols].append((t // self.ncols, x))
+        return cols
 
     @cached_property
     def _integer_entries(self) -> tuple[int, list[tuple[int, int]]]:
@@ -456,9 +440,9 @@ class Matrix:
         return _cleared(enumerate(self.entries), self.field.zero)
 
     def transpose(self) -> "Matrix":
-        e = self.entries
         n, m = self.nrows, self.ncols
-        return Matrix(self.field, m, n, tuple(e[i * m + j] for j in range(m) for i in range(n)))
+        d, nz = self._integer_entries
+        return Matrix._from_integers(self.field, m, n, (d, [(t % m * n + t // m, x) for t, x in nz]))
 
     # reductions ------------------------------------------------------
 
@@ -476,8 +460,7 @@ class Matrix:
         for t, n in self._integer_entries[1]:
             i, j = divmod(t, self.ncols)
             cols[j][i] = n
-        return _sparse_subspace(self.field, self.nrows,
-                                _rref(cols, self.nrows, self.field.characteristic))
+        return Subspace(self.field, self.nrows, _rref(cols, self.nrows, self.field.characteristic))
 
     def inverse(self) -> "Matrix | None":
         """Inverse of a square matrix, or None if singular: the right half
@@ -545,15 +528,14 @@ def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
     computed again over Q, by `_sparse_kernel` with p = 0.
     """
     if field.kind != RATIONAL:
-        return _sparse_subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
+        return Subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
     kernel = _sparse_kernel(ncols, [_canonical(row, _P) for row in rows], _P)
     cols: list[list[tuple]] = [[] for _ in range(ncols)]  # A's nonzero (row, int) pairs
     for i, row in enumerate(rows):
         for j, n in row.items():
             cols[j].append((i, n))
     lifted = _certified_lift(kernel, cols, field.one)
-    return _sparse_subspace(field, ncols, lifted if lifted is not None
-                            else _sparse_kernel(ncols, rows, 0))
+    return Subspace(field, ncols, lifted if lifted is not None else _sparse_kernel(ncols, rows, 0))
 
 
 def _sparse_kernel(ncols: int, rows: list[dict], p: int) -> dict[int, dict]:
@@ -664,16 +646,6 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
     return Matrix._from_integers(field, nrows, ncols, (den, nz))
 
 
-def _sparse_subspace(field: Field, ambient: int, pivots: dict[int, dict]) -> "Subspace":
-    """The `Subspace` whose sparse RREF rows are `pivots` {pivot column: row},
-    which it keeps as its `_echelon`; every producer of a `Subspace` builds
-    it here."""
-    flat = [x for row in pivots.values() for x in _dense(row, ambient, field.zero)]
-    s = Subspace(field, ambient, Matrix(field, len(pivots), ambient, tuple(flat)), tuple(pivots))
-    s.__dict__["_echelon"] = pivots
-    return s
-
-
 def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
     """The common kernel of the Kronecker sums `kron_sum(field, nrows, ncols,
     pairs)`, one for each `pairs` in `sums`: the kernel of their row stack,
@@ -694,25 +666,16 @@ def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
     reduced by `_rref`.
     """
     rows = _kron_rows(field, nrows, ncols, pairs, transpose=True)[1].values()
-    return _sparse_subspace(field, nrows, _rref(list(rows), nrows, field.characteristic))
+    return Subspace(field, nrows, _rref(list(rows), nrows, field.characteristic))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l].
-
-    It is assembled from the integer rows of `_kron_rows` in O(nnz), and
-    keeps its nonzeros by column as its `_sparse_cols`, which the shift
-    path reads from a free module's actions.
-    """
+    """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l],
+    assembled from the integer rows of `_kron_rows` in O(nnz)."""
     f, nrows, ncols = a.field, a.nrows * b.nrows, a.ncols * b.ncols
     den, rows = _kron_rows(f, nrows, ncols, [(a, b)])
     nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
-    m = Matrix._from_integers(f, nrows, ncols, (den, nz))
-    cols: list[list[tuple]] = [[] for _ in range(ncols)]
-    for t, _ in nz:
-        cols[t % ncols].append((t // ncols, m.entries[t]))
-    m.__dict__["_sparse_cols"] = cols
-    return m
+    return Matrix._from_integers(f, nrows, ncols, (den, nz))
 
 
 def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
@@ -763,31 +726,45 @@ def unvec(field: Field, v: tuple, nrows: int, ncols: int) -> Matrix:
 class Subspace:
     """A subspace of F^ambient in canonical (reduced row echelon) form.
 
-    `basis` rows are the RREF basis with zero rows dropped; `pivots` are its
-    pivot columns.  Structural equality of two Subspace values is exactly
-    equality of subspaces.  It is built from its sparse RREF rows
-    (`_sparse_subspace`), which it keeps as `_echelon`; `reduce`,
-    `contains` and `coords` read them through the one residual,
-    `_residual`.
+    It stores only its sparse RREF rows, {pivot column: row as {column:
+    nonzero}} in column order, zero rows dropped, so two Subspace values
+    are equal (and hash equal) iff they are the same subspace.  `pivots`
+    and `dim` are read off the rows, and `basis`, the dense RREF basis, is
+    built when first read.  `reduce`, `contains` and `coords` read the rows
+    through the one residual, `_residual`.
     """
 
     field: Field
     ambient: int
-    basis: Matrix
-    pivots: tuple[int, ...] = dc_field(default=())
+    rows: dict[int, dict]
+
+    def __hash__(self) -> int:
+        rows = frozenset((c, frozenset(row.items())) for c, row in self.rows.items())
+        return hash((self.field, self.ambient, rows))
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors) -> "Subspace":
         rows = _sparse_rows(field, vectors, ambient)
-        return _sparse_subspace(field, ambient, _rref(rows, ambient, field.characteristic))
+        return Subspace(field, ambient, _rref(rows, ambient, field.characteristic))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return _sparse_subspace(field, ambient, {})
+        return Subspace(field, ambient, {})
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self.rows)
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The RREF basis as a dense dim x ambient matrix."""
+        zero = self.field.zero
+        flat = tuple(x for row in self.rows.values() for x in _dense(row, self.ambient, zero))
+        return Matrix(self.field, self.dim, self.ambient, flat)
 
     def basis_vectors(self) -> list[tuple]:
         return [self.basis.row(i) for i in range(self.dim)]
@@ -801,20 +778,12 @@ class Subspace:
         w = self._residual(_sparse_rows(self.field, (v,), self.ambient)[0])
         return tuple(_dense(w, self.ambient, self.field.zero))
 
-    @cached_property
-    def _echelon(self) -> dict[int, dict]:
-        """{pivot column: its basis row as a sparse map}; filled by
-        `_sparse_subspace`, and read here only for a `Subspace` built
-        directly from a basis."""
-        return {pc: {j: x for j, x in enumerate(self.basis.row(t)[pc:], pc) if x}
-                for t, pc in enumerate(self.pivots)}
-
     def _residual(self, v: dict) -> dict:
         """`reduce` of a sparse v {column: value}, as a sparse map: empty
         iff v lies in the subspace.  In RREF, v's entry at a pivot is the
         multiple of that basis row to subtract; each sum is reduced once,
         at the end (`_canonical`).  v is consumed."""
-        rows = self._echelon
+        rows = self.rows
         for c in [c for c in v if c in rows]:
             g = v[c]
             for j, y in rows[c].items():
@@ -826,7 +795,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(v) for v in other.basis_vectors())
+        return not any(self._residual(dict(row)) for row in other.rows.values())
 
     def coords(self, v: tuple) -> "tuple | None":
         """Coefficients of v in the RREF basis, or None if v is outside.
@@ -842,8 +811,8 @@ class Subspace:
     def _require_inside(self, small: "Subspace", what: str) -> None:
         """NotASubspace, witnessed by the first basis row of `small` outside self."""
         self._check_compatible(small)
-        for t, v in enumerate(small.basis_vectors()):
-            if not self.contains(v):
+        for t, row in enumerate(small.rows.values()):
+            if self._residual(dict(row)):
                 raise NotASubspace(f"{what} a non-subspace", witness=t)
 
     def _check_compatible(self, other: "Subspace") -> None:
@@ -855,9 +824,9 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient, self.basis_vectors() + other.basis_vectors()
-        )
+        f, amb = self.field, self.ambient
+        rows = [dict(row) for s in (self, other) for row in s.rows.values()]
+        return Subspace(f, amb, _rref(rows, amb, f.characteristic))
 
     def quotient_dim(self, small: "Subspace") -> int:
         """dim(self / small); raises NotASubspace if small is not inside self."""
@@ -876,6 +845,6 @@ class Subspace:
         self._require_inside(small, "complement of")
         k = self.dim
         at = {pc: k - 1 - t for t, pc in enumerate(self.pivots)}
-        coords = [{at[j]: x for j, x in row.items() if j in at} for row in small._echelon.values()]
+        coords = [{at[j]: x for j, x in row.items() if j in at} for row in small.rows.values()]
         ends = _rref(coords, k, self.field.characteristic)
         return [v for t, v in enumerate(self.basis_vectors()) if k - 1 - t not in ends]

@@ -206,7 +206,7 @@ def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
     action = []
     for i, rho in enumerate(m.action):
         nz = []
-        for t, v in enumerate(sub._echelon.values()):
+        for t, v in enumerate(sub.rows.values()):
             w = _sparse_apply(rho, v)
             nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
             if sub._residual(w):
@@ -233,7 +233,7 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     if sub.ambient != m.dim:
         raise DimensionMismatch("subspace of the wrong ambient space")
     if any(sub._residual(_sparse_apply(m.action[g], v))
-           for g in m.algebra.generators for v in sub._echelon.values()):
+           for g in m.algebra.generators for v in sub.rows.values()):
         _restricted_action(m, sub)  # raises NotInvariant
     f = m.algebra.field
     piv = set(sub.pivots)

@@ -43,7 +43,8 @@ from .errors import (
     NotAGroupAlgebra,
 )
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, kron_image, kron_kernel, kron_sum, unvec, vec
+from .linalg import Matrix, Subspace, kron_image, kron_kernel, kron_sum, linear_combination
+from .linalg import unvec, vec
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -182,10 +183,8 @@ def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
     """Image of z |-> sum_i a_i z b_i = sum_p e_p z c_p, an ideal of the center."""
     alg = system.algebra
     c = system.element_matrix
-    acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
-    for p, left in enumerate(alg.left):
-        acc = acc + left @ alg.right_mult_matrix(c.row(p))
-    return acc.image_basis()
+    terms = [(1, left @ alg.right_mult_matrix(c.row(p))) for p, left in enumerate(alg.left)]
+    return linear_combination(alg.field, alg.dim, alg.dim, terms).image_basis()
 
 
 @dataclass

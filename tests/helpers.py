@@ -6,7 +6,9 @@ from fractions import Fraction
 from math import lcm
 
 from frobstab import linalg
-from frobstab.errors import DimensionMismatch, EmbeddingNotInjective, NotALinearMap, NotInvariant
+from frobstab.errors import (
+    DimensionMismatch, EmbeddingNotInjective, FieldMismatch, NotALinearMap, NotInvariant,
+)
 from frobstab.exactfield import Field
 from frobstab.frobenius import FrobeniusSystem
 from frobstab.linalg import Matrix, Subspace, kron, kron_sum
@@ -168,6 +170,57 @@ def at(m: Matrix, i: int, j: int):
     return m.entries[i * m.ncols + j]
 
 
+def entrywise_by_definition(a: Matrix, b: Matrix, op) -> Matrix:
+    """a op b entry by entry, op being the field's `add` or `sub`, a zero
+    pair skipped and a zero result left as the field's `zero`: the oracle
+    for `Matrix.__add__` and `__sub__`."""
+    if a.field != b.field:
+        raise FieldMismatch(f"mixed fields {a.field} and {b.field}")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"entrywise {a.shape} vs {b.shape}")
+    zero = a.field.zero
+    entries = [zero] * len(a.entries)
+    for k, (x, y) in enumerate(zip(a.entries, b.entries)):
+        if x is not zero or y is not zero:
+            z = op(x, y)
+            if z:
+                entries[k] = z
+    return Matrix(a.field, a.nrows, a.ncols, tuple(entries))
+
+
+def neg_by_definition(m: Matrix) -> Matrix:
+    """-m entry by entry with the field's `neg`: the oracle for
+    `Matrix.__neg__`."""
+    neg, zero = m.field.neg, m.field.zero
+    entries = tuple(zero if x is zero or not x else neg(x) for x in m.entries)
+    return Matrix(m.field, m.nrows, m.ncols, entries)
+
+
+def transpose_by_definition(m: Matrix) -> Matrix:
+    """m^T, each entry moved from (i, j) to (j, i): the oracle for
+    `Matrix.transpose`."""
+    e, n, c = m.entries, m.nrows, m.ncols
+    return Matrix(m.field, c, n, tuple(e[i * c + j] for j in range(c) for i in range(n)))
+
+
+def apply_by_definition(m: Matrix, v) -> tuple:
+    """m @ v row by row with field arithmetic, over v's nonzeros: the
+    oracle for `Matrix.apply`."""
+    if len(v) != m.ncols:
+        raise DimensionMismatch(f"apply {m.shape} to vector of length {len(v)}")
+    add, mul, zero = m.field.add, m.field.mul, m.field.zero
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for i in range(m.nrows):
+        acc = zero
+        for j, x in nz:
+            y = m.entries[i * m.ncols + j]
+            if y:
+                acc = add(acc, mul(y, x))
+        out.append(acc)
+    return tuple(out)
+
+
 def stack_rows(mats: list[Matrix]) -> Matrix:
     """The rows of the matrices, in order, as one matrix; they must share a
     field and a column count."""
@@ -185,10 +238,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.field, a.ambient)
-    a_t, b_t = a.basis.transpose(), b.basis.transpose()
+    a_t, b_t = transpose_by_definition(a.basis), transpose_by_definition(b.basis)
     rows = [list(a_t.row(i)) + [a.field.neg(x) for x in b_t.row(i)] for i in range(a.ambient)]
     k = Matrix.from_rows(a.field, rows, ncols=a.dim + b.dim).kernel_basis()
-    vecs = [a_t.apply(v[:a.dim]) for v in k.basis_vectors()]
+    vecs = [apply_by_definition(a_t, v[:a.dim]) for v in k.basis_vectors()]
     return Subspace.from_vectors(a.field, a.ambient, vecs)
 
 
@@ -199,8 +252,8 @@ def multiplication_surjection(m: ModuleRep) -> Matrix:
 
 
 def full_subspace(field: Field, ambient: int) -> Subspace:
-    """All of F^ambient."""
-    return Subspace(field, ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
+    """All of F^ambient, built from its RREF rows."""
+    return Subspace(field, ambient, {i: {i: field.one} for i in range(ambient)})
 
 
 def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
@@ -212,11 +265,11 @@ def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
     for i, rho in enumerate(m.action):
         cols = []
         for v in sub.basis_vectors():
-            c = sub.coords(rho.apply(v))
+            c = sub.coords(apply_by_definition(rho, v))
             if c is None:
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
             cols.extend(c)
-        action.append(Matrix(f, d, d, tuple(cols)).transpose())
+        action.append(transpose_by_definition(Matrix(f, d, d, tuple(cols))))
     return tuple(action)
 
 

@@ -6,6 +6,7 @@ triple-product expansion) before anything downstream relies on it.
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 import subprocess
@@ -29,9 +30,10 @@ from frobstab.linalg import (
 from frobstab.modrep import ModuleRep
 from frobstab.stab import shift_minus, shift_plus
 from helpers import (
-    at, complement_oracle, exact_kernel, full_subspace, integer_rows, intersect,
-    kron_sum_by_definition, matmul_by_definition, reduce_by_definition, rref, rref_by_oracle,
-    rref_field,
+    apply_by_definition, at, complement_oracle, entrywise_by_definition, exact_kernel,
+    full_subspace, integer_rows, intersect, kron_sum_by_definition, matmul_by_definition,
+    neg_by_definition, reduce_by_definition, rref, rref_by_oracle, rref_field,
+    transpose_by_definition,
 )
 
 Q = Field.rationals()
@@ -541,6 +543,24 @@ def test_one_residual_matches_the_dense_definition(s, data):
     assert (total.basis, total.pivots) == _span_by_oracle(f, amb, s.basis_vectors() + other)
 
 
+@pytest.mark.parametrize("field", [GF3, Q])
+def test_equal_spans_hash_equal_and_work_as_set_members(field):
+    """Equal spans from different generating sets, and from different
+    producers, are equal, hash equal and are one set member."""
+    g = [[field.from_int(x) for x in row] for row in ([1, 2, 0, 1], [0, 1, 1, 2])]
+    a = Subspace.from_vectors(field, 4, g)
+    b = Subspace.from_vectors(field, 4, [[field.add(x, y) for x, y in zip(*g)],
+                                         [field.mul(field.from_int(2), x) for x in g[1]], g[0]])
+    image = Matrix.from_rows(field, g).transpose().image_basis()
+    kernel = Matrix.from_rows(field, g).kernel_basis().basis.kernel_basis()
+    line, zero = Subspace.from_vectors(field, 4, g[:1]), Subspace.zero(field, 4)
+    for s in (b, image, kernel, a + line, zero + a):
+        assert s == a and hash(s) == hash(a)
+    assert line != a
+    assert {a, b, image, kernel, line, zero} == {a, line, zero}
+    assert len({a, b, image, kernel}) == 1
+
+
 def test_reduce_membership():
     s = Subspace.from_vectors(GF3, 4, [[1, 0, 2, 0], [0, 1, 1, 0]])
     v = s.basis.row(0)
@@ -860,26 +880,71 @@ def test_rational_zero_entries_are_the_field_zero_object():
     assert (-g).entries == (2, 1, 0, 2)
 
 
+def _assert_field_scalars(field, xs) -> None:
+    """Residues in [0, p) over GF(p); `Fraction`s over Q, each zero the
+    `Q.zero` object."""
+    if field is Q:
+        assert all(type(x) is Fraction for x in xs)
+        assert all(x is Q.zero for x in xs if not x)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF5, Q]), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_matrix_arithmetic_matches_the_dense_definition(field, r, c, data):
+    """`+`, `-`, unary `-`, `transpose` and `apply` against the dense
+    definitions, on caller scalars (GF(p) entries outside [0, p), Q zeros
+    of every kind) and on 0-row and 0-column shapes; mismatched operands
+    raise DimensionMismatch or FieldMismatch."""
+    f = field
+    scalars = st.lists(_caller_scalars(f), min_size=r * c, max_size=r * c)
+    a, b = (Matrix(f, r, c, tuple(data.draw(scalars))) for _ in range(2))
+    v = tuple(data.draw(st.lists(_caller_scalars(f), min_size=c, max_size=c)))
+    in_field = Matrix(f, r, c, tuple(f.add(f.zero, x) for x in a.entries))
+    for got, want in (
+        (a + b, entrywise_by_definition(a, b, f.add)),
+        (a - b, entrywise_by_definition(a, b, f.sub)),
+        (-a, neg_by_definition(a)),
+        (a.transpose(), transpose_by_definition(in_field)),
+    ):
+        assert got == want and got.shape == want.shape
+        _assert_field_scalars(f, got.entries)
+    got = a.apply(v)
+    assert got == apply_by_definition(a, v)
+    _assert_field_scalars(f, got)
+    for bad in (Matrix.zeros(f, r + 1, c), Matrix.zeros(f, r, c + 1)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(DimensionMismatch):
+                op(a, bad)
+    other = GF5 if f is Q else Q
+    for op in (operator.add, operator.sub):
+        with pytest.raises(FieldMismatch):
+            op(a, Matrix.zeros(other, r, c))
+    with pytest.raises(DimensionMismatch):
+        a.apply(v + (f.one,))
+
+
 # caches filled at construction, and the sparse product ------------------
 
 
 def _assert_filled(m: Matrix) -> None:
-    """m was built with `_integer_entries` filled, and it and any filled
-    `_sparse_cols` equal what a fresh matrix with m's entries reads: the
-    nonzeros in row-major order, with d least over Q (gcd(d, n...) = 1)
+    """m was built with `_integer_entries` filled, and it and the lazily
+    derived `_sparse_cols` equal what a fresh matrix with m's entries reads:
+    the nonzeros in row-major order, with d least over Q (gcd(d, n...) = 1)
     and residues in [1, p) over GF(p)."""
     fresh = Matrix(m.field, m.nrows, m.ncols, m.entries)
     assert m.__dict__["_integer_entries"] == fresh._integer_entries
     d, nz = m._integer_entries
     assert gcd(d, *(n for _, n in nz)) == 1
-    if "_sparse_cols" in m.__dict__:
-        assert m.__dict__["_sparse_cols"] == fresh._sparse_cols
+    assert m._sparse_cols == fresh._sparse_cols
+    assert m._sparse_cols == [[(i, x) for i, x in enumerate(m.col(j)) if x] for j in range(m.ncols)]
 
 
-def _assert_echelon_filled(s: Subspace) -> None:
-    """s was built with `_echelon` filled, equal to a fresh read of its
-    basis."""
-    assert s.__dict__["_echelon"] == Subspace(s.field, s.ambient, s.basis, s.pivots)._echelon
+def _assert_rows_canonical(s: Subspace) -> None:
+    """s stores the sparse RREF rows that `Subspace.from_vectors` gives on
+    its `basis` rows."""
+    assert s.rows == Subspace.from_vectors(s.field, s.ambient, s.basis.to_rows()).rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -897,11 +962,16 @@ def test_built_matrices_carry_the_caches_a_fresh_read_gives(case, data):
     _assert_filled(linear_combination(field, nrows, ncols, terms + [(-c, m) for c, m in terms[:1]]))
     for a, b in pairs:
         _assert_filled(a @ a.transpose() if a.ncols != b.nrows else a @ b)
+        _assert_filled(a.transpose())
+        _assert_filled(-a)
     total = kron_sum(field, nrows, ncols, pairs)
+    for m in krons:
+        _assert_filled(m + total)
+        _assert_filled(m - total)
     for s in (kron_image(field, nrows, ncols, pairs), kron_kernel(field, nrows, ncols, pairs),
               total.kernel_basis(), total.image_basis(), Subspace.zero(field, ncols),
               Subspace.from_vectors(field, ncols, total.to_rows())):
-        _assert_echelon_filled(s)
+        _assert_rows_canonical(s)
 
 
 @settings(max_examples=30, deadline=None)

@@ -45,6 +45,23 @@ def test_one_row_reduction_entry_point():
     assert imported == []
 
 
+def test_matrix_arithmetic_reads_no_dense_entries():
+    """Inside `linalg.Matrix`, `self.entries` is read only by the accessors
+    and the first reads, so every arithmetic method runs on the nonzeros
+    (`_integer_entries`, `_sparse_cols`) and a dense loop cannot come back
+    unnoticed.  `solve` may read them, since the benchmark traces it."""
+    allowed = {"__post_init__", "row", "col", "_integer_entries", "_sparse_cols", "solve"}
+    path = Path(frobstab.__file__).parent / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Matrix"]
+    readers = {fn.name for fn in ast.walk(cls) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "entries"
+               and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert "_integer_entries" in readers and readers <= allowed, readers - allowed
+
+
 def test_traced_names_resolve():
     """Every function the benchmark's tracer wraps still exists, so a
     refactor that drops one fails here and not only under `--trace 1`."""
