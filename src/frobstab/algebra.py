@@ -27,7 +27,7 @@ from .errors import (
     UnitMismatch,
 )
 from .exactfield import Field, field_from_json, field_to_json
-from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _row_kernel
+from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _integers, _row_kernel
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -200,16 +200,13 @@ class StructureAlgebra:
 
     @functools.cached_property
     def left(self) -> tuple[Matrix, ...]:
-        """left[i] is the matrix of a |-> e_i a; its column j is e_i e_j."""
-        n, zero = self.dim, self.field.zero
-        out = []
-        for row in self.cells:
-            entries = [zero] * (n * n)
-            for j, cell in enumerate(row):
-                for k, v in cell:
-                    entries[k * n + j] = v
-            out.append(Matrix(self.field, n, n, tuple(entries)))
-        return tuple(out)
+        """left[i] is the matrix of a |-> e_i a; its column j is e_i e_j,
+        read off the sparse cells."""
+        f, n = self.field, self.dim
+        return tuple(
+            Matrix(f, n, n, _integers(f, [(k * n + j, v) for j, cell in enumerate(row)
+                                          for k, v in cell]))
+            for row in self.cells)
 
     @functools.cached_property
     def right(self) -> tuple[Matrix, ...]:

@@ -204,14 +204,9 @@ def truncated_module(n: int, i: int, field: Field) -> ModuleRep:
     if not 0 <= i < n:
         raise IndexOutOfRange(f"module index {i} outside [0, {n})")
     d = i + 1
-    zero, one = field.zero, field.one
-    mats = []
-    for j in range(n):
-        rows = [[zero] * d for _ in range(d)]
-        for c in range(d - j):
-            rows[c + j][c] = one
-        mats.append(Matrix.from_rows(field, rows, ncols=d))
-    return ModuleRep(alg, d, tuple(mats), name=f"V{i}")
+    mats = tuple(Matrix(field, d, d, (1, [((c + j) * d + c, 1) for c in range(d - j)]))
+                 for j in range(n))
+    return ModuleRep(alg, d, mats, name=f"V{i}")
 
 
 def truncated_projection(n: int, j: int, i: int, field: Field) -> Matrix:

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .algebra import StructureAlgebra, enveloping
-from .linalg import Matrix, kron_sum
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class FrobeniusSystem:
         are the a_i and the b_i; its row c_p gives sum_i a_i (x) b_i =
         sum_p e_p (x) c_p."""
         f, n = self.algebra.field, self.algebra.dim
-        a_t = Matrix(f, n, n, tuple(a_i[p] for p in range(n) for a_i in self.a_basis))
-        return a_t @ Matrix(f, n, n, tuple(x for b_i in self.b_basis for x in b_i))
+        a_t = Matrix.dense(f, n, n, tuple(a_i[p] for p in range(n) for a_i in self.a_basis))
+        return a_t @ Matrix.dense(f, n, n, tuple(x for b_i in self.b_basis for x in b_i))
 
 
 def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:
@@ -76,7 +76,7 @@ def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:
                 if t:
                     acc = f.add(acc, f.mul(v, t))
             out[i * n + j] = acc
-    return Matrix(f, n, n, tuple(out))
+    return Matrix.dense(f, n, n, tuple(out))
 
 
 def derive_system(algebra: StructureAlgebra, trace: tuple) -> FrobeniusSystem:
@@ -144,11 +144,11 @@ def frobenius_element(system: FrobeniusSystem) -> tuple:
     return c.entries
 
 
-def _tensor_sum(alg: StructureAlgebra, terms) -> tuple:
-    """sum of x (x) y over the (x, y) terms, as a vector on the i-major basis."""
-    f, n = alg.field, alg.dim
-    rows = [(Matrix(f, 1, n, x), Matrix(f, 1, n, y)) for x, y in terms]
-    return kron_sum(f, 1, n * n, rows).entries
+def _tensor(field, x: tuple, y: tuple) -> tuple:
+    """x (x) y as a vector on the i-major basis: entry i * len(y) + j is
+    x_i y_j, and the field's `zero` where either factor is zero."""
+    mul, zero = field.mul, field.zero
+    return tuple(mul(a, b) if a and b else zero for a in x for b in y)
 
 
 def element_inverse(algebra: StructureAlgebra, d: tuple) -> tuple | None:
@@ -169,7 +169,7 @@ def twist(system: FrobeniusSystem, d: tuple, side: str = "left") -> FrobeniusSys
     d_inv = element_inverse(alg, d)
     if d_inv is None:
         raise NonInvertibleTwist("twist element is not invertible", witness=tuple(d))
-    trace = Matrix(alg.field, 1, alg.dim, system.trace)
+    trace = Matrix.dense(alg.field, 1, alg.dim, system.trace)
     if side == "left":
         new_trace = (trace @ alg.right_mult_matrix(d)).entries
         a_basis = tuple(alg.mul(a, d_inv) for a in system.a_basis)
@@ -187,14 +187,14 @@ def enveloping_system(system: FrobeniusSystem) -> FrobeniusSystem:
     """Transport to A (x) A^op: trace (x) trace with dual bases
     {a_i (x) b_j} and {b_i (x) a_j}, indexed by the same (i, j) pairs."""
     alg = system.algebra
-    n = alg.dim
+    f, n = alg.field, alg.dim
     env = enveloping(alg)
-    trace = _tensor_sum(alg, [(system.trace, system.trace)])
+    trace = _tensor(f, system.trace, system.trace)
     a_basis = []
     b_basis = []
     for i in range(n):
         for j in range(n):
-            a_basis.append(_tensor_sum(alg, [(system.a_basis[i], system.b_basis[j])]))
-            b_basis.append(_tensor_sum(alg, [(system.b_basis[i], system.a_basis[j])]))
+            a_basis.append(_tensor(f, system.a_basis[i], system.b_basis[j]))
+            b_basis.append(_tensor(f, system.b_basis[i], system.a_basis[j]))
     return require_identities(FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis)))
 

@@ -10,7 +10,7 @@ Conventions fixed package-wide:
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * `_kron_rows` is the one function that builds sums of Kronecker products
   (operators on vectorized maps, embeddings, tensor elements), for both
-  fields: it reads each factor's cached nonzeros (`_integer_entries`),
+  fields: it reads each factor's stored nonzeros (`Matrix.nonzeros`),
   accumulates the products in `int`s over one common denominator D (D = 1
   over GF(p), where each cell is reduced mod p once) and returns the
   nonzero rows of D times the sum as sparse maps {column: int}, or those
@@ -42,14 +42,13 @@ Conventions fixed package-wide:
   `reduce`, `contains`, `coords`, `contains_subspace` and the shift
   path's module actions reduce a sparse vector against them
   (`Subspace._residual`);
-* matrix arithmetic reads only a matrix's nonzeros, `_integer_entries`
-  and the nonzero columns derived from them (`_sparse_cols`): `+`, `-`
-  and unary `-` are `linear_combination`s, `transpose` permutes the
-  nonzeros, `@` multiplies over both factors' nonzeros and `apply` is
-  `_sparse_apply`.  Every producer that holds a matrix's nonzeros
-  (those, `identity`, `kron`, `kron_sum`, sub- and quotient-module
-  actions) builds it with `Matrix._from_integers`, which fills
-  `_integer_entries`;
+* a matrix stores only its nonzeros (`Matrix.nonzeros`), and its dense
+  `entries` are built when first read.  Matrix arithmetic reads only the
+  nonzeros and the nonzero columns derived from them (`_sparse_cols`):
+  `+`, `-` and unary `-` are `linear_combination`s, `transpose` permutes
+  the nonzeros, `@` multiplies over both factors' nonzeros and `apply` is
+  `_sparse_apply`.  Every producer builds its matrix from the nonzeros it
+  holds; only `Matrix.dense` reads a dense tuple;
 * shift steps read module actions sparse: `_sparse_cols`,
   `_sparse_apply`, and `Subspace._residual`;
 * every matrix result, product `apply`, subspace basis and residual
@@ -234,7 +233,7 @@ def _cleared(pairs, zero) -> tuple[int, list[tuple[int, int]]]:
 
 def _integers(field: Field, pairs) -> tuple[int, list[tuple[int, int]]]:
     """(t, x) pairs of field scalars (residues in [1, p) over GF(p)) as
-    `_integer_entries` holds them."""
+    `Matrix.nonzeros` holds them."""
     return _cleared(pairs, field.zero) if field.kind == RATIONAL else (1, pairs)
 
 
@@ -290,23 +289,44 @@ def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]],
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable matrix; entries stored row-major as one flat tuple, which
-    arithmetic reads only through its nonzeros (`_integer_entries`)."""
+    """Immutable matrix that stores only its nonzeros: `nonzeros` is (d,
+    ((t, n), ...)) in t order, the row-major entry t being n / d.  Over Q, d
+    is the least common denominator; over GF(p), d = 1 and each n is a
+    residue in [1, p).  `__post_init__` sorts the pairs and over Q divides d
+    and the n by their gcd, so `==` and `hash` compare canonical nonzeros.
+    The dense row-major `entries` is built when first read."""
 
     field: Field
     nrows: int
     ncols: int
-    entries: tuple
+    nonzeros: tuple
 
     def __post_init__(self):
         if self.nrows < 0 or self.ncols < 0:
             raise DimensionMismatch("negative matrix dimension")
-        if len(self.entries) != self.nrows * self.ncols:
-            raise DimensionMismatch(
-                f"entry count {len(self.entries)} != {self.nrows}x{self.ncols}"
-            )
+        d, nz = self.nonzeros
+        nz = sorted(nz)
+        if nz and (nz[0][0] < 0 or nz[-1][0] >= self.nrows * self.ncols):
+            raise DimensionMismatch(f"entry index outside {self.nrows}x{self.ncols}")
+        if d > 1 and (g := gcd(d, *[n for _, n in nz])) > 1:
+            d //= g
+            nz = [(t, n // g) for t, n in nz]
+        object.__setattr__(self, "nonzeros", (d, tuple(nz)))
 
     # construction ----------------------------------------------------
+
+    @staticmethod
+    def dense(field: Field, nrows: int, ncols: int, entries) -> "Matrix":
+        """The matrix with the given row-major entries, in any spelling of
+        the field's scalars: GF(p) ints outside [0, p), and over Q `int`s,
+        `Fraction`s and the `zero` object, which is skipped by identity."""
+        if len(entries) != nrows * ncols:
+            raise DimensionMismatch(f"entry count {len(entries)} != {nrows}x{ncols}")
+        if field.kind == RATIONAL:
+            return Matrix(field, nrows, ncols, _cleared(enumerate(entries), field.zero))
+        p = field.p
+        nz = [(t, y) for t, x in enumerate(entries) if x and (y := x % p)]
+        return Matrix(field, nrows, ncols, (1, nz))
 
     @staticmethod
     def from_rows(field: Field, rows, ncols: int | None = None) -> "Matrix":
@@ -321,41 +341,35 @@ class Matrix:
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
         flat = tuple(x for r in rows for x in r)
-        return Matrix(field, len(rows), ncols, flat)
+        return Matrix.dense(field, len(rows), ncols, flat)
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, nrows, ncols, (field.zero,) * (nrows * ncols))
+        return Matrix(field, nrows, ncols, (1, ()))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix._from_integers(field, n, n, (1, [(i * (n + 1), 1) for i in range(n)]))
-
-    @staticmethod
-    def _from_integers(field: Field, nrows: int, ncols: int, nonzeros) -> "Matrix":
-        """The matrix built with its `_integer_entries` filled: (d, [(t, n),
-        ...]), the pairs in any order, over GF(p) with d = 1 and each n in
-        [1, p).  Over Q, d and the n are divided by their gcd, so that d is
-        least, and an entry equal to 1 is the field's `one`; the entries not
-        given are the field's `zero`."""
-        d, nz = nonzeros
-        nz = sorted(nz)
-        ent = [field.zero] * (nrows * ncols)
-        if field.kind != RATIONAL:
-            for t, n in nz:
-                ent[t] = n
-        else:
-            if d > 1 and (g := gcd(d, *[n for _, n in nz])) > 1:
-                d //= g
-                nz = [(t, n // g) for t, n in nz]
-            one = field.one
-            for t, n in nz:
-                ent[t] = one if n == d else Fraction(n, d)
-        m = Matrix(field, nrows, ncols, tuple(ent))
-        m.__dict__["_integer_entries"] = (d, nz)
-        return m
+        return Matrix(field, n, n, (1, [(i * (n + 1), 1) for i in range(n)]))
 
     # access ----------------------------------------------------------
+
+    def _scalars(self) -> "tuple | list":
+        """The nonzeros as (t, field scalar) pairs: n over GF(p), and n / d
+        as a `Fraction` (the field's `one` for 1) over Q."""
+        d, nz = self.nonzeros
+        if self.field.kind != RATIONAL:
+            return nz
+        one = self.field.one
+        return [(t, one if n == d else Fraction(n, d)) for t, n in nz]
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The dense row-major entries: residues in [0, p) over GF(p), and
+        over Q the field's `zero` object for a zero."""
+        ent = [self.field.zero] * (self.nrows * self.ncols)
+        for t, x in self._scalars():
+            ent[t] = x
+        return tuple(ent)
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.ncols : (i + 1) * self.ncols]
@@ -382,14 +396,14 @@ class Matrix:
         return linear_combination(self.field, self.nrows, self.ncols, [(-1, self)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product over both factors' `_integer_entries`, summed as
-        `int`s and reduced mod p, or divided by d_a * d_b, once per entry."""
+        """The product over both factors' nonzeros, summed as `int`s and
+        reduced mod p, or divided by d_a * d_b, once per entry."""
         _check_same_field(self.field, other.field)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"matmul {self.shape} @ {other.shape}")
         m, k = self.ncols, other.ncols
-        da, a_nz = self._integer_entries
-        db, b_nz = other._integer_entries
+        da, a_nz = self.nonzeros
+        db, b_nz = other.nonzeros
         lines: dict[int, list] = {}  # other's nonzero (column, n) pairs by row
         for t, y in b_nz:
             s, j = divmod(t, k)
@@ -402,7 +416,7 @@ class Matrix:
                 c = base + j
                 acc[c] = acc.get(c, 0) + x * y
         nz = _canonical(acc, self.field.characteristic).items()
-        return Matrix._from_integers(self.field, self.nrows, k, (da * db, nz))
+        return Matrix(self.field, self.nrows, k, (da * db, nz))
 
     def apply(self, v: tuple) -> tuple:
         """Matrix-vector product over the sparse columns; v has length ncols."""
@@ -413,36 +427,16 @@ class Matrix:
 
     @cached_property
     def _sparse_cols(self) -> list[list[tuple]]:
-        """Each column as its nonzero (row, value) pairs, read off
-        `_integer_entries` in O(nnz): residues in [1, p) over GF(p), and
-        n / d as a `Fraction` (the field's `one` for 1) over Q."""
-        d, nz = self._integer_entries
-        if self.field.kind == RATIONAL:
-            one = self.field.one
-            nz = [(t, one if n == d else Fraction(n, d)) for t, n in nz]
+        """Each column as its nonzero (row, value) pairs, in O(nnz)."""
         cols: list[list[tuple]] = [[] for _ in range(self.ncols)]
-        for t, x in nz:
+        for t, x in self._scalars():
             cols[t % self.ncols].append((t // self.ncols, x))
         return cols
 
-    @cached_property
-    def _integer_entries(self) -> tuple[int, list[tuple[int, int]]]:
-        """(d, [(t, n), ...]) with entry t equal to n / d, for the nonzero
-        entries in row-major order.  Over Q, d is the least common
-        denominator; entries that are the field's `zero` object are skipped
-        by identity, other zeros after their ratio.  Over GF(p), d = 1 and
-        each n is the entry's residue in [1, p).  Filled at construction by
-        the producers that use `_from_integers`; any other matrix, such as a
-        module's action that enters many Kronecker sums, is read once."""
-        if self.field.kind != RATIONAL:
-            p = self.field.p
-            return 1, [(t, y) for t, x in enumerate(self.entries) if x and (y := x % p)]
-        return _cleared(enumerate(self.entries), self.field.zero)
-
     def transpose(self) -> "Matrix":
         n, m = self.nrows, self.ncols
-        d, nz = self._integer_entries
-        return Matrix._from_integers(self.field, m, n, (d, [(t % m * n + t // m, x) for t, x in nz]))
+        d, nz = self.nonzeros
+        return Matrix(self.field, m, n, (d, [(t % m * n + t // m, x) for t, x in nz]))
 
     # reductions ------------------------------------------------------
 
@@ -455,9 +449,9 @@ class Matrix:
 
     def image_basis(self) -> "Subspace":
         """Column space as a canonical subspace of F^nrows: the row space of
-        the columns read from `_integer_entries` (d keeps it)."""
+        the columns read from the nonzeros (d keeps it)."""
         cols: list[dict] = [{} for _ in range(self.ncols)]
-        for t, n in self._integer_entries[1]:
+        for t, n in self.nonzeros[1]:
             i, j = divmod(t, self.ncols)
             cols[j][i] = n
         return Subspace(self.field, self.nrows, _rref(cols, self.nrows, self.field.characteristic))
@@ -470,18 +464,15 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
         rows = _integer_rows(self)
-        d = self._integer_entries[0]
+        d = self.nonzeros[0]
         for i, row in enumerate(rows):
             row[n + i] = d
         piv = _rref(rows, 2 * n, self.field.characteristic)
         if list(piv) != list(range(n)):
             return None
-        ent = [self.field.zero] * (n * n)
-        for i, row in enumerate(piv.values()):
-            for j, x in row.items():
-                if j >= n:
-                    ent[i * n + j - n] = x
-        return Matrix(self.field, n, n, tuple(ent))
+        right = [(i * n + j - n, x) for i, row in enumerate(piv.values())
+                 for j, x in row.items() if j >= n]
+        return Matrix(self.field, n, n, _integers(self.field, right))
 
     def solve(self, b: tuple) -> "tuple | None":
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -501,7 +492,7 @@ class Matrix:
 def _integer_rows(m: Matrix) -> list[dict]:
     """d times m's rows, as fresh sparse maps {column: n} for `_row_kernel`."""
     rows: list[dict] = [{} for _ in range(m.nrows)]
-    for t, n in m._integer_entries[1]:
+    for t, n in m.nonzeros[1]:
         i, j = divmod(t, m.ncols)
         rows[i][j] = n
     return rows
@@ -583,11 +574,11 @@ def _kron_rows(field: Field, nrows: int, ncols: int, pairs,
 
     Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q,
     and must have the given shape.  The factors are read through their
-    cached `_integer_entries`: over Q, D is the least common multiple of
-    the terms' denominators; over GF(p), D = 1.  Products are summed as
-    plain ints and each cell is reduced mod p once over GF(p); cells that
-    cancel are dropped, and so are rows left empty.  `pairs` is iterated
-    once, so it may be a generator.
+    stored nonzeros: over Q, D is the least common multiple of the terms'
+    denominators; over GF(p), D = 1.  Products are summed as plain ints
+    and each cell is reduced mod p once over GF(p); cells that cancel are
+    dropped, and so are rows left empty.  `pairs` is iterated once, so it
+    may be a generator.
     """
     terms = []
     den = 1
@@ -596,8 +587,8 @@ def _kron_rows(field: Field, nrows: int, ncols: int, pairs,
         _check_same_field(field, b.field)
         if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
             raise DimensionMismatch(f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}")
-        da, a_nz = a._integer_entries
-        db, b_nz = b._integer_entries
+        da, a_nz = a.nonzeros
+        db, b_nz = b.nonzeros
         terms.append((da * db, a.ncols, b.nrows, b.ncols, a_nz, b_nz))
         den = lcm(den, da * db)
     out: dict[int, dict] = {}
@@ -643,7 +634,7 @@ def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
     """
     den, rows = _kron_rows(field, nrows, ncols, pairs)
     nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
-    return Matrix._from_integers(field, nrows, ncols, (den, nz))
+    return Matrix(field, nrows, ncols, (den, nz))
 
 
 def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
@@ -675,16 +666,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     f, nrows, ncols = a.field, a.nrows * b.nrows, a.ncols * b.ncols
     den, rows = _kron_rows(f, nrows, ncols, [(a, b)])
     nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
-    return Matrix._from_integers(f, nrows, ncols, (den, nz))
+    return Matrix(f, nrows, ncols, (den, nz))
 
 
 def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
     """Sum of c * m over the (c, m) terms, each m an nrows x ncols matrix.
 
-    Each m is read through its cached `_integer_entries` and the products
-    are summed as ints over one common denominator D (D = 1 over GF(p)),
-    with one division by D over Q or one reduction mod p over GF(p) per
-    entry that a product reached.
+    Each m is read through its stored nonzeros and the products are summed
+    as ints over one common denominator D (D = 1 over GF(p)), with one
+    division by D over Q or one reduction mod p over GF(p) per entry that
+    a product reached.
     """
     read = []
     den = 1
@@ -693,7 +684,7 @@ def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
             _check_same_field(field, m.field)
             if m.shape != (nrows, ncols):
                 raise DimensionMismatch(f"term of shape {m.shape} is not {nrows}x{ncols}")
-            d, nz = m._integer_entries
+            d, nz = m.nonzeros
             read.append((c, d * c.denominator, nz))
             den = lcm(den, d * c.denominator)
     acc: dict[int, int] = {}
@@ -702,24 +693,20 @@ def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
         for t, n in nz:
             acc[t] = acc.get(t, 0) + s * n
     nz = _canonical(acc, field.characteristic).items()
-    return Matrix._from_integers(field, nrows, ncols, (den, nz))
+    return Matrix(field, nrows, ncols, (den, nz))
 
 
 def vec(m: Matrix) -> tuple:
-    """Column-major vectorization: vec(m)[j*nrows + i] = m[i, j]."""
-    e = m.entries
-    n, c = m.nrows, m.ncols
-    return tuple(e[i * c + j] for j in range(c) for i in range(n))
+    """Column-major vectorization: vec(m)[j*nrows + i] = m[i, j], the
+    row-major entries of m's transpose."""
+    return m.transpose().entries
 
 
 def unvec(field: Field, v: tuple, nrows: int, ncols: int) -> Matrix:
-    """Inverse of `vec`: rebuild the nrows x ncols matrix from a flat vector."""
+    """Inverse of `vec`: the transpose of v read row-major as ncols x nrows."""
     if len(v) != nrows * ncols:
         raise DimensionMismatch(f"vector length {len(v)} != {nrows}x{ncols}")
-    return Matrix(
-        field, nrows, ncols,
-        tuple(v[j * nrows + i] for i in range(nrows) for j in range(ncols)),
-    )
+    return Matrix.dense(field, ncols, nrows, v).transpose()
 
 
 @dataclass(frozen=True)
@@ -761,10 +748,10 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The RREF basis as a dense dim x ambient matrix."""
-        zero = self.field.zero
-        flat = tuple(x for row in self.rows.values() for x in _dense(row, self.ambient, zero))
-        return Matrix(self.field, self.dim, self.ambient, flat)
+        """The RREF basis as a dim x ambient matrix of the stored rows."""
+        a = self.ambient
+        nz = [(t * a + j, x) for t, row in enumerate(self.rows.values()) for j, x in row.items()]
+        return Matrix(self.field, self.dim, a, _integers(self.field, nz))
 
     def basis_vectors(self) -> list[tuple]:
         return [self.basis.row(i) for i in range(self.dim)]

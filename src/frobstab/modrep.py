@@ -16,8 +16,8 @@ canonical maps in and out of the free cover:
 
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
 Sub- and quotient modules read the actions' sparse columns and build
-their actions from the nonzeros they find (`Matrix._from_integers`), so a
-shift step costs O(nnz), and the next step does not scan its output.
+their actions from the nonzeros they find, a `Matrix`'s one stored form,
+so a shift step costs O(nnz) and writes no dense tuple.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     As sum_i a_i (x) b_i = sum_p e_p (x) c_p, for c_p row p of the Frobenius
     matrix C (`element_matrix`), block p of the rows is action_M(c_p): row p
     of `blocks` = C R, where row r of R is action_M(e_r) flattened.  R is
-    built from the actions' cached nonzeros, and phi shares the nonzeros of
-    `blocks`.  Both checks read `blocks`, and compare the products'
-    nonzeros.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block p of its
+    built from the actions' stored nonzeros, and phi is `blocks`'s
+    nonzeros read as (dim A * dim M) x dim M.  Both checks read `blocks`,
+    and compare the products' nonzeros, not the matrices, whose shapes
+    differ.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block p of its
     product with phi is sum_s L(e_q)[p, s] block s, row p of L(e_q)
     `blocks`; phi intertwines iff that is phi action_M(e_q).  The trace
     splitting a (x) v |-> trace(a) v of phi is trace `blocks`, which must
@@ -129,19 +130,18 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
         raise AlgebraMismatch("module is not over the system's algebra")
     f, n, md = alg.field, alg.dim, m.dim
     _check_entries(n * (n * md) ** 2, n * md, f"dim {n * md} free module")
-    ints = [rho._integer_entries for rho in m.action]
+    ints = [rho.nonzeros for rho in m.action]
     d, sq = lcm(*[dr for dr, _ in ints]), md * md
-    rows = Matrix._from_integers(f, n, sq, (d, [
+    rows = Matrix(f, n, sq, (d, [
         (r * sq + t, x * (d // dr)) for r, (dr, nz) in enumerate(ints) for t, x in nz
     ]))
     blocks = system.element_matrix @ rows
-    phi = Matrix(f, n * md, md, blocks.entries)
-    phi.__dict__["_integer_entries"] = blocks._integer_entries
+    phi = Matrix(f, n * md, md, blocks.nonzeros)
     for q, rho in enumerate(m.action):
-        if (alg.left[q] @ blocks)._integer_entries != (phi @ rho)._integer_entries:
+        if (alg.left[q] @ blocks).nonzeros != (phi @ rho).nonzeros:
             raise NotALinearMap(f"embedding fails to intertwine basis {q}", witness=q)
-    split = Matrix(f, 1, n, system.trace) @ blocks
-    if split._integer_entries != Matrix.identity(f, md)._integer_entries:
+    split = Matrix.dense(f, 1, n, system.trace) @ blocks
+    if split.nonzeros != Matrix.identity(f, md).nonzeros:
         raise EmbeddingNotInjective("trace splitting does not recover the identity")
     return phi
 
@@ -149,7 +149,7 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
 def _surjection_terms(m: ModuleRep) -> list[tuple[Matrix, Matrix]]:
     """The (e_p^T, action_M(e_p)) pairs whose Kronecker sum is the surjection."""
     alg = m.algebra
-    return [(Matrix(alg.field, 1, alg.dim, alg.basis_vector(p)), rho)
+    return [(Matrix(alg.field, 1, alg.dim, (1, [(p, 1)])), rho)
             for p, rho in enumerate(m.action)]
 
 
@@ -211,7 +211,7 @@ def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
             nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
             if sub._residual(w):
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
-        action.append(Matrix._from_integers(f, d, d, _integers(f, nz)))
+        action.append(Matrix(f, d, d, _integers(f, nz)))
     return tuple(action)
 
 
@@ -243,7 +243,7 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     for rho in m.action:
         nz = [(at[r] * n + b, x) for q, b in at.items()
               for r, x in sub._residual(dict(rho._sparse_cols[q])).items()]
-        action.append(Matrix._from_integers(f, n, n, _integers(f, nz)))
+        action.append(Matrix(f, n, n, _integers(f, nz)))
     return ModuleRep(m.algebra, n, tuple(action), name=f"{m.name}/sub{sub.dim}")
 
 
@@ -293,5 +293,5 @@ def module_from_json(obj, algebra: StructureAlgebra, accept_names=None) -> Modul
             if not isinstance(row, list) or len(row) != dim:
                 raise ParseError("action matrix has wrong column count")
             texts.extend(row)
-        mats.append(Matrix(f, dim, dim, tuple(f.parse_many(texts))))
+        mats.append(Matrix.dense(f, dim, dim, tuple(f.parse_many(texts))))
     return ModuleRep(algebra, dim, tuple(mats), name=obj["name"])

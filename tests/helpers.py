@@ -145,7 +145,7 @@ def kron_sum_by_definition(field: Field, nrows: int, ncols: int, pairs) -> Matri
                     for l in range(q):
                         c = (i * p + k) * ncols + j * q + l
                         out[c] = field.add(out[c], field.mul(at(a, i, j), at(b, k, l)))
-    return Matrix(field, nrows, ncols, tuple(out))
+    return Matrix.dense(field, nrows, ncols, tuple(out))
 
 
 def matmul_by_definition(a: Matrix, b: Matrix) -> Matrix:
@@ -160,7 +160,7 @@ def matmul_by_definition(a: Matrix, b: Matrix) -> Matrix:
                 x, y = at(a, i, s), at(b, s, j)
                 if x and y:
                     out[i * b.ncols + j] = f.add(out[i * b.ncols + j], f.mul(x, y))
-    return Matrix(f, a.nrows, b.ncols, tuple(out))
+    return Matrix.dense(f, a.nrows, b.ncols, tuple(out))
 
 
 def at(m: Matrix, i: int, j: int):
@@ -185,7 +185,7 @@ def entrywise_by_definition(a: Matrix, b: Matrix, op) -> Matrix:
             z = op(x, y)
             if z:
                 entries[k] = z
-    return Matrix(a.field, a.nrows, a.ncols, tuple(entries))
+    return Matrix.dense(a.field, a.nrows, a.ncols, tuple(entries))
 
 
 def neg_by_definition(m: Matrix) -> Matrix:
@@ -193,14 +193,14 @@ def neg_by_definition(m: Matrix) -> Matrix:
     `Matrix.__neg__`."""
     neg, zero = m.field.neg, m.field.zero
     entries = tuple(zero if x is zero or not x else neg(x) for x in m.entries)
-    return Matrix(m.field, m.nrows, m.ncols, entries)
+    return Matrix.dense(m.field, m.nrows, m.ncols, entries)
 
 
 def transpose_by_definition(m: Matrix) -> Matrix:
     """m^T, each entry moved from (i, j) to (j, i): the oracle for
     `Matrix.transpose`."""
     e, n, c = m.entries, m.nrows, m.ncols
-    return Matrix(m.field, c, n, tuple(e[i * c + j] for j in range(c) for i in range(n)))
+    return Matrix.dense(m.field, c, n, tuple(e[i * c + j] for j in range(c) for i in range(n)))
 
 
 def apply_by_definition(m: Matrix, v) -> tuple:
@@ -229,7 +229,7 @@ def stack_rows(mats: list[Matrix]) -> Matrix:
     f, ncols = mats[0].field, mats[0].ncols
     if any(m.field != f or m.ncols != ncols for m in mats):
         raise DimensionMismatch("fields or column counts differ")
-    return Matrix(f, sum(m.nrows for m in mats), ncols, tuple(x for m in mats for x in m.entries))
+    return Matrix.dense(f, sum(m.nrows for m in mats), ncols, tuple(x for m in mats for x in m.entries))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -269,7 +269,7 @@ def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
             if c is None:
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
             cols.extend(c)
-        action.append(transpose_by_definition(Matrix(f, d, d, tuple(cols))))
+        action.append(transpose_by_definition(Matrix.dense(f, d, d, tuple(cols))))
     return tuple(action)
 
 
@@ -297,13 +297,13 @@ def free_cover_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     f, n, md = alg.field, alg.dim, m.dim
     free = free_module(alg, md)
     c = system.element_matrix
-    phi = Matrix(f, n * md, md, tuple(
+    phi = Matrix.dense(f, n * md, md, tuple(
         x for p in range(n) for x in m.action_of(c.row(p)).entries
     ))
     for q in range(n):
         if free.action[q] @ phi != phi @ m.action[q]:
             raise NotALinearMap(f"embedding fails to intertwine basis {q}", witness=q)
-    split = kron(Matrix(f, 1, n, system.trace), Matrix.identity(f, md))
+    split = kron(Matrix.dense(f, 1, n, system.trace), Matrix.identity(f, md))
     if split @ phi != Matrix.identity(f, md):
         raise EmbeddingNotInjective("trace splitting does not recover the identity")
     return phi

@@ -206,7 +206,7 @@ def _left_mult_loop(alg, x):
             for k, v in row[j]:
                 idx = k * n + j
                 out[idx] = add(out[idx], mul(xi, v))
-    return Matrix(alg.field, n, n, tuple(out))
+    return Matrix.dense(alg.field, n, n, tuple(out))
 
 
 def _right_mult_loop(alg, x):
@@ -221,7 +221,7 @@ def _right_mult_loop(alg, x):
             for k, v in row[i]:
                 idx = k * n + j
                 out[idx] = add(out[idx], mul(xi, v))
-    return Matrix(alg.field, n, n, tuple(out))
+    return Matrix.dense(alg.field, n, n, tuple(out))
 
 
 def _opposite_loop(a):

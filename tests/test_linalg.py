@@ -27,7 +27,7 @@ from frobstab.linalg import (
     Matrix, Subspace, _kron_rows, _rref_rational, _rref_sparse, kron, kron_image, kron_kernel,
     kron_sum, linear_combination, unvec, vec,
 )
-from frobstab.modrep import ModuleRep
+from frobstab.modrep import ModuleRep, quotient_module, submodule
 from frobstab.stab import shift_minus, shift_plus
 from helpers import (
     apply_by_definition, at, complement_oracle, entrywise_by_definition, exact_kernel,
@@ -53,7 +53,7 @@ def rand_matrix(field, rng, nrows, ncols, lo=-4, hi=4):
         ]
     else:
         entries = [rng.randrange(field.p) for _ in range(nrows * ncols)]
-    return Matrix(field, nrows, ncols, tuple(entries))
+    return Matrix.dense(field, nrows, ncols, tuple(entries))
 
 
 def _field_route():
@@ -481,7 +481,7 @@ def _produced_subspaces(draw):
     scalar = _caller_scalars(field)
 
     def matrix(r, c):
-        return Matrix(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
+        return Matrix.dense(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
 
     producer = draw(st.sampled_from(_PRODUCERS))
     if producer in ("kron_kernel", "kron_image"):
@@ -646,10 +646,10 @@ def test_kron_sum_guards():
 
 
 def test_kron_sum_reduces_noncanonical_gf5_entries():
-    a = Matrix(GF5, 2, 2, (7, -3, 0, 12))
-    b = Matrix(GF5, 1, 2, (6, -1))
-    c = Matrix(GF5, 2, 2, (-1, 5, 9, 1))
-    assert kron(a, b) == Matrix(GF5, 2, 4, (2, 3, 2, 3, 0, 0, 2, 3))
+    a = Matrix.dense(GF5, 2, 2, (7, -3, 0, 12))
+    b = Matrix.dense(GF5, 1, 2, (6, -1))
+    c = Matrix.dense(GF5, 2, 2, (-1, 5, 9, 1))
+    assert kron(a, b) == Matrix.dense(GF5, 2, 4, (2, 3, 2, 3, 0, 0, 2, 3))
     got = kron_sum(GF5, 2, 4, [(a, b), (c, b)])
     assert all(0 <= x < 5 for x in got.entries)
     assert got == kron(a, b) + kron(c, b)
@@ -673,7 +673,7 @@ def _field_kron_terms(draw):
     ar, ac, br, bc = (draw(st.integers(1, 3)) for _ in range(4))
 
     def factor(r, c):
-        return Matrix(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
+        return Matrix.dense(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
 
     pairs = [(factor(ar, ac), factor(br, bc)) for _ in range(draw(st.integers(0, 3)))]
     return field, ar * br, ac * bc, pairs
@@ -700,11 +700,11 @@ def test_rational_kron_sum_matches_field_definition(case):
         assert list(rows) == sorted(rows)
         assert all(row for row in rows.values())
         assert all(type(x) is int and x for row in rows.values() for x in row.values())
-        scaled = Matrix(field, dense.nrows, dense.ncols, tuple(d * x for x in dense.entries))
+        scaled = Matrix.dense(field, dense.nrows, dense.ncols, tuple(d * x for x in dense.entries))
         assert _from_rows(field, dense.nrows, dense.ncols, rows) == scaled
     # Clearing a factor leaves it equal to what it was.
     for a, _ in pairs:
-        assert a == Matrix(field, a.nrows, a.ncols, a.entries)
+        assert a == Matrix.dense(field, a.nrows, a.ncols, a.entries)
 
 
 def test_scaled_kron_sum_keeps_kernel_and_image():
@@ -742,7 +742,7 @@ def _kron_terms(draw):
     scalar = st.one_of(st.just(field.zero), scalar)
 
     def factor(r, c):
-        return Matrix(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
+        return Matrix.dense(field, r, c, tuple(draw(scalar) for _ in range(r * c)))
 
     pairs = [(factor(ar, ac), factor(br, bc)) for _ in range(draw(st.integers(0, 3)))]
     if pairs and draw(st.booleans()):
@@ -777,12 +777,12 @@ def test_kron_sum_over_q_empty_and_unit_shapes():
     zero = kron_sum(Q, 2, 3, [])
     assert zero == Matrix.zeros(Q, 2, 3) and all(x is Q.zero for x in zero.entries)
     assert _kron_rows(Q, 2, 3, iter(())) == _kron_rows(GF3, 2, 3, iter(()), True) == (1, {})
-    col = Matrix(Q, 2, 1, (Fraction(1, 2), 0))
-    row = Matrix(Q, 1, 2, (Fraction(0), Fraction(-4, 3)))
+    col = Matrix.dense(Q, 2, 1, (Fraction(1, 2), 0))
+    row = Matrix.dense(Q, 1, 2, (Fraction(0), Fraction(-4, 3)))
     outer = (Q.zero, Fraction(-2, 3), Q.zero, Q.zero)  # col @ row, either way round
     assert kron(col, row).entries == outer and kron(row, col).entries == outer
     assert kron(row, col).entries[0] is Q.zero
-    scalar = Matrix(Q, 1, 1, (Fraction(3, 2),))
+    scalar = Matrix.dense(Q, 1, 1, (Fraction(3, 2),))
     assert kron_sum(Q, 1, 1, [(scalar, scalar), (scalar, scalar)]).entries == (Fraction(9, 2),)
     assert kron_sum(Q, 1, 1, [(scalar, scalar), (-scalar, scalar)]).entries[0] is Q.zero
     for transpose in (False, True):
@@ -799,7 +799,7 @@ def _combination_terms(draw):
     nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     def term():
         entries = tuple(draw(scalar) for _ in range(nrows * ncols))
-        return draw(scalar), Matrix(field, nrows, ncols, entries)
+        return draw(scalar), Matrix.dense(field, nrows, ncols, entries)
 
     terms = [term() for _ in range(draw(st.integers(0, 4)))]
     if terms and draw(st.booleans()):
@@ -841,7 +841,7 @@ def _matrices(field, nrows, ncols):
     else:
         scalar = st.integers(0, field.p - 1)
     return st.lists(scalar, min_size=nrows * ncols, max_size=nrows * ncols).map(
-        lambda e: Matrix(field, nrows, ncols, tuple(e))
+        lambda e: Matrix.dense(field, nrows, ncols, tuple(e))
     )
 
 
@@ -882,10 +882,10 @@ def test_rational_zero_entries_are_the_field_zero_object():
 
 def _assert_field_scalars(field, xs) -> None:
     """Residues in [0, p) over GF(p); `Fraction`s over Q, each zero the
-    `Q.zero` object."""
-    if field is Q:
+    field's `zero` object."""
+    if field == Q:
         assert all(type(x) is Fraction for x in xs)
-        assert all(x is Q.zero for x in xs if not x)
+        assert all(x is field.zero for x in xs if not x)
     else:
         assert all(type(x) is int and 0 <= x < field.p for x in xs)
 
@@ -899,9 +899,9 @@ def test_matrix_arithmetic_matches_the_dense_definition(field, r, c, data):
     raise DimensionMismatch or FieldMismatch."""
     f = field
     scalars = st.lists(_caller_scalars(f), min_size=r * c, max_size=r * c)
-    a, b = (Matrix(f, r, c, tuple(data.draw(scalars))) for _ in range(2))
+    a, b = (Matrix.dense(f, r, c, tuple(data.draw(scalars))) for _ in range(2))
     v = tuple(data.draw(st.lists(_caller_scalars(f), min_size=c, max_size=c)))
-    in_field = Matrix(f, r, c, tuple(f.add(f.zero, x) for x in a.entries))
+    in_field = Matrix.dense(f, r, c, tuple(f.add(f.zero, x) for x in a.entries))
     for got, want in (
         (a + b, entrywise_by_definition(a, b, f.add)),
         (a - b, entrywise_by_definition(a, b, f.sub)),
@@ -929,13 +929,13 @@ def test_matrix_arithmetic_matches_the_dense_definition(field, r, c, data):
 
 
 def _assert_filled(m: Matrix) -> None:
-    """m was built with `_integer_entries` filled, and it and the lazily
-    derived `_sparse_cols` equal what a fresh matrix with m's entries reads:
-    the nonzeros in row-major order, with d least over Q (gcd(d, n...) = 1)
-    and residues in [1, p) over GF(p)."""
-    fresh = Matrix(m.field, m.nrows, m.ncols, m.entries)
-    assert m.__dict__["_integer_entries"] == fresh._integer_entries
-    d, nz = m._integer_entries
+    """m's stored nonzeros and the lazily derived `_sparse_cols` equal what
+    `Matrix.dense` reads from m's entries: the nonzeros in row-major order,
+    with d least over Q (gcd(d, n...) = 1) and residues in [1, p) over
+    GF(p)."""
+    fresh = Matrix.dense(m.field, m.nrows, m.ncols, m.entries)
+    assert m.nonzeros == fresh.nonzeros
+    d, nz = m.nonzeros
     assert gcd(d, *(n for _, n in nz)) == 1
     assert m._sparse_cols == fresh._sparse_cols
     assert m._sparse_cols == [[(i, x) for i, x in enumerate(m.col(j)) if x] for j in range(m.ncols)]
@@ -983,7 +983,7 @@ def test_shifted_modules_carry_the_caches_a_fresh_read_gives(field, n, data):
     inst = truncated_polynomial(n, field)
     v = truncated_module(n, data.draw(st.integers(0, n - 2)), field)
     entries = data.draw(st.lists(st.integers(-2, 2), min_size=v.dim ** 2, max_size=v.dim ** 2))
-    p = Matrix(field, v.dim, v.dim, tuple(map(field.from_int, entries)))
+    p = Matrix.dense(field, v.dim, v.dim, tuple(map(field.from_int, entries)))
     p_inv = p.inverse()
     assume(p_inv is not None)
     m = ModuleRep(v.algebra, v.dim, tuple(p_inv @ a @ p for a in v.action), name=v.name)
@@ -1008,8 +1008,8 @@ def _matmul_operands(draw):
         a = [r + r for r in a]
         b = b + [[field.neg(x) for x in r] for r in b]
         m *= 2
-    return (Matrix(field, n, m, tuple(x for r in a for x in r)),
-            Matrix(field, m, k, tuple(x for r in b for x in r)))
+    return (Matrix.dense(field, n, m, tuple(x for r in a for x in r)),
+            Matrix.dense(field, m, k, tuple(x for r in b for x in r)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1067,6 +1067,11 @@ def test_shape_and_field_guards():
         mat(Q, [[1]]) @ mat(GF2, [[1]])
     with pytest.raises(DimensionMismatch):
         Matrix.from_rows(Q, [[Q.one], [Q.one, Q.zero]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.dense(Q, 2, 2, (Q.one,) * 3)
+    for t in (-1, 4, 9):
+        with pytest.raises(DimensionMismatch):
+            Matrix(GF2, 2, 2, (1, [(0, 1), (t, 1)]))
 
 
 def test_transpose_involution_random():
@@ -1074,3 +1079,64 @@ def test_transpose_involution_random():
     for _ in range(10):
         m = rand_matrix(GF5, rng, rng.randint(1, 4), rng.randint(1, 4))
         assert m.transpose().transpose() == m
+
+
+def test_gf_p_equality_does_not_depend_on_spelling():
+    a = Matrix.dense(GF5, 1, 2, (5, 7))
+    b = Matrix.dense(GF5, 1, 2, (0, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a.transpose().transpose() == a
+    assert a + Matrix.zeros(GF5, 1, 2) == b
+
+
+@st.composite
+def _two_spellings(draw):
+    """(field, r, c, s, t): s and t spell the entries of one r x c matrix
+    differently, GF(p) values off by multiples of p, and over Q zeros as
+    `Q.zero`, `Fraction(0)` or `int` 0 and integers as `int` or `Fraction`."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if field is Q:
+        values = draw(st.lists(st.fractions(-6, 6, max_denominator=6), min_size=r * c,
+                               max_size=r * c))
+
+        def spell(x):
+            if not x:
+                return draw(st.sampled_from([Q.zero, Fraction(0), 0]))
+            return draw(st.sampled_from([x, int(x)])) if x.denominator == 1 else x
+    else:
+        values = draw(st.lists(st.integers(0, field.p - 1), min_size=r * c, max_size=r * c))
+
+        def spell(x):
+            return x + field.p * draw(st.integers(-2, 2))
+    return field, r, c, tuple(map(spell, values)), tuple(map(spell, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_spellings(), st.data())
+def test_every_spelling_and_producer_gives_one_canonical_matrix(case, data):
+    field, r, c, s, t = case
+    a, b = Matrix.dense(field, r, c, s), Matrix.dense(field, r, c, t)
+    assert a == b and hash(a) == hash(b)
+    n = max(r, c, 1)
+    low = data.draw(st.lists(st.integers(-2 * n, 2 * n), min_size=n * n, max_size=n * n))
+    u = Matrix.dense(field, n, n, tuple(
+        field.one if i == j else field.from_int(x) if i > j else field.zero
+        for (i, j), x in zip(((i, j) for i in range(n) for j in range(n)), low)))
+    u_inv = u.inverse()
+    v = truncated_module(n, n - 1, field)
+    m = ModuleRep(v.algebra, n, tuple(u_inv @ x @ u for x in v.action), name="V")
+    k = data.draw(st.integers(0, n))
+    sub = Subspace.from_vectors(field, n, [u_inv.col(j) for j in range(k, n)])
+    produced = [
+        a, Matrix.identity(field, r), kron(a, b.transpose()),
+        kron_sum(field, r * c, c * r, [(a, b.transpose()), (b, a.transpose())]),
+        linear_combination(field, r, c, [(2, a), (-2, b)]),
+        linear_combination(field, r, c, [(3, a), (1, b)]),
+        a @ b.transpose(), a.transpose(), u_inv, unvec(field, s, r, c),
+        *submodule(m, sub).action, *quotient_module(m, sub).action,
+    ]
+    assert vec(unvec(field, s, r, c)) == Matrix.dense(field, 1, r * c, s).entries
+    for got in produced:  # a cached catalog algebra may hold another, equal field
+        assert Matrix.dense(field, got.nrows, got.ncols, got.entries) == got
+        _assert_field_scalars(got.field, got.entries)

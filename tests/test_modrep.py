@@ -118,7 +118,7 @@ def _perturbed_module(draw, with_system=False):
     entries = list(m.action[b].entries)
     entries[pos] = f.add(entries[pos], delta)
     action = list(m.action)
-    action[b] = Matrix(f, m.dim, m.dim, tuple(entries))
+    action[b] = Matrix.dense(f, m.dim, m.dim, tuple(entries))
     out = ModuleRep(m.algebra, m.dim, tuple(action), name=m.name)
     return (system, out) if with_system else out
 
@@ -465,7 +465,7 @@ def _module_and_subspace(draw):
     if kind == "kernel":
         n_ = draw(st.sampled_from(family))
         hom = hom_A(m, n_)
-        h = Matrix(f, 1, hom.dim, vector(hom.dim)) @ hom.basis
+        h = Matrix.dense(f, 1, hom.dim, vector(hom.dim)) @ hom.basis
         return kind, m, unvec(f, h.row(0), n_.dim, m.dim).kernel_basis()
     vecs = [vector(m.dim) for _ in range(draw(st.integers(1, 3)))]
     return kind, m, Subspace.from_vectors(f, m.dim, vecs)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
 
 import frobstab
+from frobstab.linalg import Matrix
 
 
 def test_no_assert_statements_in_the_package():
@@ -46,11 +49,14 @@ def test_one_row_reduction_entry_point():
 
 
 def test_matrix_arithmetic_reads_no_dense_entries():
-    """Inside `linalg.Matrix`, `self.entries` is read only by the accessors
-    and the first reads, so every arithmetic method runs on the nonzeros
-    (`_integer_entries`, `_sparse_cols`) and a dense loop cannot come back
-    unnoticed.  `solve` may read them, since the benchmark traces it."""
-    allowed = {"__post_init__", "row", "col", "_integer_entries", "_sparse_cols", "solve"}
+    """A `Matrix` stores only (field, nrows, ncols, nonzeros), and its dense
+    `entries` is a `cached_property` view of the nonzeros.  Inside
+    `linalg.Matrix` only the accessors `row` and `col` read `self.entries`,
+    so every arithmetic method runs on the nonzeros and a dense loop cannot
+    come back unnoticed.  `solve` may read them, since the benchmark traces
+    it."""
+    assert [f.name for f in dataclasses.fields(Matrix)] == ["field", "nrows", "ncols", "nonzeros"]
+    assert isinstance(vars(Matrix)["entries"], functools.cached_property)
     path = Path(frobstab.__file__).parent / "linalg.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     (cls,) = [node for node in tree.body
@@ -59,7 +65,21 @@ def test_matrix_arithmetic_reads_no_dense_entries():
                for node in ast.walk(fn)
                if isinstance(node, ast.Attribute) and node.attr == "entries"
                and isinstance(node.value, ast.Name) and node.value.id == "self"}
-    assert "_integer_entries" in readers and readers <= allowed, readers - allowed
+    assert "row" in readers and readers <= {"row", "col", "solve"}, readers
+
+
+def test_no_module_writes_into_an_objects_dict():
+    """No module of the package assigns into an object's `__dict__`: a value
+    is built whole by its constructor, and no stored form is kept in step
+    with another from outside."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(frobstab.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"
+    ]
+    assert found == []
 
 
 def test_traced_names_resolve():

@@ -114,7 +114,7 @@ def _random_conjugate(draw, m):
     """The module m in a random basis P, drawn until P is invertible."""
     f = m.algebra.field
     entries = draw(st.lists(st.integers(-2, 2), min_size=m.dim ** 2, max_size=m.dim ** 2))
-    pm = Matrix(f, m.dim, m.dim, tuple(map(f.from_int, entries)))
+    pm = Matrix.dense(f, m.dim, m.dim, tuple(map(f.from_int, entries)))
     pm_inv = pm.inverse()
     assume(pm_inv is not None)
     return ModuleRep(m.algebra, m.dim, tuple(pm_inv @ a @ pm for a in m.action), name=m.name)
@@ -214,7 +214,7 @@ def _dual_basis_embedding(system, m):
     """phi = sum_i kron(a_i as a column, action_M(b_i))."""
     f, n = system.algebra.field, system.algebra.dim
     return kron_sum(f, n * m.dim, m.dim, [
-        (Matrix(f, n, 1, a_i), m.action_of(b_i))
+        (Matrix.dense(f, n, 1, a_i), m.action_of(b_i))
         for a_i, b_i in zip(system.a_basis, system.b_basis)
     ])
 
@@ -320,7 +320,7 @@ def test_hom_over_q_takes_the_certified_route():
     v6 = truncated_module(10, 6, Q)
     pm_inv = None
     while pm_inv is None:
-        pm = Matrix(Q, 7, 7, tuple(Q.from_int(rng.randint(-3, 3)) for _ in range(49)))
+        pm = Matrix.dense(Q, 7, 7, tuple(Q.from_int(rng.randint(-3, 3)) for _ in range(49)))
         pm_inv = pm.inverse()
     conj = ModuleRep(v6.algebra, 7, tuple(pm_inv @ a @ pm for a in v6.action), name="V6'")
     assert conj.algebra.generators  # computed outside the patch
@@ -494,7 +494,7 @@ def _conjugated_module(draw):
     n = draw(st.integers(2, 4))
     vi = truncated_module(n, draw(st.integers(0, n - 1)), field)
     entries = draw(st.lists(st.integers(-2, 2), min_size=vi.dim ** 2, max_size=vi.dim ** 2))
-    pm = Matrix(field, vi.dim, vi.dim, tuple(map(field.from_int, entries)))
+    pm = Matrix.dense(field, vi.dim, vi.dim, tuple(map(field.from_int, entries)))
     pm_inv = pm.inverse()
     assume(pm_inv is not None)
     action = tuple(pm_inv @ a @ pm for a in vi.action)
