@@ -9,10 +9,12 @@ Basis enumerations are fixed once and for all:
 * group algebras carry the identity-coefficient trace with dual bases
   {g} and {g^-1}.
 
-`truncated_polynomial` and `group_algebra` return one shared instance per
-tuple of argument values, however they are passed, so the structure cached
-on an algebra is computed once per process; the instances are kept for the
-life of the process.
+`truncated_polynomial`, `group_algebra` and `truncated_module` return one
+shared instance per tuple of argument values, however they are passed, so
+the structure cached on an algebra or on a module's matrices is computed
+once per process; the instances are kept for the life of the process.  A
+shared module is over the shared algebra, so `cache_clear` on any of them
+clears them all.
 Orders read from outside (`group_from_string`, `check_order`) are capped at
 MAX_ORDER before any table is built.
 """
@@ -54,16 +56,27 @@ def check_order(n: int, what: str) -> int:
     return n
 
 
+_SHARED_CACHES = []
+
+
+def _clear_shared_instances() -> None:
+    for cached in _SHARED_CACHES:
+        cached.cache_clear()
+
+
 def _one_instance_per_arguments(build):
-    """`functools.cache` on the argument values, however they are passed."""
+    """`functools.cache` on the argument values, however they are passed.
+    Its `cache_clear` clears every catalog cache, since the instances of
+    one are built over those of another."""
     cached = functools.cache(build)
+    _SHARED_CACHES.append(cached)
     bind = inspect.signature(build).bind
 
     @functools.wraps(build)
     def shared(*args, **kwargs):
         return cached(*(bind(*args, **kwargs).args if kwargs else args))
 
-    shared.cache_clear = cached.cache_clear
+    shared.cache_clear = _clear_shared_instances
     return shared
 
 
@@ -198,6 +211,7 @@ def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
     return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
 
 
+@_one_instance_per_arguments
 def truncated_module(n: int, i: int, field: Field) -> ModuleRep:
     """V_i = k[x]/(x^(i+1)) as a module over k[x]/(x^n); V_(n-1) is regular."""
     alg = truncated_polynomial(n, field).algebra

@@ -8,7 +8,9 @@ once per field: `zero`, `one`, `add`, `sub`, `mul` and `neg` are attributes
 set on construction (the `operator` functions over Q, functions of p over
 GF(p)), so arithmetic never tests which kind of field it is in.  A zero
 from `from_int` or `parse` over Q is the field's `zero` object itself,
-which the integer routes of `linalg` skip by identity.
+which the integer routes of `linalg` skip by identity; `rationals()` and
+`prime(p)` return one shared instance each, so that object is the same for
+every caller.
 
 Scalar text format: ``"a"`` or ``"a/b"`` with integer a, positive integer b,
 reduced to lowest terms on input.  Prime fields only accept the integer
@@ -21,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, lru_cache, partial
 
 from .errors import DivisionByZero, NotPrime, ParseError
 
@@ -109,11 +111,15 @@ class Field:
             object.__setattr__(self, name, op)
 
     @staticmethod
+    @cache
     def rationals() -> "Field":
+        """The one shared Q, so its `zero` object is the same everywhere."""
         return Field(RATIONAL)
 
     @staticmethod
+    @lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True still raise
     def prime(p: int) -> "Field":
+        """The one shared GF(p) for each p."""
         return Field(PRIME, p)
 
     @property

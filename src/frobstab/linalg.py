@@ -10,12 +10,16 @@ Conventions fixed package-wide:
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * `_kron_rows` is the one function that builds sums of Kronecker products
   (operators on vectorized maps, embeddings, tensor elements), for both
-  fields: it reads each factor's stored nonzeros (`Matrix.nonzeros`),
-  accumulates the products in `int`s over one common denominator D (D = 1
-  over GF(p), where each cell is reduced mod p once) and returns the
-  nonzero rows of D times the sum as sparse maps {column: int}, or those
-  of its transpose, the sum of kron(a^T, b^T).  `kron_sum` and `kron`
-  build their matrix from those rows;
+  fields.  A sum is given by its (c, a, b) terms, meaning the linear
+  combination sum of c * kron(a, b), with c a field scalar or an `int`, as
+  `linear_combination` takes (c, m) terms; `kron(a, b)` is the one term
+  (1, a, b).  It reads each factor's stored nonzeros (`Matrix.nonzeros`),
+  folds c into the term's integer scale, accumulates the products in
+  `int`s over one common denominator D (D = 1 over GF(p), where each cell
+  is reduced mod p once) and returns the nonzero rows of D times the sum
+  as sparse maps {column: int}, or those of its transpose, the sum of
+  c * kron(a^T, b^T).  `kron_sum` and `kron` build their matrix from those
+  rows;
 * callers that need only the image of a Kronecker sum call `kron_image`,
   and callers that need the common kernel of several sums (one system of
   equations per sum) call `kron_kernel`; both reduce the integer rows
@@ -565,35 +569,39 @@ def _sparse_apply(m: Matrix, v: dict) -> dict:
     return _canonical(w, m.field.characteristic)
 
 
-def _kron_rows(field: Field, nrows: int, ncols: int, pairs,
+def _kron_rows(field: Field, nrows: int, ncols: int, terms,
                transpose: bool = False) -> tuple[int, dict[int, dict]]:
-    """(D, rows): D times the sum of kron(a, b) over the (a, b) pairs, as
-    its nonzero rows {row: {column: int}} in row order, or with `transpose`
-    those of its transpose, the sum of kron(a^T, b^T), read from the same
-    factors without transposing them.
+    """(D, rows): D times the sum of c * kron(a, b) over the (c, a, b)
+    terms, as its nonzero rows {row: {column: int}} in row order, or with
+    `transpose` those of its transpose, the sum of c * kron(a^T, b^T), read
+    from the same factors without transposing them.
 
-    Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q,
-    and must have the given shape.  The factors are read through their
-    stored nonzeros: over Q, D is the least common multiple of the terms'
-    denominators; over GF(p), D = 1.  Products are summed as plain ints
-    and each cell is reduced mod p once over GF(p); cells that cancel are
-    dropped, and so are rows left empty.  `pairs` is iterated once, so it
-    may be a generator.
+    c is a field scalar or an `int`.  Each term adds c * a[i,j] * b[k,l] at
+    (i*p + k, j*q + l), where b is p x q, and must have the given shape,
+    even when c is zero.  The factors are read through their stored
+    nonzeros, and c is folded into each term's integer scale: over Q, D is
+    the least common multiple of the terms' denominators times c's; over
+    GF(p), D = 1.  Products are summed as plain ints and each cell is
+    reduced mod p once over GF(p); cells that cancel are dropped, and so
+    are rows left empty.  `terms` is iterated once, so it may be a
+    generator.
     """
-    terms = []
+    read = []
     den = 1
-    for a, b in pairs:
+    for c, a, b in terms:
         _check_same_field(field, a.field)
         _check_same_field(field, b.field)
         if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
             raise DimensionMismatch(f"kron of {a.shape} and {b.shape} is not {nrows}x{ncols}")
-        da, a_nz = a.nonzeros
-        db, b_nz = b.nonzeros
-        terms.append((da * db, a.ncols, b.nrows, b.ncols, a_nz, b_nz))
-        den = lcm(den, da * db)
+        if c:
+            da, a_nz = a.nonzeros
+            db, b_nz = b.nonzeros
+            d = da * db * c.denominator
+            read.append((c.numerator, d, a.ncols, b.nrows, b.ncols, a_nz, b_nz))
+            den = lcm(den, d)
     out: dict[int, dict] = {}
-    for d, acols, p, q, a_nz, b_nz in terms:
-        s = den // d
+    for n, d, acols, p, q, a_nz, b_nz in read:
+        s = n * (den // d)
         height, width = (q, p) if transpose else (p, q)
         lines: dict[int, list] = {}  # the nonzeros of b's rows (b^T's with `transpose`)
         for t, y in b_nz:
@@ -624,39 +632,40 @@ def _kron_rows(field: Field, nrows: int, ncols: int, pairs,
     return den, rows
 
 
-def kron_sum(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
-    """Sum of kron(a, b) over the (a, b) pairs, as an nrows x ncols matrix.
+def kron_sum(field: Field, nrows: int, ncols: int, terms) -> Matrix:
+    """Sum of c * kron(a, b) over the (c, a, b) terms, as an nrows x ncols
+    matrix, for c a field scalar or an `int`.
 
-    Each term adds a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is p x q;
-    every term must have the given shape, and an empty sum is the zero
-    matrix.  It is built from the integer rows of `_kron_rows` and their D.
-    `pairs` may be a generator.
+    Each term adds c * a[i,j] * b[k,l] at (i*p + k, j*q + l), where b is
+    p x q; every term must have the given shape, and an empty sum is the
+    zero matrix.  It is built from the integer rows of `_kron_rows` and
+    their D.  `terms` may be a generator.
     """
-    den, rows = _kron_rows(field, nrows, ncols, pairs)
+    den, rows = _kron_rows(field, nrows, ncols, terms)
     nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
     return Matrix(field, nrows, ncols, (den, nz))
 
 
 def kron_kernel(field: Field, nrows: int, ncols: int, *sums) -> "Subspace":
     """The common kernel of the Kronecker sums `kron_sum(field, nrows, ncols,
-    pairs)`, one for each `pairs` in `sums`: the kernel of their row stack,
+    terms)`, one for each `terms` in `sums`: the kernel of their row stack,
     which is never built as a matrix.  With no sums it is all of F^ncols.
 
     The integer rows of every sum (`_kron_rows`; its D leaves the kernel
     unchanged) go to one `_row_kernel`.
     """
-    rows = [row for pairs in sums for row in _kron_rows(field, nrows, ncols, pairs)[1].values()]
+    rows = [row for terms in sums for row in _kron_rows(field, nrows, ncols, terms)[1].values()]
     return _row_kernel(field, rows, ncols)
 
 
-def kron_image(field: Field, nrows: int, ncols: int, pairs) -> "Subspace":
-    """The column space of `kron_sum(field, nrows, ncols, pairs)`.
+def kron_image(field: Field, nrows: int, ncols: int, terms) -> "Subspace":
+    """The column space of `kron_sum(field, nrows, ncols, terms)`.
 
-    It is the row space of the transpose, the sum of kron(a^T, b^T), whose
-    integer rows `_kron_rows` gives (its D leaves the row space unchanged),
-    reduced by `_rref`.
+    It is the row space of the transpose, the sum of c * kron(a^T, b^T),
+    whose integer rows `_kron_rows` gives (its D leaves the row space
+    unchanged), reduced by `_rref`.
     """
-    rows = _kron_rows(field, nrows, ncols, pairs, transpose=True)[1].values()
+    rows = _kron_rows(field, nrows, ncols, terms, transpose=True)[1].values()
     return Subspace(field, nrows, _rref(list(rows), nrows, field.characteristic))
 
 
@@ -664,7 +673,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l],
     assembled from the integer rows of `_kron_rows` in O(nnz)."""
     f, nrows, ncols = a.field, a.nrows * b.nrows, a.ncols * b.ncols
-    den, rows = _kron_rows(f, nrows, ncols, [(a, b)])
+    den, rows = _kron_rows(f, nrows, ncols, [(1, a, b)])
     nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
     return Matrix(f, nrows, ncols, (den, nz))
 
@@ -820,18 +829,19 @@ class Subspace:
         self._require_inside(small, "quotient by")
         return self.dim - small.dim
 
-    def complement_of(self, small: "Subspace") -> list[tuple]:
+    def complement_of(self, small: "Subspace") -> list[dict]:
         """Rows of this basis that complete a basis of `small` to one of self.
 
         Deterministic: the canonical basis rows, in order, independent of
         `small` plus the rows kept before.  Row t is kept unless a vector of
         small, in this basis (read at the pivots), ends at t: one reduction
         of small's coordinates in reverse order finds those ends.  The
-        result is a list of coset representatives for self / small.
+        result is a list of coset representatives for self / small, each
+        the stored sparse RREF row {column: nonzero} itself, not a copy.
         """
         self._require_inside(small, "complement of")
         k = self.dim
         at = {pc: k - 1 - t for t, pc in enumerate(self.pivots)}
         coords = [{at[j]: x for j, x in row.items() if j in at} for row in small.rows.values()]
         ends = _rref(coords, k, self.field.characteristic)
-        return [v for t, v in enumerate(self.basis_vectors()) if k - 1 - t not in ends]
+        return [row for t, row in enumerate(self.rows.values()) if k - 1 - t not in ends]

@@ -146,10 +146,10 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     return phi
 
 
-def _surjection_terms(m: ModuleRep) -> list[tuple[Matrix, Matrix]]:
-    """The (e_p^T, action_M(e_p)) pairs whose Kronecker sum is the surjection."""
+def _surjection_terms(m: ModuleRep) -> list[tuple[int, Matrix, Matrix]]:
+    """The (1, e_p^T, action_M(e_p)) terms whose Kronecker sum is the surjection."""
     alg = m.algebra
-    return [(Matrix(alg.field, 1, alg.dim, (1, [(p, 1)])), rho)
+    return [(1, Matrix(alg.field, 1, alg.dim, (1, [(p, 1)])), rho)
             for p, rho in enumerate(m.action)]
 
 

@@ -13,15 +13,20 @@ the operator
 
     T : Hom_k(M, N) -> Hom_k(M, N),   T(h) = sum_i a_i h(b_i -).
 
-With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`) and c_p
-its row p, T(h) = sum_p e_p h(c_p -), which acts on vectorized maps as
-sum_p kron(action_M(c_p)^T, action_N(e_p)).
+With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`),
+T(h) = sum_{p,q} C[p,q] e_p h(e_q -), which acts on vectorized maps as
+
+    sum_{p,q} C[p,q] kron(action_M(e_q)^T, action_N(e_p)),
+
+one Kronecker term (C[p,q], action_M(e_q)^T, action_N(e_p)) per nonzero of
+C, so T is read off the module actions as they are.
 Hom_A(M, N) is the common kernel of one Kronecker sum per generator
 (`kron_kernel`), and the images of T and of the `tate0` norm come from
 `kron_image`; neither builds those sums as dense matrices.  Both read the
 sparse integer rows of one Kronecker assembler, over either field: over Q
 the kernel is solved mod a prime and certified exactly, and the image is
-reduced exactly.  `null_homotopy_operator` returns T exactly.
+reduced exactly.  `null_homotopy_operator` returns T exactly.  The coset
+representatives of `stable_hom` are read from the sparse rows of Hom_A.
 `factoring_ideal_oracle` recomputes the same subspace along the definition
 (maps factoring through the canonical embedding into A (x) M_0) and is kept
 as an independent route; the two are compared, never merged.
@@ -43,8 +48,8 @@ from .errors import (
     NotAGroupAlgebra,
 )
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, kron_image, kron_kernel, kron_sum, linear_combination
-from .linalg import unvec, vec
+from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, linear_combination
+from .linalg import _dense, _integers
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -72,25 +77,27 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     each word in the generators, the words span A, and the unit acts as I.
     On vec(H) the equations of g are the Kronecker sum kron(I, action_N(g))
     - kron(action_M(g)^T, I), and Hom_A(M, N) is the common kernel of these
-    sums, solved exactly.  The second term is passed as kron(-action_M(g)^T,
-    I), which negates a dim M x dim M factor instead of the dim N identity.
+    sums, solved exactly.  The minus sign is the coefficient -1 of the
+    second term, so no negated matrix is built.
     """
     m.same_algebra(n_)
     f = m.algebra.field
     amb = n_.dim * m.dim
     eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n_.dim)
     return kron_kernel(f, amb, amb, *(
-        [(eye_m, n_.action[g]), (-m.action[g].transpose(), eye_n)]
+        [(1, eye_m, n_.action[g]), (-1, m.action[g].transpose(), eye_n)]
         for g in m.algebra.generators
     ))
 
 
 def _operator_terms(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep):
-    """(dim Hom_k(M, N), the (a, b) pairs whose Kronecker sum is T)."""
+    """(dim Hom_k(M, N), the Kronecker terms of T): one (C[p,q],
+    action_M(e_q)^T, action_N(e_p)) per nonzero C[p,q]."""
     _check_system_module(system, m, n_)
     c = system.element_matrix
+    m_t = [rho.transpose() for rho in m.action]
     return n_.dim * m.dim, (
-        (m.action_of(c.row(p)).transpose(), rho) for p, rho in enumerate(n_.action)
+        (x, m_t[t % c.ncols], n_.action[t // c.ncols]) for t, x in c._scalars()
     )
 
 
@@ -114,9 +121,12 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     """Hom_A(M, N) modulo the image of T, with canonical coset representatives."""
     hom = hom_A(m, n_)
     amb, terms = _operator_terms(system, m, n_)
-    null = kron_image(m.algebra.field, amb, amb, terms)
+    f = m.algebra.field
+    null = kron_image(f, amb, amb, terms)
     # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
-    reps = [unvec(m.algebra.field, v, n_.dim, m.dim) for v in hom.complement_of(null)]
+    # A row holds vec(H), which read row-major is H^T.
+    reps = [Matrix(f, m.dim, n_.dim, _integers(f, row.items())).transpose()
+            for row in hom.complement_of(null)]
     return StableHomResult(hom.dim, null.dim, hom.dim - null.dim, hom, null, reps)
 
 
@@ -125,18 +135,17 @@ def factoring_ideal_oracle(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep)
 
     Every A-map F = A (x) M_0 -> N composed with the canonical embedding
     M -> F is a factoring map, and all factoring maps arise this way.  This
-    is the definitional route, independent of the operator T.
+    is the definitional route, independent of the operator T.  As
+    vec(H phi) = kron(phi^T, I) vec(H), the composites are the rows of
+    Hom_A(F, N)'s basis times kron(phi, I), and the oracle is their span.
     """
     _check_system_module(system, m, n_)
     f = m.algebra.field
     free = free_module(m.algebra, m.dim)
     through = hom_A(free, n_)
-    amb = n_.dim * m.dim
-    if m.dim == 0:
-        return Subspace.zero(f, amb)
     phi = canonical_embedding(system, m)
-    vecs = [vec(unvec(f, v, n_.dim, free.dim) @ phi) for v in through.basis_vectors()]
-    return Subspace.from_vectors(f, amb, vecs)
+    composites = through.basis @ kron(phi, Matrix.identity(f, n_.dim))
+    return composites.transpose().image_basis()
 
 
 # shifts and Ext -----------------------------------------------------
@@ -217,7 +226,7 @@ def stable_center(system: FrobeniusSystem) -> StableCenterResult:
                     "ideal not absorbing under central multiplication",
                     witness=(s_i, t_i),
                 )
-    reps = center.complement_of(ideal)
+    reps = [tuple(_dense(row, alg.dim, alg.field.zero)) for row in center.complement_of(ideal)]
     k = len(reps)
     # reps + ideal is a basis of the center: one inverse turns center
     # coordinates into coordinates in that basis.
@@ -306,7 +315,7 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
     inv = hom_A(m, n_)
     amb = n_.dim * m.dim
     image = kron_image(system.algebra.field, amb, amb, [
-        (m.action[g.inverse[gi]].transpose(), n_.action[gi])
+        (1, m.action[g.inverse[gi]].transpose(), n_.action[gi])
         for gi in range(system.algebra.dim)
     ])
     # quotient_dim raises NotASubspace if the norm image is not invariant.

@@ -132,19 +132,21 @@ def integer_rows(rows) -> list[dict]:
     return out
 
 
-def kron_sum_by_definition(field: Field, nrows: int, ncols: int, pairs) -> Matrix:
-    """Sum of kron(a, b) over the (a, b) pairs, entry by entry with field
-    arithmetic: each product a[i,j] * b[k,l] added at (i*p + k, j*q + l).
-    The oracle for `linalg._kron_rows` and every Kronecker sum built on it."""
+def kron_sum_by_definition(field: Field, nrows: int, ncols: int, terms) -> Matrix:
+    """Sum of c * kron(a, b) over the (c, a, b) terms, entry by entry with
+    field arithmetic: each product c * a[i,j] * b[k,l] added at
+    (i*p + k, j*q + l).  The oracle for `linalg._kron_rows` and every
+    Kronecker sum built on it."""
     out = [field.zero] * (nrows * ncols)
-    for a, b in pairs:
+    for c, a, b in terms:
+        c = field.add(field.zero, c)
         p, q = b.nrows, b.ncols
         for i in range(a.nrows):
             for j in range(a.ncols):
                 for k in range(p):
                     for l in range(q):
-                        c = (i * p + k) * ncols + j * q + l
-                        out[c] = field.add(out[c], field.mul(at(a, i, j), at(b, k, l)))
+                        t = (i * p + k) * ncols + j * q + l
+                        out[t] = field.add(out[t], field.mul(field.mul(c, at(a, i, j)), at(b, k, l)))
     return Matrix.dense(field, nrows, ncols, tuple(out))
 
 
@@ -307,6 +309,11 @@ def free_cover_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     if split @ phi != Matrix.identity(f, md):
         raise EmbeddingNotInjective("trace splitting does not recover the identity")
     return phi
+
+
+def dense_vectors(field: Field, ambient: int, rows) -> list[tuple]:
+    """Sparse rows {column: x} as dense tuples, with the field's zero."""
+    return [tuple(row.get(j, field.zero) for j in range(ambient)) for row in rows]
 
 
 def complement_oracle(big: Subspace, small: Subspace) -> list[tuple]:

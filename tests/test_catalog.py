@@ -33,7 +33,8 @@ from frobstab.catalog import (
     truncated_projection,
 )
 from frobstab.frobenius import check_identities, derive_system
-from frobstab.modrep import regular_module, validate_module
+from frobstab.linalg import Subspace
+from frobstab.modrep import regular_module, submodule, validate_module
 from frobstab.stab import stable_center, stable_hom
 
 Q = Field.rationals()
@@ -144,6 +145,27 @@ def test_catalog_returns_one_instance_per_arguments():
     assert group_algebra(field=Q, g=fresh) is inst
     assert group_algebra(group_from_string("cyclic:3"), GF2) is group_algebra(cyclic_group(3), GF2)
     assert group_algebra(cyclic_group(3), GF2) is not group_algebra(cyclic_group(3), GF3)
+
+
+def test_modules_are_shared_over_the_shared_algebra():
+    assert truncated_module(3, 1, GF3) is truncated_module(n=3, i=1, field=Field.prime(3))
+    old = truncated_module(4, 2, GF2)
+    truncated_polynomial.cache_clear()
+    for n, i, f in ((4, 2, GF2), (3, 1, GF3), (2, 0, Q)):
+        assert truncated_module(n, i, f).algebra is truncated_polynomial(n, f).algebra
+    assert truncated_module(4, 2, GF2) is not old and truncated_module(4, 2, GF2) == old
+
+
+def test_one_field_per_modulus_so_zeros_match_by_identity():
+    # A module over a cached catalog algebra holds the zero object of the
+    # field the algebra was first built with; sharing Q makes it Q.zero.
+    assert Field.rationals() is Field.rationals() is Q
+    assert Field.prime(3) is GF3 and Field.prime(3) is not Field.prime(5)
+    truncated_polynomial.cache_clear()
+    v = truncated_module(4, 3, Field.rationals())
+    sub = Subspace.from_vectors(Q, 4, [v.action[1].col(j) for j in range(4)])
+    action = submodule(v, sub).action
+    assert sub.dim == 3 and all(x is Q.zero for rho in action for x in rho.entries if not x)
 
 
 def test_group_algebras_validate():

@@ -102,3 +102,17 @@ def test_traced_names_resolve():
             missing.append((name, target, attr))
     assert len(spans.TARGETS) >= 30
     assert missing == []
+
+
+def test_stable_hom_reads_module_actions_as_they_are():
+    """`stab` builds T, the hom equations and the coset representatives
+    from the module actions and the stored sparse rows: it calls neither
+    `action_of` (a linear combination of actions per row of C) nor `vec`
+    or `unvec` (a dense round trip per map)."""
+    path = Path(frobstab.__file__).parent / "stab.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    banned = {"action_of", "vec", "unvec"}
+    calls = [f"{node.lineno}:{name}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+             if name in banned]
+    assert calls == []

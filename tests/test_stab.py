@@ -50,8 +50,8 @@ from frobstab.stab import (
     tate0,
 )
 from helpers import (
-    exact_kernel, full_subspace, integer_rows, kron_sum_by_definition, multiplication_surjection,
-    quotient_action, restricted_action, stack_rows,
+    dense_vectors, exact_kernel, full_subspace, integer_rows, kron_sum_by_definition,
+    multiplication_surjection, quotient_action, restricted_action, stack_rows,
 )
 
 Q = Field.rationals()
@@ -162,11 +162,11 @@ def test_hom_solves_one_block_per_generator(monkeypatch):
     orig = stab.kron_kernel
 
     def record(field, nrows, ncols, *sums):
-        sums = [list(pairs) for pairs in sums]
-        for pairs in sums:
-            assert len(pairs) == 2
+        sums = [list(terms) for terms in sums]
+        for terms in sums:
+            assert len(terms) == 2
             shapes.append((nrows, ncols))
-            for a, b in pairs:
+            for _, a, b in terms:
                 assert (a.nrows * b.nrows, a.ncols * b.ncols) == (nrows, ncols)
         return orig(field, nrows, ncols, *sums)
 
@@ -205,7 +205,7 @@ def _dual_basis_operator(system, m, n_):
     """T = sum_i kron(action_M(b_i)^T, action_N(a_i)), straight from the bases."""
     amb = n_.dim * m.dim
     return kron_sum(system.algebra.field, amb, amb, [
-        (m.action_of(b_i).transpose(), n_.action_of(a_i))
+        (1, m.action_of(b_i).transpose(), n_.action_of(a_i))
         for a_i, b_i in zip(system.a_basis, system.b_basis)
     ])
 
@@ -214,7 +214,7 @@ def _dual_basis_embedding(system, m):
     """phi = sum_i kron(a_i as a column, action_M(b_i))."""
     f, n = system.algebra.field, system.algebra.dim
     return kron_sum(f, n * m.dim, m.dim, [
-        (Matrix.dense(f, n, 1, a_i), m.action_of(b_i))
+        (1, Matrix.dense(f, n, 1, a_i), m.action_of(b_i))
         for a_i, b_i in zip(system.a_basis, system.b_basis)
     ])
 
@@ -278,13 +278,13 @@ def _conjugated_pair_over_q(draw):
 def _exact_kernel(field, nrows, ncols, *sums):
     """The kernel of the row stack of the dense sums, each built entry by
     entry (`kron_sum_by_definition`), by exact elimination (`exact_kernel`)."""
-    blocks = [kron_sum_by_definition(field, nrows, ncols, pairs) for pairs in sums]
+    blocks = [kron_sum_by_definition(field, nrows, ncols, terms) for terms in sums]
     stacked = stack_rows([Matrix.zeros(field, 0, ncols)] + blocks)
     return exact_kernel(field, integer_rows(stacked.to_rows()), ncols)
 
 
-def _exact_image(field, nrows, ncols, pairs):
-    return kron_sum_by_definition(field, nrows, ncols, pairs).image_basis()
+def _exact_image(field, nrows, ncols, terms):
+    return kron_sum_by_definition(field, nrows, ncols, terms).image_basis()
 
 
 @settings(max_examples=30, deadline=None)
@@ -358,10 +358,12 @@ def test_projectives_are_stably_zero():
 def test_factoring_oracle_full_for_projective_source():
     inst = truncated_polynomial(3, Q)
     free1 = free_module(inst.algebra, 1)
+    zero = free_module(inst.algebra, 0)
     for j in range(3):
         vj = truncated_module(3, j, Q)
         oracle = factoring_ideal_oracle(inst.system, free1, vj)
         assert oracle == hom_A(free1, vj)
+        assert factoring_ideal_oracle(inst.system, zero, vj) == Subspace.zero(Q, 0)
 
 
 def test_hom_over_zero_algebra_is_everything():
@@ -648,7 +650,7 @@ def test_stable_center_matches_per_product_solve():
     ):
         alg = system.algebra
         ideal = frobenius_ideal(system)
-        reps = alg.center_basis().complement_of(ideal)
+        reps = dense_vectors(alg.field, alg.dim, alg.center_basis().complement_of(ideal))
         span = Matrix.from_rows(alg.field, reps + ideal.basis_vectors(), ncols=alg.dim)
         table = []
         for s, r in enumerate(reps):
