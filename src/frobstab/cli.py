@@ -3,7 +3,9 @@
 JSON results go to stdout, human diagnostics to stderr.  Exit codes:
 0 success, 2 mathematical or validation failure (stdout carries
 {"error": code, "witness": ...}), 3 malformed input (bad JSON, bad flags,
-unreadable files).  Output is deterministic for identical inputs.
+unreadable files, or a catalog order, Ext degree or shift count above
+`MAX_ORDER` in size, refused before anything is loaded).  Output is
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import FrobstabError, ParseError
+from .errors import DegenerateTrace, FrobstabError, ParseError
 from .exactfield import Field
 from .algebra import algebra_from_json, algebra_to_json
 from .catalog import (
@@ -24,7 +26,7 @@ from .catalog import (
     truncated_polynomial,
     trivial_module,
 )
-from .frobenius import derive_system, frobenius_element, gram_matrix
+from .frobenius import derive_system, frobenius_element
 from .modrep import module_from_json, module_to_json, regular_module, validate_module
 from .selftest import run_all
 from .stab import (
@@ -113,13 +115,13 @@ def _cmd_check(args) -> int:
     elif rep.unit_failures:
         code, witness = "UnitMismatch", rep.unit_failures
     if trace is not None and code is None:
-        g = gram_matrix(algebra, trace)
-        rank = g.rank()
-        out["trace_nondegenerate"] = rank == algebra.dim
-        if rank < algebra.dim:
-            code, witness = "DegenerateTrace", algebra.dim - rank
-        else:
+        try:
             system = derive_system(algebra, trace)
+        except DegenerateTrace as e:
+            out["trace_nondegenerate"] = False
+            code, witness = e.code, e.witness
+        else:
+            out["trace_nondegenerate"] = True
             frobenius_element(system)
             out["dual_basis_identities"] = True
             out["element_central"] = True
@@ -146,6 +148,7 @@ def _cmd_stable_hom(args) -> int:
 
 
 def _cmd_ext(args) -> int:
+    check_order(abs(args.degree), "|degree|")
     algebra, system, _ = _load_system(args.algebra)
     m = _load_module(args.module_m, algebra, args.algebra)
     n_ = _load_module(args.module_n, algebra, args.algebra)
@@ -160,6 +163,7 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_shift(args) -> int:
+    check_order(abs(args.steps), "|steps|")
     if args.steps > 0:
         algebra, system, _ = _load_system(args.algebra)
         m = _load_module(args.module_m, algebra, args.algebra)

@@ -102,9 +102,9 @@ def check_identities(system: FrobeniusSystem) -> bool:
 def require_identities(system: FrobeniusSystem) -> FrobeniusSystem:
     """The system itself if check_identities passes; otherwise DualityViolation,
     witnessed by the first basis index that fails."""
-    if check_identities(system):
-        return system
     j = _identity_failure(system)
+    if j is None:
+        return system
     raise DualityViolation(
         f"dual bases fail the Frobenius identities at basis element {j}", witness=j
     )

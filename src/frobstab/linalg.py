@@ -1,70 +1,32 @@
 """Exact matrices and canonical subspaces over a `Field`.
 
-Conventions fixed package-wide:
+Conventions fixed package-wide (the details are in the named functions):
 
-* vectors are plain tuples of field scalars;
-* a subspace stores only the sparse reduced row echelon rows of its span,
-  {pivot column: row}, with zero rows dropped, so two subspaces are equal
-  iff their stored rows are equal; its dense `basis` is built when read;
+* vectors are plain tuples of field scalars, and sparse vectors and rows
+  are maps {column: nonzero};
+* a matrix stores only its nonzeros (`Matrix.nonzeros`), and all its
+  arithmetic reads them; only `Matrix.dense` takes a dense tuple, and the
+  dense `entries` view is built when first read;
+* a subspace stores only its sparse RREF rows, so two subspaces are equal
+  iff their stored rows are; every producer builds it from those rows, and
+  every membership test, residual or coordinate read reduces a sparse
+  vector against them (`Subspace._residual`);
+* there is one row reduction, `_rref`, and one builder of sums of
+  Kronecker products, `_kron_rows`, which returns integer rows over one
+  common denominator; `kron_kernel` and `kron_image` reduce those rows
+  without building the sum;
 * `vec` is column-major (stacks the columns of a matrix), which gives the
   identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
-* `_kron_rows` is the one function that builds sums of Kronecker products
-  (operators on vectorized maps, embeddings, tensor elements), for both
-  fields.  A sum is given by its (c, a, b) terms, meaning the linear
-  combination sum of c * kron(a, b), with c a field scalar or an `int`, as
-  `linear_combination` takes (c, m) terms; `kron(a, b)` is the one term
-  (1, a, b).  It reads each factor's stored nonzeros (`Matrix.nonzeros`),
-  folds c into the term's integer scale, accumulates the products in
-  `int`s over one common denominator D (D = 1 over GF(p), where each cell
-  is reduced mod p once) and returns the nonzero rows of D times the sum
-  as sparse maps {column: int}, or those of its transpose, the sum of
-  c * kron(a^T, b^T).  `kron_sum` and `kron` build their matrix from those
-  rows;
-* callers that need only the image of a Kronecker sum call `kron_image`,
-  and callers that need the common kernel of several sums (one system of
-  equations per sum) call `kron_kernel`; both reduce the integer rows
-  directly (the D scaling changes neither kernel nor image) and build no
-  dense sum;
-* every row reduction is `_rref` on sparse rows {column: nonzero}, which
-  returns the sparse RREF rows {pivot column: row}.  Over GF(p) it is
-  `_rref_sparse`: each row is inserted against the pivot rows found so
-  far, and one back-substitution pass gives the RREF.  A kernel
-  (`_sparse_kernel`) reduces the rows, then the vectors that its free
-  columns give;
-* over Q, `_rref` is `_rref_rational`: each row is cleared of
-  denominators once, eliminated with `int` arithmetic and divided by its
-  content whenever it was scaled, and each pivot row is divided by its
-  pivot into `Fraction`s once at the end (one division per entry).  A
-  kernel (`_row_kernel`, on the sparse integer rows of `kernel_basis` and
-  `kron_kernel`) is first solved mod the prime 2^61 - 1 by
-  `_sparse_kernel`, lifted by rational reconstruction and certified by
-  checking A . v = 0 exactly for every lifted row v; rank mod a prime is
-  at most the rank over Q, so the checked rows are the exact RREF basis
-  (the proof is in `_row_kernel`).  A kernel whose lift or check fails
-  is `_sparse_kernel` over Q;
-* every producer of a `Subspace` builds it from its sparse RREF rows;
-  `reduce`, `contains`, `coords`, `contains_subspace` and the shift
-  path's module actions reduce a sparse vector against them
-  (`Subspace._residual`);
-* a matrix stores only its nonzeros (`Matrix.nonzeros`), and its dense
-  `entries` are built when first read.  Matrix arithmetic reads only the
-  nonzeros and the nonzero columns derived from them (`_sparse_cols`):
-  `+`, `-` and unary `-` are `linear_combination`s, `transpose` permutes
-  the nonzeros, `@` multiplies over both factors' nonzeros and `apply` is
-  `_sparse_apply`.  Every producer builds its matrix from the nonzeros it
-  holds; only `Matrix.dense` reads a dense tuple;
-* shift steps read module actions sparse: `_sparse_cols`,
-  `_sparse_apply`, and `Subspace._residual`;
-* every matrix result, product `apply`, subspace basis and residual
-  holds residues in [0, p) over GF(p), and over Q (as do `Field.from_int`
-  and `Field.parse`) gives the field's `zero` object for a zero, which the
-  integer reads (`_cleared`) skip by identity.
+* every result holds residues in [0, p) over GF(p), and over Q gives the
+  field's `zero` object for a zero, which the integer reads (`_cleared`)
+  skip by identity.
 
 Everything is pure exact arithmetic; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -726,8 +688,8 @@ class Subspace:
     nonzero}} in column order, zero rows dropped, so two Subspace values
     are equal (and hash equal) iff they are the same subspace.  `pivots`
     and `dim` are read off the rows, and `basis`, the dense RREF basis, is
-    built when first read.  `reduce`, `contains` and `coords` read the rows
-    through the one residual, `_residual`.
+    built when first read.  `reduce`, `contains` and the coordinates of
+    `complement_of` read the rows through the one residual, `_residual`.
     """
 
     field: Field
@@ -793,17 +755,6 @@ class Subspace:
         self._check_compatible(other)
         return not any(self._residual(dict(row)) for row in other.rows.values())
 
-    def coords(self, v: tuple) -> "tuple | None":
-        """Coefficients of v in the RREF basis, or None if v is outside.
-
-        RREF makes this a read-off: the coefficient of basis row t is the
-        entry of v at that row's pivot column.
-        """
-        w = _sparse_rows(self.field, (v,), self.ambient)[0]
-        zero = self.field.zero
-        c = tuple(w.get(pc, zero) for pc in self.pivots)
-        return None if self._residual(w) else c
-
     def _require_inside(self, small: "Subspace", what: str) -> None:
         """NotASubspace, witnessed by the first basis row of `small` outside self."""
         self._check_compatible(small)
@@ -829,19 +780,34 @@ class Subspace:
         self._require_inside(small, "quotient by")
         return self.dim - small.dim
 
-    def complement_of(self, small: "Subspace") -> list[dict]:
-        """Rows of this basis that complete a basis of `small` to one of self.
+    def complement_of(self, small: "Subspace") -> tuple[list[dict], Callable]:
+        """(reps, coords): coset representatives for self / small, and the
+        coordinates of a vector in them, from one reduction.
 
-        Deterministic: the canonical basis rows, in order, independent of
-        `small` plus the rows kept before.  Row t is kept unless a vector of
-        small, in this basis (read at the pivots), ends at t: one reduction
-        of small's coordinates in reverse order finds those ends.  The
-        result is a list of coset representatives for self / small, each
-        the stored sparse RREF row {column: nonzero} itself, not a copy.
+        Row t of this basis is kept unless a vector of small, in this basis
+        (read at the pivots), ends at t: one reduction of small's
+        coordinates in reverse order finds those end rows.  `reps` are the
+        kept rows, in order, each the stored sparse RREF row {column:
+        nonzero} itself, not a copy.  `coords(v)`, for a sparse v {column:
+        value}, is None if v lies outside self, and otherwise the nonzero
+        (c, x) pairs, in c order, with v - sum of x * reps[c] in small: v's
+        coordinates, read and reversed the same way, reduced against the
+        end rows, which clears every end and leaves the kept rows'
+        coefficients.
         """
         self._require_inside(small, "complement of")
         k = self.dim
         at = {pc: k - 1 - t for t, pc in enumerate(self.pivots)}
-        coords = [{at[j]: x for j, x in row.items() if j in at} for row in small.rows.values()]
-        ends = _rref(coords, k, self.field.characteristic)
-        return [row for t, row in enumerate(self.rows.values()) if k - 1 - t not in ends]
+        in_self = [{at[j]: x for j, x in row.items() if j in at} for row in small.rows.values()]
+        ends = Subspace(self.field, k, _rref(in_self, k, self.field.characteristic))
+        kept = [t for t in range(k) if k - 1 - t not in ends.rows]
+        rows = list(self.rows.values())
+        rep_of = {k - 1 - t: c for c, t in enumerate(kept)}
+
+        def coords(v: dict) -> "list[tuple] | None":
+            if self._residual(dict(v)):
+                return None
+            x = ends._residual({at[j]: y for j, y in v.items() if j in at})
+            return sorted((rep_of[u], y) for u, y in x.items())
+
+        return [rows[t] for t in kept], coords

@@ -30,7 +30,7 @@ from .catalog import (
     truncated_projection,
 )
 from .frobenius import twist
-from .linalg import Subspace, unvec, vec
+from .linalg import Matrix, Subspace, kron, _integer_rows
 from .modrep import free_module, regular_module
 from .stab import (
     enveloping_comparison,
@@ -362,18 +362,19 @@ def criterion_9(audit: Audit | None = None) -> CriterionResult:
                         system, truncated_module(n, j, f), target, audit,
                         f"nat V{j}->V{l} {_fname(f)}",
                     )
-                    for v in small.hom_basis.basis_vectors():
+                    # vec(H proj) = kron(proj^T, I) vec(H): the composites
+                    # are the rows of a basis times kron(proj, I).
+                    by_proj = kron(proj, Matrix.identity(f, target.dim))
+                    for comp in _integer_rows(small.hom_basis.basis @ by_proj):
                         checks += 1
-                        hm = unvec(f, v, target.dim, i + 1)
-                        if not big.hom_basis.contains(vec(hm @ proj)):
+                        if big.hom_basis._residual(comp):
                             failures.append(
                                 f"nat {_fname(f)} V{j}->>V{i}->V{l}: hom map leaves hom_A"
                             )
                             break
-                    for v in small.null_basis.basis_vectors():
+                    for comp in _integer_rows(small.null_basis.basis @ by_proj):
                         checks += 1
-                        hm = unvec(f, v, target.dim, i + 1)
-                        if not big.null_basis.contains(vec(hm @ proj)):
+                        if big.null_basis._residual(comp):
                             failures.append(
                                 f"nat {_fname(f)} V{j}->>V{i}->V{l}: null map leaves null space"
                             )

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, linear_combination
-from .linalg import _dense, _integers
+from .linalg import _dense, _integers, _sparse_apply
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -126,7 +126,7 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
     # A row holds vec(H), which read row-major is H^T.
     reps = [Matrix(f, m.dim, n_.dim, _integers(f, row.items())).transpose()
-            for row in hom.complement_of(null)]
+            for row in hom.complement_of(null)[0]]
     return StableHomResult(hom.dim, null.dim, hom.dim - null.dim, hom, null, reps)
 
 
@@ -212,40 +212,39 @@ def stable_center(system: FrobeniusSystem) -> StableCenterResult:
 
     The ideal lands in the center and absorbs central multiplication; both
     facts are checked and IdealClosureViolation reports any failure.  The
-    returned ring structure lists products of the coset representatives.
+    returned ring structure lists products of the coset representatives
+    in the coordinates that `complement_of` reads off the same reduction
+    that picks them.  Products are left multiplication matrices applied to
+    the stored sparse rows.
     """
     alg = system.algebra
+    n, zero = alg.dim, alg.field.zero
     center = alg.center_basis()
     ideal = frobenius_ideal(system)
     if not center.contains_subspace(ideal):
         raise IdealClosureViolation("factoring ideal is not central")
-    for s_i, z in enumerate(center.basis_vectors()):
-        for t_i, w in enumerate(ideal.basis_vectors()):
-            if not ideal.contains(alg.mul(z, w)):
+    times = {c: alg.left_mult_matrix(_dense(z, n, zero)) for c, z in center.rows.items()}
+    for s_i, left in enumerate(times.values()):
+        for t_i, w in enumerate(ideal.rows.values()):
+            if ideal._residual(_sparse_apply(left, w)):
                 raise IdealClosureViolation(
                     "ideal not absorbing under central multiplication",
                     witness=(s_i, t_i),
                 )
-    reps = [tuple(_dense(row, alg.dim, alg.field.zero)) for row in center.complement_of(ideal)]
-    k = len(reps)
-    # reps + ideal is a basis of the center: one inverse turns center
-    # coordinates into coordinates in that basis.
-    span = [center.coords(v) for v in reps + ideal.basis_vectors()]
-    to_span = Matrix.from_rows(alg.field, span, ncols=center.dim).transpose().inverse()
+    reps, coords = center.complement_of(ideal)
     table: list[tuple[int, int, int, object]] = []
-    for s in range(k):
-        for t in range(k):
-            y = center.coords(alg.mul(reps[s], reps[t]))
-            if y is None:
+    for s, r in enumerate(reps):
+        left = times[min(r)]  # the pivot of an RREF row is its first column
+        for t, r2 in enumerate(reps):
+            x = coords(_sparse_apply(left, r2))
+            if x is None:
                 raise IdealClosureViolation(
                     "central product escapes center + ideal", witness=(s, t)
                 )
-            x = to_span.apply(y)
-            for c in range(k):
-                if x[c]:
-                    table.append((s, t, c, x[c]))
+            table += [(s, t, c, y) for c, y in x]
     return StableCenterResult(
-        center.dim, ideal.dim, center.dim - ideal.dim, reps, table, center, ideal
+        center.dim, ideal.dim, center.dim - ideal.dim,
+        [tuple(_dense(r, n, zero)) for r in reps], table, center, ideal,
     )
 
 

@@ -10,7 +10,8 @@ from frobstab.errors import (
     DimensionMismatch, EmbeddingNotInjective, FieldMismatch, NotALinearMap, NotInvariant,
 )
 from frobstab.exactfield import Field
-from frobstab.frobenius import FrobeniusSystem
+from frobstab.algebra import StructureAlgebra
+from frobstab.frobenius import FrobeniusSystem, derive_system
 from frobstab.linalg import Matrix, Subspace, kron, kron_sum
 from frobstab.modrep import ModuleRep, _surjection_terms, free_module
 
@@ -263,14 +264,18 @@ def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
     for `modrep._restricted_action`.  Raises NotInvariant, witnessed by the
     first basis index that leaves sub."""
     f, d = m.algebra.field, sub.dim
+    coords = sub.complement_of(Subspace.zero(f, sub.ambient))[1]
     action = []
     for i, rho in enumerate(m.action):
         cols = []
         for v in sub.basis_vectors():
-            c = sub.coords(apply_by_definition(rho, v))
+            c = coords(dict(enumerate(apply_by_definition(rho, v))))
             if c is None:
                 raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
-            cols.extend(c)
+            col = [f.zero] * d
+            for t, x in c:
+                col[t] = x
+            cols.extend(col)
         action.append(transpose_by_definition(Matrix.dense(f, d, d, tuple(cols))))
     return tuple(action)
 
@@ -326,3 +331,28 @@ def complement_oracle(big: Subspace, small: Subspace) -> list[tuple]:
             reps.append(v)
             work = work + Subspace.from_vectors(big.field, big.ambient, [v])
     return reps
+
+
+def quantum_exterior(q) -> FrobeniusSystem:
+    """Lambda_q = k<x, y>/(x^2, y^2, yx - q xy) over Q on the basis 1, x,
+    y, xy, with the trace "coefficient of xy".  Its Gram matrix has
+    G[x][y] = 1 and G[y][x] = q, so for q != 1 the trace is not symmetric
+    and the Nakayama automorphism G^-1 G^T is not the identity."""
+    f = Field.rationals()
+    one, zero = f.one, f.zero
+    entries = [(0, j, j, one) for j in range(4)] + [(j, 0, j, one) for j in (1, 2, 3)]
+    entries += [(1, 2, 3, one), (2, 1, 3, Fraction(q))]
+    alg = StructureAlgebra.from_entries(f, 4, entries, (one, zero, zero, zero),
+                                        name=f"quantum_exterior_{q}")
+    return derive_system(alg, (zero, zero, zero, one))
+
+
+def quantum_exterior_module(alg, lam) -> ModuleRep:
+    """M_lam over `quantum_exterior`: x acts as E_21 and y as lam * E_21,
+    and xy as 0; lam None is the point at infinity, where x acts as 0 and
+    y as E_21."""
+    f = alg.field
+    e21 = Matrix.dense(f, 2, 2, (0, 0, 1, 0))
+    zero = Matrix.dense(f, 2, 2, (0, 0, 0, 0))
+    x, y = (zero, e21) if lam is None else (e21, Matrix.dense(f, 2, 2, (0, 0, lam, 0)))
+    return ModuleRep(alg, 2, (Matrix.identity(f, 2), x, y, zero), name=f"M_{lam}")

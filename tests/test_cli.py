@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from frobstab.catalog import MAX_ORDER
 from frobstab.cli import main
 
 
@@ -259,6 +260,31 @@ def test_oversized_shift_fails_fast(capsys, tmp_path):
         assert code == 2
         assert (report["error"], report["witness"]) == ("BudgetExceeded", 1944)
     assert not out.exists()
+
+
+def test_step_counts_are_capped_before_loading(capsys, tmp_path):
+    """Over k[x]/(x^2) the shifts of V0 stay of dim 1, so the free-module
+    budget never stops a huge Ext degree or shift count, and 10^8 cheap
+    steps would run for hours.  A |degree| or |steps| above MAX_ORDER exits
+    3 before any file is read (the last case names no file that exists),
+    and MAX_ORDER itself runs."""
+    alg, mod = make_trunc(capsys, tmp_path, 2, "gf:2", module_i=0)
+    out = tmp_path / "shifted.json"
+    missing = str(tmp_path / "missing.json")
+    for argv, value in (
+        (("ext", str(alg), str(mod), str(mod), "--degree", "-100000000"), 10 ** 8),
+        (("shift", str(alg), str(mod), "--steps", "1000000000", "--out", str(out)), 10 ** 9),
+        (("ext", missing, missing, missing, "--degree", str(MAX_ORDER + 1)), MAX_ORDER + 1),
+    ):
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert (report["error"], report["witness"]) == ("ParseError", value)
+    assert not out.exists()
+    code, report, _ = run_json(capsys, "ext", str(alg), str(mod), str(mod),
+                               "--degree", str(-MAX_ORDER))
+    assert (code, report["stable_dim"]) == (0, 1)
 
 
 def test_usage_errors(capsys):

@@ -433,7 +433,7 @@ def test_quotient_dim_and_errors():
 def test_complement_of():
     full = full_subspace(Q, 3)
     line = Subspace.from_vectors(Q, 3, [[0, 0, 1]])
-    reps = dense_vectors(Q, 3, full.complement_of(line))
+    reps = dense_vectors(Q, 3, full.complement_of(line)[0])
     assert len(reps) == 2
     span = line + Subspace.from_vectors(Q, 3, reps)
     assert span == full
@@ -455,8 +455,47 @@ def _nested_subspaces(draw):
 @given(_nested_subspaces())
 def test_complement_of_matches_the_re_reducing_loop(case):
     big, small = case
-    reps = big.complement_of(small)
+    reps = big.complement_of(small)[0]
     assert dense_vectors(big.field, big.ambient, reps) == complement_oracle(big, small)
+
+
+@st.composite
+def _quotients(draw):
+    """A subspace, a subspace of it (zero, all of it, or the span of random
+    combinations of its basis), and vectors inside it and at random."""
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    amb = draw(st.integers(1, 6))
+    vecs = draw(st.lists(_matrices(field, 1, amb), max_size=amb + 1))
+    big = Subspace.from_vectors(field, amb, [m.row(0) for m in vecs])
+    span = big.basis.transpose()
+
+    def inside(n):
+        coeffs = draw(st.lists(_matrices(field, 1, big.dim), max_size=n))
+        return [span.apply(c.row(0)) for c in coeffs]
+
+    small = draw(st.sampled_from([Subspace.zero(field, amb), big, None]))
+    if small is None:
+        small = Subspace.from_vectors(field, amb, inside(big.dim + 1))
+    anywhere = [m.row(0) for m in draw(st.lists(_matrices(field, 1, amb), max_size=3))]
+    return big, small, inside(3) + anywhere
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotients())
+def test_complement_coords_solve_in_reps_plus_small(case):
+    """The coordinates of `complement_of` are the reps' part of the one
+    solution of v in the basis reps + small's basis, and None for a v
+    outside self."""
+    big, small, vectors = case
+    f, amb = big.field, big.ambient
+    reps, coords = big.complement_of(small)
+    basis = Matrix.from_rows(f, dense_vectors(f, amb, reps) + small.basis_vectors(), ncols=amb)
+    for v in vectors:
+        got = coords({j: x for j, x in enumerate(v) if x})
+        x = basis.transpose().solve(v)
+        assert (got is None) == (x is None) == (not big.contains(v))
+        if x is not None:
+            assert got == [(c, y) for c, y in enumerate(x[:len(reps)]) if y]
 
 
 _small_q = st.one_of(
@@ -509,13 +548,14 @@ def _span_by_oracle(field, ambient, vectors) -> tuple[Matrix, tuple]:
 @settings(max_examples=300, deadline=None)
 @given(_produced_subspaces(), st.data())
 def test_one_residual_matches_the_dense_definition(s, data):
-    """`reduce`, `contains`, `coords`, `complement_of` and `+` against the
-    dense oracles, on subspaces from every producer."""
+    """`reduce`, `contains`, `complement_of` with its coordinates and `+`
+    against the dense oracles, on subspaces from every producer."""
     f, amb = s.field, s.ambient
     scalar = _caller_scalars(f)
     vector = st.lists(scalar, min_size=amb, max_size=amb).map(tuple)
     coeffs = st.lists(scalar, min_size=s.dim, max_size=s.dim)
     span = s.basis.transpose()
+    coords = s.complement_of(Subspace.zero(f, amb))[1]
     inside = [span.apply(tuple(f.add(f.zero, c) for c in cs))
               for cs in data.draw(st.lists(coeffs, max_size=3))]
     if f is not Q:  # the same vectors, with entries outside [0, p)
@@ -530,13 +570,15 @@ def test_one_residual_matches_the_dense_definition(s, data):
             assert all(type(x) is int and 0 <= x < f.p for x in got)
         assert s.contains(v) == (not any(want))
         w = [f.add(f.zero, x) for x in v]
-        assert s.coords(v) == (None if any(want) else tuple(w[pc] for pc in s.pivots))
+        got = coords(dict(enumerate(v)))
+        want_coords = [(t, w[pc]) for t, pc in enumerate(s.pivots) if w[pc]]
+        assert got == (None if any(want) else want_coords)
     assert all(s.contains(v) for v in inside)
-    for method in (s.reduce, s.contains, s.coords):
+    for method in (s.reduce, s.contains):
         with pytest.raises(DimensionMismatch):
             method(tuple(f.one for _ in range(amb + 1)))
     small = Subspace.from_vectors(f, amb, inside)
-    reps = dense_vectors(f, amb, s.complement_of(small))
+    reps = dense_vectors(f, amb, s.complement_of(small)[0])
     assert reps == complement_oracle(s, small)
     assert len(reps) == s.dim - small.dim
     assert _span_by_oracle(f, amb, small.basis_vectors() + reps) == (s.basis, s.pivots)
@@ -566,11 +608,12 @@ def test_equal_spans_hash_equal_and_work_as_set_members(field):
 def test_reduce_membership():
     s = Subspace.from_vectors(GF3, 4, [[1, 0, 2, 0], [0, 1, 1, 0]])
     v = s.basis.row(0)
+    coords = s.complement_of(Subspace.zero(GF3, 4))[1]
     assert s.contains(v)
-    assert s.coords(v) == (1, 0)
+    assert coords(dict(enumerate(v))) == [(0, 1)]
     w = (0, 0, 0, 1)
     assert not s.contains(w)
-    assert s.coords(w) is None
+    assert coords({3: 1}) is None
 
 
 # kron / vec ---------------------------------------------------------

@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import frobstab
-from frobstab.linalg import Matrix
+from frobstab.linalg import Matrix, Subspace
 
 
 def test_no_assert_statements_in_the_package():
@@ -116,3 +116,21 @@ def test_stable_hom_reads_module_actions_as_they_are():
              for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
              if name in banned]
     assert calls == []
+
+
+def test_stable_center_reads_its_quotient_off_one_reduction():
+    """`stab.stable_center` applies left multiplication matrices to the
+    stored sparse rows and reads its table from the coordinates that
+    `complement_of` returns: it calls no method named `mul` (the dense
+    product), `coords`, `inverse` or `from_rows`, and `Subspace` has no
+    `coords`."""
+    path = Path(frobstab.__file__).parent / "stab.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "stable_center"]
+    banned = {"mul", "coords", "inverse", "from_rows"}
+    calls = [f"{node.lineno}:{node.func.attr}" for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in banned]
+    assert calls == []
+    assert not hasattr(Subspace, "coords")
