@@ -9,20 +9,19 @@ Basis enumerations are fixed once and for all:
 * group algebras carry the identity-coefficient trace with dual bases
   {g} and {g^-1}.
 
-`truncated_polynomial`, `group_algebra` and `truncated_module` return one
-shared instance per tuple of argument values, however they are passed, so
-the structure cached on an algebra or on a module's matrices is computed
-once per process; the instances are kept for the life of the process.  A
-shared module is over the shared algebra, so `cache_clear` on any of them
-clears them all.
+`truncated_polynomial`, `group_algebra`, `truncated_module` and
+`trivial_module` return one shared instance per tuple of argument values,
+however they are passed, so the structure cached on an algebra, on a
+module or on a module's matrices is computed once per process; the
+instances are kept for the life of the process.  A shared module is over
+the shared algebra, so `cache_clear` on any of them clears them all, and
+the shared modules of `modrep` too.
 Orders read from outside (`group_from_string`, `check_order`) are capped at
 MAX_ORDER before any table is built.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +38,7 @@ from .algebra import StructureAlgebra
 from .exactfield import Field
 from .frobenius import FrobeniusSystem, require_identities
 from .linalg import Matrix
-from .modrep import ModuleRep
+from .modrep import ModuleRep, _one_instance_per_arguments
 
 
 # Largest order accepted from outside.  A cyclic table of order k costs k^3
@@ -54,30 +53,6 @@ def check_order(n: int, what: str) -> int:
     if n > MAX_ORDER:
         raise ParseError(f"{what} {n} is above {MAX_ORDER}", witness=n)
     return n
-
-
-_SHARED_CACHES = []
-
-
-def _clear_shared_instances() -> None:
-    for cached in _SHARED_CACHES:
-        cached.cache_clear()
-
-
-def _one_instance_per_arguments(build):
-    """`functools.cache` on the argument values, however they are passed.
-    Its `cache_clear` clears every catalog cache, since the instances of
-    one are built over those of another."""
-    cached = functools.cache(build)
-    _SHARED_CACHES.append(cached)
-    bind = inspect.signature(build).bind
-
-    @functools.wraps(build)
-    def shared(*args, **kwargs):
-        return cached(*(bind(*args, **kwargs).args if kwargs else args))
-
-    shared.cache_clear = _clear_shared_instances
-    return shared
 
 
 class AlgebraInstance(NamedTuple):
@@ -235,8 +210,15 @@ def truncated_projection(n: int, j: int, i: int, field: Field) -> Matrix:
 
 
 def trivial_module(algebra: StructureAlgebra) -> ModuleRep:
-    """The one-dimensional module where every group element acts as 1."""
+    """The one-dimensional module where every group element acts as 1.
+    The group is checked on every call, as algebras equal by value can
+    differ in it."""
     if algebra.group is None:
         raise NotAGroupAlgebra("trivial module needs a group algebra")
+    return _trivial_module(algebra)
+
+
+@_one_instance_per_arguments
+def _trivial_module(algebra: StructureAlgebra) -> ModuleRep:
     one_mat = Matrix.identity(algebra.field, 1)
     return ModuleRep(algebra, 1, tuple(one_mat for _ in range(algebra.dim)), name="trivial")

@@ -18,12 +18,23 @@ Free modules on k generators use the (p, j) |-> p * k + j basis layout.
 Sub- and quotient modules read the actions' sparse columns and build
 their actions from the nonzeros they find, a `Matrix`'s one stored form,
 so a shift step costs O(nnz) and writes no dense tuple.
+
+Each module computes once, on first use, a presentation on a generating
+set (`_present`): the seeds g_1 < ... < g_s, a preimage in A^s of each
+other basis vector under pi: A^s -> M, (a_j) |-> sum_j a_j e_(g_j), and
+A-module generators of ker pi, which is Omega M.  `regular_module`,
+`free_module` and `bimodule_regular` return one shared instance per
+tuple of argument values, as the catalog does, so what is cached on them
+is computed once per process.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (
     AlgebraMismatch,
@@ -39,9 +50,32 @@ from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_ke
 from .algebra import _check_entries, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, linear_combination
-from .linalg import _integers, _sparse_apply
+from .linalg import _canonical, _integers, _rref, _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
+
+_SHARED_CACHES = []
+
+
+def _clear_shared_instances() -> None:
+    for cached in _SHARED_CACHES:
+        cached.cache_clear()
+
+
+def _one_instance_per_arguments(build):
+    """`functools.cache` on the argument values, however they are passed.
+    Its `cache_clear` clears every shared cache, here and in the catalog,
+    since the instances of one are built over those of another."""
+    cached = functools.cache(build)
+    _SHARED_CACHES.append(cached)
+    bind = inspect.signature(build).bind
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        return cached(*(bind(*args, **kwargs).args if kwargs else args))
+
+    shared.cache_clear = _clear_shared_instances
+    return shared
 
 
 @dataclass(frozen=True)
@@ -74,6 +108,102 @@ class ModuleRep:
                 f"modules over different algebras ({self.name}, {other.name})"
             )
 
+    @functools.cached_property
+    def _presentation(self) -> "_Presentation":
+        """`_present(self)`, computed once per instance."""
+        return _present(self)
+
+
+class _Presentation(NamedTuple):
+    """M as a quotient of A^s: `seeds` are the basis indices g_1 < ... <
+    g_s of its generators; `relations` are the (q, K_q) with K_q[k, j] the
+    coefficient of e_q in slot j of the k-th of `count` generators of
+    ker pi; and M's basis vectors are read back from A^s as e_(g_j) =
+    E[:, j] and, for the other i, e_i = sum of S_q[i, j] rho(e_q) e_(g_j)
+    over the (q, S_q) in `preimages`."""
+
+    seeds: tuple[int, ...]
+    count: int
+    relations: tuple[tuple[int, Matrix], ...]
+    at_seeds: Matrix
+    preimages: tuple[tuple[int, Matrix], ...]
+
+
+def _present(m: ModuleRep) -> _Presentation:
+    """A presentation of M on a generating set, found greedily in basis order.
+
+    e_i becomes a seed iff it lies outside span{rho(e_q) e_g}, the
+    submodule generated by the seeds g before it (`_greedy`, one round per
+    basis vector, so it ends even on input that is not a module).  One
+    `_rref` of the rows [rho(e_q) e_(g_j) | e_(j,q)] over (j, q) then gives
+    both halves: the row [v | c] holds pi(c) = v, so a row with pivot i <
+    dim M holds a preimage of e_i, and the rows with pivot past dim M span
+    ker pi.  Of those, a row is kept as a relation generator iff it lies
+    outside span{e_q kappa}, the submodule generated by the kept ones,
+    whose left multiples are read off the structure constants.
+    """
+    alg = m.algebra
+    f, a, d = alg.field, alg.dim, m.dim
+    p, one = f.characteristic, f.one
+
+    cols: list[dict] = [{} for _ in range(a)]  # cols[q][g]: rho(e_q) e_g, not cached on rho
+    for q, rho in enumerate(m.action):
+        for t, x in rho._scalars():
+            cols[q].setdefault(t % d, {})[t // d] = x
+
+    def images(g):  # rho(e_q) e_g for each q, as fresh sparse rows
+        return [dict(col.get(g, ())) for col in cols]
+
+    seeds = [min(v) for v in _greedy(f, d, ({i: one} for i in range(d)), lambda v: images(min(v)))]
+    s = len(seeds)
+    rows = [{**v, d + j * a + q: one} for j, g in enumerate(seeds) for q, v in enumerate(images(g))]
+    reduced = _rref(rows, d + s * a, p)
+    kernel = [{t - d: x for t, x in row.items()} for c, row in reduced.items() if c >= d]
+    gens = _greedy(f, s * a, kernel, lambda v: _left_multiples(alg, v))
+    preimages = [(c, {t - d: x for t, x in row.items() if t >= d})
+                 for c, row in reduced.items() if c < d and c not in seeds]
+    at_seeds = Matrix(f, d, s, (1, [(g * s + j, 1) for j, g in enumerate(seeds)]))
+    return _Presentation(tuple(seeds), len(gens), _matrices(f, a, s, len(gens), enumerate(gens)),
+                         at_seeds, _matrices(f, a, s, d, preimages))
+
+
+def _matrices(f, a: int, s: int, nrows: int, rows) -> tuple[tuple[int, Matrix], ...]:
+    """For (k, v) pairs, v in A^s as {j * a + q: x}, the (q, X_q) in q
+    order with X_q the nrows x s matrix whose entry (k, j) is x."""
+    by_q: dict[int, list] = {}
+    for k, v in rows:
+        for t, x in v.items():
+            j, q = divmod(t, a)
+            by_q.setdefault(q, []).append((k * s + j, x))
+    return tuple((q, Matrix(f, nrows, s, _integers(f, nz))) for q, nz in sorted(by_q.items()))
+
+
+def _greedy(f, ambient: int, candidates, generated) -> list[dict]:
+    """The sparse candidates, in order, that lie outside the span of
+    `generated(v)` over the v kept before them: one round per candidate,
+    so it ends even where `generated` is no submodule."""
+    kept, span = [], {}
+    for v in candidates:
+        if Subspace(f, ambient, span)._residual(dict(v)):
+            kept.append(v)
+            span = _rref([*map(dict, span.values()), *generated(v)], ambient, f.characteristic)
+    return kept
+
+
+def _left_multiples(alg: StructureAlgebra, v: dict) -> list[dict]:
+    """e_q v for each basis index q, for v in A^s as {j * dim A + p: x},
+    read off the structure constants; no multiplication matrix is built."""
+    a, char = alg.dim, alg.field.characteristic
+    out = []
+    for cells in alg.cells:
+        w: dict = {}
+        for t, x in v.items():
+            base = t - t % a
+            for k, c in cells[t % a]:
+                w[base + k] = w.get(base + k, 0) + x * c
+        out.append(_canonical(w, char))
+    return out
+
 
 def validate_module(m: ModuleRep) -> None:
     """Unit acts as identity; products follow the structure constants.
@@ -93,11 +223,13 @@ def validate_module(m: ModuleRep) -> None:
         raise NotAModule(f"action breaks on basis product ({i},{j})", witness=(i, j))
 
 
+@_one_instance_per_arguments
 def regular_module(a: StructureAlgebra) -> ModuleRep:
     """A acting on itself by left multiplication."""
     return ModuleRep(a, a.dim, a.left, name="regular")
 
 
+@_one_instance_per_arguments
 def free_module(a: StructureAlgebra, k: int) -> ModuleRep:
     """A^k acting on the first tensor factor; BudgetExceeded above MAX_FREE_ENTRIES."""
     if k < 0:
@@ -168,6 +300,7 @@ def hom_bimodule(m: ModuleRep, n_: ModuleRep) -> ModuleRep:
     return ModuleRep(env, d, action, name=f"Hom({m.name},{n_.name})")
 
 
+@_one_instance_per_arguments
 def bimodule_regular(a: StructureAlgebra) -> ModuleRep:
     """A as a module over A (x) A^op: (a (x) b) x = a x b."""
     env = enveloping(a)

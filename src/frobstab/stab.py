@@ -2,9 +2,14 @@
 
 Every function here takes modules, as `validate_module` checks them; a
 `ModuleRep` that breaks the module axioms can give wrong answers.
-Hom_A(M, N) is solved from the equations of a generating set of A
-(`StructureAlgebra.generators`), not one block per basis element, which
-is exact only because the action is multiplicative.
+Hom_A(M, N) is solved on a presentation of M (`hom_A`): an A-map is fixed
+by the images n_j of M's s generators, which must satisfy the relations,
+so there are s dim N unknowns, not dim M dim N.  The generators are
+picked greedily in basis order, so a map whose n_1 ... n_(j-1) vanish
+vanishes on every basis vector before the j-th generator; each kernel
+row's leading position goes to that of its map, and the canonical rows of
+the small kernel are taken to the canonical rows of Hom_A(M, N) with no
+second reduction.
 
 The stable Hom between modules M, N is Hom_A(M, N) modulo the maps that
 factor through a projective (equivalently injective) module.  With a
@@ -20,9 +25,9 @@ T(h) = sum_{p,q} C[p,q] e_p h(e_q -), which acts on vectorized maps as
 
 one Kronecker term (C[p,q], action_M(e_q)^T, action_N(e_p)) per nonzero of
 C, so T is read off the module actions as they are.
-Hom_A(M, N) is the common kernel of one Kronecker sum per generator
-(`kron_kernel`), and the images of T and of the `tate0` norm come from
-`kron_image`; neither builds those sums as dense matrices.  Both read the
+The relations on the n_j are one Kronecker sum, solved by `kron_kernel`,
+and the images of T and of the `tate0` norm come from `kron_image`;
+neither builds those sums as dense matrices.  Both read the
 sparse integer rows of one Kronecker assembler, over either field: over Q
 the kernel is solved mod a prime and certified exactly, and the image is
 reduced exactly.  `null_homotopy_operator` returns T exactly.  The coset
@@ -72,22 +77,37 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     """A-linear maps M -> N as a subspace of vectorized matrices.
 
     M and N must be modules (`validate_module`); every CLI command checks
-    that on load.  H is then A-linear iff action_N(g) H - H action_M(g) = 0
-    for every g in the generating set `algebra.generators`: H commutes with
-    each word in the generators, the words span A, and the unit acts as I.
-    On vec(H) the equations of g are the Kronecker sum kron(I, action_N(g))
-    - kron(action_M(g)^T, I), and Hom_A(M, N) is the common kernel of these
-    sums, solved exactly.  The minus sign is the coefficient -1 of the
-    second term, so no negated matrix is built.
+    that on load.  It is solved on M's presentation (`modrep._present`):
+    seeds g_1 < ... < g_s generate M, and an A-map H is fixed by the n_j =
+    H e_(g_j), which may be any (n_1 ... n_s) in N^s with sum_(j,q)
+    kappa[j,q] rho_N(e_q) n_j = 0 for each relation generator kappa.
+    These s dim N unknowns, ordered (j, row), are the common kernel of the
+    Kronecker terms (1, K_q, rho_N(e_q)), solved by one `kron_kernel`.
+
+    Each canonical kernel row u is taken to vec(H) = B u: H e_(g_j) = n_j,
+    and H e_i = sum S_q[i, j] rho_N(e_q) n_j for the preimage of any other
+    e_i, so B = kron(E, I) + sum_q kron(S_q, rho_N(e_q)), one `kron_sum`
+    applied to the kernel's basis.  The seeds are greedy in basis order,
+    so every e_i with i < g_j lies in the submodule generated by g_1 ...
+    g_(j-1); if u leads at (j, r), H vanishes on it and vec(H) leads at
+    (g_j, r) with u's entry.  So the leading positions keep their order,
+    and each pivot entry of vec(H) is the matching entry of u: the
+    kernel's RREF rows go to the RREF rows of Hom_A(M, N), with no second
+    reduction.
     """
     m.same_algebra(n_)
-    f = m.algebra.field
-    amb = n_.dim * m.dim
-    eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n_.dim)
-    return kron_kernel(f, amb, amb, *(
-        [(1, eye_m, n_.action[g]), (-1, m.action[g].transpose(), eye_n)]
-        for g in m.algebra.generators
-    ))
+    pres = m._presentation
+    f, s, dn = m.algebra.field, len(pres.seeds), n_.dim
+    kernel = kron_kernel(f, pres.count * dn, s * dn, [
+        (1, k_q, n_.action[q]) for q, k_q in pres.relations
+    ])
+    back = kron_sum(f, m.dim * dn, s * dn, [(1, pres.at_seeds, Matrix.identity(f, dn))] + [
+        (1, s_q, n_.action[q]) for q, s_q in pres.preimages
+    ])
+    rows: dict[int, dict] = {}
+    for t, x in (kernel.basis @ back.transpose())._scalars():
+        rows.setdefault(t // back.nrows, {})[t % back.nrows] = x
+    return Subspace(f, back.nrows, {min(row): row for row in rows.values()})
 
 
 def _operator_terms(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep):

@@ -12,7 +12,7 @@ from frobstab.errors import (
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
 from frobstab.frobenius import FrobeniusSystem, derive_system
-from frobstab.linalg import Matrix, Subspace, kron, kron_sum
+from frobstab.linalg import Matrix, Subspace, kron, kron_kernel, kron_sum
 from frobstab.modrep import ModuleRep, _surjection_terms, free_module
 
 
@@ -246,6 +246,22 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     k = Matrix.from_rows(a.field, rows, ncols=a.dim + b.dim).kernel_basis()
     vecs = [apply_by_definition(a_t, v[:a.dim]) for v in k.basis_vectors()]
     return Subspace.from_vectors(a.field, a.ambient, vecs)
+
+
+def hom_by_generators(m: ModuleRep, n_: ModuleRep) -> Subspace:
+    """Hom_A(M, N) over all of Hom_k(M, N): H is A-linear iff
+    action_N(g) H - H action_M(g) = 0 for each g in `algebra.generators`,
+    and on vec(H) those are the Kronecker sums kron(I, action_N(g)) -
+    kron(action_M(g)^T, I), whose common kernel `kron_kernel` solves.  The
+    oracle for `stab.hom_A`, which solves on a presentation of M."""
+    m.same_algebra(n_)
+    f = m.algebra.field
+    amb = n_.dim * m.dim
+    eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n_.dim)
+    return kron_kernel(f, amb, amb, *(
+        [(1, eye_m, n_.action[g]), (-1, m.action[g].transpose(), eye_n)]
+        for g in m.algebra.generators
+    ))
 
 
 def multiplication_surjection(m: ModuleRep) -> Matrix:

@@ -63,7 +63,8 @@ def test_truncated_identities_all_sizes():
 
 def test_degenerate_base_case():
     # n = 1 is the ground field: everything is projective.  It has no
-    # generators, so hom_A hands kron_kernel no sums, on either route.
+    # generators, and V0 is free on one seed, so hom_A hands kron_kernel
+    # no terms.
     for field in (Q, GF2, Field.prime(3)):
         inst = truncated_polynomial(1, field)
         v0 = truncated_module(1, 0, field)

@@ -23,7 +23,7 @@ from frobstab.catalog import (
     truncated_polynomial,
 )
 from frobstab.frobenius import FrobeniusSystem, derive_system, element_inverse, gram_matrix, twist
-from frobstab.linalg import Matrix, Subspace, kron, kron_sum
+from frobstab.linalg import Matrix, Subspace, kron, kron_sum, unvec
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
     ModuleRep,
@@ -50,9 +50,9 @@ from frobstab.stab import (
     tate0,
 )
 from helpers import (
-    dense_vectors, exact_kernel, full_subspace, integer_rows, kron_sum_by_definition,
-    multiplication_surjection, quantum_exterior, quantum_exterior_module, quotient_action,
-    restricted_action, stack_rows,
+    dense_vectors, exact_kernel, full_subspace, hom_by_generators, integer_rows,
+    kron_sum_by_definition, multiplication_surjection, quantum_exterior, quantum_exterior_module,
+    quotient_action, restricted_action, stack_rows,
 )
 
 Q = Field.rationals()
@@ -124,8 +124,19 @@ def _random_conjugate(draw, m):
 @st.composite
 def _hom_case(draw):
     """A pair of modules (M, N): conjugated truncated modules, group algebra
-    regular/trivial modules, or a Hom bimodule over the enveloping algebra."""
-    kind = draw(st.sampled_from(["trunc", "group", "bimodule"]))
+    regular/trivial modules, a Hom bimodule over the enveloping algebra,
+    direct sums with a repeated summand (two or three seeds), free modules,
+    once-shifted modules (Omega^{+-1}), or modules over Lambda_q, which is
+    neither symmetric nor commutative."""
+    kind = draw(st.sampled_from(["trunc", "group", "bimodule", "sum", "free", "shift", "lambda"]))
+    if kind == "lambda":
+        system = quantum_exterior(draw(st.sampled_from([2, 3, Fraction(1, 2)])))
+        pool = [quantum_exterior_module(system.algebra, lam) for lam in (1, 2, Fraction(1, 2), None)]
+        pool.append(regular_module(system.algebra))
+        m, n_ = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            m = draw(st.sampled_from([shift_plus(system, m), shift_minus(m)]))
+        return m, n_
     if kind == "group":
         group = draw(st.sampled_from([klein_four_group(), symmetric_group_3()]))
         alg = group_algebra(group, draw(st.sampled_from([GF2, GF3, Q]))).algebra
@@ -133,56 +144,74 @@ def _hom_case(draw):
         return draw(st.sampled_from(mods)), draw(st.sampled_from(mods))
     field = draw(st.sampled_from([GF3, Q]))
     n = draw(st.integers(1, 4 if kind == "trunc" else 3))
+    inst = truncated_polynomial(n, field)
     m, n_ = (truncated_module(n, draw(st.integers(0, n - 1)), field) for _ in range(2))
     if kind == "trunc":
         return _random_conjugate(draw, m), _random_conjugate(draw, n_)
+    if kind == "sum":
+        other = truncated_module(n, draw(st.integers(0, n - 1)), field)
+        total = direct_sum(draw(st.sampled_from([[m, m], [m, other, m]])))
+        return draw(st.sampled_from([(total, n_), (n_, total), (total, total)]))
+    if kind == "free":
+        free = free_module(inst.algebra, draw(st.integers(0, 2)))
+        return draw(st.sampled_from([(free, n_), (n_, free), (free, free)]))
+    if kind == "shift":
+        shifted = draw(st.sampled_from([shift_plus(inst.system, m), shift_minus(m)]))
+        return draw(st.sampled_from([(shifted, n_), (n_, shifted), (shifted, shifted)]))
     bim = hom_bimodule(m, n_)
     return draw(st.sampled_from([(bimodule_regular(m.algebra), bim), (bim, bim)]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_hom_case())
 def test_hom_matches_kron_built_kernel(case):
-    # The generating-set system has the same kernel as the full-basis one.
+    # The system on M's presentation has the same kernel, as the same
+    # canonical subspace, as the full-basis system and as the system of
+    # one Kronecker sum per generator of A over all of Hom_k(M, N).
     m, n_ = case
-    assert hom_A(m, n_) == _full_basis_hom(m, n_)
+    got = hom_A(m, n_)
+    assert got == hom_by_generators(m, n_)
+    assert got == _full_basis_hom(m, n_)
 
 
 def test_hom_solves_one_block_per_generator(monkeypatch):
-    # One Kronecker sum per generator goes to kron_kernel: k[x]/(x^24) is
-    # generated by x (one 576x576 sum, not 24), klein4 and s3 by two
-    # elements, and s3^env by four.  No Kronecker product is built.
+    # One block of dim N rows per relation generator of M's presentation
+    # goes to one kron_kernel, over s * dim N unknowns: the regular module
+    # of k[x]/(x^24) is free on one seed (24 unknowns, no relation rows),
+    # V0 over k[x]/(x^4) has the one relation x, the regular modules of
+    # klein4 and s3 are free, and A as an s3 bimodule is generated by 1
+    # with two relations.  No Kronecker product is built.
     s3 = group_algebra(symmetric_group_3(), GF3).algebra
+    v0 = truncated_module(4, 0, GF2)
     cases = [
-        (regular_module(truncated_polynomial(24, GF2).algebra), [(576, 576)]),
-        (regular_module(group_algebra(klein_four_group(), GF2).algebra), [(16, 16)] * 2),
-        (regular_module(s3), [(36, 36)] * 2),
-        (bimodule_regular(s3), [(36, 36)] * 4),
+        (regular_module(truncated_polynomial(24, GF2).algebra), (0, 24)),
+        (v0, (1, 1)),
+        (regular_module(group_algebra(klein_four_group(), GF2).algebra), (0, 4)),
+        (regular_module(s3), (0, 6)),
+        (bimodule_regular(s3), (12, 6)),
     ]
     shapes = []
     orig = stab.kron_kernel
 
     def record(field, nrows, ncols, *sums):
         sums = [list(terms) for terms in sums]
-        for terms in sums:
-            assert len(terms) == 2
-            shapes.append((nrows, ncols))
-            for _, a, b in terms:
-                assert (a.nrows * b.nrows, a.ncols * b.ncols) == (nrows, ncols)
+        assert len(sums) == 1
+        shapes.append((nrows, ncols))
+        for _, a, b in sums[0]:
+            assert (a.nrows * b.nrows, a.ncols * b.ncols) == (nrows, ncols)
         return orig(field, nrows, ncols, *sums)
 
     def no_kron(a, b):
         raise AssertionError("hom_A built a Kronecker product")
 
-    for m, _ in cases:
-        assert m.algebra.generators  # computed outside the recorded calls
     monkeypatch.setattr(stab, "kron_kernel", record)
     monkeypatch.setattr(linalg, "kron", no_kron)
     monkeypatch.setattr(modrep, "kron", no_kron)
     for m, want in cases:
         shapes.clear()
-        hom_A(m, m)
-        assert shapes == want
+        assert hom_A(m, m).dim == hom_by_generators(m, m).dim
+        assert shapes == [want]
+    assert (v0._presentation.seeds, v0._presentation.count) == ((0,), 1)
 
 
 def test_null_homotopy_operator_footnote_form():
@@ -312,29 +341,61 @@ def test_integer_assembly_matches_exact_kron_sums(case):
     assert fast[1].null_basis == t.image_basis()
 
 
-def test_hom_over_q_takes_the_certified_route():
-    # dense_q's V6' -> V6': V6 over k[x]/(x^10), Q, in a random basis with
-    # entries in [-3, 3].  With the exact elimination made to raise, hom_A
-    # still answers, so its kernel was solved mod P and certified, with no
-    # fallback; the answer is the exact one.
-    rng = random.Random(1)
-    v6 = truncated_module(10, 6, Q)
+def _refuse_exact_kernel(monkeypatch):
+    """Make the exact kernel fallback over Q, `_sparse_kernel(..., 0)`,
+    raise; the kernels mod a prime and every other reduction still run."""
+    orig = linalg._sparse_kernel
+
+    def refuse(ncols, rows, p):
+        if not p:
+            raise AssertionError("the certified kernel fell back to the exact route")
+        return orig(ncols, rows, p)
+
+    monkeypatch.setattr(linalg, "_sparse_kernel", refuse)
+
+
+def _conjugated(m, seed):
+    """m in a random basis with entries in [-3, 3], drawn from `seed`."""
+    rng = random.Random(seed)
+    f = m.algebra.field
     pm_inv = None
     while pm_inv is None:
-        pm = Matrix.dense(Q, 7, 7, tuple(Q.from_int(rng.randint(-3, 3)) for _ in range(49)))
+        pm = Matrix.dense(f, m.dim, m.dim, tuple(f.from_int(rng.randint(-3, 3))
+                                                 for _ in range(m.dim ** 2)))
         pm_inv = pm.inverse()
-    conj = ModuleRep(v6.algebra, 7, tuple(pm_inv @ a @ pm for a in v6.action), name="V6'")
-    assert conj.algebra.generators  # computed outside the patch
+    return ModuleRep(m.algebra, m.dim, tuple(pm_inv @ a @ pm for a in m.action), name=m.name + "'")
 
-    def refuse(*args):
-        raise AssertionError("the certified kernel fell back to _rref_rational")
 
-    with mock.patch.object(linalg, "_rref_rational", refuse):
+def test_hom_over_q_takes_the_certified_route(monkeypatch):
+    # dense_q's V6' -> V6': V6 over k[x]/(x^10), Q, in a random basis with
+    # entries in [-3, 3].  With the exact kernel fallback made to raise,
+    # hom_A still answers, so its kernel was solved mod P and certified;
+    # the presentation's own reduction is exact by design and may run.
+    # The answer is the exact one.
+    conj = _conjugated(truncated_module(10, 6, Q), 1)
+    with monkeypatch.context() as patch:
+        _refuse_exact_kernel(patch)
         got = hom_A(conj, conj)
     with mock.patch.object(stab, "kron_kernel", _exact_kernel):
         want = hom_A(conj, conj)
-    assert got == want and got.dim == 7
+    assert got == want == hom_by_generators(conj, conj) and got.dim == 7
     assert any(x.denominator > 1 for x in got.basis.entries)
+
+
+def test_hom_of_a_dense_regular_module_over_q(monkeypatch):
+    # The regular module of k[x]/(x^12) over Q in a random basis: on the
+    # full system of 144 unknowns its kernel entries outgrow the one
+    # prime's reconstruction bound, so it fell back to exact elimination.
+    # On its presentation it is one seed and 12 unknowns, with no fallback.
+    inst = truncated_polynomial(12, Q)
+    conj = _conjugated(regular_module(inst.algebra), 1)
+    _refuse_exact_kernel(monkeypatch)
+    hom = hom_A(conj, conj)
+    assert hom.dim == 12
+    x = conj.action[1]
+    for h in hom.basis_vectors():
+        h_mat = unvec(Q, h, 12, 12)
+        assert h_mat @ x == x @ h_mat
 
 
 def test_stable_hom_known_values():
