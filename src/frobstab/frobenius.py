@@ -14,7 +14,8 @@ left identity at e_j) and GC = I (row j is the right identity at e_j).
 forces b_i = sum_k (G^-1)[i][k] e_k, so C = G^-1, and nondegeneracy of the
 trace is exactly invertibility of G.  Systems form a torsor under the
 invertible elements (`twist`), and transport to the enveloping algebra
-A (x) A^op (`enveloping_system`), where C becomes kron(C, C^T).
+A (x) A^op (`enveloping_system`, built once per system), where C becomes
+kron(C, C^T).
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ class FrobeniusSystem:
         f, n = self.algebra.field, self.algebra.dim
         a_t = Matrix.dense(f, n, n, tuple(a_i[p] for p in range(n) for a_i in self.a_basis))
         return a_t @ Matrix.dense(f, n, n, tuple(x for b_i in self.b_basis for x in b_i))
+
+    @functools.cached_property
+    def _enveloping(self) -> "FrobeniusSystem":
+        """`enveloping_system`'s result, built and checked once per instance."""
+        alg = self.algebra
+        f, n = alg.field, alg.dim
+        env = enveloping(alg)
+        trace = _tensor(f, self.trace, self.trace)
+        a_basis = []
+        b_basis = []
+        for i in range(n):
+            for j in range(n):
+                a_basis.append(_tensor(f, self.a_basis[i], self.b_basis[j]))
+                b_basis.append(_tensor(f, self.b_basis[i], self.a_basis[j]))
+        return require_identities(FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis)))
 
 
 def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:
@@ -185,16 +201,7 @@ def twist(system: FrobeniusSystem, d: tuple, side: str = "left") -> FrobeniusSys
 
 def enveloping_system(system: FrobeniusSystem) -> FrobeniusSystem:
     """Transport to A (x) A^op: trace (x) trace with dual bases
-    {a_i (x) b_j} and {b_i (x) a_j}, indexed by the same (i, j) pairs."""
-    alg = system.algebra
-    f, n = alg.field, alg.dim
-    env = enveloping(alg)
-    trace = _tensor(f, system.trace, system.trace)
-    a_basis = []
-    b_basis = []
-    for i in range(n):
-        for j in range(n):
-            a_basis.append(_tensor(f, system.a_basis[i], system.b_basis[j]))
-            b_basis.append(_tensor(f, system.b_basis[i], system.a_basis[j]))
-    return require_identities(FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis)))
-
+    {a_i (x) b_j} and {b_i (x) a_j}, indexed by the same (i, j) pairs.
+    One instance per system: every call on `system` returns the same
+    system, whose identities were checked when it was built."""
+    return system._enveloping

@@ -22,10 +22,14 @@ so a shift step costs O(nnz) and writes no dense tuple.
 Each module computes once, on first use, a presentation on a generating
 set (`_present`): the seeds g_1 < ... < g_s, a preimage in A^s of each
 other basis vector under pi: A^s -> M, (a_j) |-> sum_j a_j e_(g_j), and
-A-module generators of ker pi, which is Omega M.  `regular_module`,
-`free_module` and `bimodule_regular` return one shared instance per
-tuple of argument values, as the catalog does, so what is cached on them
-is computed once per process.
+A-module generators of ker pi, which is Omega M.  It also computes once
+the seeds of its dual M* as a right A-module (`ModuleRep._dual_seeds`),
+by the same greedy search (`_seed_search`) on the rows of the actions,
+in reverse basis order, and the rows of the actions at those seeds
+(`ModuleRep._at_dual_seeds`), on which `stab` spans the image of T.
+`regular_module`, `free_module` and `bimodule_regular` return one shared
+instance per tuple of argument values, as the catalog does, so what is
+cached on them is computed once per process.
 """
 
 from __future__ import annotations
@@ -113,6 +117,36 @@ class ModuleRep:
         """`_present(self)`, computed once per instance."""
         return _present(self)
 
+    @functools.cached_property
+    def _dual_seeds(self) -> tuple[int, ...]:
+        """Basis indices g, ascending, whose functionals e_g^* generate the
+        dual M* = Hom_k(M, k) as a right A-module, where e_h^* e_q =
+        e_h^* rho(e_q) is row h of rho(e_q); computed once per instance.
+
+        e_g^* is kept iff it lies outside span{e_h^* rho(e_q)} over the h
+        kept before it (`_seed_search` on the rows).  The search runs in
+        reverse basis order: the dual of a cyclic module such as V_i over
+        k[x]/(x^n) is generated by its last functional, and in basis order
+        every functional would be kept.
+        """
+        f, d = self.algebra.field, self.dim
+        return tuple(sorted(_seed_search(f, d, _lines(self, rows=True), reversed(range(d)))))
+
+    @functools.cached_property
+    def _at_dual_seeds(self) -> tuple[Matrix, ...]:
+        """rho(e_q)[seeds, :]^T for each q, over the dual seeds g_1 < ... <
+        g_s': the dim M x s' matrix whose column k is row g_k of rho(e_q),
+        read off its stored nonzeros; computed once per instance."""
+        at = {g: k for k, g in enumerate(self._dual_seeds)}
+        d, s = self.dim, len(at)
+        out = []
+        for rho in self.action:
+            den, nz = rho.nonzeros
+            out.append(Matrix(rho.field, d, s, (den, [
+                (t % d * s + at[g], x) for t, x in nz if (g := t // d) in at
+            ])))
+        return tuple(out)
+
 
 class _Presentation(NamedTuple):
     """M as a quotient of A^s: `seeds` are the basis indices g_1 < ... <
@@ -133,8 +167,8 @@ def _present(m: ModuleRep) -> _Presentation:
     """A presentation of M on a generating set, found greedily in basis order.
 
     e_i becomes a seed iff it lies outside span{rho(e_q) e_g}, the
-    submodule generated by the seeds g before it (`_greedy`, one round per
-    basis vector, so it ends even on input that is not a module).  One
+    submodule generated by the seeds g before it (`_seed_search`, one round
+    per basis vector, so it ends even on input that is not a module).  One
     `_rref` of the rows [rho(e_q) e_(g_j) | e_(j,q)] over (j, q) then gives
     both halves: the row [v | c] holds pi(c) = v, so a row with pivot i <
     dim M holds a preimage of e_i, and the rows with pivot past dim M span
@@ -145,18 +179,11 @@ def _present(m: ModuleRep) -> _Presentation:
     alg = m.algebra
     f, a, d = alg.field, alg.dim, m.dim
     p, one = f.characteristic, f.one
-
-    cols: list[dict] = [{} for _ in range(a)]  # cols[q][g]: rho(e_q) e_g, not cached on rho
-    for q, rho in enumerate(m.action):
-        for t, x in rho._scalars():
-            cols[q].setdefault(t % d, {})[t // d] = x
-
-    def images(g):  # rho(e_q) e_g for each q, as fresh sparse rows
-        return [dict(col.get(g, ())) for col in cols]
-
-    seeds = [min(v) for v in _greedy(f, d, ({i: one} for i in range(d)), lambda v: images(min(v)))]
+    cols = _lines(m)
+    seeds = _seed_search(f, d, cols, range(d))
     s = len(seeds)
-    rows = [{**v, d + j * a + q: one} for j, g in enumerate(seeds) for q, v in enumerate(images(g))]
+    rows = [{**col.get(g, {}), d + j * a + q: one}
+            for j, g in enumerate(seeds) for q, col in enumerate(cols)]
     reduced = _rref(rows, d + s * a, p)
     kernel = [{t - d: x for t, x in row.items()} for c, row in reduced.items() if c >= d]
     gens = _greedy(f, s * a, kernel, lambda v: _left_multiples(alg, v))
@@ -176,6 +203,32 @@ def _matrices(f, a: int, s: int, nrows: int, rows) -> tuple[tuple[int, Matrix], 
             j, q = divmod(t, a)
             by_q.setdefault(q, []).append((k * s + j, x))
     return tuple((q, Matrix(f, nrows, s, _integers(f, nz))) for q, nz in sorted(by_q.items()))
+
+
+def _lines(m: ModuleRep, rows: bool = False) -> list[dict]:
+    """lines[q][g]: column g of rho(e_q), or row g with `rows`, as a sparse
+    map {index: x} read from the stored nonzeros, so no `_sparse_cols` is
+    cached on the actions."""
+    d = m.dim
+    lines: list[dict] = [{} for _ in m.action]
+    for line, rho in zip(lines, m.action):
+        for t, x in rho._scalars():
+            i, g = divmod(t, d)
+            if rows:
+                i, g = g, i
+            line.setdefault(g, {})[i] = x
+    return lines
+
+
+def _seed_search(f, d: int, lines: list[dict], order) -> list[int]:
+    """The indices g, in `order`, whose unit vector e_g lies outside the
+    span of lines[q][h] over every q and the h kept before g (`_greedy`):
+    with the columns of the actions that span is the submodule the kept
+    vectors generate, with their rows the right submodule of M* their
+    functionals generate."""
+    kept = _greedy(f, d, ({g: f.one} for g in order),
+                   lambda v: [dict(line.get(min(v), ())) for line in lines])
+    return [min(v) for v in kept]
 
 
 def _greedy(f, ambient: int, candidates, generated) -> list[dict]:

@@ -24,7 +24,18 @@ T(h) = sum_{p,q} C[p,q] e_p h(e_q -), which acts on vectorized maps as
     sum_{p,q} C[p,q] kron(action_M(e_q)^T, action_N(e_p)),
 
 one Kronecker term (C[p,q], action_M(e_q)^T, action_N(e_p)) per nonzero of
-C, so T is read off the module actions as they are.
+C, so T is read off the module actions as they are.  T factors through
+M* (x)_A N: with nu the Nakayama automorphism, trace(u x) = trace(nu(x) u)
+(the identity when A is symmetric),
+
+    T(rho_N(x) h) = T(h rho_M(nu(x))),
+
+and nu is onto, so im T is spanned by the T(e_r e_g^*) over a basis e_r of
+N and functionals e_g^* that generate M* as a right A-module
+(`ModuleRep._dual_seeds`, greedy in reverse basis order).  Those are s'
+dim N columns of T, whose factors are the rows of the actions at the
+seeds, not dim M dim N.  The `tate0` norm has the same form, with nu the
+identity.
 The relations on the n_j are one Kronecker sum, solved by `kron_kernel`,
 and the images of T and of the `tate0` norm come from `kron_image`;
 neither builds those sums as dense matrices.  Both read the
@@ -110,21 +121,19 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     return Subspace(f, back.nrows, {min(row): row for row in rows.values()})
 
 
-def _operator_terms(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep):
-    """(dim Hom_k(M, N), the Kronecker terms of T): one (C[p,q],
-    action_M(e_q)^T, action_N(e_p)) per nonzero C[p,q]."""
-    _check_system_module(system, m, n_)
+def _operator_terms(system: FrobeniusSystem, m_t, n_: ModuleRep):
+    """The Kronecker terms of T: one (C[p,q], m_t[q], action_N(e_p)) per
+    nonzero C[p,q], for m_t[q] = action_M(e_q)^T or some of its columns."""
     c = system.element_matrix
-    m_t = [rho.transpose() for rho in m.action]
-    return n_.dim * m.dim, (
-        (x, m_t[t % c.ncols], n_.action[t // c.ncols]) for t, x in c._scalars()
-    )
+    return ((x, m_t[t % c.ncols], n_.action[t // c.ncols]) for t, x in c._scalars())
 
 
 def null_homotopy_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Matrix:
     """The operator T above on vec(Hom_k(M, N)); its image is the null space."""
-    amb, terms = _operator_terms(system, m, n_)
-    return kron_sum(m.algebra.field, amb, amb, terms)
+    _check_system_module(system, m, n_)
+    amb = n_.dim * m.dim
+    m_t = [rho.transpose() for rho in m.action]
+    return kron_sum(m.algebra.field, amb, amb, _operator_terms(system, m_t, n_))
 
 
 @dataclass
@@ -138,11 +147,26 @@ class StableHomResult:
 
 
 def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHomResult:
-    """Hom_A(M, N) modulo the image of T, with canonical coset representatives."""
+    """Hom_A(M, N) modulo the image of T, with canonical coset representatives.
+
+    The image of T is spanned by T(e_r e_g^*), for e_r a basis of N and
+    e_g^* the functionals of M's dual seeds (`ModuleRep._dual_seeds`):
+    s' dim N columns of T, not dim M dim N.  With nu the Nakayama
+    automorphism, trace(u x) = trace(nu(x) u), the dual bases satisfy
+    sum_i a_i x (x) b_i = sum_i a_i (x) nu(x) b_i, so
+
+        T(rho_N(x) h) = T(h rho_M(nu(x))).
+
+    The e_g^* generate M* as a right A-module, so every map is a sum of
+    maps e_r e_g^* rho_M(y), and T(e_r e_g^* rho_M(y)) = T((rho_N(nu^-1(y))
+    e_r) e_g^*) lies in the span.  So the image is the canonical subspace
+    that all of T's columns span.
+    """
     hom = hom_A(m, n_)
-    amb, terms = _operator_terms(system, m, n_)
+    _check_system_module(system, m, n_)
     f = m.algebra.field
-    null = kron_image(f, amb, amb, terms)
+    null = kron_image(f, n_.dim * m.dim, len(m._dual_seeds) * n_.dim,
+                      _operator_terms(system, m._at_dual_seeds, n_))
     # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
     # A row holds vec(H), which read row-major is H^T.
     reps = [Matrix(f, m.dim, n_.dim, _integers(f, row.items())).transpose()
@@ -322,7 +346,10 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
 
     Invariants are the A-linear maps; the norm image is built straight from
     the group's multiplication table (sum over g of h |-> g h(g^-1 -)),
-    independently of the Frobenius system's dual bases.
+    independently of the Frobenius system's dual bases.  As for T in
+    `stable_hom`, N(rho_N(k) h) = N(h rho_M(k)) for every k in the group
+    (substitute g k for g), so the norm image is spanned by N(e_r e_g^*)
+    over M's dual seeds: s' dim N columns.
     """
     _check_system_module(system, m, n_)
     g = system.algebra.group
@@ -332,10 +359,9 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
             "(identity-coefficient trace, dual bases g and g^-1)"
         )
     inv = hom_A(m, n_)
-    amb = n_.dim * m.dim
-    image = kron_image(system.algebra.field, amb, amb, [
-        (1, m.action[g.inverse[gi]].transpose(), n_.action[gi])
-        for gi in range(system.algebra.dim)
+    m_t = m._at_dual_seeds
+    image = kron_image(system.algebra.field, n_.dim * m.dim, len(m._dual_seeds) * n_.dim, [
+        (1, m_t[g.inverse[gi]], n_.action[gi]) for gi in range(system.algebra.dim)
     ])
     # quotient_dim raises NotASubspace if the norm image is not invariant.
     return Tate0Result(inv.dim, image.dim, inv.quotient_dim(image))

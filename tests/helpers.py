@@ -12,7 +12,7 @@ from frobstab.errors import (
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
 from frobstab.frobenius import FrobeniusSystem, derive_system
-from frobstab.linalg import Matrix, Subspace, kron, kron_kernel, kron_sum
+from frobstab.linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum
 from frobstab.modrep import ModuleRep, _surjection_terms, free_module
 
 
@@ -262,6 +262,29 @@ def hom_by_generators(m: ModuleRep, n_: ModuleRep) -> Subspace:
         [(1, eye_m, n_.action[g]), (-1, m.action[g].transpose(), eye_n)]
         for g in m.algebra.generators
     ))
+
+
+def null_by_full_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Subspace:
+    """The image of T on all of Hom_k(M, N): `kron_image` over its dim M
+    dim N columns, one Kronecker term (C[p,q], action_M(e_q)^T,
+    action_N(e_p)) per nonzero of C.  The oracle for the null basis of
+    `stab.stable_hom`, which spans it on the columns of M's dual seeds."""
+    f, amb = m.algebra.field, n_.dim * m.dim
+    c = system.element_matrix
+    return kron_image(f, amb, amb, [
+        (x, m.action[t % c.ncols].transpose(), n_.action[t // c.ncols]) for t, x in c._scalars()
+    ])
+
+
+def norm_image_by_full_columns(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Subspace:
+    """The image of the norm h |-> sum_g g h(g^-1 -) of a group algebra on
+    all of Hom_k(M, N), over its dim M dim N columns: the oracle for the
+    norm image of `stab.tate0`."""
+    g = system.algebra.group
+    f, amb = m.algebra.field, n_.dim * m.dim
+    return kron_image(f, amb, amb, [
+        (1, m.action[g.inverse[gi]].transpose(), n_.action[gi]) for gi in range(system.algebra.dim)
+    ])
 
 
 def multiplication_surjection(m: ModuleRep) -> Matrix:

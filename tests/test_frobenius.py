@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobstab import frobenius
 from frobstab.algebra import StructureAlgebra
 from frobstab.errors import (
     CentralityViolation,
@@ -218,6 +219,25 @@ def test_enveloping_system():
             )
     # its own central element passes the centrality check
     frobenius_element(env)
+
+
+def test_enveloping_system_is_built_once_per_system(monkeypatch):
+    # A system equal by value to a catalog one, but a fresh instance with
+    # nothing cached: its enveloping system is built and checked on the
+    # first call, and every later call returns that same instance.
+    base = group_algebra(symmetric_group_3(), GF3).system
+    system = FrobeniusSystem(base.algebra, base.trace, base.a_basis, base.b_basis)
+    checked = []
+
+    def counting(sys_):
+        checked.append(sys_)
+        return require_identities(sys_)
+
+    monkeypatch.setattr(frobenius, "require_identities", counting)
+    first = enveloping_system(system)
+    assert enveloping_system(system) is first
+    assert len(checked) == 1 and checked[0] is first
+    assert first == enveloping_system(base)
 
 
 # The per-element loops the matrix checks replaced, kept as oracles: both

@@ -134,3 +134,19 @@ def test_stable_center_reads_its_quotient_off_one_reduction():
              and node.func.attr in banned]
     assert calls == []
     assert not hasattr(Subspace, "coords")
+
+
+def test_null_spaces_are_spanned_on_the_dual_seeds():
+    """`stable_hom` and `tate0` each make one `kron_image` call, and its
+    column count is not the full ambient dim M dim N: the image of T and
+    the norm image are spanned on the columns of M's dual seeds."""
+    path = Path(frobstab.__file__).parent / "stab.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("stable_hom", "tate0"):
+        (call,) = [node for node in ast.walk(fns[name]) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "kron_image"]
+        nrows, ncols = call.args[1:3]
+        reads_dim_m = [node for node in ast.walk(ncols) if isinstance(node, ast.Attribute)
+                       and node.attr == "dim" and getattr(node.value, "id", None) == "m"]
+        assert ast.dump(ncols) != ast.dump(nrows) and reads_dim_m == [], name

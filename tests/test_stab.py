@@ -51,8 +51,9 @@ from frobstab.stab import (
 )
 from helpers import (
     dense_vectors, exact_kernel, full_subspace, hom_by_generators, integer_rows,
-    kron_sum_by_definition, multiplication_surjection, quantum_exterior, quantum_exterior_module,
-    quotient_action, restricted_action, stack_rows,
+    kron_sum_by_definition, multiplication_surjection, norm_image_by_full_columns,
+    null_by_full_operator, quantum_exterior, quantum_exterior_module, quotient_action,
+    restricted_action, stack_rows,
 )
 
 Q = Field.rationals()
@@ -396,6 +397,103 @@ def test_hom_of_a_dense_regular_module_over_q(monkeypatch):
     for h in hom.basis_vectors():
         h_mat = unvec(Q, h, 12, 12)
         assert h_mat @ x == x @ h_mat
+
+
+@st.composite
+def _null_case(draw):
+    """(system, M, N): truncated modules V_i over GF(2), GF(3), GF(5) or Q,
+    V_i conjugated over Q, direct sums with a repeated summand, Omega^{+-1}
+    of V_i, or modules over Lambda_q (q = 2, 3, 1/2) with its regular
+    module and their shifts.  Lambda_q is not symmetric, so the Nakayama
+    automorphism in the spanning argument of `stable_hom` is not the
+    identity."""
+    kind = draw(st.sampled_from(["trunc", "conjugated", "sum", "shift", "lambda"]))
+    if kind == "lambda":
+        system = quantum_exterior(draw(st.sampled_from([2, 3, Fraction(1, 2)])))
+        pool = [quantum_exterior_module(system.algebra, lam) for lam in (1, 2, Fraction(1, 2), None)]
+        pool.append(regular_module(system.algebra))
+        pair = [draw(st.sampled_from(pool)) for _ in range(2)]
+        for k, x in enumerate(pair):
+            if draw(st.booleans()):
+                pair[k] = draw(st.sampled_from([shift_plus(system, x), shift_minus(x)]))
+        return system, *pair
+    field = Q if kind == "conjugated" else draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    n = draw(st.integers(1, 5))
+    inst = truncated_polynomial(n, field)
+    m, n_ = (truncated_module(n, draw(st.integers(0, n - 1)), field) for _ in range(2))
+    if kind == "conjugated":
+        m, n_ = _random_conjugate(draw, m), _random_conjugate(draw, n_)
+    elif kind == "sum":
+        other = truncated_module(n, draw(st.integers(0, n - 1)), field)
+        total = direct_sum(draw(st.sampled_from([[m, m], [m, other, m]])))
+        m, n_ = draw(st.sampled_from([(total, n_), (n_, total), (total, total)]))
+    elif kind == "shift":
+        shifted = draw(st.sampled_from([shift_plus(inst.system, m), shift_minus(m)]))
+        m, n_ = draw(st.sampled_from([(shifted, n_), (n_, shifted), (shifted, shifted)]))
+    return inst.system, m, n_
+
+
+@settings(max_examples=80, deadline=None)
+@given(_null_case())
+def test_null_basis_matches_the_full_operator(case):
+    # The image of T spanned on the s' dim N columns of M's dual seeds is
+    # the canonical subspace that all dim M dim N columns of T span.
+    system, m, n_ = case
+    res = stable_hom(system, m, n_)
+    assert res.null_basis == null_by_full_operator(system, m, n_)
+    assert res.hom_basis == hom_by_generators(m, n_)
+
+
+def test_norm_image_matches_the_full_columns(monkeypatch):
+    # The norm image of tate0, spanned on M's dual seeds, is the subspace
+    # that all dim M dim N columns span: klein4, s3 and C3 over every
+    # field, on the trivial, regular and sign modules and a direct sum.
+    images = []
+
+    def record(*args):
+        images.append(linalg.kron_image(*args))
+        return images[-1]
+
+    monkeypatch.setattr(stab, "kron_image", record)
+    for group, signed in ((klein_four_group(), False), (symmetric_group_3(), True),
+                          (cyclic_group(3), False)):
+        for field in (GF2, GF3, GF5, Q):
+            inst = group_algebra(group, field)
+            triv, reg = trivial_module(inst.algebra), regular_module(inst.algebra)
+            mods = [triv, reg, direct_sum([triv, reg, triv])] + [sign_module(field)] * signed
+            for m in mods:
+                for n_ in mods:
+                    images.clear()
+                    tate0(inst.system, m, n_)
+                    assert images == [norm_image_by_full_columns(inst.system, m, n_)]
+
+
+def test_dual_seeds_of_truncated_modules():
+    # The dual of V_i over k[x]/(x^n) is generated by its last functional
+    # e_i^*, which the reverse-order search keeps first; in basis order
+    # every functional would be kept.
+    for field in (GF2, Q):
+        for n in range(1, 6):
+            for i in range(n):
+                assert truncated_module(n, i, field)._dual_seeds == (i,)
+
+
+def test_stable_hom_spans_t_on_the_dual_seeds(monkeypatch):
+    # The regular module of k[x]/(x^12) over Q in a random basis has one
+    # dual seed, so T's image is spanned by 12 columns, not 144.  It is
+    # projective, so every A-map is null-homotopic.
+    inst = truncated_polynomial(12, Q)
+    conj = _conjugated(regular_module(inst.algebra), 1)
+    shapes = []
+
+    def record(field, nrows, ncols, terms):
+        shapes.append((nrows, ncols))
+        return linalg.kron_image(field, nrows, ncols, terms)
+
+    monkeypatch.setattr(stab, "kron_image", record)
+    res = stable_hom(inst.system, conj, conj)
+    assert shapes == [(144, 12)]
+    assert (res.hom_dim, res.stable_dim) == (12, 0) and res.null_basis == res.hom_basis
 
 
 def test_stable_hom_known_values():
