@@ -8,9 +8,13 @@ Conventions fixed package-wide (the details are in the named functions):
   arithmetic reads them; only `Matrix.dense` takes a dense tuple, and the
   dense `entries` view is built when first read;
 * a subspace stores only its sparse RREF rows, so two subspaces are equal
-  iff their stored rows are; every producer builds it from those rows, and
-  every membership test, residual or coordinate read reduces a sparse
-  vector against them (`Subspace._residual`);
+  iff their stored rows are; over GF(p) each row holds its pivot's 1, and
+  over Q it is the primitive integer multiple of its RREF row (`int`s with
+  gcd 1 and a positive pivot entry), so over both fields the RREF row is
+  row / row[pivot], and only `_rref_row` hands it out as field scalars;
+  every producer builds those rows, and every membership test, residual
+  or coordinate read reduces a sparse vector against them
+  (`Subspace._residual`);
 * there is one row reduction, `_rref`, and one builder of sums of
   Kronecker products, `_kron_rows`, which returns integer rows over one
   common denominator; `kron_kernel` and `kron_image` reduce those rows
@@ -43,10 +47,11 @@ def _check_same_field(a: Field, b: Field) -> None:
 
 def _rref(rows: list[dict], ncols: int, p: int) -> dict[int, dict]:
     """The one row reduction: the RREF of sparse rows {column: nonzero},
-    as {pivot column: its RREF row} in column order.  Over GF(p) the rows
-    hold residues in [1, p) and go to `_rref_sparse`; over Q (p = 0) they
-    hold `int`s or `Fraction`s and go to the exact `_rref_rational`.  The
-    rows are consumed."""
+    as {pivot column: its row} in column order, each row in the form a
+    `Subspace` stores.  Over GF(p) the rows hold residues in [1, p) and go
+    to `_rref_sparse`, whose rows are the RREF rows; over Q (p = 0) they
+    hold `int`s or `Fraction`s and go to the exact `_rref_rational`, whose
+    rows are their primitive integer multiples.  The rows are consumed."""
     return _rref_sparse(rows, p) if p else _rref_rational(rows, ncols)
 
 
@@ -129,9 +134,10 @@ def _rref_rational(rows: list[dict], ncols: int) -> dict[int, dict]:
     g against the pivot p, the row loses (g // p) times the pivot row if p
     divides g; otherwise, with h = gcd(p, g), it is scaled by p/h, loses
     (g/h) times the pivot row and is divided by its content.  Pivot rows
-    are not normalized during elimination: each is divided by its pivot
-    once at the end into a sparse row of `Fraction`s, so every nonzero
-    entry costs one `Fraction` division.
+    are not normalized during elimination.  Each finished row is the
+    primitive integer multiple of its RREF row that a `Subspace` stores: it
+    is divided by its content, with the sign that makes its pivot entry
+    positive (`_primitive`), and no `Fraction` is built.
     """
     work = []
     for row in rows:
@@ -179,11 +185,30 @@ def _rref_rational(rows: list[dict], ncols: int) -> dict[int, dict]:
         r += 1
         if r == nrows:
             break
-    out = {}
-    for t, c in enumerate(piv_cols):
-        p = work[t][c]
-        out[c] = {j: Fraction(x, p) for j, x in enumerate(work[t]) if x}
-    return out
+    return {c: _primitive({j: x for j, x in enumerate(work[t]) if x}, c)
+            for t, c in enumerate(piv_cols)}
+
+
+def _primitive(row: dict, pivot: int) -> dict:
+    """The sparse integer row divided by its content, signed so that its
+    entry at `pivot` is positive: the form a `Subspace` stores over Q."""
+    h = gcd(*row.values())
+    if row[pivot] < 0:
+        h = -h
+    return row if h == 1 else {j: x // h for j, x in row.items()}
+
+
+def _rref_row(row: dict, p: int) -> dict:
+    """The RREF row of a stored `Subspace` row, as field scalars: over
+    GF(p) the row itself, whose pivot entry is 1, and over Q (p = 0) row /
+    row[pivot] as `Fraction`s, the pivot being the row's first column.
+    Every reader that hands the RREF row's scalars on divides through here;
+    a membership test needs no division, since scaling a vector does not
+    change whether it lies in a subspace."""
+    if p:
+        return row
+    d = row[min(row)]
+    return {j: Fraction(x, d) for j, x in row.items()}
 
 
 def _cleared(pairs, zero) -> tuple[int, list[tuple[int, int]]]:
@@ -223,13 +248,15 @@ def _reconstruct(u: int) -> "Fraction | None":
     return None
 
 
-def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]],
-                    one) -> "dict[int, dict] | None":
+def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]]) -> "dict[int, dict] | None":
     """The rows of `basis` (an RREF mod _P of a kernel) lifted to Q, each
     checked to be in the kernel of the integer matrix whose column j holds
     the (row, value) pairs cols[j]; None if an entry has no reconstruction
-    or a lifted row v fails A . v = 0.  The check clears v of denominators
-    and sums over its support's columns only: nnz(A) products at most."""
+    or a lifted row v fails A . v = 0.  The check clears v of denominators,
+    den v with den the lcm of the reduced denominators, and sums over its
+    support's columns only: nnz(A) products at most.  That integer row is
+    what is returned: it is primitive, by the choice of den, and its pivot
+    entry is den > 0, so it is the form a `Subspace` stores."""
     lifted = {}
     for c, row in basis.items():
         v = {}
@@ -241,15 +268,15 @@ def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]],
                     return None
                 v[j] = x
                 den = lcm(den, x.denominator)
-        v[c] = one
+        ints = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        ints[c] = den
         acc: dict[int, int] = {}
-        for j, x in v.items():
-            s = x.numerator * (den // x.denominator)
+        for j, s in ints.items():
             for i, y in cols[j]:
                 acc[i] = acc.get(i, 0) + s * y
         if any(acc.values()):
             return None
-        lifted[c] = v
+        lifted[c] = ints
     return lifted
 
 
@@ -433,25 +460,26 @@ class Matrix:
         d = self.nonzeros[0]
         for i, row in enumerate(rows):
             row[n + i] = d
-        piv = _rref(rows, 2 * n, self.field.characteristic)
+        p = self.field.characteristic
+        piv = _rref(rows, 2 * n, p)
         if list(piv) != list(range(n)):
             return None
         right = [(i * n + j - n, x) for i, row in enumerate(piv.values())
-                 for j, x in row.items() if j >= n]
+                 for j, x in _rref_row(row, p).items() if j >= n]
         return Matrix(self.field, n, n, _integers(self.field, right))
 
     def solve(self, b: tuple) -> "tuple | None":
         """One solution x of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
-        n, zero = self.ncols, self.field.zero
+        n, zero, p = self.ncols, self.field.zero, self.field.characteristic
         aug = [self.row(i) + (b[i],) for i in range(self.nrows)]
-        piv = _rref(_sparse_rows(self.field, aug, n + 1), n + 1, self.field.characteristic)
+        piv = _rref(_sparse_rows(self.field, aug, n + 1), n + 1, p)
         if n in piv:
             return None
         x = [zero] * n
         for c, row in piv.items():
-            x[c] = row.get(n, zero)
+            x[c] = _rref_row(row, p).get(n, zero)
         return tuple(x)
 
 
@@ -479,7 +507,8 @@ def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
     * each has a unit pivot and zeros in the other pivot columns (a zero
       mod P lifts to an exact zero), so they are independent;
     * each passes the exact check, so they span a subspace of ker_Q of
-      dimension >= dim ker_Q: all of it, with the same RREF basis.
+      dimension >= dim ker_Q: all of it, with the same RREF basis, which
+      `_certified_lift` returns in the stored form.
 
     If an entry has no reconstruction or a check fails, the kernel is
     computed again over Q, by `_sparse_kernel` with p = 0.
@@ -491,7 +520,7 @@ def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
     for i, row in enumerate(rows):
         for j, n in row.items():
             cols[j].append((i, n))
-    lifted = _certified_lift(kernel, cols, field.one)
+    lifted = _certified_lift(kernel, cols)
     return Subspace(field, ncols, lifted if lifted is not None else _sparse_kernel(ncols, rows, 0))
 
 
@@ -502,13 +531,13 @@ def _sparse_kernel(ncols: int, rows: list[dict], p: int) -> dict[int, dict]:
 
     Each free column f of the rows' RREF R gives the kernel vector e_f - sum
     of R[c, f] e_c over the pivot rows (p - x is -x mod p, and -x for
-    p = 0), and those sparse vectors are reduced once more into the
-    canonical basis.
+    p = 0), with R's rows read by `_rref_row`, and those sparse vectors are
+    reduced once more into the canonical basis.
     """
     pivots = _rref(rows, ncols, p)
     vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
-        for f, x in row.items():
+        for f, x in _rref_row(row, p).items():
             if f != c:
                 vecs[f][c] = p - x
     return _rref(list(vecs.values()), ncols, p)
@@ -684,11 +713,15 @@ def unvec(field: Field, v: tuple, nrows: int, ncols: int) -> Matrix:
 class Subspace:
     """A subspace of F^ambient in canonical (reduced row echelon) form.
 
-    It stores only its sparse RREF rows, {pivot column: row as {column:
-    nonzero}} in column order, zero rows dropped, so two Subspace values
-    are equal (and hash equal) iff they are the same subspace.  `pivots`
-    and `dim` are read off the rows, and `basis`, the dense RREF basis, is
-    built when first read.  `reduce`, `contains` and the coordinates of
+    It stores only its sparse rows, {pivot column: row as {column:
+    nonzero}} in column order, zero rows dropped.  Over GF(p) a row is the
+    RREF row, with its pivot's 1 and residues in [1, p); over Q it is the
+    RREF row's primitive integer multiple: `int`s with gcd 1 and a positive
+    pivot entry, which is the row's denominator.  So the RREF row is row /
+    row[pivot] (`_rref_row`), the form is canonical, and two Subspace
+    values are equal (and hash equal) iff they are the same subspace.
+    `pivots` and `dim` are read off the rows, and `basis`, the RREF basis,
+    is built when first read.  `reduce`, `contains` and the coordinates of
     `complement_of` read the rows through the one residual, `_residual`.
     """
 
@@ -719,10 +752,16 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The RREF basis as a dim x ambient matrix of the stored rows."""
+        """The RREF basis as a dim x ambient matrix of the stored rows: over
+        Q, over the lcm of their pivot entries, with no `Fraction` built."""
         a = self.ambient
+        if self.field.kind == RATIONAL:
+            den = lcm(*[row[c] for c, row in self.rows.items()])
+            nz = [(t * a + j, x * (den // row[c]))
+                  for t, (c, row) in enumerate(self.rows.items()) for j, x in row.items()]
+            return Matrix(self.field, self.dim, a, (den, nz))
         nz = [(t * a + j, x) for t, row in enumerate(self.rows.values()) for j, x in row.items()]
-        return Matrix(self.field, self.dim, a, _integers(self.field, nz))
+        return Matrix(self.field, self.dim, a, (1, nz))
 
     def basis_vectors(self) -> list[tuple]:
         return [self.basis.row(i) for i in range(self.dim)]
@@ -737,16 +776,35 @@ class Subspace:
         return tuple(_dense(w, self.ambient, self.field.zero))
 
     def _residual(self, v: dict) -> dict:
-        """`reduce` of a sparse v {column: value}, as a sparse map: empty
-        iff v lies in the subspace.  In RREF, v's entry at a pivot is the
-        multiple of that basis row to subtract; each sum is reduced once,
-        at the end (`_canonical`).  v is consumed."""
-        rows = self.rows
-        for c in [c for c in v if c in rows]:
-            g = v[c]
-            for j, y in rows[c].items():
-                v[j] = v.get(j, 0) - g * y
-        return _canonical(v, self.field.characteristic)
+        """`reduce` of a sparse v {column: value}, as a sparse map of field
+        scalars: empty iff v lies in the subspace.  In RREF, v's entry at a
+        pivot is the multiple of that basis row to subtract, and the rows
+        have zeros at each other's pivots.
+
+        Over GF(p) each sum is reduced once, at the end (`_canonical`), and
+        v is consumed.  Over Q v is cleared once, w = L e v, for e the lcm
+        of v's denominators and L the lcm of the pivot entries of the rows
+        that v meets; w then loses k = w[c] // row[c] times each such row,
+        an exact quotient, in plain integers.  Only a nonzero residual is
+        divided by L e into `Fraction`s, so a v inside builds none."""
+        rows, p = self.rows, self.field.characteristic
+        if p:
+            for c in [c for c in v if c in rows]:
+                g = v[c]
+                for j, y in rows[c].items():
+                    v[j] = v.get(j, 0) - g * y
+            return _canonical(v, p)
+        e, nz = _cleared(v.items(), self.field.zero)
+        hit = [c for c, _ in nz if c in rows]
+        den = lcm(*[rows[c][c] for c in hit])
+        w = {j: n * den for j, n in nz} if den > 1 else dict(nz)
+        for c in hit:
+            row = rows[c]
+            k = w[c] // row[c]
+            for j, y in row.items():
+                w[j] = w.get(j, 0) - k * y
+        den *= e
+        return {j: Fraction(x, den) for j, x in w.items() if x}
 
     def contains(self, v: tuple) -> bool:
         return not self._residual(_sparse_rows(self.field, (v,), self.ambient)[0])
@@ -785,15 +843,16 @@ class Subspace:
         coordinates of a vector in them, from one reduction.
 
         Row t of this basis is kept unless a vector of small, in this basis
-        (read at the pivots), ends at t: one reduction of small's
-        coordinates in reverse order finds those end rows.  `reps` are the
-        kept rows, in order, each the stored sparse RREF row {column:
-        nonzero} itself, not a copy.  `coords(v)`, for a sparse v {column:
-        value}, is None if v lies outside self, and otherwise the nonzero
-        (c, x) pairs, in c order, with v - sum of x * reps[c] in small: v's
-        coordinates, read and reversed the same way, reduced against the
-        end rows, which clears every end and leaves the kept rows'
-        coefficients.
+        (read at the pivots; a stored row of small is a multiple of one),
+        ends at t: one reduction of small's coordinates in reverse order
+        finds those end rows.  `reps` are the kept rows, in order, each the
+        sparse RREF row {column: nonzero} as field scalars (`_rref_row`:
+        over GF(p) the stored row itself, not a copy).  `coords(v)`, for a
+        sparse v {column: value}, is None if v lies outside self, and
+        otherwise the nonzero (c, x) pairs, in c order, with v - sum of x *
+        reps[c] in small: v's coordinates, read and reversed the same way,
+        reduced against the end rows, which clears every end and leaves the
+        kept rows' coefficients.
         """
         self._require_inside(small, "complement of")
         k = self.dim
@@ -810,4 +869,5 @@ class Subspace:
             x = ends._residual({at[j]: y for j, y in v.items() if j in at})
             return sorted((rep_of[u], y) for u, y in x.items())
 
-        return [rows[t] for t in kept], coords
+        p = self.field.characteristic
+        return [_rref_row(rows[t], p) for t in kept], coords

@@ -54,7 +54,7 @@ from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_ke
 from .algebra import _check_entries, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, linear_combination
-from .linalg import _canonical, _integers, _rref, _sparse_apply
+from .linalg import _canonical, _integers, _rref, _rref_row, _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
 
@@ -171,10 +171,11 @@ def _present(m: ModuleRep) -> _Presentation:
     per basis vector, so it ends even on input that is not a module).  One
     `_rref` of the rows [rho(e_q) e_(g_j) | e_(j,q)] over (j, q) then gives
     both halves: the row [v | c] holds pi(c) = v, so a row with pivot i <
-    dim M holds a preimage of e_i, and the rows with pivot past dim M span
-    ker pi.  Of those, a row is kept as a relation generator iff it lies
-    outside span{e_q kappa}, the submodule generated by the kept ones,
-    whose left multiples are read off the structure constants.
+    dim M holds a preimage of e_i, read as its RREF row (`_rref_row`), and
+    the rows with pivot past dim M span ker pi.  Of those, a row is kept as
+    a relation generator iff it lies outside span{e_q kappa}, the
+    submodule generated by the kept ones, whose left multiples are read
+    off the structure constants.
     """
     alg = m.algebra
     f, a, d = alg.field, alg.dim, m.dim
@@ -187,7 +188,7 @@ def _present(m: ModuleRep) -> _Presentation:
     reduced = _rref(rows, d + s * a, p)
     kernel = [{t - d: x for t, x in row.items()} for c, row in reduced.items() if c >= d]
     gens = _greedy(f, s * a, kernel, lambda v: _left_multiples(alg, v))
-    preimages = [(c, {t - d: x for t, x in row.items() if t >= d})
+    preimages = [(c, {t - d: x for t, x in _rref_row(row, p).items() if t >= d})
                  for c, row in reduced.items() if c < d and c not in seeds]
     at_seeds = Matrix(f, d, s, (1, [(g * s + j, 1) for j, g in enumerate(seeds)]))
     return _Presentation(tuple(seeds), len(gens), _matrices(f, a, s, len(gens), enumerate(gens)),
@@ -389,10 +390,12 @@ def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
         raise DimensionMismatch("subspace of the wrong ambient space")
     f, d = m.algebra.field, sub.dim
     at = {pc: s * d for s, pc in enumerate(sub.pivots)}
+    p = f.characteristic
+    vectors = [_rref_row(v, p) for v in sub.rows.values()]
     action = []
     for i, rho in enumerate(m.action):
         nz = []
-        for t, v in enumerate(sub.rows.values()):
+        for t, v in enumerate(vectors):
             w = _sparse_apply(rho, v)
             nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
             if sub._residual(w):

@@ -63,9 +63,10 @@ from .errors import (
     IdealClosureViolation,
     NotAGroupAlgebra,
 )
+from .exactfield import RATIONAL
 from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, linear_combination
-from .linalg import _dense, _integers, _sparse_apply
+from .linalg import _dense, _integers, _primitive, _rref_row, _sparse_apply
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -104,7 +105,9 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     (g_j, r) with u's entry.  So the leading positions keep their order,
     and each pivot entry of vec(H) is the matching entry of u: the
     kernel's RREF rows go to the RREF rows of Hom_A(M, N), with no second
-    reduction.
+    reduction.  They are read as the integer nonzeros of the product over
+    its denominator D; over Q each row, whose pivot entry is D, is divided
+    by its content into the form a `Subspace` stores (`_primitive`).
     """
     m.same_algebra(n_)
     pres = m._presentation
@@ -116,9 +119,12 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
         (1, s_q, n_.action[q]) for q, s_q in pres.preimages
     ])
     rows: dict[int, dict] = {}
-    for t, x in (kernel.basis @ back.transpose())._scalars():
+    for t, x in (kernel.basis @ back.transpose()).nonzeros[1]:
         rows.setdefault(t // back.nrows, {})[t % back.nrows] = x
-    return Subspace(f, back.nrows, {min(row): row for row in rows.values()})
+    by_pivot = {min(row): row for row in rows.values()}
+    if f.kind == RATIONAL:
+        by_pivot = {c: _primitive(row, c) for c, row in by_pivot.items()}
+    return Subspace(f, back.nrows, by_pivot)
 
 
 def _operator_terms(system: FrobeniusSystem, m_t, n_: ModuleRep):
@@ -259,7 +265,7 @@ def stable_center(system: FrobeniusSystem) -> StableCenterResult:
     returned ring structure lists products of the coset representatives
     in the coordinates that `complement_of` reads off the same reduction
     that picks them.  Products are left multiplication matrices applied to
-    the stored sparse rows.
+    the sparse RREF rows.
     """
     alg = system.algebra
     n, zero = alg.dim, alg.field.zero
@@ -267,7 +273,9 @@ def stable_center(system: FrobeniusSystem) -> StableCenterResult:
     ideal = frobenius_ideal(system)
     if not center.contains_subspace(ideal):
         raise IdealClosureViolation("factoring ideal is not central")
-    times = {c: alg.left_mult_matrix(_dense(z, n, zero)) for c, z in center.rows.items()}
+    p = alg.field.characteristic
+    times = {c: alg.left_mult_matrix(_dense(_rref_row(z, p), n, zero))
+             for c, z in center.rows.items()}
     for s_i, left in enumerate(times.values()):
         for t_i, w in enumerate(ideal.rows.values()):
             if ideal._residual(_sparse_apply(left, w)):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from frobstab import linalg
 from frobstab.errors import (
@@ -64,11 +64,28 @@ def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], i
 def rref_by_oracle(rows: list[dict], ncols: int, p: int) -> dict[int, dict]:
     """`linalg._rref` by the dense oracle `rref_field`: the sparse rows are
     written out densely over GF(p), or over Q for p = 0, and the nonzero
-    rows of their RREF come back as sparse maps {pivot column: row}."""
+    rows of their RREF come back as sparse maps {pivot column: row} in the
+    form a `Subspace` stores: the RREF row over GF(p), and over Q the RREF
+    row times the lcm of its denominators, which is primitive with the
+    pivot's 1 scaled to that lcm."""
     field = Field.prime(p) if p else Field.rationals()
     dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
     piv, _ = rref_field(dense, ncols, field)
-    return {c: {j: x for j, x in enumerate(dense[t]) if x} for t, c in enumerate(piv)}
+    out = {c: {j: x for j, x in enumerate(dense[t]) if x} for t, c in enumerate(piv)}
+    if p:
+        return out
+    return {c: {j: int(x * d) for j, x in row.items()}
+            for c, row in out.items() for d in [lcm(*(x.denominator for x in row.values()))]}
+
+
+def assert_stored_rows(rows: dict) -> None:
+    """The rows {pivot column: row} are in the form a `Subspace` stores over
+    Q: nonzero `int`s with gcd 1, the pivot the first column, with a
+    positive entry, and zeros at the other pivots."""
+    for c, row in rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+        assert not row.keys() & rows.keys() - {c}
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
@@ -103,11 +120,14 @@ def exact_kernel(field: Field, rows, ncols: int) -> Subspace:
     """{v : r . v = 0 for every row r}, for sparse integer rows {column: int}
     as `linalg._row_kernel` takes them, by exact elimination: the rows' RREF
     R from `linalg._rref` (`_rref_rational` over Q), then the vectors
-    e_f - sum of R[c, f] e_c, one per free column f, reduced by
-    `Subspace.from_vectors`.  The oracle for `linalg._row_kernel`, whose
-    route over Q is solved mod a prime and certified; with `_rref` patched
-    to `rref_by_oracle` it is the field-generic route."""
-    piv = linalg._rref([dict(r) for r in rows], ncols, field.characteristic)
+    e_f - sum of R[c, f] e_c, one per free column f (R's stored rows read
+    by `linalg._rref_row`), reduced by `Subspace.from_vectors`.  The oracle
+    for `linalg._row_kernel`, whose route over Q is solved mod a prime and
+    certified; with `_rref` patched to `rref_by_oracle` it is the
+    field-generic route."""
+    p = field.characteristic
+    piv = {c: linalg._rref_row(row, p)
+           for c, row in linalg._rref([dict(r) for r in rows], ncols, p).items()}
     vecs = []
     for f in range(ncols):
         if f in piv:
@@ -294,8 +314,8 @@ def multiplication_surjection(m: ModuleRep) -> Matrix:
 
 
 def full_subspace(field: Field, ambient: int) -> Subspace:
-    """All of F^ambient, built from its RREF rows."""
-    return Subspace(field, ambient, {i: {i: field.one} for i in range(ambient)})
+    """All of F^ambient, built from its stored rows, the unit vectors."""
+    return Subspace(field, ambient, {i: {i: 1} for i in range(ambient)})
 
 
 def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:

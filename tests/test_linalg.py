@@ -6,6 +6,7 @@ triple-product expansion) before anything downstream relies on it.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
 import random
@@ -30,8 +31,8 @@ from frobstab.linalg import (
 from frobstab.modrep import ModuleRep, quotient_module, submodule
 from frobstab.stab import shift_minus, shift_plus
 from helpers import (
-    apply_by_definition, at, complement_oracle, dense_vectors, entrywise_by_definition,
-    exact_kernel,
+    apply_by_definition, assert_stored_rows, at, complement_oracle, dense_vectors,
+    entrywise_by_definition, exact_kernel,
     full_subspace, integer_rows, intersect, kron_sum_by_definition, matmul_by_definition,
     neg_by_definition, reduce_by_definition, rref, rref_by_oracle, rref_field,
     transpose_by_definition,
@@ -141,8 +142,9 @@ def test_rational_route_matches_field_route(case):
     dense = [list(r) for r in rows]
     piv, rank = rref_field(dense, ncols, Q)
     assert list(got) == piv and len(got) == rank
-    assert [[row.get(j, 0) for j in range(ncols)] for row in got.values()] == dense[:rank]
-    assert all(type(x) is Fraction and x for row in got.values() for x in row.values())
+    assert_stored_rows(got)
+    assert [[Fraction(row.get(j, 0), row[c]) for j in range(ncols)]
+            for c, row in got.items()] == dense[:rank]
 
 
 @st.composite
@@ -515,10 +517,11 @@ _PRODUCERS = ["from_vectors", "image_basis", "kernel_basis", "kron_kernel", "kro
 
 
 @st.composite
-def _produced_subspaces(draw):
-    """A subspace over GF(2), GF(3), GF(5) or Q from each producer of a
-    `Subspace`, built from a random matrix or Kronecker sum."""
-    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+def _produced_subspaces(draw, fields=(GF2, GF3, GF5, Q)):
+    """A subspace over GF(2), GF(3), GF(5) or Q (or the given fields) from
+    each producer of a `Subspace`, built from a random matrix or Kronecker
+    sum."""
+    field = draw(st.sampled_from(fields))
     scalar = _caller_scalars(field)
 
     def matrix(r, c):
@@ -585,6 +588,45 @@ def test_one_residual_matches_the_dense_definition(s, data):
     other = data.draw(st.lists(vector, max_size=3))
     total = s + Subspace.from_vectors(f, amb, other)
     assert (total.basis, total.pivots) == _span_by_oracle(f, amb, s.basis_vectors() + other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_producer_stores_primitive_integer_rows_over_q(data):
+    """Over Q each producer stores the primitive integer multiples of the
+    RREF rows (`assert_stored_rows`), and `_rref_row` reads them back as
+    the RREF basis: `kernel_basis`, on the certified route and, with
+    `_certified_lift` made to fail, on the exact fallback, `kron_kernel`,
+    `kron_image`, `from_vectors`, `image_basis` and `zero`."""
+    fallback = data.draw(st.booleans())
+    with mock.patch.object(linalg, "_certified_lift", return_value=None) if fallback \
+            else contextlib.nullcontext():
+        s = data.draw(_produced_subspaces(fields=[Q]))
+    assert_stored_rows(s.rows)
+    read = [tuple(linalg._rref_row(row, 0).get(j, Q.zero) for j in range(s.ambient))
+            for row in s.rows.values()]
+    assert read == s.basis_vectors()
+    assert all(type(x) is Fraction for v in read for x in v)
+
+
+_nonzero_q = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_rows(), st.data())
+def test_spans_of_rational_multiples_are_equal_and_hash_equal(case, data):
+    """Vectors and nonzero rational multiples of them span equal, hash
+    equal subspaces, through `from_vectors`, `image_basis` (of the vectors
+    as columns) and, for the rows' kernel, `kernel_basis`."""
+    ncols, rows = case
+    scaled = [[c * x for x in r] for c, r in zip(data.draw(st.lists(
+        _nonzero_q, min_size=len(rows), max_size=len(rows))), rows)]
+    pairs = [(Subspace.from_vectors(Q, ncols, vs),
+              Matrix.from_rows(Q, vs, ncols=ncols).transpose().image_basis(),
+              Matrix.from_rows(Q, vs, ncols=ncols).kernel_basis()) for vs in (rows, scaled)]
+    for a, b in zip(*pairs):
+        assert a == b and hash(a) == hash(b)
+    assert pairs[0][0] == pairs[0][1]
 
 
 @pytest.mark.parametrize("field", [GF3, Q])

@@ -150,3 +150,60 @@ def test_null_spaces_are_spanned_on_the_dual_seeds():
         reads_dim_m = [node for node in ast.walk(ncols) if isinstance(node, ast.Attribute)
                        and node.attr == "dim" and getattr(node.value, "id", None) == "m"]
         assert ast.dump(ncols) != ast.dump(nrows) and reads_dim_m == [], name
+
+
+def test_only_linalg_divides_stored_rows_by_their_pivot():
+    """Over Q a `Subspace` stores primitive integer multiples of its RREF
+    rows, so a caller that read a stored row as field scalars, or divided
+    by its pivot by hand, would be silently wrong.  `Fraction` is named
+    only in `exactfield` and `linalg`.  `stab`, `modrep` and `selftest`
+    divide nothing: no `/`, no `inv` or `div` call, no `numerator`,
+    `denominator` or `as_integer_ratio` read.  And every stored row they
+    read, a loop variable over some `.rows.values()` or `.rows.items()`,
+    goes either straight into `linalg._rref_row`, which divides by the
+    pivot, or into the argument of a `_residual` call, a membership test
+    that no scaling changes."""
+    package = Path(frobstab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(package.rglob("*.py"))}
+    naming = {name for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "Fraction"
+              or isinstance(node, ast.alias) and node.name.endswith("Fraction")}
+    assert naming == {"exactfield", "linalg"}
+
+    dividing = {"inv", "div", "numerator", "denominator", "as_integer_ratio"}
+    found = []
+    for name in ("stab", "modrep", "selftest"):
+        tree = trees[name]
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                  or isinstance(node, ast.Attribute) and node.attr in dividing]
+
+        def ancestors(node):
+            while node in parent:
+                node = parent[node]
+                yield node
+
+        def passed_on(use) -> bool:
+            up = parent[use]
+            if isinstance(up, ast.Call) and getattr(up.func, "id", None) == "_rref_row":
+                return up.args[:1] == [use]
+            return any(isinstance(a, ast.Call) and getattr(a.func, "attr", None) == "_residual"
+                       for a in ancestors(use))
+
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "rows"):
+                continue
+            loop = next((a for a in ancestors(node)
+                         if isinstance(a, (ast.For, ast.comprehension))), None)
+            if loop is None or node not in set(ast.walk(loop.iter)):
+                found.append(f"{name}:{node.lineno} reads .rows outside a loop")
+                continue
+            target = loop.target.elts[-1] if isinstance(loop.target, ast.Tuple) else loop.target
+            scope = parent[loop] if isinstance(loop, ast.comprehension) else loop
+            uses = [n for n in ast.walk(scope) if isinstance(n, ast.Name)
+                    and n.id == target.id and isinstance(n.ctx, ast.Load)]
+            assert uses, f"{name}:{node.lineno}"
+            found += [f"{name}:{use.lineno} uses a stored row" for use in uses if not passed_on(use)]
+    assert found == []

@@ -50,10 +50,10 @@ from frobstab.stab import (
     tate0,
 )
 from helpers import (
-    dense_vectors, exact_kernel, full_subspace, hom_by_generators, integer_rows,
+    assert_stored_rows, dense_vectors, exact_kernel, full_subspace, hom_by_generators, integer_rows,
     kron_sum_by_definition, multiplication_surjection, norm_image_by_full_columns,
     null_by_full_operator, quantum_exterior, quantum_exterior_module, quotient_action,
-    restricted_action, stack_rows,
+    reduce_by_definition, restricted_action, stack_rows,
 )
 
 Q = Field.rationals()
@@ -381,6 +381,62 @@ def test_hom_over_q_takes_the_certified_route(monkeypatch):
         want = hom_A(conj, conj)
     assert got == want == hom_by_generators(conj, conj) and got.dim == 7
     assert any(x.denominator > 1 for x in got.basis.entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_conjugated_pair_over_q())
+def test_hom_and_null_over_q_store_primitive_integer_rows(case):
+    # hom_A builds its rows from the integer nonzeros of one product and
+    # divides each by its content; they, and the null space's rows, are
+    # the canonical stored rows that from_vectors gives on the same span.
+    system, m, n_, _ = case
+    result = stable_hom(system, m, n_)
+    for space in (result.hom_basis, result.null_basis):
+        assert_stored_rows(space.rows)
+        assert space == Subspace.from_vectors(Q, space.ambient, space.basis_vectors())
+
+
+def test_inclusion_checks_over_q_build_no_fraction(monkeypatch):
+    # The null space of a conjugated V6 -> V3 over k[x]/(x^10), Q, lies in
+    # Hom_A; checking that runs in integers.  contains_subspace and
+    # quotient_dim build no Fraction, and complement_of builds only the
+    # entries of the RREF rows it hands out as coset representatives.  A
+    # subspace with a vector outside Hom_A still raises NotASubspace,
+    # witnessed by its first basis row outside, as the dense definition
+    # (`reduce_by_definition`) finds it.
+    inst = truncated_polynomial(10, Q)
+    m = _conjugated(truncated_module(10, 6, Q), 1)
+    n_ = _conjugated(truncated_module(10, 3, Q), 2)
+    result = stable_hom(inst.system, m, n_)
+    hom, null = result.hom_basis, result.null_basis
+    assert null.dim and result.stable_dim
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", Counting)
+    assert hom.contains_subspace(null)
+    assert hom.quotient_dim(null) == result.stable_dim
+    assert made == []
+    reps = hom.complement_of(null)[0]
+    assert len(made) == sum(len(r) for r in reps) and len(reps) == result.stable_dim
+    monkeypatch.undo()
+
+    # Hom_A's first RREF row, which is zero at its second pivot, and the
+    # unit vector there, outside Hom_A: the second basis row is the witness.
+    amb, second = hom.ambient, hom.pivots[1]
+    outside = tuple(Q.one if j == second else Q.zero for j in range(amb))
+    bad = Subspace.from_vectors(Q, amb, [hom.basis_vectors()[0], outside])
+    want = [t for t, v in enumerate(bad.basis_vectors()) if any(reduce_by_definition(hom, v))]
+    assert want[0] == 1
+    for check in (hom.quotient_dim, hom.complement_of):
+        with pytest.raises(NotASubspace) as raised:
+            check(bad)
+        assert raised.value.witness == want[0]
+    assert not hom.contains_subspace(bad)
 
 
 def test_hom_of_a_dense_regular_module_over_q(monkeypatch):
