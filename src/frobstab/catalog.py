@@ -2,12 +2,13 @@
 
 Basis enumerations are fixed once and for all:
 
-* k[x]/(x^n): 1, x, ..., x^(n-1); trace picks the top coefficient, with
-  ordered dual bases a_i = x^i, b_i = x^(n-1-i);
+* k[x]/(x^n): 1, x, ..., x^(n-1); trace picks the top coefficient, and
+  C[i][n-1-i] = 1, so the dual bases ({e_i}, rows of C) are a_i = x^i,
+  b_i = x^(n-1-i);
 * cyclic(k): e, g, g^2, ...; klein4: e, a, b, ab; s3: e, r, r2, s, rs, r2s
   (r a 3-cycle, s a transposition, products composed right-to-left);
-* group algebras carry the identity-coefficient trace with dual bases
-  {g} and {g^-1}.
+* group algebras carry the identity-coefficient trace and C[g][g^-1] = 1,
+  the dual bases {g} and {g^-1}.
 
 `truncated_polynomial`, `group_algebra`, `truncated_module` and
 `trivial_module` return one shared instance per tuple of argument values,
@@ -16,8 +17,8 @@ module or on a module's matrices is computed once per process; the
 instances are kept for the life of the process.  A shared module is over
 the shared algebra, so `cache_clear` on any of them clears them all, and
 the shared modules of `modrep` too.
-Orders read from outside (`group_from_string`, `check_order`) are capped at
-MAX_ORDER before any table is built.
+Orders read from outside (`group_from_string`, `check_order`) must lie in
+[1, MAX_ORDER], which is checked before any table is built.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ from .modrep import ModuleRep, _one_instance_per_arguments
 MAX_ORDER = 64
 
 
-def check_order(n: int, what: str) -> int:
-    """Reject an order read from outside that is above MAX_ORDER."""
+def check_order(n: int, what: str, least: int = 1) -> int:
+    """Reject a number read from outside that is below `least` or above
+    MAX_ORDER: an order, or with least = 0 a step count."""
+    if n < least:
+        raise ParseError(f"{what} {n} is below {least}", witness=n)
     if n > MAX_ORDER:
         raise ParseError(f"{what} {n} is above {MAX_ORDER}", witness=n)
     return n
@@ -142,8 +146,6 @@ def group_from_string(text: str) -> GroupTable:
             k = int(text.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad cyclic order in {text!r}") from None
-        if k < 1:
-            raise ParseError(f"cyclic order must be >= 1 in {text!r}")
         return cyclic_group(check_order(k, "cyclic order"))
     raise ParseError(f"unknown group {text!r}")
 
@@ -160,14 +162,13 @@ def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
         name=g.name, basis_names=g.names, group=g,
     )
     trace = tuple(one if i == g.identity else field.zero for i in range(n))
-    a_basis = tuple(alg.basis_vector(i) for i in range(n))
-    b_basis = tuple(alg.basis_vector(g.inverse[i]) for i in range(n))
-    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
+    c = Matrix(field, n, n, (1, [(i * n + g.inverse[i], 1) for i in range(n)]))
+    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, c)))
 
 
 @_one_instance_per_arguments
 def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
-    """k[x]/(x^n) with the top-coefficient trace and ordered dual bases."""
+    """k[x]/(x^n) with the top-coefficient trace and C[i][n-1-i] = 1."""
     if n < 1:
         raise IndexOutOfRange("truncation order must be >= 1")
     one = field.one
@@ -181,9 +182,8 @@ def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
         name=f"trunc_poly_{n}", basis_names=names,
     )
     trace = tuple(one if i == n - 1 else field.zero for i in range(n))
-    a_basis = tuple(alg.basis_vector(i) for i in range(n))
-    b_basis = tuple(alg.basis_vector(n - 1 - i) for i in range(n))
-    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, a_basis, b_basis)))
+    c = Matrix(field, n, n, (1, [(i * n + n - 1 - i, 1) for i in range(n)]))
+    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, c)))
 
 
 @_one_instance_per_arguments

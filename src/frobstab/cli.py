@@ -3,8 +3,9 @@
 JSON results go to stdout, human diagnostics to stderr.  Exit codes:
 0 success, 2 mathematical or validation failure (stdout carries
 {"error": code, "witness": ...}), 3 malformed input (bad JSON, bad flags,
-unreadable files, or a catalog order, Ext degree or shift count above
-`MAX_ORDER` in size, refused before anything is loaded).  Output is
+unreadable files, a catalog order below 1, a catalog module index
+outside [0, n), or a catalog order, Ext degree or shift count above
+`MAX_ORDER` in size, refused before anything is loaded or written).  Output is
 deterministic for identical inputs.
 """
 
@@ -148,7 +149,7 @@ def _cmd_stable_hom(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    check_order(abs(args.degree), "|degree|")
+    check_order(abs(args.degree), "|degree|", least=0)
     algebra, system, _ = _load_system(args.algebra)
     m = _load_module(args.module_m, algebra, args.algebra)
     n_ = _load_module(args.module_n, algebra, args.algebra)
@@ -163,7 +164,7 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    check_order(abs(args.steps), "|steps|")
+    check_order(abs(args.steps), "|steps|", least=0)
     if args.steps > 0:
         algebra, system, _ = _load_system(args.algebra)
         m = _load_module(args.module_m, algebra, args.algebra)
@@ -229,35 +230,33 @@ def _cmd_compare_enveloping(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    field = _parse_field(args.field)
+    mod = None
+    if args.kind == "trunc-poly":
+        n = check_order(args.n, "truncation order")
+        if args.module_i is not None and not 0 <= args.module_i < n:
+            raise ParseError(f"module index {args.module_i} outside [0, {n})",
+                             witness=args.module_i)
+        algebra, system = truncated_polynomial(n, field)
+        if args.module_i is not None:
+            mod = truncated_module(n, args.module_i, field)
+    else:
+        algebra, system = group_algebra(group_from_string(args.type), field)
+        if args.module is not None:
+            mod = trivial_module(algebra) if args.module == "trivial" else regular_module(algebra)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ParseError(f"cannot create {out_dir}: {e}") from None
+    files = [(algebra.name, algebra_to_json(algebra, trace=system.trace))]
+    if mod is not None:
+        files.append((mod.name, module_to_json(mod)))
     written = []
-    if args.kind == "trunc-poly":
-        field = _parse_field(args.field)
-        algebra, system = truncated_polynomial(check_order(args.n, "truncation order"), field)
-        apath = out_dir / f"{algebra.name}.json"
-        _write_json(apath, algebra_to_json(algebra, trace=system.trace))
-        written.append(str(apath))
-        if args.module_i is not None:
-            mod = truncated_module(args.n, args.module_i, field)
-            mpath = out_dir / f"{mod.name}.json"
-            _write_json(mpath, module_to_json(mod))
-            written.append(str(mpath))
-    else:
-        field = _parse_field(args.field)
-        g = group_from_string(args.type)
-        algebra, system = group_algebra(g, field)
-        apath = out_dir / f"{algebra.name}.json"
-        _write_json(apath, algebra_to_json(algebra, trace=system.trace))
-        written.append(str(apath))
-        if args.module is not None:
-            mod = trivial_module(algebra) if args.module == "trivial" else regular_module(algebra)
-            mpath = out_dir / f"{mod.name}.json"
-            _write_json(mpath, module_to_json(mod))
-            written.append(str(mpath))
+    for name, obj in files:
+        path = out_dir / f"{name}.json"
+        _write_json(path, obj)
+        written.append(str(path))
     _emit({"written": written})
     return 0
 

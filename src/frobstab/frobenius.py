@@ -1,21 +1,20 @@
-"""Frobenius systems: a nondegenerate trace with a pair of dual bases.
+"""Frobenius systems: a nondegenerate trace with its Frobenius matrix.
 
-A system on an algebra A is (trace, {a_i}, {b_i}) with, for every a in A,
+A system on an algebra A is (trace, C), for C the Frobenius matrix
+(`FrobeniusSystem.element_matrix`) of the Frobenius element
+sum_{p,q} C[p][q] e_p (x) e_q.  With a_i = e_i and b_i = c_i, the i-th
+row of C, ({a_i}, {b_i}) is a pair of dual bases: for every a in A,
 
-    sum_i a_i * trace(b_i * a) = a = sum_i trace(a * a_i) * b_i.
+    sum_i a_i * trace(b_i * a) = a = sum_i trace(a * a_i) * b_i,
 
-The dual bases enter every formula only through the Frobenius element
-sum_i a_i (x) b_i = sum_{p,q} C[p][q] e_p (x) e_q, where C = sum_i a_i b_i^T
-is `FrobeniusSystem.element_matrix`.  With the Gram matrix
-G[i][j] = trace(e_i e_j), the two identities read CG = I (column j is the
-left identity at e_j) and GC = I (row j is the right identity at e_j).
-
-`derive_system` builds one from a trace alone: with a_i = e_i, duality
-forces b_i = sum_k (G^-1)[i][k] e_k, so C = G^-1, and nondegeneracy of the
-trace is exactly invertibility of G.  Systems form a torsor under the
-invertible elements (`twist`), and transport to the enveloping algebra
-A (x) A^op (`enveloping_system`, built once per system), where C becomes
-kron(C, C^T).
+and any pair of dual bases gives C back as sum_i a_i b_i^T.  With the
+Gram matrix G[i][j] = trace(e_i e_j), the two identities read CG = I
+(column j is the left identity at e_j) and GC = I (row j is the right
+identity at e_j), so C = G^-1, and nondegeneracy of the trace is exactly
+invertibility of G; `derive_system` builds a system from a trace alone.
+Systems form a torsor under the invertible elements (`twist`), and
+transport to the enveloping algebra A (x) A^op (`enveloping_system`,
+built once per system), where C becomes kron(C, C^T).
 """
 
 from __future__ import annotations
@@ -32,49 +31,33 @@ from .errors import (
     ParseError,
 )
 from .algebra import StructureAlgebra, enveloping
-from .linalg import Matrix
+from .linalg import Matrix, _check_same_field, kron
 
 
 @dataclass(frozen=True)
 class FrobeniusSystem:
+    """A trace (dim A field scalars) and its dim A x dim A Frobenius matrix
+    C; the identities are checked by `require_identities`, not here."""
+
     algebra: StructureAlgebra
     trace: tuple
-    a_basis: tuple[tuple, ...]
-    b_basis: tuple[tuple, ...]
+    element_matrix: Matrix
 
     def __post_init__(self):
         n = self.algebra.dim
         if len(self.trace) != n:
             raise DimensionMismatch("trace has wrong length")
-        if len(self.a_basis) != n or len(self.b_basis) != n:
-            raise DimensionMismatch("dual bases must have dim elements")
-        for v in self.a_basis + self.b_basis:
-            if len(v) != n:
-                raise DimensionMismatch("dual basis element has wrong length")
-
-    @functools.cached_property
-    def element_matrix(self) -> Matrix:
-        """C = sum_i a_i b_i^T = A^T B, for A and B the matrices whose rows
-        are the a_i and the b_i; its row c_p gives sum_i a_i (x) b_i =
-        sum_p e_p (x) c_p."""
-        f, n = self.algebra.field, self.algebra.dim
-        a_t = Matrix.dense(f, n, n, tuple(a_i[p] for p in range(n) for a_i in self.a_basis))
-        return a_t @ Matrix.dense(f, n, n, tuple(x for b_i in self.b_basis for x in b_i))
+        if self.element_matrix.shape != (n, n):
+            raise DimensionMismatch("Frobenius matrix must be dim x dim")
+        _check_same_field(self.algebra.field, self.element_matrix.field)
 
     @functools.cached_property
     def _enveloping(self) -> "FrobeniusSystem":
         """`enveloping_system`'s result, built and checked once per instance."""
-        alg = self.algebra
-        f, n = alg.field, alg.dim
-        env = enveloping(alg)
-        trace = _tensor(f, self.trace, self.trace)
-        a_basis = []
-        b_basis = []
-        for i in range(n):
-            for j in range(n):
-                a_basis.append(_tensor(f, self.a_basis[i], self.b_basis[j]))
-                b_basis.append(_tensor(f, self.b_basis[i], self.a_basis[j]))
-        return require_identities(FrobeniusSystem(env, trace, tuple(a_basis), tuple(b_basis)))
+        c = self.element_matrix
+        t = Matrix.dense(self.algebra.field, 1, self.algebra.dim, self.trace)
+        env = FrobeniusSystem(enveloping(self.algebra), kron(t, t).entries, kron(c, c.transpose()))
+        return require_identities(env)
 
 
 def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:
@@ -96,7 +79,8 @@ def gram_matrix(algebra: StructureAlgebra, trace: tuple) -> Matrix:
 
 
 def derive_system(algebra: StructureAlgebra, trace: tuple) -> FrobeniusSystem:
-    """Dual bases from a trace; DegenerateTrace (with rank deficit) if singular."""
+    """The system with C = G^-1; DegenerateTrace (with rank deficit) if G
+    is singular."""
     n = algebra.dim
     g = gram_matrix(algebra, trace)
     ginv = g.inverse()
@@ -105,9 +89,7 @@ def derive_system(algebra: StructureAlgebra, trace: tuple) -> FrobeniusSystem:
         raise DegenerateTrace(
             f"trace Gram matrix has rank deficit {deficit}", witness=deficit
         )
-    a_basis = tuple(algebra.basis_vector(i) for i in range(n))
-    b_basis = tuple(ginv.row(i) for i in range(n))
-    return require_identities(FrobeniusSystem(algebra, tuple(trace), a_basis, b_basis))
+    return require_identities(FrobeniusSystem(algebra, tuple(trace), ginv))
 
 
 def check_identities(system: FrobeniusSystem) -> bool:
@@ -144,7 +126,8 @@ def _identity_failure(system: FrobeniusSystem) -> int | None:
 
 
 def frobenius_element(system: FrobeniusSystem) -> tuple:
-    """sum_i a_i (x) b_i as a vector over the i-major product basis.
+    """The Frobenius element sum_i a_i (x) b_i as a vector over the i-major
+    product basis: C's row-major entries.
 
     Verifies the centrality property sum_i (a a_i) (x) b_i =
     sum_i a_i (x) (b_i a) on every basis element a before returning; for
@@ -160,13 +143,6 @@ def frobenius_element(system: FrobeniusSystem) -> tuple:
     return c.entries
 
 
-def _tensor(field, x: tuple, y: tuple) -> tuple:
-    """x (x) y as a vector on the i-major basis: entry i * len(y) + j is
-    x_i y_j, and the field's `zero` where either factor is zero."""
-    mul, zero = field.mul, field.zero
-    return tuple(mul(a, b) if a and b else zero for a in x for b in y)
-
-
 def element_inverse(algebra: StructureAlgebra, d: tuple) -> tuple | None:
     """Two-sided inverse of d, or None (one-sided suffices in finite dimension)."""
     li = algebra.left_mult_matrix(d).inverse()
@@ -178,8 +154,10 @@ def element_inverse(algebra: StructureAlgebra, d: tuple) -> tuple | None:
 def twist(system: FrobeniusSystem, d: tuple, side: str = "left") -> FrobeniusSystem:
     """Replace the trace by x |-> trace(x d) (left) or x |-> trace(d x) (right).
 
-    d must be invertible; the dual bases adjust to {a_i d^-1} / {d^-1 b_i}
-    so the identities keep holding exactly.
+    d must be invertible.  The dual bases move to {a_i d^-1}, {b_i} (left)
+    or {a_i}, {d^-1 b_i} (right), so C moves to R(d^-1) C or C L(d^-1)^T,
+    for R and L the right and left multiplication matrices, and the
+    identities keep holding exactly.
     """
     alg = system.algebra
     d_inv = element_inverse(alg, d)
@@ -188,20 +166,19 @@ def twist(system: FrobeniusSystem, d: tuple, side: str = "left") -> FrobeniusSys
     trace = Matrix.dense(alg.field, 1, alg.dim, system.trace)
     if side == "left":
         new_trace = (trace @ alg.right_mult_matrix(d)).entries
-        a_basis = tuple(alg.mul(a, d_inv) for a in system.a_basis)
-        b_basis = system.b_basis
+        c = alg.right_mult_matrix(d_inv) @ system.element_matrix
     elif side == "right":
         new_trace = (trace @ alg.left_mult_matrix(d)).entries
-        a_basis = system.a_basis
-        b_basis = tuple(alg.mul(d_inv, b) for b in system.b_basis)
+        c = system.element_matrix @ alg.left_mult_matrix(d_inv).transpose()
     else:
         raise ParseError(f"twist side must be 'left' or 'right', got {side!r}")
-    return require_identities(FrobeniusSystem(alg, new_trace, a_basis, b_basis))
+    return require_identities(FrobeniusSystem(alg, new_trace, c))
 
 
 def enveloping_system(system: FrobeniusSystem) -> FrobeniusSystem:
-    """Transport to A (x) A^op: trace (x) trace with dual bases
-    {a_i (x) b_j} and {b_i (x) a_j}, indexed by the same (i, j) pairs.
-    One instance per system: every call on `system` returns the same
-    system, whose identities were checked when it was built."""
+    """Transport to A (x) A^op: trace (x) trace with C' = kron(C, C^T), the
+    Frobenius matrix of the dual bases {a_i (x) b_j} and {b_i (x) a_j},
+    indexed by the same (i, j) pairs.  One instance per system: every call
+    on `system` returns the same system, whose identities were checked when
+    it was built."""
     return system._enveloping

@@ -19,8 +19,8 @@ Conventions fixed package-wide (the details are in the named functions):
   Kronecker products, `_kron_rows`, which returns integer rows over one
   common denominator; `kron_kernel` and `kron_image` reduce those rows
   without building the sum;
-* `vec` is column-major (stacks the columns of a matrix), which gives the
-  identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
+* maps are vectorized column-major, vec(X) stacking the columns of X,
+  which gives the identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * every result holds residues in [0, p) over GF(p), and over Q gives the
   field's `zero` object for a zero, which the integer reads (`_cleared`)
   skip by identity.
@@ -335,10 +335,6 @@ class Matrix:
             raise DimensionMismatch("empty matrix needs an explicit column count")
         flat = tuple(x for r in rows for x in r)
         return Matrix.dense(field, len(rows), ncols, flat)
-
-    @staticmethod
-    def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, nrows, ncols, (1, ()))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -694,19 +690,6 @@ def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
             acc[t] = acc.get(t, 0) + s * n
     nz = _canonical(acc, field.characteristic).items()
     return Matrix(field, nrows, ncols, (den, nz))
-
-
-def vec(m: Matrix) -> tuple:
-    """Column-major vectorization: vec(m)[j*nrows + i] = m[i, j], the
-    row-major entries of m's transpose."""
-    return m.transpose().entries
-
-
-def unvec(field: Field, v: tuple, nrows: int, ncols: int) -> Matrix:
-    """Inverse of `vec`: the transpose of v read row-major as ncols x nrows."""
-    if len(v) != nrows * ncols:
-        raise DimensionMismatch(f"vector length {len(v)} != {nrows}x{ncols}")
-    return Matrix.dense(field, ncols, nrows, v).transpose()
 
 
 @dataclass(frozen=True)

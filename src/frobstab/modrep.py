@@ -3,33 +3,13 @@
 A module is its list of action matrices: action[i] is the matrix of the
 i-th algebra basis element on the module's coordinate space.  Maps of
 modules are handled downstream through vectorization; this module supplies
-the constructions (regular, free, direct sum, sub, quotient) and the two
-canonical maps in and out of the free cover:
-
-* the embedding M -> A (x) M_0, v |-> sum_i a_i (x) (b_i v) =
-  sum_p e_p (x) (c_p v) with c_p the rows of the Frobenius matrix C, split
-  by a (x) v |-> trace(a) v.  Its blocks action_M(c_p) are the rows of
-  one product C R, built from the actions' cached nonzeros, which both of
-  its checks read; and
-* the multiplication surjection A (x) M_0 -> M, a (x) v |-> a v, as the
-  Kronecker terms (`_surjection_terms`) whose common kernel is Omega M.
-
+the constructions (regular, free, direct sum, sub, quotient), the two
+canonical maps in and out of the free cover (`canonical_embedding`,
+`_surjection_terms`), and the generating sets on which `stab` solves
+(`_present`, `ModuleRep._dual_seeds`), each computed once per module.
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
-Sub- and quotient modules read the actions' sparse columns and build
-their actions from the nonzeros they find, a `Matrix`'s one stored form,
-so a shift step costs O(nnz) and writes no dense tuple.
-
-Each module computes once, on first use, a presentation on a generating
-set (`_present`): the seeds g_1 < ... < g_s, a preimage in A^s of each
-other basis vector under pi: A^s -> M, (a_j) |-> sum_j a_j e_(g_j), and
-A-module generators of ker pi, which is Omega M.  It also computes once
-the seeds of its dual M* as a right A-module (`ModuleRep._dual_seeds`),
-by the same greedy search (`_seed_search`) on the rows of the actions,
-in reverse basis order, and the rows of the actions at those seeds
-(`ModuleRep._at_dual_seeds`), on which `stab` spans the image of T.
 `regular_module`, `free_module` and `bimodule_regular` return one shared
-instance per tuple of argument values, as the catalog does, so what is
-cached on them is computed once per process.
+instance per tuple of argument values, as the catalog does.
 """
 
 from __future__ import annotations
@@ -296,13 +276,13 @@ def free_module(a: StructureAlgebra, k: int) -> ModuleRep:
 
 
 def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
-    """Matrix of v |-> sum_i a_i (x) (b_i v) from M into A (x) M_0.
+    """Matrix of v |-> sum_p e_p (x) (c_p v) from M into A (x) M_0, for c_p
+    row p of the Frobenius matrix C (`element_matrix`).
 
-    As sum_i a_i (x) b_i = sum_p e_p (x) c_p, for c_p row p of the Frobenius
-    matrix C (`element_matrix`), block p of the rows is action_M(c_p): row p
-    of `blocks` = C R, where row r of R is action_M(e_r) flattened.  R is
-    built from the actions' stored nonzeros, and phi is `blocks`'s
-    nonzeros read as (dim A * dim M) x dim M.  Both checks read `blocks`,
+    Block p of the rows is action_M(c_p): row p of `blocks` = C R, where
+    row r of R is action_M(e_r) flattened.  R is built from the actions'
+    stored nonzeros, and phi is `blocks`'s nonzeros read as
+    (dim A * dim M) x dim M.  Both checks read `blocks`,
     and compare the products' nonzeros, not the matrices, whose shapes
     differ.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block p of its
     product with phi is sum_s L(e_q)[p, s] block s, row p of L(e_q)

@@ -2,55 +2,26 @@
 
 Every function here takes modules, as `validate_module` checks them; a
 `ModuleRep` that breaks the module axioms can give wrong answers.
-Hom_A(M, N) is solved on a presentation of M (`hom_A`): an A-map is fixed
-by the images n_j of M's s generators, which must satisfy the relations,
-so there are s dim N unknowns, not dim M dim N.  The generators are
-picked greedily in basis order, so a map whose n_1 ... n_(j-1) vanish
-vanishes on every basis vector before the j-th generator; each kernel
-row's leading position goes to that of its map, and the canonical rows of
-the small kernel are taken to the canonical rows of Hom_A(M, N) with no
-second reduction.
 
-The stable Hom between modules M, N is Hom_A(M, N) modulo the maps that
-factor through a projective (equivalently injective) module.  With a
-Frobenius system ({a_i}, {b_i}) the factoring maps are exactly the image of
-the operator
+The stable Hom between modules M, N is Hom_A(M, N) (`hom_A`) modulo the
+maps that factor through a projective (equivalently injective) module.
+With the system's Frobenius matrix C (`element_matrix`), whose rows c_i
+and the basis e_i are a pair of dual bases, those maps are the image of
 
-    T : Hom_k(M, N) -> Hom_k(M, N),   T(h) = sum_i a_i h(b_i -).
+    T : Hom_k(M, N) -> Hom_k(M, N),   T(h) = sum_i e_i h(c_i -)
+                                          = sum_{p,q} C[p,q] e_p h(e_q -),
 
-With the Frobenius matrix C = sum_i a_i b_i^T (`element_matrix`),
-T(h) = sum_{p,q} C[p,q] e_p h(e_q -), which acts on vectorized maps as
-
-    sum_{p,q} C[p,q] kron(action_M(e_q)^T, action_N(e_p)),
-
-one Kronecker term (C[p,q], action_M(e_q)^T, action_N(e_p)) per nonzero of
-C, so T is read off the module actions as they are.  T factors through
-M* (x)_A N: with nu the Nakayama automorphism, trace(u x) = trace(nu(x) u)
-(the identity when A is symmetric),
-
-    T(rho_N(x) h) = T(h rho_M(nu(x))),
-
-and nu is onto, so im T is spanned by the T(e_r e_g^*) over a basis e_r of
-N and functionals e_g^* that generate M* as a right A-module
-(`ModuleRep._dual_seeds`, greedy in reverse basis order).  Those are s'
-dim N columns of T, whose factors are the rows of the actions at the
-seeds, not dim M dim N.  The `tate0` norm has the same form, with nu the
-identity.
-The relations on the n_j are one Kronecker sum, solved by `kron_kernel`,
-and the images of T and of the `tate0` norm come from `kron_image`;
-neither builds those sums as dense matrices.  Both read the
-sparse integer rows of one Kronecker assembler, over either field: over Q
-the kernel is solved mod a prime and certified exactly, and the image is
-reduced exactly.  `null_homotopy_operator` returns T exactly.  The coset
-representatives of `stable_hom` are read from the sparse rows of Hom_A.
-`factoring_ideal_oracle` recomputes the same subspace along the definition
-(maps factoring through the canonical embedding into A (x) M_0) and is kept
-as an independent route; the two are compared, never merged.
+which acts on vectorized maps as sum_{p,q} C[p,q] kron(action_M(e_q)^T,
+action_N(e_p)): one Kronecker term per nonzero of C, read off the module
+actions as they are (`null_homotopy_operator`; `stable_hom` spans its
+image on a few columns).  `factoring_ideal_oracle` recomputes the same
+subspace along the definition and is kept as an independent route; the
+two are compared, never merged.
 
 Shifts are cokernel/kernel of the canonical embedding/multiplication maps,
 iterated for stable Ext in either direction.  The stable center is the
-ordinary center modulo the ideal sum_i a_i z b_i = sum_p e_p z c_p, with a
-second route through endomorphisms of A as a bimodule over A (x) A^op.
+ordinary center modulo the ideal sum_p e_p z c_p, with a second route
+through endomorphisms of A as a bimodule over A (x) A^op.
 """
 
 from __future__ import annotations
@@ -63,6 +34,7 @@ from .errors import (
     IdealClosureViolation,
     NotAGroupAlgebra,
 )
+from .catalog import group_algebra
 from .exactfield import RATIONAL
 from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, linear_combination
@@ -159,7 +131,7 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     e_g^* the functionals of M's dual seeds (`ModuleRep._dual_seeds`):
     s' dim N columns of T, not dim M dim N.  With nu the Nakayama
     automorphism, trace(u x) = trace(nu(x) u), the dual bases satisfy
-    sum_i a_i x (x) b_i = sum_i a_i (x) nu(x) b_i, so
+    sum_i e_i x (x) c_i = sum_i e_i (x) nu(x) c_i, so
 
         T(rho_N(x) h) = T(h rho_M(nu(x))).
 
@@ -239,7 +211,7 @@ def stable_ext(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep, degree: int
 
 
 def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
-    """Image of z |-> sum_i a_i z b_i = sum_p e_p z c_p, an ideal of the center."""
+    """Image of z |-> sum_p e_p z c_p, an ideal of the center."""
     alg = system.algebra
     c = system.element_matrix
     terms = [(1, left @ alg.right_mult_matrix(c.row(p))) for p, left in enumerate(alg.left)]
@@ -332,21 +304,11 @@ class Tate0Result:
 
 
 def _is_standard_group_system(system: FrobeniusSystem) -> bool:
-    alg = system.algebra
-    g = alg.group
+    g = system.algebra.group
     if g is None:
         return False
-    n = alg.dim
-    f = alg.field
-    want_trace = tuple(f.one if i == g.identity else f.zero for i in range(n))
-    if system.trace != want_trace:
-        return False
-    for i in range(n):
-        if system.a_basis[i] != alg.basis_vector(i):
-            return False
-        if system.b_basis[i] != alg.basis_vector(g.inverse[i]):
-            return False
-    return True
+    standard = group_algebra(g, system.algebra.field).system
+    return system.trace == standard.trace and system.element_matrix == standard.element_matrix
 
 
 def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
@@ -354,7 +316,7 @@ def tate0(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Tate0Result:
 
     Invariants are the A-linear maps; the norm image is built straight from
     the group's multiplication table (sum over g of h |-> g h(g^-1 -)),
-    independently of the Frobenius system's dual bases.  As for T in
+    independently of the Frobenius matrix C.  As for T in
     `stable_hom`, N(rho_N(k) h) = N(h rho_M(k)) for every k in the group
     (substitute g k for g), so the norm image is spanned by N(e_r e_g^*)
     over M's dual seeds: s' dim N columns.

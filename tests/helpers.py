@@ -16,6 +16,45 @@ from frobstab.linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kro
 from frobstab.modrep import ModuleRep, _surjection_terms, free_module
 
 
+def vec(m: Matrix) -> tuple:
+    """Column-major vectorization: vec(m)[j*nrows + i] = m[i, j], the
+    row-major entries of m's transpose."""
+    return m.transpose().entries
+
+
+def unvec(field: Field, v: tuple, nrows: int, ncols: int) -> Matrix:
+    """Inverse of `vec`: the transpose of v read row-major as ncols x nrows."""
+    if len(v) != nrows * ncols:
+        raise DimensionMismatch(f"vector length {len(v)} != {nrows}x{ncols}")
+    return Matrix.dense(field, ncols, nrows, v).transpose()
+
+
+def zeros(field: Field, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols zero matrix."""
+    return Matrix(field, nrows, ncols, (1, ()))
+
+
+def dual_bases(system: FrobeniusSystem) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """The pair of dual bases read off the Frobenius matrix C: a_i = e_i and
+    b_i = row i of C, so that A^T B = C for A and B the matrices whose rows
+    are the a_i and the b_i."""
+    alg, c = system.algebra, system.element_matrix
+    return (tuple(alg.basis_vector(i) for i in range(alg.dim)),
+            tuple(c.row(i) for i in range(alg.dim)))
+
+
+def frobenius_matrix(alg: StructureAlgebra, a_basis, b_basis) -> Matrix:
+    """sum_i a_i b_i^T = A^T B entry by entry with field arithmetic: the
+    Frobenius matrix of the pair of bases {a_i}, {b_i}."""
+    f, n = alg.field, alg.dim
+    out = [f.zero] * (n * n)
+    for a_i, b_i in zip(a_basis, b_basis):
+        for p in range(n):
+            for q in range(n):
+                out[p * n + q] = f.add(out[p * n + q], f.mul(a_i[p], b_i[q]))
+    return Matrix.dense(f, n, n, tuple(out))
+
+
 def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
     """Dense Gauss-Jordan with field arithmetic, in place: the oracle that
     both routes of `linalg._rref` (`_rref_rational`, `_rref_sparse`) are
@@ -92,8 +131,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """(reduced echelon matrix, pivot columns, rank) of m: the RREF basis
     of m's row space, padded with zero rows to m's shape."""
     span = Subspace.from_vectors(m.field, m.ncols, m.to_rows())
-    zeros = [[m.field.zero] * m.ncols] * (m.nrows - span.dim)
-    return Matrix.from_rows(m.field, span.basis.to_rows() + zeros, ncols=m.ncols), span.pivots, span.dim
+    padding = [[m.field.zero] * m.ncols] * (m.nrows - span.dim)
+    return Matrix.from_rows(m.field, span.basis.to_rows() + padding, ncols=m.ncols), span.pivots, span.dim
 
 
 def reduce_by_definition(s: Subspace, v) -> tuple:

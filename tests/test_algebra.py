@@ -35,7 +35,7 @@ from frobstab.catalog import (
 from frobstab import algebra as algebra_module
 from frobstab.linalg import Matrix, Subspace, kron
 from frobstab.modrep import regular_module, validate_module
-from helpers import full_subspace
+from helpers import full_subspace, zeros
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -274,7 +274,7 @@ def test_mult_matrices_match_the_loops():
             assert alg.left_mult_matrix(x) == _left_mult_loop(alg, x)
             assert alg.right_mult_matrix(x) == _right_mult_loop(alg, x)
         zero = (alg.field.zero,) * alg.dim
-        assert alg.left_mult_matrix(zero) == Matrix.zeros(alg.field, alg.dim, alg.dim)
+        assert alg.left_mult_matrix(zero) == zeros(alg.field, alg.dim, alg.dim)
 
 
 def test_opposite_and_tensor_match_the_loops():

@@ -22,6 +22,7 @@ from frobstab.exactfield import Field
 from frobstab.catalog import (
     MAX_ORDER,
     GroupTable,
+    check_order,
     cyclic_group,
     group_algebra,
     group_from_string,
@@ -36,6 +37,7 @@ from frobstab.frobenius import check_identities, derive_system
 from frobstab.linalg import Subspace
 from frobstab.modrep import regular_module, submodule, validate_module
 from frobstab.stab import stable_center, stable_hom
+from helpers import dual_bases
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -44,9 +46,10 @@ GF3 = Field.prime(3)
 
 def test_truncated_bases_are_reversed_powers():
     inst = truncated_polynomial(4, Q)
+    a_basis, b_basis = dual_bases(inst.system)
     for i in range(4):
-        assert inst.system.a_basis[i] == inst.algebra.basis_vector(i)
-        assert inst.system.b_basis[i] == inst.algebra.basis_vector(3 - i)
+        assert a_basis[i] == inst.algebra.basis_vector(i)
+        assert b_basis[i] == inst.algebra.basis_vector(3 - i)
     assert inst.algebra.basis_names == ("1", "x", "x^2", "x^3")
 
 
@@ -57,8 +60,7 @@ def test_truncated_identities_all_sizes():
             inst.algebra.validate()
             assert check_identities(inst.system)
             derived = derive_system(inst.algebra, inst.system.trace)
-            assert derived.a_basis == inst.system.a_basis
-            assert derived.b_basis == inst.system.b_basis
+            assert derived.element_matrix == inst.system.element_matrix
 
 
 def test_degenerate_base_case():
@@ -120,12 +122,24 @@ def test_group_from_string():
     assert len(group_from_string("s3").names) == 6
     with pytest.raises(ParseError):
         group_from_string("dihedral:8")
-    with pytest.raises(ParseError):
-        group_from_string("cyclic:0")
+    for k in (0, -4):
+        with pytest.raises(ParseError) as err:
+            group_from_string(f"cyclic:{k}")
+        assert err.value.witness == k
     assert group_from_string(f"cyclic:{MAX_ORDER}").order == MAX_ORDER
     with pytest.raises(ParseError) as err:
         group_from_string(f"cyclic:{MAX_ORDER + 1}")
     assert err.value.witness == MAX_ORDER + 1
+
+
+def test_check_order_bounds():
+    assert check_order(1, "order") == 1
+    assert check_order(MAX_ORDER, "order") == MAX_ORDER
+    assert check_order(0, "|degree|", least=0) == 0
+    for n in (0, -1, MAX_ORDER + 1):
+        with pytest.raises(ParseError) as err:
+            check_order(n, "order")
+        assert err.value.witness == n
 
 
 def test_catalog_returns_one_instance_per_arguments():

@@ -287,6 +287,32 @@ def test_step_counts_are_capped_before_loading(capsys, tmp_path):
     assert (code, report["stable_dim"]) == (0, 1)
 
 
+def test_catalog_arguments_are_checked_before_writing(capsys, tmp_path):
+    """A catalog order below 1 and a module index outside [0, n) exit 3,
+    with a ParseError witnessed by the value, before any file is written;
+    the bounds themselves run."""
+    for k, (argv, value) in enumerate((
+        (("trunc-poly", "--n", "0", "--field", "q"), 0),
+        (("trunc-poly", "--n", "-3", "--field", "gf:2"), -3),
+        (("trunc-poly", "--n", "4", "--field", "gf:3", "--module-i", "9"), 9),
+        (("trunc-poly", "--n", "4", "--field", "q", "--module-i", "4"), 4),
+        (("trunc-poly", "--n", "4", "--field", "q", "--module-i", "-1"), -1),
+        (("group", "--type", "cyclic:0", "--field", "q"), 0),
+        (("group", "--type", "cyclic:-2", "--field", "gf:3", "--module", "trivial"), -2),
+    )):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        code, report, _ = run_json(capsys, "catalog", *argv, "--out", str(out))
+        assert code == 3
+        assert (report["error"], report["witness"]) == ("ParseError", value)
+        assert list(out.iterdir()) == []
+    for n, i in ((1, 0), (4, 3)):
+        assert make_trunc(capsys, tmp_path, n, "q", module_i=i)[1].exists()
+    code, report, _ = run_json(capsys, "catalog", "group", "--type", "cyclic:1", "--field", "q",
+                               "--out", str(tmp_path))
+    assert (code, report["written"]) == (0, [str(tmp_path / "cyclic_1.json")])
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "stable-hom")[0] == 3
     assert run(capsys, "no-such-command")[0] == 3

@@ -38,8 +38,9 @@ from frobstab.frobenius import (
     require_identities,
     twist,
 )
-from frobstab.linalg import kron
+from frobstab.linalg import Matrix, kron
 from frobstab.stab import stable_hom
+from helpers import dual_bases, frobenius_matrix, quantum_exterior
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -51,17 +52,18 @@ def test_derived_bases_for_truncated_polynomials():
     inst = truncated_polynomial(2, GF2)
     sys = derive_system(inst.algebra, inst.system.trace)
     one, zero = GF2.one, GF2.zero
-    assert sys.a_basis == ((one, zero), (zero, one))
-    assert sys.b_basis == ((zero, one), (one, zero))
+    assert sys.element_matrix == Matrix.from_rows(GF2, [[0, 1], [1, 0]])
+    assert dual_bases(sys) == (((one, zero), (zero, one)), ((zero, one), (one, zero)))
 
 
 def test_derived_bases_for_group_algebras():
     g = cyclic_group(3)
     inst = group_algebra(g, GF3)
     sys = derive_system(inst.algebra, inst.system.trace)
+    a_basis, b_basis = dual_bases(sys)
     for i in range(3):
-        assert sys.a_basis[i] == inst.algebra.basis_vector(i)
-        assert sys.b_basis[i] == inst.algebra.basis_vector(g.inverse[i])
+        assert a_basis[i] == inst.algebra.basis_vector(i)
+        assert b_basis[i] == inst.algebra.basis_vector(g.inverse[i])
 
 
 def test_derivation_matches_catalog_everywhere():
@@ -73,8 +75,7 @@ def test_derivation_matches_catalog_everywhere():
     ]
     for inst in instances:
         derived = derive_system(inst.algebra, inst.system.trace)
-        assert derived.a_basis == inst.system.a_basis
-        assert derived.b_basis == inst.system.b_basis
+        assert derived.element_matrix == inst.system.element_matrix
 
 
 def test_degenerate_trace_rejected_with_rank_deficit():
@@ -89,13 +90,14 @@ def test_degenerate_trace_rejected_with_rank_deficit():
 
 
 def test_identities_detect_scrambled_bases():
+    # The rows of C reversed: the element of the bases {e_i}, {b_2, b_1, b_0}.
     inst = truncated_polynomial(3, GF2)
     sys = inst.system
     assert check_identities(sys)
+    rows = sys.element_matrix.to_rows()
     scrambled = FrobeniusSystem(
         algebra=sys.algebra, trace=sys.trace,
-        a_basis=sys.a_basis,
-        b_basis=(sys.b_basis[2], sys.b_basis[1], sys.b_basis[0]),
+        element_matrix=Matrix.from_rows(GF2, rows[::-1]),
     )
     assert not check_identities(scrambled)
     with pytest.raises(DualityViolation) as err:
@@ -126,9 +128,10 @@ def test_central_element_group():
 def test_centrality_violation_for_non_dual_bases():
     inst = group_algebra(symmetric_group_3(), Q)
     sys = inst.system
+    # a_i = b_i = e_i, whose element is the identity matrix.
     fake = FrobeniusSystem(
         algebra=sys.algebra, trace=sys.trace,
-        a_basis=sys.a_basis, b_basis=sys.a_basis,
+        element_matrix=Matrix.identity(Q, sys.algebra.dim),
     )
     with pytest.raises(CentralityViolation):
         frobenius_element(fake)
@@ -150,10 +153,11 @@ def test_left_twist_explicit():
     d = (Q.one, Q.one)  # 1 + x
     tw = twist(inst.system, d, side="left")
     assert tw.trace == (Q.one, Q.one)
-    # a_i' = a_i (1+x)^{-1} = a_i (1-x)
+    # a_i' = a_i (1+x)^{-1} = a_i (1-x), b_i' = b_i
     m1 = Q.from_int(-1)
-    assert tw.a_basis == ((Q.one, m1), (Q.zero, Q.one))
-    assert tw.b_basis == inst.system.b_basis
+    b_basis = dual_bases(inst.system)[1]
+    a_basis = ((Q.one, m1), (Q.zero, Q.one))
+    assert tw.element_matrix == frobenius_matrix(inst.algebra, a_basis, b_basis)
     assert check_identities(tw)
 
 
@@ -162,10 +166,12 @@ def test_right_twist_explicit():
     d = (Q.one, Q.one)
     tw = twist(inst.system, d, side="right")
     assert tw.trace == (Q.one, Q.one)
-    assert tw.a_basis == inst.system.a_basis
-    # b_0 = x is fixed by (1-x)* since x - x^2 = x; b_1 = 1 moves to 1 - x
+    # a_i' = a_i; b_0 = x is fixed by (1-x)* since x - x^2 = x; b_1 = 1
+    # moves to 1 - x
     m1 = Q.from_int(-1)
-    assert tw.b_basis == ((Q.zero, Q.one), (Q.one, m1))
+    a_basis = dual_bases(inst.system)[0]
+    b_basis = ((Q.zero, Q.one), (Q.one, m1))
+    assert tw.element_matrix == frobenius_matrix(inst.algebra, a_basis, b_basis)
     assert check_identities(tw)
 
 
@@ -184,8 +190,7 @@ def test_twist_round_trip_is_exact():
     for side in ("left", "right"):
         back = twist(twist(inst.system, d, side=side), inv, side=side)
         assert back.trace == inst.system.trace
-        assert back.a_basis == inst.system.a_basis
-        assert back.b_basis == inst.system.b_basis
+        assert back.element_matrix == inst.system.element_matrix
 
 
 def test_twisted_systems_give_same_stable_dims():
@@ -226,7 +231,7 @@ def test_enveloping_system_is_built_once_per_system(monkeypatch):
     # nothing cached: its enveloping system is built and checked on the
     # first call, and every later call returns that same instance.
     base = group_algebra(symmetric_group_3(), GF3).system
-    system = FrobeniusSystem(base.algebra, base.trace, base.a_basis, base.b_basis)
+    system = FrobeniusSystem(base.algebra, base.trace, base.element_matrix)
     checked = []
 
     def counting(sys_):
@@ -258,7 +263,7 @@ def _identity_failure_oracle(system):
     for j in range(n):
         e = alg.basis_vector(j)
         left, right = [f.zero] * n, [f.zero] * n
-        for a_i, b_i in zip(system.a_basis, system.b_basis):
+        for a_i, b_i in zip(*dual_bases(system)):
             c1 = _trace_of(system, alg.mul(b_i, e))
             c2 = _trace_of(system, alg.mul(e, a_i))
             for p in range(n):
@@ -281,7 +286,7 @@ def _tensor(alg, terms):
 
 def _centrality_failure_oracle(system):
     alg = system.algebra
-    pairs = list(zip(system.a_basis, system.b_basis))
+    pairs = list(zip(*dual_bases(system)))
     for t in range(alg.dim):
         e = alg.basis_vector(t)
         lhs = _tensor(alg, [(alg.mul(e, a_i), b_i) for a_i, b_i in pairs])
@@ -325,7 +330,9 @@ def _system_pool():
 
 @st.composite
 def _perturbed_system(draw):
-    """A pool system with one entry of one a_i or b_i shifted, or unchanged."""
+    """A pool system with one entry of C shifted (one entry of b_i, in
+    `dual_bases`), or delta times one row of C added to another (one entry
+    of a_i shifted), or unchanged."""
     s = draw(st.sampled_from(_system_pool()))
     f, n = s.algebra.field, s.algebra.dim
     if draw(st.integers(0, 3)) == 0:
@@ -334,12 +341,14 @@ def _perturbed_system(draw):
         delta = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3)]))
     else:
         delta = draw(st.integers(1, f.p - 1))
-    bases = [list(map(list, s.a_basis)), list(map(list, s.b_basis))]
-    which = draw(st.integers(0, 1))
+    rows = s.element_matrix.to_rows()
     i, p = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    bases[which][i][p] = f.add(bases[which][i][p], delta)
-    a_basis, b_basis = (tuple(map(tuple, b)) for b in bases)
-    return FrobeniusSystem(s.algebra, s.trace, a_basis, b_basis)
+    if draw(st.booleans()):
+        rows[i][p] = f.add(rows[i][p], delta)
+    else:
+        # a_i + delta e_p in place of a_i = e_i adds delta c_i to row p.
+        rows[p] = [f.add(x, f.mul(delta, y)) for x, y in zip(rows[p], rows[i])]
+    return FrobeniusSystem(s.algebra, s.trace, Matrix.from_rows(f, rows, ncols=n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,7 +364,7 @@ def test_matrix_checks_match_per_element_loops(system):
         assert err.value.witness == want
     want_t = _centrality_failure_oracle(system)
     if want_t is None:
-        pairs = zip(system.a_basis, system.b_basis)
+        pairs = zip(*dual_bases(system))
         assert frobenius_element(system) == _tensor(system.algebra, pairs)
     else:
         with pytest.raises(CentralityViolation) as err:
@@ -373,9 +382,55 @@ def test_identity_and_centrality_checks_make_no_algebra_products(monkeypatch):
 
     monkeypatch.setattr(StructureAlgebra, "mul", refuse)
     for s in systems + [enveloping_system(trunc3), enveloping_system(s3)]:
-        fresh = FrobeniusSystem(s.algebra, s.trace, s.a_basis, s.b_basis)
+        fresh = FrobeniusSystem(s.algebra, s.trace, s.element_matrix)
         assert require_identities(fresh) is fresh
         frobenius_element(fresh)
+
+
+def test_twist_and_enveloping_make_no_algebra_products(monkeypatch):
+    # Both twists and the enveloping system are read off C by matrix
+    # products and a Kronecker product, with no StructureAlgebra.mul call,
+    # their identity checks included.
+    rng = random.Random(8)
+    systems = _catalog_systems()
+    units = [_random_unit(rng, s.algebra) for s in systems]
+
+    def refuse(self, x, y):
+        raise AssertionError("StructureAlgebra.mul called")
+
+    monkeypatch.setattr(StructureAlgebra, "mul", refuse)
+    for s, d in zip(systems, units):
+        fresh = FrobeniusSystem(s.algebra, s.trace, s.element_matrix)
+        for side in ("left", "right"):
+            twist(fresh, d, side=side)
+        if s.algebra.dim <= 4:
+            enveloping_system(fresh)
+
+
+def test_frobenius_matrix_orientation_on_a_non_symmetric_algebra():
+    # On Lambda_q the trace is not symmetric, so C != C^T and each side of C
+    # is pinned: the twists and the enveloping system must give the
+    # Frobenius matrix A^T B of the moved dual bases, read off C as a_i = e_i
+    # and b_i = c_i, row i of C.
+    for q in (2, 3):
+        system = quantum_exterior(q)
+        alg, c = system.algebra, system.element_matrix
+        assert c != c.transpose()
+        e, rows = dual_bases(system)
+        # 1 + x, 2 + y and 1 + 3x - y + 5xy, on the basis 1, x, y, xy
+        for d in ((1, 1, 0, 0), (2, 0, 1, 0), (1, 3, -1, 5)):
+            d = tuple(map(Q.from_int, d))
+            d_inv = element_inverse(alg, d)
+            left, right = twist(system, d, side="left"), twist(system, d, side="right")
+            moved_a = [alg.mul(a, d_inv) for a in e]
+            moved_b = [alg.mul(d_inv, b) for b in rows]
+            assert left.element_matrix == frobenius_matrix(alg, moved_a, rows)
+            assert right.element_matrix == frobenius_matrix(alg, e, moved_b)
+        env = enveloping_system(system)
+        pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+        assert env.element_matrix == frobenius_matrix(
+            env.algebra, [_tensor(alg, [(e[i], rows[j])]) for i, j in pairs],
+            [_tensor(alg, [(rows[i], e[j])]) for i, j in pairs])
 
 
 def test_element_matrix_closed_forms():

@@ -26,7 +26,7 @@ from frobstab.errors import DimensionMismatch, FieldMismatch, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.linalg import (
     Matrix, Subspace, _kron_rows, _rref_rational, _rref_sparse, kron, kron_image, kron_kernel,
-    kron_sum, linear_combination, unvec, vec,
+    kron_sum, linear_combination,
 )
 from frobstab.modrep import ModuleRep, quotient_module, submodule
 from frobstab.stab import shift_minus, shift_plus
@@ -35,7 +35,7 @@ from helpers import (
     entrywise_by_definition, exact_kernel,
     full_subspace, integer_rows, intersect, kron_sum_by_definition, matmul_by_definition,
     neg_by_definition, reduce_by_definition, rref, rref_by_oracle, rref_field,
-    transpose_by_definition,
+    transpose_by_definition, unvec, vec, zeros,
 )
 
 Q = Field.rationals()
@@ -716,8 +716,8 @@ def test_kron_sum_matches_entrywise_definition():
 
 
 def test_kron_sum_empty_is_zero_matrix():
-    assert kron_sum(GF3, 4, 6, []) == Matrix.zeros(GF3, 4, 6)
-    assert kron_sum(Q, 0, 3, []) == Matrix.zeros(Q, 0, 3)
+    assert kron_sum(GF3, 4, 6, []) == zeros(GF3, 4, 6)
+    assert kron_sum(Q, 0, 3, []) == zeros(Q, 0, 3)
 
 
 def test_kron_sum_guards():
@@ -883,7 +883,7 @@ def test_kron_kernel_and_image_check_every_term():
 
 def test_kron_sum_over_q_empty_and_unit_shapes():
     zero = kron_sum(Q, 2, 3, [])
-    assert zero == Matrix.zeros(Q, 2, 3) and all(x is Q.zero for x in zero.entries)
+    assert zero == zeros(Q, 2, 3) and all(x is Q.zero for x in zero.entries)
     assert _kron_rows(Q, 2, 3, iter(())) == _kron_rows(GF3, 2, 3, iter(()), True) == (1, {})
     col = Matrix.dense(Q, 2, 1, (Fraction(1, 2), 0))
     row = Matrix.dense(Q, 1, 2, (Fraction(0), Fraction(-4, 3)))
@@ -1021,14 +1021,14 @@ def test_matrix_arithmetic_matches_the_dense_definition(field, r, c, data):
     got = a.apply(v)
     assert got == apply_by_definition(a, v)
     _assert_field_scalars(f, got)
-    for bad in (Matrix.zeros(f, r + 1, c), Matrix.zeros(f, r, c + 1)):
+    for bad in (zeros(f, r + 1, c), zeros(f, r, c + 1)):
         for op in (operator.add, operator.sub):
             with pytest.raises(DimensionMismatch):
                 op(a, bad)
     other = GF5 if f is Q else Q
     for op in (operator.add, operator.sub):
         with pytest.raises(FieldMismatch):
-            op(a, Matrix.zeros(other, r, c))
+            op(a, zeros(other, r, c))
     with pytest.raises(DimensionMismatch):
         a.apply(v + (f.one,))
 
@@ -1138,10 +1138,10 @@ def test_matmul_matches_field_arithmetic(operands):
 def test_matmul_rejects_bad_operands(operands):
     a, b = operands
     with pytest.raises(DimensionMismatch):
-        a @ Matrix.zeros(a.field, a.ncols + 1, b.ncols)
+        a @ zeros(a.field, a.ncols + 1, b.ncols)
     other = GF5 if a.field is not GF5 else GF3
     with pytest.raises(FieldMismatch):
-        a @ Matrix.zeros(other, a.ncols, b.ncols)
+        a @ zeros(other, a.ncols, b.ncols)
 
 
 def test_matmul_against_hand_example():
@@ -1194,7 +1194,7 @@ def test_gf_p_equality_does_not_depend_on_spelling():
     b = Matrix.dense(GF5, 1, 2, (0, 2))
     assert a == b and hash(a) == hash(b)
     assert a.transpose().transpose() == a
-    assert a + Matrix.zeros(GF5, 1, 2) == b
+    assert a + zeros(GF5, 1, 2) == b
 
 
 @st.composite

@@ -26,7 +26,7 @@ from frobstab.catalog import (
 )
 from frobstab import modrep
 from frobstab.frobenius import FrobeniusSystem, enveloping_system
-from frobstab.linalg import Matrix, Subspace, linear_combination, unvec
+from frobstab.linalg import Matrix, Subspace, linear_combination
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
     ModuleRep,
@@ -44,7 +44,8 @@ from frobstab.modrep import (
 )
 from frobstab.stab import hom_A
 from helpers import (
-    free_cover_embedding, multiplication_surjection, quotient_action, restricted_action,
+    free_cover_embedding, multiplication_surjection, quotient_action, restricted_action, unvec,
+    zeros,
 )
 
 Q = Field.rationals()
@@ -62,7 +63,7 @@ def test_regular_action_matrices():
 
 def test_validate_module_catches_bad_unit():
     alg = truncated_polynomial(2, Q).algebra
-    bad = ModuleRep(alg, 1, (Matrix.zeros(Q, 1, 1), Matrix.zeros(Q, 1, 1)))
+    bad = ModuleRep(alg, 1, (zeros(Q, 1, 1), zeros(Q, 1, 1)))
     with pytest.raises(NotAModule) as exc:
         validate_module(bad)
     assert exc.value.witness == "unit"
@@ -247,7 +248,7 @@ def test_embedding_under_a_doubled_trace_is_not_split():
     inst = truncated_polynomial(3, GF3)
     s = inst.system
     doubled = FrobeniusSystem(s.algebra, tuple(GF3.add(t, t) for t in s.trace),
-                              s.a_basis, s.b_basis)
+                              s.element_matrix)
     for m in (truncated_module(3, 1, GF3), regular_module(inst.algebra)):
         canonical_embedding(s, m)
         for build in (canonical_embedding, free_cover_embedding):

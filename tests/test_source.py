@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import frobstab
+from frobstab.frobenius import FrobeniusSystem
 from frobstab.linalg import Matrix, Subspace
 
 
@@ -207,3 +208,16 @@ def test_only_linalg_divides_stored_rows_by_their_pivot():
             assert uses, f"{name}:{node.lineno}"
             found += [f"{name}:{use.lineno} uses a stored row" for use in uses if not passed_on(use)]
     assert found == []
+
+
+def test_a_frobenius_system_is_its_trace_and_its_frobenius_matrix():
+    """`FrobeniusSystem` stores (algebra, trace, element_matrix) and nothing
+    else, so no second format of C, such as a pair of dual-basis tuples,
+    is kept beside it, and neither the package nor README names one."""
+    fields = [f.name for f in dataclasses.fields(FrobeniusSystem)]
+    assert fields == ["algebra", "trace", "element_matrix"]
+    package = Path(frobstab.__file__).parent
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.rglob("*.py"))}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    texts["README.md"] = readme.read_text(encoding="utf-8")
+    assert [name for name, text in texts.items() if "a_basis" in text or "b_basis" in text] == []

@@ -23,7 +23,7 @@ from frobstab.catalog import (
     truncated_polynomial,
 )
 from frobstab.frobenius import FrobeniusSystem, derive_system, element_inverse, gram_matrix, twist
-from frobstab.linalg import Matrix, Subspace, kron, kron_sum, unvec
+from frobstab.linalg import Matrix, Subspace, kron, kron_sum
 from frobstab.modrep import (
     MAX_FREE_ENTRIES,
     ModuleRep,
@@ -52,8 +52,8 @@ from frobstab.stab import (
 from helpers import (
     assert_stored_rows, dense_vectors, exact_kernel, full_subspace, hom_by_generators, integer_rows,
     kron_sum_by_definition, multiplication_surjection, norm_image_by_full_columns,
-    null_by_full_operator, quantum_exterior, quantum_exterior_module, quotient_action,
-    reduce_by_definition, restricted_action, stack_rows,
+    dual_bases, null_by_full_operator, quantum_exterior, quantum_exterior_module, quotient_action,
+    reduce_by_definition, restricted_action, stack_rows, unvec, zeros,
 )
 
 Q = Field.rationals()
@@ -237,7 +237,7 @@ def _dual_basis_operator(system, m, n_):
     amb = n_.dim * m.dim
     return kron_sum(system.algebra.field, amb, amb, [
         (1, m.action_of(b_i).transpose(), n_.action_of(a_i))
-        for a_i, b_i in zip(system.a_basis, system.b_basis)
+        for a_i, b_i in zip(*dual_bases(system))
     ])
 
 
@@ -246,15 +246,15 @@ def _dual_basis_embedding(system, m):
     f, n = system.algebra.field, system.algebra.dim
     return kron_sum(f, n * m.dim, m.dim, [
         (1, Matrix.dense(f, n, 1, a_i), m.action_of(b_i))
-        for a_i, b_i in zip(system.a_basis, system.b_basis)
+        for a_i, b_i in zip(*dual_bases(system))
     ])
 
 
 def _dual_basis_ideal(system):
     """Image of z |-> sum_i a_i z b_i."""
     alg = system.algebra
-    acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
-    for a_i, b_i in zip(system.a_basis, system.b_basis):
+    acc = zeros(alg.field, alg.dim, alg.dim)
+    for a_i, b_i in zip(*dual_bases(system)):
         acc = acc + alg.left_mult_matrix(a_i) @ alg.right_mult_matrix(b_i)
     return acc.image_basis()
 
@@ -310,7 +310,7 @@ def _exact_kernel(field, nrows, ncols, *sums):
     """The kernel of the row stack of the dense sums, each built entry by
     entry (`kron_sum_by_definition`), by exact elimination (`exact_kernel`)."""
     blocks = [kron_sum_by_definition(field, nrows, ncols, terms) for terms in sums]
-    stacked = stack_rows([Matrix.zeros(field, 0, ncols)] + blocks)
+    stacked = stack_rows([zeros(field, 0, ncols)] + blocks)
     return exact_kernel(field, integer_rows(stacked.to_rows()), ncols)
 
 
@@ -806,15 +806,19 @@ def test_frobenius_ideal_values():
     assert frobenius_ideal(c2f2.system).dim == 0
 
 
+def _twisted(m, twist_by):
+    """M^a: the module M with each e_i acting as a(e_i), column i of twist_by."""
+    alg = m.algebra
+    twisted = ModuleRep(alg, m.dim, tuple(m.action_of(twist_by.col(i)) for i in range(alg.dim)))
+    validate_module(twisted)
+    return twisted
+
+
 def _serre_failures(system, mods, twist_by):
-    """The pairs (M, N) with dim stHom(M, N) != dim stHom(N, Omega(M^a)),
-    where M^a is M with each e_i acting as a(e_i), column i of twist_by."""
-    alg = system.algebra
+    """The pairs (M, N) with dim stHom(M, N) != dim stHom(N, Omega(M^a))."""
     failures = []
     for m in mods:
-        twisted = ModuleRep(alg, m.dim, tuple(m.action_of(twist_by.col(i)) for i in range(alg.dim)))
-        validate_module(twisted)
-        omega = shift_minus(twisted, 1)
+        omega = shift_minus(_twisted(m, twist_by), 1)
         failures += [(m.name, n_.name) for n_ in mods if stable_hom(system, m, n_).stable_dim
                      != stable_hom(system, n_, omega).stable_dim]
     return failures
@@ -845,6 +849,53 @@ def test_serre_duality_on_a_non_symmetric_algebra():
         assert _serre_failures(sys_, ms, Matrix.identity(Q, 4)) != []
     assert nu_inv.transpose() != nu_inv
     assert _serre_failures(skewed, moved, nu_inv.transpose()) != []
+
+
+@st.composite
+def _serre_case(draw):
+    """(system, M, N): modules M_lam of Lambda_q (q = 2, 3), which is not
+    symmetric, or modules of a catalog algebra, which is; each module is a
+    pool module, possibly summed with a second one, and possibly conjugated
+    by a random invertible matrix."""
+    kind = draw(st.sampled_from(["lambda", "trunc", "group"]))
+    if kind == "lambda":
+        system = quantum_exterior(draw(st.sampled_from([2, 3])))
+        pool = [quantum_exterior_module(system.algebra, lam)
+                for lam in (1, 2, 3, 4, Fraction(1, 2), None)]
+    elif kind == "trunc":
+        n, field = draw(st.integers(2, 4)), draw(st.sampled_from([GF2, GF3, Q]))
+        system = truncated_polynomial(n, field).system
+        pool = [truncated_module(n, i, field) for i in range(n)]
+    else:
+        g, field = draw(st.sampled_from([(klein_four_group(), GF2), (cyclic_group(3), GF3),
+                                         (symmetric_group_3(), GF3), (symmetric_group_3(), Q)]))
+        system = group_algebra(g, field).system
+        pool = [trivial_module(system.algebra), regular_module(system.algebra)]
+        pool += [sign_module(field)] if g.name == "s3" else []
+
+    def module():
+        m = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            m = direct_sum([m, draw(st.sampled_from(pool))])
+        return _random_conjugate(draw, m) if draw(st.booleans()) else m
+
+    return system, module(), module()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_serre_case())
+def test_serre_duality_property(case):
+    """dim stHom(M, N) = dim stHom(N, Omega(M^{nu^-1})), and in adjoint form
+    dim stHom(M, N) = dim stHom((Omega^-1 N)^nu, M), for nu = C G^T the
+    Nakayama automorphism read off the system, as the matrix acting on
+    coefficient columns: Omega(-^{nu^-1}) is the Serre functor of the
+    stable category, and (Omega^-1 -)^nu its inverse.  On a catalog algebra
+    nu is the identity."""
+    system, m, n_ = case
+    nu = system.element_matrix @ gram_matrix(system.algebra, system.trace).transpose()
+    want = stable_hom(system, m, n_).stable_dim
+    assert stable_hom(system, n_, shift_minus(_twisted(m, nu.inverse()))).stable_dim == want
+    assert stable_hom(system, _twisted(shift_plus(system, n_), nu), m).stable_dim == want
 
 
 def test_stable_center_dims():
@@ -1017,10 +1068,9 @@ def test_mismatched_modules_rejected():
 
 def test_null_maps_outside_hom_are_rejected():
     # Non-dual bases a = (1, x), b = (1, 1) give T(h) = (1 + x) h, which is onto
-    # Hom_k(V1, V1) and so leaves Hom_A.
+    # Hom_k(V1, V1) and so leaves Hom_A; their element is C = [[1, 0], [1, 0]].
     inst = truncated_polynomial(2, GF2)
-    one = inst.algebra.basis_vector(0)
-    bad = FrobeniusSystem(inst.algebra, inst.system.trace, inst.system.a_basis, (one, one))
+    bad = FrobeniusSystem(inst.algebra, inst.system.trace, Matrix.from_rows(GF2, [[1, 0], [1, 0]]))
     v1 = truncated_module(2, 1, GF2)
     with pytest.raises(NotASubspace) as err:
         stable_hom(bad, v1, v1)
