@@ -28,6 +28,7 @@ from .errors import (
 )
 from .exactfield import Field, field_from_json, field_to_json
 from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _integers, _row_kernel
+from .linalg import _rref, _sparse_apply, _sparse_rows
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -143,16 +144,19 @@ class StructureAlgebra:
         """The two-sided unit, and associativity as L(e_i) L(e_j) = L(e_i e_j)
         for the matrices `left`, whose columns k are e_i (e_j e_k) and (e_i e_j) e_k.
 
-        Given the unit, i in `generators` suffices: the a with (a x) y = a (x y)
-        for all x, y form a subspace holding 1 and closed under left
-        multiplication by each generator g, as ((g a) x) y = g (a (x y)) =
-        (g a)(x y), so it holds the words in the generators, which span A.
-        Only on failure is every i read, listing each bad (i, j, k) in order.
+        The unit fails at the j where column j of L(unit) - I or of R(unit) -
+        I is nonzero: L(unit) e_j or L(e_j) unit differs from e_j, so the
+        matrices `right` of A^op are not built.  Given the unit, `_first_failing`
+        reads the i with (e_i x) y = e_i (x y) for all x, y; from its first
+        failure on every i is read, listing each bad (i, j, k) in order.
         """
-        unit_bad = [j for j, e in enumerate(map(self.basis_vector, range(self.dim)))
-                    if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e]
-        full = unit_bad or any(_product_failures(self, self.left, self.generators))
-        bad = _product_failures(self, self.left, range(self.dim) if full else ())
+        u = _sparse_rows(self.field, [self.unit], self.dim)[0]
+        lu = self.left_mult_matrix(self.unit)
+        unit_bad = [j for j in range(self.dim) if _sparse_apply(lu, {j: 1}) != {j: 1}
+                    or _sparse_apply(self.left[j], u) != {j: 1}]
+        first = 0 if unit_bad else _first_failing(
+            self, lambda i: any(_product_failures(self, self.left, (i,))))
+        bad = _product_failures(self, self.left, () if first is None else range(first, self.dim))
         return AlgebraReport([(i, j, k) for i, j, ks in bad for k in ks], unit_bad)
 
     def validate(self) -> None:
@@ -177,25 +181,25 @@ class StructureAlgebra:
 
         Greedy in basis order: e_i is kept unless it already lies in the
         subalgebra generated by the indices kept so far, which is the
-        closure of span{unit} under left multiplication by them.  Each new
-        generator first multiplies the whole closure so far; after that,
-        every round multiplies only the vectors the last round added.
+        closure of span{unit} under left multiplication by them.  The
+        closure is held as its stored rows, and e_g v is `left[g]` applied
+        to the sparse v.  Each new generator first multiplies the whole
+        closure so far; after that, every round multiplies only the vectors
+        the last round added.
         """
-        f = self.field
-        gens: list[tuple] = []
+        f, n = self.field, self.dim
+        p = f.characteristic
+        span = Subspace(f, n, _rref(_sparse_rows(f, [self.unit], n), n, p))
         kept: list[int] = []
-        span = Subspace.from_vectors(f, self.dim, [self.unit])
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            if span.contains(e):
+        for i in range(n):
+            if not span._residual({i: 1}):
                 continue
-            gens.append(e)
             kept.append(i)
-            frontier = [self.mul(e, v) for v in span.basis_vectors()]
+            frontier = [_sparse_apply(self.left[i], v) for v in span.rows.values()]
             while frontier:
-                added = [v for v in frontier if not span.contains(v)]
-                span = Subspace.from_vectors(f, self.dim, span.basis_vectors() + added)
-                frontier = [self.mul(g, v) for v in added for g in gens]
+                added = [v for v in frontier if span._residual(dict(v))]
+                frontier = [_sparse_apply(self.left[g], v) for v in added for g in kept]
+                span = Subspace(f, n, _rref([*map(dict, span.rows.values()), *added], n, p))
         return tuple(kept)
 
     @functools.cached_property
@@ -218,10 +222,31 @@ class StructureAlgebra:
         return tensor(self, opposite(self), name=f"{self.name}^env")
 
     def center_basis(self) -> Subspace:
-        """Common kernel of the commutator maps a |-> e_i a - a e_i: one
-        system of their integer rows, since scaling a row keeps its kernel."""
-        blocks = [left - right for left, right in zip(self.left, self.right)]
+        """Common kernel of the commutator maps a |-> g a - a g over g in
+        `generators`: one system of their integer rows, since scaling a row
+        keeps its kernel.  Precondition: A passes `validate`; then, for each
+        z, the a with a z = z a form a subalgebra, which is A once it holds
+        the generators.
+        """
+        blocks = [self.left[g] - self.right[g] for g in self.generators]
         return _row_kernel(self.field, [r for b in blocks for r in _integer_rows(b)], self.dim)
+
+
+def _first_failing(alg: StructureAlgebra, fails) -> int | None:
+    """None if `fails(i)` is false for every i in `alg.generators`, and
+    otherwise the first basis index i, in basis order, with `fails(i)`.
+
+    The one generator rule.  `fails(i)` says that e_i lacks a property P,
+    and the a in A with P form a subspace that holds 1 and is closed under
+    left multiplication by each generator with P.  That subspace holds
+    every word in the generators, and those span A, so P holds on A iff it
+    holds on the generators; the full basis is read only to name the first
+    failure.  Precondition: A passes `validate` (to check associativity
+    itself, a two-sided unit suffices), and any module involved is a module.
+    """
+    if not any(map(fails, alg.generators)):
+        return None
+    return next(i for i in range(alg.dim) if fails(i))
 
 
 def _product_failures(alg: StructureAlgebra, action, indices):

@@ -30,7 +30,7 @@ from .errors import (
     NonInvertibleTwist,
     ParseError,
 )
-from .algebra import StructureAlgebra, enveloping
+from .algebra import StructureAlgebra, enveloping, _first_failing
 from .linalg import Matrix, _check_same_field, kron
 
 
@@ -130,16 +130,15 @@ def frobenius_element(system: FrobeniusSystem) -> tuple:
     product basis: C's row-major entries.
 
     Verifies the centrality property sum_i (a a_i) (x) b_i =
-    sum_i a_i (x) (b_i a) on every basis element a before returning; for
-    a = e_t the two sides are L(e_t) C and C R(e_t)^T.
+    sum_i a_i (x) (b_i a) before returning; for a = e_t the two sides are
+    L(e_t) C and C R(e_t)^T, read by `_first_failing`.  Precondition: A
+    passes `validate`, so that L(g a) = L(g) L(a) and R(g a) = R(a) R(g).
     """
     alg = system.algebra
     c = system.element_matrix
-    for t, (left, right) in enumerate(zip(alg.left, alg.right)):
-        if left @ c != c @ right.transpose():
-            raise CentralityViolation(
-                f"centrality fails against basis element {t}", witness=t
-            )
+    t = _first_failing(alg, lambda t: alg.left[t] @ c != c @ alg.right[t].transpose())
+    if t is not None:
+        raise CentralityViolation(f"centrality fails against basis element {t}", witness=t)
     return c.entries
 
 

@@ -658,11 +658,8 @@ def kron_image(field: Field, nrows: int, ncols: int, terms) -> "Subspace":
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: kron(a, b)[i*p + k, j*q + l] = a[i,j] * b[k,l],
-    assembled from the integer rows of `_kron_rows` in O(nnz)."""
-    f, nrows, ncols = a.field, a.nrows * b.nrows, a.ncols * b.ncols
-    den, rows = _kron_rows(f, nrows, ncols, [(1, a, b)])
-    nz = [(r * ncols + c, x) for r, row in rows.items() for c, x in row.items()]
-    return Matrix(f, nrows, ncols, (den, nz))
+    the one-term `kron_sum`."""
+    return kron_sum(a.field, a.nrows * b.nrows, a.ncols * b.ncols, [(1, a, b)])
 
 
 def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_keys
-from .algebra import _check_entries, _product_failures
+from .algebra import _check_entries, _first_failing, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, linear_combination
 from .linalg import _canonical, _integers, _rref, _rref_row, _sparse_apply
@@ -243,17 +243,16 @@ def validate_module(m: ModuleRep) -> None:
     """Unit acts as identity; products follow the structure constants.
 
     Precondition: m.algebra passes `validate()`, as the CLI checks on load.
-    Then, with rho(1) = I, g in `generators` suffices: the a with rho(a) rho(x)
-    = rho(a x) for all x form a subspace holding 1 and closed under left
-    multiplication by g, as rho(g a) rho(x) = rho(g (a x)) = rho((g a) x), so it
-    holds the words in the generators.  Only on failure is every (i, j) read,
-    so NotAModule names the first failing product in basis order.
+    Then, with rho(1) = I, the i with rho(e_i) rho(x) = rho(e_i x) for all x
+    are read by `_first_failing`, so NotAModule names the first failing
+    product in basis order.
     """
     alg = m.algebra
     if m.action_of(alg.unit) != Matrix.identity(alg.field, m.dim):
         raise NotAModule("unit does not act as identity", witness="unit")
-    if any(_product_failures(alg, m.action, alg.generators)):
-        i, j, _ = next(_product_failures(alg, m.action, range(alg.dim)))
+    i = _first_failing(alg, lambda i: any(_product_failures(alg, m.action, (i,))))
+    if i is not None:
+        _, j, _ = next(_product_failures(alg, m.action, (i,)))
         raise NotAModule(f"action breaks on basis product ({i},{j})", witness=(i, j))
 
 
@@ -362,48 +361,45 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
     return ModuleRep(first.algebra, total, tuple(action), name=name)
 
 
-def _restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
-    """Each basis action restricted to sub, in its canonical basis, column t
-    being rho v_t (over rho's sparse columns) read at the pivots; raises
-    NotInvariant, witnessed by the first basis index that leaves sub."""
+def _require_invariant(m: ModuleRep, sub: Subspace) -> None:
+    """NotInvariant unless rho(e_i) keeps sub for each i, witnessed by the
+    first basis index that moves it (`_first_failing`, over sub's stored
+    rows).  Precondition: M is a module."""
     if sub.ambient != m.dim:
         raise DimensionMismatch("subspace of the wrong ambient space")
+    i = _first_failing(m.algebra, lambda i: any(
+        sub._residual(_sparse_apply(m.action[i], v)) for v in sub.rows.values()))
+    if i is not None:
+        raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
+
+
+def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
+    """Restrict the action to an invariant subspace, in its canonical basis:
+    column t of action i is rho(e_i) v_t, for v_t the t-th RREF row, read
+    at the pivots.  Precondition: M is a module; NotInvariant as
+    `_require_invariant`."""
+    _require_invariant(m, sub)
     f, d = m.algebra.field, sub.dim
     at = {pc: s * d for s, pc in enumerate(sub.pivots)}
-    p = f.characteristic
-    vectors = [_rref_row(v, p) for v in sub.rows.values()]
+    vectors = [_rref_row(v, f.characteristic) for v in sub.rows.values()]
     action = []
-    for i, rho in enumerate(m.action):
+    for rho in m.action:
         nz = []
         for t, v in enumerate(vectors):
             w = _sparse_apply(rho, v)
             nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
-            if sub._residual(w):
-                raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
         action.append(Matrix(f, d, d, _integers(f, nz)))
-    return tuple(action)
-
-
-def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
-    """Restrict the action to an invariant subspace, in its canonical basis."""
-    action = _restricted_action(m, sub)
-    return ModuleRep(m.algebra, sub.dim, action, name=f"{m.name}|sub{sub.dim}")
+    return ModuleRep(m.algebra, d, tuple(action), name=f"{m.name}|sub{d}")
 
 
 def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     """Action on M / sub, coordinatized by the non-pivot coset representatives.
 
-    M / sub is a module only if sub is a submodule.  M is a module and the
-    words in `algebra.generators` span A, so sub is one if each generator
-    keeps it.  Only if one does not is every basis element read, so that
-    NotInvariant names the first basis index that moves sub.  Column q of
-    an action is the residual of rho's sparse column q.
+    M / sub is a module only if sub is a submodule, which
+    `_require_invariant` checks on the generators.  Column q of an action
+    is the residual of rho's sparse column q.
     """
-    if sub.ambient != m.dim:
-        raise DimensionMismatch("subspace of the wrong ambient space")
-    if any(sub._residual(_sparse_apply(m.action[g], v))
-           for g in m.algebra.generators for v in sub.rows.values()):
-        _restricted_action(m, sub)  # raises NotInvariant
+    _require_invariant(m, sub)
     f = m.algebra.field
     piv = set(sub.pivots)
     at = {q: s for s, q in enumerate(q for q in range(m.dim) if q not in piv)}

@@ -346,6 +346,39 @@ def norm_image_by_full_columns(system: FrobeniusSystem, m: ModuleRep, n_: Module
     ])
 
 
+def generators_by_closure(alg: StructureAlgebra) -> tuple[int, ...]:
+    """The greedy generating set by dense products: e_i is kept unless it
+    lies in the closure of span{unit} under left multiplication by the kept
+    e_g, grown with `mul` and `Subspace.from_vectors` of the whole span each
+    round.  The oracle for `StructureAlgebra.generators`, which grows the
+    same spans on sparse rows, for any table."""
+    f = alg.field
+    gens: list[tuple] = []
+    kept: list[int] = []
+    span = Subspace.from_vectors(f, alg.dim, [alg.unit])
+    for i in range(alg.dim):
+        e = alg.basis_vector(i)
+        if span.contains(e):
+            continue
+        gens.append(e)
+        kept.append(i)
+        frontier = [alg.mul(e, v) for v in span.basis_vectors()]
+        while frontier:
+            added = [v for v in frontier if not span.contains(v)]
+            span = Subspace.from_vectors(f, alg.dim, span.basis_vectors() + added)
+            frontier = [alg.mul(g, v) for v in added for g in gens]
+    return tuple(kept)
+
+
+def center_by_full_basis(alg: StructureAlgebra) -> Subspace:
+    """{z : e_i z = z e_i for every basis index i}: the dense kernel of the
+    stacked commutator matrices L(e_i) - R(e_i), one block per basis
+    element.  The oracle for `StructureAlgebra.center_basis`, which solves
+    on the generators only."""
+    rows = [r for left, right in zip(alg.left, alg.right) for r in (left - right).to_rows()]
+    return Matrix.from_rows(alg.field, rows, ncols=alg.dim).kernel_basis()
+
+
 def multiplication_surjection(m: ModuleRep) -> Matrix:
     """Matrix of A (x) M_0 -> M, e_p (x) v_j |-> e_p v_j: the Kronecker sum of
     the terms whose common kernel `shift_minus` takes."""
@@ -359,7 +392,7 @@ def full_subspace(field: Field, ambient: int) -> Subspace:
 
 def restricted_action(m: ModuleRep, sub: Subspace) -> tuple[Matrix, ...]:
     """Dense per-vector restriction of each basis action to sub: the oracle
-    for `modrep._restricted_action`.  Raises NotInvariant, witnessed by the
+    for `modrep.submodule`.  Raises NotInvariant, witnessed by the
     first basis index that leaves sub."""
     f, d = m.algebra.field, sub.dim
     coords = sub.complement_of(Subspace.zero(f, sub.ambient))[1]

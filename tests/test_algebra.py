@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,9 @@ from frobstab.catalog import (
 from frobstab import algebra as algebra_module
 from frobstab.linalg import Matrix, Subspace, kron
 from frobstab.modrep import regular_module, validate_module
-from helpers import full_subspace, zeros
+from helpers import (
+    center_by_full_basis, full_subspace, generators_by_closure, quantum_exterior, zeros,
+)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -459,6 +462,14 @@ def _word_span(alg):
         span = grown
 
 
+@settings(max_examples=200, deadline=None)
+@given(_perturbed_algebra())
+def test_generators_match_the_dense_closure(alg):
+    """Associative or not, with a unit or not, the sparse closure keeps the
+    same indices as the dense one."""
+    assert alg.generators == generators_by_closure(alg)
+
+
 def test_generators_generate_the_algebra():
     algs = [truncated_polynomial(n, f).algebra for n in range(1, 7) for f in (GF2, GF3, Q)]
     algs += [group_algebra(g, f).algebra
@@ -488,6 +499,17 @@ def test_center_of_s3_is_class_sums():
         ]
         expected = Subspace.from_vectors(f, 6, sums)
         assert z == expected
+
+
+def test_center_matches_the_full_basis_commutators():
+    # The reference algebras hold klein4 and s3 over GF(2) and Q.
+    s3 = group_algebra(symmetric_group_3(), GF3).algebra
+    algs = [*_reference_algebras(), s3, enveloping(s3)]
+    algs += [quantum_exterior(q).algebra for q in (2, 3, Fraction(1, 2))]
+    for alg in algs:
+        assert alg.center_basis() == center_by_full_basis(alg), alg
+    # Lambda_q is neither commutative nor symmetric: its center is span{1, xy}.
+    assert center_by_full_basis(algs[-1]).pivots == (0, 3)
 
 
 def test_center_is_closed_under_products():

@@ -411,6 +411,14 @@ def test_module_json_scalar_errors_match_parse(field):
             assert str(exc.value) == want
 
 
+def _recording_first_failing(monkeypatch):
+    """Patch `modrep._first_failing` to record the basis indices it reads."""
+    read, first_failing = [], modrep._first_failing
+    monkeypatch.setattr(modrep, "_first_failing", lambda alg, fails: first_failing(
+        alg, lambda i: read.append(i) or fails(i)))
+    return read
+
+
 def test_quotient_reads_only_the_generators(monkeypatch):
     # The full basis is read only to name the witness of a failure, which
     # must be the first basis index that moves the subspace.
@@ -420,6 +428,7 @@ def test_quotient_reads_only_the_generators(monkeypatch):
     subs = [Subspace.from_vectors(f, 6, [alg.basis_vector(i) for i in c])
             for c in ((0, 1), (0, 1, 2), (3, 4, 5), (2, 4))]
     subs.append(Subspace.from_vectors(f, 6, [(1,) * 6]))
+    read = _recording_first_failing(monkeypatch)
     witnesses = []
     for sub in subs:
         try:
@@ -430,10 +439,31 @@ def test_quotient_reads_only_the_generators(monkeypatch):
             assert exc.value.witness == err.witness
             witnesses.append(err.witness)
         else:
-            with monkeypatch.context() as mp:
-                mp.setattr(modrep, "_restricted_action", None)
-                assert quotient_module(reg, sub).dim == 6 - sub.dim
+            read.clear()
+            assert quotient_module(reg, sub).dim == 6 - sub.dim
+            assert read == list(alg.generators) == [1, 3]
     assert witnesses == [1, 3, 3, 1]
+
+
+def test_submodule_checks_invariance_on_the_generators(monkeypatch):
+    """k[x]/(x^24) has one generator, x, so checking that an ideal of the
+    regular module is invariant costs one `_sparse_apply` and one residual
+    per stored row, not 24; restricting the action costs 24 per row."""
+    t24 = truncated_polynomial(24, GF2).algebra
+    reg = regular_module(t24)
+    assert t24.generators == (1,)
+    ideal = Subspace.from_vectors(GF2, 24, [t24.basis_vector(i) for i in range(14, 24)])
+    applies, residuals = [], []
+    sparse_apply, residual = modrep._sparse_apply, Subspace._residual
+    monkeypatch.setattr(modrep, "_sparse_apply",
+                        lambda m, v: applies.append(1) or sparse_apply(m, v))
+    monkeypatch.setattr(Subspace, "_residual",
+                        lambda sub, v: residuals.append(1) or residual(sub, v))
+    read = _recording_first_failing(monkeypatch)
+    sub = submodule(reg, ideal)
+    assert read == [1] and sub.dim == 10
+    assert len(residuals) == 10 and len(applies) == 10 + 24 * 10
+    assert sub.action == restricted_action(reg, ideal)
 
 
 def _scalar(draw, f):

@@ -221,3 +221,30 @@ def test_a_frobenius_system_is_its_trace_and_its_frobenius_matrix():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     texts["README.md"] = readme.read_text(encoding="utf-8")
     assert [name for name, text in texts.items() if "a_basis" in text or "b_basis" in text] == []
+
+
+def test_one_generator_rule():
+    """The argument that a property of every a in A holds iff it holds on
+    `algebra.generators` lives in `algebra.py` alone: no other module of
+    the package reads `.generators`, so each such check goes through
+    `algebra._first_failing`, and `modrep` keeps no full-basis
+    `_restricted_action`.  `StructureAlgebra.generators` grows its closure
+    on sparse rows: it calls no `mul`, `basis_vector`, `basis_vectors` or
+    `from_vectors`."""
+    package = Path(frobstab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(package.rglob("*.py"))}
+    readers = sorted({name for name, tree in trees.items() for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "generators"})
+    assert readers == ["algebra.py"]
+    assert not [fn for fn in ast.walk(trees["modrep.py"])
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_restricted_action"]
+    (cls,) = [node for node in trees["algebra.py"].body
+              if isinstance(node, ast.ClassDef) and node.name == "StructureAlgebra"]
+    (fn,) = [node for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == "generators"]
+    banned = {"mul", "basis_vector", "basis_vectors", "from_vectors"}
+    calls = [f"{node.lineno}:{name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+             if name in banned]
+    assert calls == []
