@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exactfield import Field, field_from_json, field_to_json
 from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _integers, _row_kernel
-from .linalg import _rref, _sparse_apply, _sparse_rows
+from .linalg import _canonical, _rref, _sparse_apply, _sparse_rows
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -145,15 +145,16 @@ class StructureAlgebra:
         for the matrices `left`, whose columns k are e_i (e_j e_k) and (e_i e_j) e_k.
 
         The unit fails at the j where column j of L(unit) - I or of R(unit) -
-        I is nonzero: L(unit) e_j or L(e_j) unit differs from e_j, so the
-        matrices `right` of A^op are not built.  Given the unit, `_first_failing`
-        reads the i with (e_i x) y = e_i (x y) for all x, y; from its first
-        failure on every i is read, listing each bad (i, j, k) in order.
+        I is nonzero: unit e_j or e_j unit differs from e_j, each a sparse
+        product read off the cells (`_sum_of_products`), so no matrix is
+        built for it.  Given the unit, `_first_failing` reads the i with
+        (e_i x) y = e_i (x y) for all x, y; from its first failure on every
+        i is read, listing each bad (i, j, k) in order.
         """
-        u = _sparse_rows(self.field, [self.unit], self.dim)[0]
-        lu = self.left_mult_matrix(self.unit)
-        unit_bad = [j for j in range(self.dim) if _sparse_apply(lu, {j: 1}) != {j: 1}
-                    or _sparse_apply(self.left[j], u) != {j: 1}]
+        u = _sparse_rows(self.field, [self.unit], self.dim)[0].items()
+        unit_bad = [j for j in range(self.dim)
+                    if _sum_of_products(self, [(u, ((j, 1),))]) != {j: 1}
+                    or _sum_of_products(self, [(((j, 1),), u)]) != {j: 1}]
         first = 0 if unit_bad else _first_failing(
             self, lambda i: any(_product_failures(self, self.left, (i,))))
         bad = _product_failures(self, self.left, () if first is None else range(first, self.dim))
@@ -247,6 +248,24 @@ def _first_failing(alg: StructureAlgebra, fails) -> int | None:
     if not any(map(fails, alg.generators)):
         return None
     return next(i for i in range(alg.dim) if fails(i))
+
+
+def _sum_of_products(alg: StructureAlgebra, terms) -> dict:
+    """The sum of u v over the (u, v) terms, as a sparse map {column:
+    nonzero} with residues in [1, p) over GF(p).  Each factor is an
+    iterable of (basis index, scalar) pairs, and u v = sum of u_i v_j e_i
+    e_j, each e_i e_j read off the sparse cells[i][j], so no
+    multiplication matrix is built."""
+    cells = alg.cells
+    w: dict = {}
+    for u, v in terms:
+        for i, x in u:
+            row = cells[i]
+            for j, y in v:
+                xy = x * y
+                for k, z in row[j]:
+                    w[k] = w.get(k, 0) + xy * z
+    return _canonical(w, alg.field.characteristic)
 
 
 def _product_failures(alg: StructureAlgebra, action, indices):

@@ -89,18 +89,23 @@ def derive_system(algebra: StructureAlgebra, trace: tuple) -> FrobeniusSystem:
         raise DegenerateTrace(
             f"trace Gram matrix has rank deficit {deficit}", witness=deficit
         )
-    return require_identities(FrobeniusSystem(algebra, tuple(trace), ginv))
+    return _require(FrobeniusSystem(algebra, tuple(trace), ginv), g)
 
 
 def check_identities(system: FrobeniusSystem) -> bool:
     """Both defining identities, on every basis element."""
-    return _identity_failure(system) is None
+    return _identity_failure(system, gram_matrix(system.algebra, system.trace)) is None
 
 
 def require_identities(system: FrobeniusSystem) -> FrobeniusSystem:
     """The system itself if check_identities passes; otherwise DualityViolation,
     witnessed by the first basis index that fails."""
-    j = _identity_failure(system)
+    return _require(system, gram_matrix(system.algebra, system.trace))
+
+
+def _require(system: FrobeniusSystem, g: Matrix) -> FrobeniusSystem:
+    """`require_identities`, against the system's Gram matrix g."""
+    j = _identity_failure(system, g)
     if j is None:
         return system
     raise DualityViolation(
@@ -108,21 +113,21 @@ def require_identities(system: FrobeniusSystem) -> FrobeniusSystem:
     )
 
 
-def _identity_failure(system: FrobeniusSystem) -> int | None:
-    """Index of the first basis element where an identity fails, or None.
+def _identity_failure(system: FrobeniusSystem, g: Matrix) -> int | None:
+    """Index of the first basis element where an identity fails, or None,
+    for g the system's Gram matrix.
 
     Column j of CG is sum_i a_i trace(b_i e_j) and row j of GC is
     sum_i trace(e_j a_i) b_i; both must be e_j.
     """
-    alg = system.algebra
+    n = system.algebra.dim
     c = system.element_matrix
-    g = gram_matrix(alg, system.trace)
+    eye = Matrix.identity(c.field, n)
     cg, gc = c @ g, g @ c
-    for j in range(alg.dim):
-        e = alg.basis_vector(j)
-        if cg.col(j) != e or gc.row(j) != e:
-            return j
-    return None
+    if cg == eye and gc == eye:
+        return None
+    bad = [t % n for t, _ in (cg - eye).nonzeros[1]]
+    return min(bad + [t // n for t, _ in (gc - eye).nonzeros[1]])
 
 
 def frobenius_element(system: FrobeniusSystem) -> tuple:

@@ -20,8 +20,14 @@ two are compared, never merged.
 
 Shifts are cokernel/kernel of the canonical embedding/multiplication maps,
 iterated for stable Ext in either direction.  The stable center is the
-ordinary center modulo the ideal sum_p e_p z c_p, with a second route
-through endomorphisms of A as a bimodule over A (x) A^op.
+ordinary center modulo the ideal tau(A), tau(z) = sum_p e_p z c_p, spanned
+by the columns tau(e_j) = sum C[p,q] e_p (e_j e_q) (`frobenius_ideal`).
+Every product of the stable center is a sparse product of sparse rows read
+off the algebra's cells (`algebra._sum_of_products`), with no
+multiplication matrix built.  Its coset representatives are certified
+central on the generators, so their table is multiplied and read once per
+unordered pair.  A second route goes through endomorphisms of A as a
+bimodule over A (x) A^op.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ from .errors import (
 )
 from .catalog import group_algebra
 from .exactfield import RATIONAL
+from .algebra import _first_failing, _sum_of_products
 from .frobenius import FrobeniusSystem, enveloping_system
-from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, linear_combination
-from .linalg import _dense, _integers, _primitive, _rref_row, _sparse_apply
+from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum
+from .linalg import _dense, _integers, _primitive, _rref
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -211,11 +218,16 @@ def stable_ext(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep, degree: int
 
 
 def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
-    """Image of z |-> sum_p e_p z c_p, an ideal of the center."""
+    """Image of tau(z) = sum_p e_p z c_p, an ideal of the center.
+
+    It is spanned by the columns tau(e_j) = sum C[p,q] e_p (e_j e_q) over
+    the nonzeros of C, each a sum of sparse products read off the cells
+    (`algebra._sum_of_products`), and reduced by one `_rref`."""
     alg = system.algebra
-    c = system.element_matrix
-    terms = [(1, left @ alg.right_mult_matrix(c.row(p))) for p, left in enumerate(alg.left)]
-    return linear_combination(alg.field, alg.dim, alg.dim, terms).image_basis()
+    n, cells = alg.dim, alg.cells
+    lefts = [(((t // n, x),), t % n) for t, x in system.element_matrix._scalars()]
+    cols = [_sum_of_products(alg, [(u, cells[j][q]) for u, q in lefts]) for j in range(n)]
+    return Subspace(alg.field, n, _rref(cols, n, alg.field.characteristic))
 
 
 @dataclass
@@ -232,12 +244,20 @@ class StableCenterResult:
 def stable_center(system: FrobeniusSystem) -> StableCenterResult:
     """Center of A modulo the Frobenius ideal, with its ring structure.
 
-    The ideal lands in the center and absorbs central multiplication; both
-    facts are checked and IdealClosureViolation reports any failure.  The
-    returned ring structure lists products of the coset representatives
-    in the coordinates that `complement_of` reads off the same reduction
-    that picks them.  Products are left multiplication matrices applied to
-    the sparse RREF rows.
+    Every product is a sparse product of sparse rows read off the cells
+    (`algebra._sum_of_products`); no multiplication matrix is built.  The
+    ideal lands in the center and absorbs central multiplication: both are
+    checked, the second on all center rows times all ideal rows, and
+    IdealClosureViolation reports any failure.  The coset representatives
+    and each product's coordinates in them come from the one reduction of
+    `complement_of`.  Before anything is multiplied, the representatives
+    are certified central: each commutes with every generator, hence with
+    all of A (`algebra._first_failing`); otherwise IdealClosureViolation
+    names the first basis element that fails to commute.  So reps[s]
+    reps[t] = reps[t] reps[s], and each pair s <= t is multiplied and read
+    once; the table lists (s, t, c, x) in (s, t) order, with (s, t) for
+    t < s copying the entries of (t, s).  The first pair in (s, t) order
+    whose product escapes the center has s <= t, and is the witness.
     """
     alg = system.algebra
     n, zero = alg.dim, alg.field.zero
@@ -245,27 +265,31 @@ def stable_center(system: FrobeniusSystem) -> StableCenterResult:
     ideal = frobenius_ideal(system)
     if not center.contains_subspace(ideal):
         raise IdealClosureViolation("factoring ideal is not central")
-    p = alg.field.characteristic
-    times = {c: alg.left_mult_matrix(_dense(_rref_row(z, p), n, zero))
-             for c, z in center.rows.items()}
-    for s_i, left in enumerate(times.values()):
+    reps, coords = center.complement_of(ideal)
+    bad = _first_failing(alg, lambda i: any(_sum_of_products(
+        alg, [(((i, 1),), r.items()), (r.items(), ((i, -1),))]) for r in reps))
+    if bad is not None:
+        raise IdealClosureViolation(
+            f"a coset representative does not commute with basis element {bad}", witness=bad
+        )
+    for s_i, z in enumerate(center.rows.values()):
         for t_i, w in enumerate(ideal.rows.values()):
-            if ideal._residual(_sparse_apply(left, w)):
+            if ideal._residual(_sum_of_products(alg, [(z.items(), w.items())])):
                 raise IdealClosureViolation(
                     "ideal not absorbing under central multiplication",
                     witness=(s_i, t_i),
                 )
-    reps, coords = center.complement_of(ideal)
-    table: list[tuple[int, int, int, object]] = []
-    for s, r in enumerate(reps):
-        left = times[min(r)]  # the pivot of an RREF row is its first column
-        for t, r2 in enumerate(reps):
-            x = coords(_sparse_apply(left, r2))
+    k = len(reps)
+    products: dict[tuple[int, int], list] = {}
+    for s in range(k):
+        for t in range(s, k):
+            x = coords(_sum_of_products(alg, [(reps[s].items(), reps[t].items())]))
             if x is None:
                 raise IdealClosureViolation(
                     "central product escapes center + ideal", witness=(s, t)
                 )
-            table += [(s, t, c, y) for c, y in x]
+            products[s, t] = products[t, s] = x
+    table = [(s, t, c, y) for s in range(k) for t in range(k) for c, y in products[s, t]]
     return StableCenterResult(
         center.dim, ideal.dim, center.dim - ideal.dim,
         [tuple(_dense(r, n, zero)) for r in reps], table, center, ideal,

@@ -12,7 +12,9 @@ from frobstab.errors import (
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
 from frobstab.frobenius import FrobeniusSystem, derive_system
-from frobstab.linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum
+from frobstab.linalg import (
+    Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum, linear_combination,
+)
 from frobstab.modrep import ModuleRep, _surjection_terms, free_module
 
 
@@ -377,6 +379,17 @@ def center_by_full_basis(alg: StructureAlgebra) -> Subspace:
     on the generators only."""
     rows = [r for left, right in zip(alg.left, alg.right) for r in (left - right).to_rows()]
     return Matrix.from_rows(alg.field, rows, ncols=alg.dim).kernel_basis()
+
+
+def frobenius_ideal_by_definition(system: FrobeniusSystem) -> Subspace:
+    """The image of sum_p L(e_p) R(c_p), for c_p row p of C: dense left and
+    right multiplication matrices, one product per basis element.  The
+    oracle for `stab.frobenius_ideal`, which spans the same image on the
+    columns tau(e_j) read off the sparse cells."""
+    alg = system.algebra
+    c = system.element_matrix
+    terms = [(1, left @ alg.right_mult_matrix(c.row(p))) for p, left in enumerate(alg.left)]
+    return linear_combination(alg.field, alg.dim, alg.dim, terms).image_basis()
 
 
 def multiplication_surjection(m: ModuleRep) -> Matrix:

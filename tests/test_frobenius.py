@@ -89,6 +89,24 @@ def test_degenerate_trace_rejected_with_rank_deficit():
     assert g.transpose().rank() == 1
 
 
+def test_derive_system_builds_one_gram_matrix(monkeypatch):
+    """derive_system inverts G and checks the identities against that same
+    G: one `gram_matrix` call per system, and one for a degenerate trace."""
+    calls = []
+    monkeypatch.setattr(frobenius, "gram_matrix",
+                        lambda alg, trace: calls.append(1) or gram_matrix(alg, trace))
+    trunc = truncated_polynomial(5, GF3)
+    lam = quantum_exterior(2)
+    for alg, trace in ((trunc.algebra, trunc.system.trace), (lam.algebra, lam.trace)):
+        calls.clear()
+        derive_system(alg, trace)
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(DegenerateTrace):
+        derive_system(truncated_polynomial(3, Q).algebra, (Q.one, Q.zero, Q.zero))
+    assert len(calls) == 1
+
+
 def test_identities_detect_scrambled_bases():
     # The rows of C reversed: the element of the bases {e_i}, {b_2, b_1, b_0}.
     inst = truncated_polynomial(3, GF2)

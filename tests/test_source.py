@@ -120,20 +120,28 @@ def test_stable_hom_reads_module_actions_as_they_are():
 
 
 def test_stable_center_reads_its_quotient_off_one_reduction():
-    """`stab.stable_center` applies left multiplication matrices to the
-    stored sparse rows and reads its table from the coordinates that
-    `complement_of` returns: it calls no method named `mul` (the dense
-    product), `coords`, `inverse` or `from_rows`, and `Subspace` has no
+    """`stab.stable_center` and `stab.frobenius_ideal` multiply sparse rows
+    through `algebra._sum_of_products`, and `stable_center` reads its table
+    from the coordinates that `complement_of` returns: neither calls
+    anything named `mul` (the dense product), `left_mult_matrix`,
+    `right_mult_matrix`, `linear_combination`, `inverse` or `from_rows`,
+    nor a method named `coords`, nor uses `@`; and `Subspace` has no
     `coords`."""
     path = Path(frobstab.__file__).parent / "stab.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    (fn,) = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == "stable_center"]
-    banned = {"mul", "coords", "inverse", "from_rows"}
-    calls = [f"{node.lineno}:{node.func.attr}" for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in banned]
-    assert calls == []
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"mul", "left_mult_matrix", "right_mult_matrix", "linear_combination", "inverse",
+              "from_rows"}
+    found = []
+    for name in ("stable_center", "frobenius_ideal"):
+        for node in ast.walk(fns[name]):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in banned or isinstance(node.func, ast.Attribute) and called == "coords":
+                    found.append(f"{name}:{node.lineno}:{called}")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno}:@")
+    assert found == []
     assert not hasattr(Subspace, "coords")
 
 

@@ -9,8 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobstab import linalg, modrep, stab
-from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
+from frobstab import algebra, linalg, modrep, stab
+from frobstab.errors import (
+    AlgebraMismatch, BudgetExceeded, IdealClosureViolation, NotAGroupAlgebra, NotASubspace,
+)
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
 from frobstab.catalog import (
@@ -50,10 +52,11 @@ from frobstab.stab import (
     tate0,
 )
 from helpers import (
-    assert_stored_rows, dense_vectors, exact_kernel, full_subspace, hom_by_generators, integer_rows,
-    kron_sum_by_definition, multiplication_surjection, norm_image_by_full_columns,
-    dual_bases, null_by_full_operator, quantum_exterior, quantum_exterior_module, quotient_action,
-    reduce_by_definition, restricted_action, stack_rows, unvec, zeros,
+    assert_stored_rows, dense_vectors, exact_kernel, frobenius_ideal_by_definition, full_subspace,
+    hom_by_generators, integer_rows, kron_sum_by_definition, multiplication_surjection,
+    norm_image_by_full_columns, dual_bases, null_by_full_operator, quantum_exterior,
+    quantum_exterior_module, quotient_action, reduce_by_definition, restricted_action, stack_rows,
+    unvec, zeros,
 )
 
 Q = Field.rationals()
@@ -250,15 +253,6 @@ def _dual_basis_embedding(system, m):
     ])
 
 
-def _dual_basis_ideal(system):
-    """Image of z |-> sum_i a_i z b_i."""
-    alg = system.algebra
-    acc = zeros(alg.field, alg.dim, alg.dim)
-    for a_i, b_i in zip(*dual_bases(system)):
-        acc = acc + alg.left_mult_matrix(a_i) @ alg.right_mult_matrix(b_i)
-    return acc.image_basis()
-
-
 def test_operators_from_frobenius_matrix_match_dual_basis_sums():
     # Twisted group systems have a dense Frobenius matrix C, so every row c_p
     # enters T, phi and the ideal; the 0-dimensional algebra has empty sums.
@@ -278,7 +272,7 @@ def test_operators_from_frobenius_matrix_match_dual_basis_sums():
     alg0 = StructureAlgebra(Q, 0, [], ())
     cases.append((derive_system(alg0, ()), [ModuleRep(alg0, 0, ())]))
     for system, mods in cases:
-        assert frobenius_ideal(system) == _dual_basis_ideal(system)
+        assert frobenius_ideal(system) == frobenius_ideal_by_definition(system)
         for m in mods:
             assert canonical_embedding(system, m) == _dual_basis_embedding(system, m)
             for n_ in mods:
@@ -806,6 +800,32 @@ def test_frobenius_ideal_values():
     assert frobenius_ideal(c2f2.system).dim == 0
 
 
+_SKEW = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+
+
+def test_frobenius_ideal_matches_the_dense_definition():
+    """The columns tau(e_j) = sum C[p,q] e_p (e_j e_q) span the image of
+    sum_p L(e_p) R(c_p) (`frobenius_ideal_by_definition`) on every catalog
+    system, on Lambda_q, where C is not symmetric, and on two systems in a
+    skewed basis.  On Lambda_-1 the ideal is 0, while C read the other way
+    round, C^T, gives the ideal spanned by xy: so the sparse form must
+    read C's (p, q) as the definition does."""
+    systems = [truncated_polynomial(n, f).system for n in range(1, 9) for f in (GF2, GF3, Q)]
+    systems += [group_algebra(g, f).system
+                for g in (cyclic_group(2), cyclic_group(3), klein_four_group(), symmetric_group_3())
+                for f in (GF2, GF3, Q)]
+    lambdas = [quantum_exterior(q) for q in (2, 3, Fraction(1, 2), -1)]
+    systems += lambdas
+    systems += [_in_basis(truncated_polynomial(4, Q).system, _SKEW), _in_basis(lambdas[0], _SKEW)]
+    for system in systems:
+        assert frobenius_ideal(system) == frobenius_ideal_by_definition(system), system.algebra
+    exterior = lambdas[-1]
+    transposed = FrobeniusSystem(exterior.algebra, exterior.trace,
+                                 exterior.element_matrix.transpose())
+    assert frobenius_ideal(exterior).dim == 0
+    assert frobenius_ideal_by_definition(transposed).dim == 1
+
+
 def _twisted(m, twist_by):
     """M^a: the module M with each e_i acting as a(e_i), column i of twist_by."""
     alg = m.algebra
@@ -943,21 +963,39 @@ def _in_basis(system, pm):
     return derive_system(new, pm.transpose().apply(system.trace))
 
 
+def _random_basis(field, n, seed):
+    """A seeded random invertible n x n matrix with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    while True:
+        pm = Matrix.dense(field, n, n, tuple(field.from_int(rng.randrange(-2, 3))
+                                             for _ in range(n * n)))
+        if pm.inverse() is not None:
+            return pm
+
+
 def test_stable_center_matches_per_product_solve():
-    # Oracle: solve for each product of representatives in the basis reps + ideal.
-    # In the basis 1, x, x^2, x^2 + x^3 of k[x]/(x^4) the ideal, spanned by
-    # x^3, is not a row of the center's canonical basis.
-    skew = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    # Oracle: solve for each product of representatives in the basis reps + ideal,
+    # for the ideal by its dense definition.  In the basis 1, x, x^2, x^2 + x^3 of
+    # k[x]/(x^4) the ideal, spanned by x^3, is not a row of the center's canonical
+    # basis; Lambda_q and s3 are not commutative, and in a random basis the
+    # center's rows are dense, over Q with fractions in the table.
+    s3q = group_algebra(symmetric_group_3(), Q).system
+    s3f3 = group_algebra(symmetric_group_3(), GF3).system
     for system in (
         truncated_polynomial(4, GF2).system,
         truncated_polynomial(6, GF3).system,
         truncated_polynomial(5, Q).system,
         group_algebra(klein_four_group(), GF2).system,
-        group_algebra(symmetric_group_3(), GF3).system,
-        _in_basis(truncated_polynomial(4, Q).system, skew),
+        s3f3,
+        s3q,
+        _in_basis(truncated_polynomial(4, Q).system, _SKEW),
+        _in_basis(s3f3, _random_basis(GF3, 6, seed=5)),
+        _in_basis(truncated_polynomial(5, Q).system, _random_basis(Q, 5, seed=4)),
+        quantum_exterior(2),
+        quantum_exterior(3),
     ):
         alg = system.algebra
-        ideal = frobenius_ideal(system)
+        ideal = frobenius_ideal_by_definition(system)
         reps = dense_vectors(alg.field, alg.dim, alg.center_basis().complement_of(ideal)[0])
         span = Matrix.from_rows(alg.field, reps + ideal.basis_vectors(), ncols=alg.dim)
         table = []
@@ -967,6 +1005,59 @@ def test_stable_center_matches_per_product_solve():
                 table += [(s, t, c, x[c]) for c in range(len(reps)) if x[c]]
         res = stable_center(system)
         assert (res.reps, res.ideal, res.mult_table) == (reps, ideal, table)
+
+
+def test_stable_center_reads_each_pair_of_representatives_once(monkeypatch):
+    """The representatives are central, so reps[s] reps[t] = reps[t] reps[s]
+    and the table reads k (k + 1) / 2 products, one per pair s <= t.  With
+    the ideal's dim A columns, the certificate's one commutator per
+    generator and representative, and the dim Z dim I absorption products,
+    that is every sparse product `stable_center` makes."""
+    reads, products = [], []
+    complement_of = Subspace.complement_of
+
+    def counted_complement(self, small):
+        reps, coords = complement_of(self, small)
+        return reps, lambda v: reads.append(1) or coords(v)
+
+    def counted_products(alg, terms):
+        products.append(1)
+        return algebra._sum_of_products(alg, terms)
+
+    monkeypatch.setattr(Subspace, "complement_of", counted_complement)
+    monkeypatch.setattr(stab, "_sum_of_products", counted_products)
+    for system in (
+        truncated_polynomial(6, GF3).system,
+        truncated_polynomial(5, Q).system,
+        group_algebra(symmetric_group_3(), GF3).system,
+        quantum_exterior(-1),
+    ):
+        reads.clear()
+        products.clear()
+        res = stable_center(system)
+        alg, k = system.algebra, res.stable_center_dim
+        assert k >= 2 and len(reads) == k * (k + 1) // 2
+        assert len(products) == (alg.dim + len(alg.generators) * k
+                                 + res.center_dim * res.ideal_dim + k * (k + 1) // 2)
+
+
+def test_stable_center_certifies_its_representatives_central(monkeypatch):
+    """A center span holding the transposition s = e_3 of s3 over GF(3)
+    keeps s as a coset representative.  The certificate raises before any
+    product is mirrored, witnessed by the first basis element that fails to
+    commute with a representative: r = e_1, which is a generator."""
+    inst = group_algebra(symmetric_group_3(), GF3)
+    alg = inst.algebra
+    patched = alg.center_basis() + Subspace.from_vectors(GF3, alg.dim, [alg.basis_vector(3)])
+    reps = dense_vectors(GF3, alg.dim, patched.complement_of(frobenius_ideal(inst.system))[0])
+    assert alg.basis_vector(3) in reps
+    want = next(i for i in range(alg.dim) for e in [alg.basis_vector(i)]
+                if any(alg.mul(e, r) != alg.mul(r, e) for r in reps))
+    assert want == 1 and want in alg.generators
+    monkeypatch.setattr(StructureAlgebra, "center_basis", lambda self: patched)
+    with pytest.raises(IdealClosureViolation) as exc:
+        stable_center(inst.system)
+    assert exc.value.witness == want
 
 
 def test_stable_center_ideal_properties():
