@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dataclass_field
+from math import lcm
 
 from .errors import (
     BudgetExceeded,
@@ -26,9 +27,9 @@ from .errors import (
     ParseError,
     UnitMismatch,
 )
-from .exactfield import Field, field_from_json, field_to_json
+from .exactfield import RATIONAL, Field, field_from_json, field_to_json
 from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _integers, _row_kernel
-from .linalg import _canonical, _rref, _sparse_apply, _sparse_rows
+from .linalg import _canonical, _rref, _sparse_rows
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -146,15 +147,15 @@ class StructureAlgebra:
 
         The unit fails at the j where column j of L(unit) - I or of R(unit) -
         I is nonzero: unit e_j or e_j unit differs from e_j, each a sparse
-        product read off the cells (`_sum_of_products`), so no matrix is
-        built for it.  Given the unit, `_first_failing` reads the i with
-        (e_i x) y = e_i (x y) for all x, y; from its first failure on every
-        i is read, listing each bad (i, j, k) in order.
+        product (`_sum_of_products`).  Given the unit, `_first_failing`
+        reads the i with (e_i x) y = e_i (x y) for all x, y; from its first
+        failure on every i is read, listing each bad (i, j, k) in order.
         """
         u = _sparse_rows(self.field, [self.unit], self.dim)[0].items()
+        cells, p = self.cells, self.field.characteristic
         unit_bad = [j for j in range(self.dim)
-                    if _sum_of_products(self, [(u, ((j, 1),))]) != {j: 1}
-                    or _sum_of_products(self, [(((j, 1),), u)]) != {j: 1}]
+                    if _sum_of_products(cells, p, [(u, ((j, 1),))]) != {j: 1}
+                    or _sum_of_products(cells, p, [(((j, 1),), u)]) != {j: 1}]
         first = 0 if unit_bad else _first_failing(
             self, lambda i: any(_product_failures(self, self.left, (i,))))
         bad = _product_failures(self, self.left, () if first is None else range(first, self.dim))
@@ -183,23 +184,27 @@ class StructureAlgebra:
         Greedy in basis order: e_i is kept unless it already lies in the
         subalgebra generated by the indices kept so far, which is the
         closure of span{unit} under left multiplication by them.  The
-        closure is held as its stored rows, and e_g v is `left[g]` applied
-        to the sparse v.  Each new generator first multiplies the whole
+        closure is held as its stored rows, and e_g v is a sparse product
+        (`_sum_of_products`).  Each new generator first multiplies the whole
         closure so far; after that, every round multiplies only the vectors
         the last round added.
         """
         f, n = self.field, self.dim
         p = f.characteristic
         span = Subspace(f, n, _rref(_sparse_rows(f, [self.unit], n), n, p))
+
+        def times(g, v):
+            return _sum_of_products(self.cells, p, [(((g, 1),), v.items())])
+
         kept: list[int] = []
         for i in range(n):
             if not span._residual({i: 1}):
                 continue
             kept.append(i)
-            frontier = [_sparse_apply(self.left[i], v) for v in span.rows.values()]
+            frontier = [times(i, v) for v in span.rows.values()]
             while frontier:
                 added = [v for v in frontier if span._residual(dict(v))]
-                frontier = [_sparse_apply(self.left[g], v) for v in added for g in kept]
+                frontier = [times(g, v) for v in added for g in kept]
                 span = Subspace(f, n, _rref([*map(dict, span.rows.values()), *added], n, p))
         return tuple(kept)
 
@@ -250,13 +255,14 @@ def _first_failing(alg: StructureAlgebra, fails) -> int | None:
     return next(i for i in range(alg.dim) if fails(i))
 
 
-def _sum_of_products(alg: StructureAlgebra, terms) -> dict:
-    """The sum of u v over the (u, v) terms, as a sparse map {column:
-    nonzero} with residues in [1, p) over GF(p).  Each factor is an
-    iterable of (basis index, scalar) pairs, and u v = sum of u_i v_j e_i
-    e_j, each e_i e_j read off the sparse cells[i][j], so no
-    multiplication matrix is built."""
-    cells = alg.cells
+def _sum_of_products(cells, p: int, terms) -> dict:
+    """The sum of u v over the (u, v) terms, for structure constants
+    `cells` over a field of characteristic p, as a sparse map {column:
+    nonzero}, reduced mod p once.  Each factor is an iterable of (basis
+    index, scalar) pairs, and u v = sum of u_i v_j e_i e_j, each e_i e_j
+    read off cells[i][j].  No multiplication matrix is built; the cost is
+    the total length of the nnz(u) nnz(v) cells read, small when the cells
+    and the factors are sparse."""
     w: dict = {}
     for u, v in terms:
         for i, x in u:
@@ -265,7 +271,18 @@ def _sum_of_products(alg: StructureAlgebra, terms) -> dict:
                 xy = x * y
                 for k, z in row[j]:
                     w[k] = w.get(k, 0) + xy * z
-    return _canonical(w, alg.field.characteristic)
+    return _canonical(w, p)
+
+
+def _integer_cells(alg: StructureAlgebra) -> tuple:
+    """alg.cells over Q times the lcm d of their denominators, as `int`s,
+    for `_sum_of_products` to add no `Fraction`s where a product's scale
+    does not matter; over GF(p), alg.cells itself."""
+    if alg.field.kind != RATIONAL:
+        return alg.cells
+    d = lcm(*[x.denominator for row in alg.cells for cell in row for _, x in cell])
+    return tuple(tuple(tuple((k, x.numerator * (d // x.denominator)) for k, x in cell)
+                          for cell in row) for row in alg.cells)
 
 
 def _product_failures(alg: StructureAlgebra, action, indices):

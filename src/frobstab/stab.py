@@ -20,14 +20,8 @@ two are compared, never merged.
 
 Shifts are cokernel/kernel of the canonical embedding/multiplication maps,
 iterated for stable Ext in either direction.  The stable center is the
-ordinary center modulo the ideal tau(A), tau(z) = sum_p e_p z c_p, spanned
-by the columns tau(e_j) = sum C[p,q] e_p (e_j e_q) (`frobenius_ideal`).
-Every product of the stable center is a sparse product of sparse rows read
-off the algebra's cells (`algebra._sum_of_products`), with no
-multiplication matrix built.  Its coset representatives are certified
-central on the generators, so their table is multiplied and read once per
-unordered pair.  A second route goes through endomorphisms of A as a
-bimodule over A (x) A^op.
+ordinary center modulo the ideal sum_p e_p z c_p, with a second route
+through endomorphisms of A as a bimodule over A (x) A^op.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from .errors import (
 )
 from .catalog import group_algebra
 from .exactfield import RATIONAL
-from .algebra import _first_failing, _sum_of_products
+from .algebra import _integer_cells, _sum_of_products
 from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum
 from .linalg import _dense, _integers, _primitive, _rref
@@ -220,14 +214,30 @@ def stable_ext(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep, degree: int
 def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
     """Image of tau(z) = sum_p e_p z c_p, an ideal of the center.
 
-    It is spanned by the columns tau(e_j) = sum C[p,q] e_p (e_j e_q) over
-    the nonzeros of C, each a sum of sparse products read off the cells
-    (`algebra._sum_of_products`), and reduced by one `_rref`."""
+    It is spanned by the columns tau(e_j) = sum_q b_q e_q, where b_q = sum_p
+    C[p,q] e_p e_j is summed off the cells[p][j]: one sparse product
+    (`algebra._sum_of_products`, in `_integer_cells`) per column, and one
+    `_rref`.  Summing over p first keeps a column to dim A^3 cell reads
+    when every cell is dense."""
     alg = system.algebra
-    n, cells = alg.dim, alg.cells
-    lefts = [(((t // n, x),), t % n) for t, x in system.element_matrix._scalars()]
-    cols = [_sum_of_products(alg, [(u, cells[j][q]) for u, q in lefts]) for j in range(n)]
-    return Subspace(alg.field, n, _rref(cols, n, alg.field.characteristic))
+    n, p = alg.dim, alg.field.characteristic
+    cells = _integer_cells(alg)
+    c_rows: dict[int, list] = {}
+    for t, x in system.element_matrix.nonzeros[1]:
+        c_rows.setdefault(t // n, []).append((t % n, x))
+    cols = []
+    for j in range(n):
+        b: dict[int, dict] = {}
+        for r, c_r in c_rows.items():
+            cell = cells[r][j]
+            if not cell:
+                continue
+            for q, x in c_r:
+                b_q = b.setdefault(q, {})
+                for k, z in cell:
+                    b_q[k] = b_q.get(k, 0) + x * z
+        cols.append(_sum_of_products(cells, p, [(b_q.items(), ((q, 1),)) for q, b_q in b.items()]))
+    return Subspace(alg.field, n, _rref(cols, n, p))
 
 
 @dataclass
@@ -244,46 +254,38 @@ class StableCenterResult:
 def stable_center(system: FrobeniusSystem) -> StableCenterResult:
     """Center of A modulo the Frobenius ideal, with its ring structure.
 
-    Every product is a sparse product of sparse rows read off the cells
-    (`algebra._sum_of_products`); no multiplication matrix is built.  The
-    ideal lands in the center and absorbs central multiplication: both are
-    checked, the second on all center rows times all ideal rows, and
-    IdealClosureViolation reports any failure.  The coset representatives
-    and each product's coordinates in them come from the one reduction of
-    `complement_of`.  Before anything is multiplied, the representatives
-    are certified central: each commutes with every generator, hence with
-    all of A (`algebra._first_failing`); otherwise IdealClosureViolation
-    names the first basis element that fails to commute.  So reps[s]
-    reps[t] = reps[t] reps[s], and each pair s <= t is multiplied and read
-    once; the table lists (s, t, c, x) in (s, t) order, with (s, t) for
-    t < s copying the entries of (t, s).  The first pair in (s, t) order
-    whose product escapes the center has s <= t, and is the witness.
+    The ideal lands in the center and absorbs central multiplication; both
+    facts are checked, the second on every center row times every ideal
+    row, and IdealClosureViolation reports any failure.  The returned ring
+    structure lists products of the coset representatives in the
+    coordinates that `complement_of` reads off the same reduction that
+    picks them.  The representatives lie in `center_basis`, the commutant
+    of the generators, so they commute: each pair s <= t is multiplied and
+    read once, and (s, t) for t < s copies (t, s).  The first pair in (s, t)
+    order whose product escapes has s <= t, and is the witness.  Products
+    are sparse (`algebra._sum_of_products`); the absorption check, which
+    only tests membership, reads them in `_integer_cells`.
     """
     alg = system.algebra
-    n, zero = alg.dim, alg.field.zero
+    n, zero, p = alg.dim, alg.field.zero, alg.field.characteristic
     center = alg.center_basis()
     ideal = frobenius_ideal(system)
     if not center.contains_subspace(ideal):
         raise IdealClosureViolation("factoring ideal is not central")
-    reps, coords = center.complement_of(ideal)
-    bad = _first_failing(alg, lambda i: any(_sum_of_products(
-        alg, [(((i, 1),), r.items()), (r.items(), ((i, -1),))]) for r in reps))
-    if bad is not None:
-        raise IdealClosureViolation(
-            f"a coset representative does not commute with basis element {bad}", witness=bad
-        )
+    cells = _integer_cells(alg)
     for s_i, z in enumerate(center.rows.values()):
         for t_i, w in enumerate(ideal.rows.values()):
-            if ideal._residual(_sum_of_products(alg, [(z.items(), w.items())])):
+            if ideal._residual(_sum_of_products(cells, p, [(z.items(), w.items())])):
                 raise IdealClosureViolation(
                     "ideal not absorbing under central multiplication",
                     witness=(s_i, t_i),
                 )
+    reps, coords = center.complement_of(ideal)
     k = len(reps)
     products: dict[tuple[int, int], list] = {}
     for s in range(k):
         for t in range(s, k):
-            x = coords(_sum_of_products(alg, [(reps[s].items(), reps[t].items())]))
+            x = coords(_sum_of_products(alg.cells, p, [(reps[s].items(), reps[t].items())]))
             if x is None:
                 raise IdealClosureViolation(
                     "central product escapes center + ideal", witness=(s, t)

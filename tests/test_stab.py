@@ -10,9 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobstab import algebra, linalg, modrep, stab
-from frobstab.errors import (
-    AlgebraMismatch, BudgetExceeded, IdealClosureViolation, NotAGroupAlgebra, NotASubspace,
-)
+from frobstab.errors import AlgebraMismatch, BudgetExceeded, NotAGroupAlgebra, NotASubspace
 from frobstab.exactfield import Field
 from frobstab.algebra import StructureAlgebra
 from frobstab.catalog import (
@@ -804,11 +802,12 @@ _SKEW = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0,
 
 
 def test_frobenius_ideal_matches_the_dense_definition():
-    """The columns tau(e_j) = sum C[p,q] e_p (e_j e_q) span the image of
-    sum_p L(e_p) R(c_p) (`frobenius_ideal_by_definition`) on every catalog
-    system, on Lambda_q, where C is not symmetric, and on two systems in a
-    skewed basis.  On Lambda_-1 the ideal is 0, while C read the other way
-    round, C^T, gives the ideal spanned by xy: so the sparse form must
+    """The columns tau(e_j) = sum_q b_q e_q, b_q = sum_p C[p,q] e_p e_j,
+    span the image of sum_p L(e_p) R(c_p) (`frobenius_ideal_by_definition`)
+    on every catalog system, on Lambda_q, where C is not symmetric, on two
+    systems in a skewed basis, and on two in a random basis, whose cells
+    have denominators.  On Lambda_-1 the ideal is 0, while C read the other
+    way round, C^T, gives the ideal spanned by xy: so the sparse form must
     read C's (p, q) as the definition does."""
     systems = [truncated_polynomial(n, f).system for n in range(1, 9) for f in (GF2, GF3, Q)]
     systems += [group_algebra(g, f).system
@@ -817,13 +816,41 @@ def test_frobenius_ideal_matches_the_dense_definition():
     lambdas = [quantum_exterior(q) for q in (2, 3, Fraction(1, 2), -1)]
     systems += lambdas
     systems += [_in_basis(truncated_polynomial(4, Q).system, _SKEW), _in_basis(lambdas[0], _SKEW)]
-    for system in systems:
+    fractional = [
+        _in_basis(truncated_polynomial(5, Q).system, _random_basis(Q, 5, seed=4)),
+        _in_basis(group_algebra(symmetric_group_3(), Q).system, _random_basis(Q, 6, seed=2)),
+    ]
+    assert all(any(x.denominator > 1 for row in system.algebra.cells for cell in row
+                   for _, x in cell) for system in fractional)
+    for system in systems + fractional:
         assert frobenius_ideal(system) == frobenius_ideal_by_definition(system), system.algebra
     exterior = lambdas[-1]
     transposed = FrobeniusSystem(exterior.algebra, exterior.trace,
                                  exterior.element_matrix.transpose())
     assert frobenius_ideal(exterior).dim == 0
     assert frobenius_ideal_by_definition(transposed).dim == 1
+
+
+def test_frobenius_ideal_sums_over_p_before_it_multiplies(monkeypatch):
+    """In a random basis of k[x]/(x^6) over GF(5) most cells and most of C
+    are nonzero.  Each column tau(e_j) is still one sparse product whose
+    terms b_q e_q pair at most dim A entries of b_q with one basis element,
+    dim A^2 pairs in all; multiplying e_p (e_j e_q) for each nonzero C[p,q]
+    would pair each of C's nonzeros with a whole cell."""
+    system = _in_basis(truncated_polynomial(6, GF5).system, _random_basis(GF5, 6, seed=1))
+    alg, n = system.algebra, system.algebra.dim
+    assert sum(len(cell) for row in alg.cells for cell in row) > n ** 3 // 2
+    assert len(system.element_matrix.nonzeros[1]) > n ** 2 // 2
+    pairs = []
+
+    def counted_products(cells, p, terms):
+        terms = [(list(u), list(v)) for u, v in terms]
+        pairs.append(sum(len(u) * len(v) for u, v in terms))
+        return algebra._sum_of_products(cells, p, terms)
+
+    monkeypatch.setattr(stab, "_sum_of_products", counted_products)
+    assert frobenius_ideal(system) == frobenius_ideal_by_definition(system)
+    assert len(pairs) == n and max(pairs) <= n * n
 
 
 def _twisted(m, twist_by):
@@ -1010,9 +1037,8 @@ def test_stable_center_matches_per_product_solve():
 def test_stable_center_reads_each_pair_of_representatives_once(monkeypatch):
     """The representatives are central, so reps[s] reps[t] = reps[t] reps[s]
     and the table reads k (k + 1) / 2 products, one per pair s <= t.  With
-    the ideal's dim A columns, the certificate's one commutator per
-    generator and representative, and the dim Z dim I absorption products,
-    that is every sparse product `stable_center` makes."""
+    the ideal's dim A columns and the dim Z dim I absorption products, that
+    is every sparse product `stable_center` makes."""
     reads, products = [], []
     complement_of = Subspace.complement_of
 
@@ -1020,9 +1046,9 @@ def test_stable_center_reads_each_pair_of_representatives_once(monkeypatch):
         reps, coords = complement_of(self, small)
         return reps, lambda v: reads.append(1) or coords(v)
 
-    def counted_products(alg, terms):
+    def counted_products(cells, p, terms):
         products.append(1)
-        return algebra._sum_of_products(alg, terms)
+        return algebra._sum_of_products(cells, p, terms)
 
     monkeypatch.setattr(Subspace, "complement_of", counted_complement)
     monkeypatch.setattr(stab, "_sum_of_products", counted_products)
@@ -1037,27 +1063,7 @@ def test_stable_center_reads_each_pair_of_representatives_once(monkeypatch):
         res = stable_center(system)
         alg, k = system.algebra, res.stable_center_dim
         assert k >= 2 and len(reads) == k * (k + 1) // 2
-        assert len(products) == (alg.dim + len(alg.generators) * k
-                                 + res.center_dim * res.ideal_dim + k * (k + 1) // 2)
-
-
-def test_stable_center_certifies_its_representatives_central(monkeypatch):
-    """A center span holding the transposition s = e_3 of s3 over GF(3)
-    keeps s as a coset representative.  The certificate raises before any
-    product is mirrored, witnessed by the first basis element that fails to
-    commute with a representative: r = e_1, which is a generator."""
-    inst = group_algebra(symmetric_group_3(), GF3)
-    alg = inst.algebra
-    patched = alg.center_basis() + Subspace.from_vectors(GF3, alg.dim, [alg.basis_vector(3)])
-    reps = dense_vectors(GF3, alg.dim, patched.complement_of(frobenius_ideal(inst.system))[0])
-    assert alg.basis_vector(3) in reps
-    want = next(i for i in range(alg.dim) for e in [alg.basis_vector(i)]
-                if any(alg.mul(e, r) != alg.mul(r, e) for r in reps))
-    assert want == 1 and want in alg.generators
-    monkeypatch.setattr(StructureAlgebra, "center_basis", lambda self: patched)
-    with pytest.raises(IdealClosureViolation) as exc:
-        stable_center(inst.system)
-    assert exc.value.witness == want
+        assert len(products) == alg.dim + res.center_dim * res.ideal_dim + k * (k + 1) // 2
 
 
 def test_stable_center_ideal_properties():
