@@ -11,8 +11,10 @@ Conventions fixed package-wide (the details are in the named functions):
   iff their stored rows are; over GF(p) each row holds its pivot's 1, and
   over Q it is the primitive integer multiple of its RREF row (`int`s with
   gcd 1 and a positive pivot entry), so over both fields the RREF row is
-  row / row[pivot], and only `_rref_row` hands it out as field scalars;
-  every producer builds those rows, and every membership test, residual
+  row / row[pivot], and only `_rref_row` hands it out as field scalars,
+  and `_over_pivots` as integers over one denominator; every producer
+  builds those rows (`_row_images` maps them to the rows of an image
+  without reducing again), and every membership test, residual
   or coordinate read reduces a sparse vector against them
   (`Subspace._residual`);
 * there is one row reduction, `_rref`, and one builder of sums of
@@ -209,6 +211,41 @@ def _rref_row(row: dict, p: int) -> dict:
         return row
     d = row[min(row)]
     return {j: Fraction(x, d) for j, x in row.items()}
+
+
+def _over_pivots(rows) -> tuple[int, list[dict]]:
+    """(D, rows): stored `Subspace` rows as integer rows over one common
+    denominator D, the lcm of their pivot entries, so that each RREF row
+    is its integer row over D and no `Fraction` is built.  Over GF(p)
+    every pivot entry is 1, so D = 1 and the rows are the stored ones."""
+    rows = list(rows)
+    pivots = [row[min(row)] for row in rows]
+    den = lcm(*pivots)
+    if den == 1:
+        return 1, rows
+    return den, [row if (k := den // x) == 1 else {j: y * k for j, y in row.items()}
+                 for row, x in zip(rows, pivots)]
+
+
+def _row_images(space: "Subspace", ambient: int, image) -> "Subspace":
+    """The subspace of F^ambient whose stored rows are the images of the
+    stored rows of `space`, in their order, under a linear map that takes
+    each RREF row of `space` to an RREF row, with its leading entry.
+
+    `image(u)` takes a stored row u to D times its image, as a sparse map
+    {column: int}, for one D > 0 over every row: over GF(p) D = 1, and the
+    sums are reduced mod p here, once; over Q the scale of u and D does not
+    matter, as each image is divided by its content (`_primitive`).  The
+    rows are kept with their columns in order, as every producer keeps
+    them."""
+    p = space.field.characteristic
+    rows = {}
+    for u in space.rows.values():
+        w = image(u)
+        w = {t: y for t in sorted(w) if (y := w[t] % p if p else w[t])}
+        c = next(iter(w))
+        rows[c] = w if p else _primitive(w, c)
+    return Subspace(space.field, ambient, rows)
 
 
 def _cleared(pairs, zero) -> tuple[int, list[tuple[int, int]]]:
@@ -732,16 +769,12 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The RREF basis as a dim x ambient matrix of the stored rows: over
-        Q, over the lcm of their pivot entries, with no `Fraction` built."""
+        """The RREF basis as a dim x ambient matrix of the stored rows, over
+        the lcm of their pivot entries (`_over_pivots`)."""
         a = self.ambient
-        if self.field.kind == RATIONAL:
-            den = lcm(*[row[c] for c, row in self.rows.items()])
-            nz = [(t * a + j, x * (den // row[c]))
-                  for t, (c, row) in enumerate(self.rows.items()) for j, x in row.items()]
-            return Matrix(self.field, self.dim, a, (den, nz))
-        nz = [(t * a + j, x) for t, row in enumerate(self.rows.values()) for j, x in row.items()]
-        return Matrix(self.field, self.dim, a, (1, nz))
+        den, rows = _over_pivots(self.rows.values())
+        nz = [(t * a + j, x) for t, row in enumerate(rows) for j, x in row.items()]
+        return Matrix(self.field, self.dim, a, (den, nz))
 
     def basis_vectors(self) -> list[tuple]:
         return [self.basis.row(i) for i in range(self.dim)]
@@ -834,6 +867,13 @@ class Subspace:
         reduced against the end rows, which clears every end and leaves the
         kept rows' coefficients.
         """
+        kept, coords = self._complement(small)
+        p = self.field.characteristic
+        return [_rref_row(row, p) for row in kept], coords
+
+    def _complement(self, small: "Subspace") -> tuple[list[dict], Callable]:
+        """`complement_of` with the kept rows as they are stored, for a
+        reader that takes them over one denominator (`_over_pivots`)."""
         self._require_inside(small, "complement of")
         k = self.dim
         at = {pc: k - 1 - t for t, pc in enumerate(self.pivots)}
@@ -849,5 +889,4 @@ class Subspace:
             x = ends._residual({at[j]: y for j, y in v.items() if j in at})
             return sorted((rep_of[u], y) for u, y in x.items())
 
-        p = self.field.characteristic
-        return [_rref_row(rows[t], p) for t in kept], coords
+        return [rows[t] for t in kept], coords

@@ -34,7 +34,7 @@ from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_ke
 from .algebra import _check_entries, _first_failing, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, linear_combination
-from .linalg import _canonical, _integers, _rref, _rref_row, _sparse_apply
+from .linalg import _canonical, _integers, _over_pivots, _rref, _rref_row, _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
 
@@ -132,15 +132,15 @@ class _Presentation(NamedTuple):
     """M as a quotient of A^s: `seeds` are the basis indices g_1 < ... <
     g_s of its generators; `relations` are the (q, K_q) with K_q[k, j] the
     coefficient of e_q in slot j of the k-th of `count` generators of
-    ker pi; and M's basis vectors are read back from A^s as e_(g_j) =
-    E[:, j] and, for the other i, e_i = sum of S_q[i, j] rho(e_q) e_(g_j)
-    over the (q, S_q) in `preimages`."""
+    ker pi; and every other basis vector is e_i = sum of S_q[i, j] rho(e_q)
+    e_(g_j).  `preimages` is (D, by_seed): by_seed[j] lists the (i, q, y)
+    with S_q[i, j] = y / D, as integers over the one denominator D (D = 1
+    over GF(p))."""
 
     seeds: tuple[int, ...]
     count: int
     relations: tuple[tuple[int, Matrix], ...]
-    at_seeds: Matrix
-    preimages: tuple[tuple[int, Matrix], ...]
+    preimages: tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]
 
 
 def _present(m: ModuleRep) -> _Presentation:
@@ -151,9 +151,10 @@ def _present(m: ModuleRep) -> _Presentation:
     per basis vector, so it ends even on input that is not a module).  One
     `_rref` of the rows [rho(e_q) e_(g_j) | e_(j,q)] over (j, q) then gives
     both halves: the row [v | c] holds pi(c) = v, so a row with pivot i <
-    dim M holds a preimage of e_i, read as its RREF row (`_rref_row`), and
-    the rows with pivot past dim M span ker pi.  Of those, a row is kept as
-    a relation generator iff it lies outside span{e_q kappa}, the
+    dim M holds a preimage of e_i, its RREF row read over one denominator
+    (`_over_pivots`) and listed under the seeds it reaches, and the rows
+    with pivot past dim M span ker pi.  Of those, a row is kept as a
+    relation generator iff it lies outside span{e_q kappa}, the
     submodule generated by the kept ones, whose left multiples are read
     off the structure constants.
     """
@@ -168,11 +169,16 @@ def _present(m: ModuleRep) -> _Presentation:
     reduced = _rref(rows, d + s * a, p)
     kernel = [{t - d: x for t, x in row.items()} for c, row in reduced.items() if c >= d]
     gens = _greedy(f, s * a, kernel, lambda v: _left_multiples(alg, v))
-    preimages = [(c, {t - d: x for t, x in _rref_row(row, p).items() if t >= d})
-                 for c, row in reduced.items() if c < d and c not in seeds]
-    at_seeds = Matrix(f, d, s, (1, [(g * s + j, 1) for j, g in enumerate(seeds)]))
+    den, preimages = _over_pivots(row for c, row in reduced.items() if c < d and c not in seeds)
+    by_seed: list[list] = [[] for _ in seeds]
+    for row in preimages:
+        i = min(row)
+        for t, y in row.items():
+            if t >= d:
+                j, q = divmod(t - d, a)
+                by_seed[j].append((i, q, y))
     return _Presentation(tuple(seeds), len(gens), _matrices(f, a, s, len(gens), enumerate(gens)),
-                         at_seeds, _matrices(f, a, s, d, preimages))
+                         (den, tuple(map(tuple, by_seed))))
 
 
 def _matrices(f, a: int, s: int, nrows: int, rows) -> tuple[tuple[int, Matrix], ...]:

@@ -27,6 +27,7 @@ through endomorphisms of A as a bimodule over A (x) A^op.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     AlgebraMismatch,
@@ -35,11 +36,10 @@ from .errors import (
     NotAGroupAlgebra,
 )
 from .catalog import group_algebra
-from .exactfield import RATIONAL
 from .algebra import _integer_cells, _sum_of_products
 from .frobenius import FrobeniusSystem, enveloping_system
 from .linalg import Matrix, Subspace, kron, kron_image, kron_kernel, kron_sum
-from .linalg import _dense, _integers, _primitive, _rref
+from .linalg import _dense, _over_pivots, _row_images, _rref
 from .modrep import (
     ModuleRep,
     _surjection_terms,
@@ -69,18 +69,17 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     These s dim N unknowns, ordered (j, row), are the common kernel of the
     Kronecker terms (1, K_q, rho_N(e_q)), solved by one `kron_kernel`.
 
-    Each canonical kernel row u is taken to vec(H) = B u: H e_(g_j) = n_j,
-    and H e_i = sum S_q[i, j] rho_N(e_q) n_j for the preimage of any other
-    e_i, so B = kron(E, I) + sum_q kron(S_q, rho_N(e_q)), one `kron_sum`
-    applied to the kernel's basis.  The seeds are greedy in basis order,
-    so every e_i with i < g_j lies in the submodule generated by g_1 ...
-    g_(j-1); if u leads at (j, r), H vanishes on it and vec(H) leads at
-    (g_j, r) with u's entry.  So the leading positions keep their order,
-    and each pivot entry of vec(H) is the matching entry of u: the
+    Each stored kernel row u is mapped to vec(H) directly: H e_(g_j) = n_j,
+    and H e_i = sum of S_q[i, j] rho_N(e_q) n_j over the (i, q, S_q[i, j])
+    that the presentation lists for seed j, with S_q and rho_N(e_q) read
+    as integers over one common denominator.  The seeds are greedy in
+    basis order, so every e_i with i < g_j lies in the submodule generated
+    by g_1 ... g_(j-1); if u leads at (j, r), H vanishes on it and vec(H)
+    leads at (g_j, r) with u's entry.  So the leading positions keep their
+    order, and each pivot entry of vec(H) is the matching entry of u: the
     kernel's RREF rows go to the RREF rows of Hom_A(M, N), with no second
-    reduction.  They are read as the integer nonzeros of the product over
-    its denominator D; over Q each row, whose pivot entry is D, is divided
-    by its content into the form a `Subspace` stores (`_primitive`).
+    reduction (`linalg._row_images`, which over Q divides each row by its
+    content and over GF(p) reduces it mod p).
     """
     m.same_algebra(n_)
     pres = m._presentation
@@ -88,16 +87,35 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
     kernel = kron_kernel(f, pres.count * dn, s * dn, [
         (1, k_q, n_.action[q]) for q, k_q in pres.relations
     ])
-    back = kron_sum(f, m.dim * dn, s * dn, [(1, pres.at_seeds, Matrix.identity(f, dn))] + [
-        (1, s_q, n_.action[q]) for q, s_q in pres.preimages
-    ])
-    rows: dict[int, dict] = {}
-    for t, x in (kernel.basis @ back.transpose()).nonzeros[1]:
-        rows.setdefault(t // back.nrows, {})[t % back.nrows] = x
-    by_pivot = {min(row): row for row in rows.values()}
-    if f.kind == RATIONAL:
-        by_pivot = {c: _primitive(row, c) for c, row in by_pivot.items()}
-    return Subspace(f, back.nrows, by_pivot)
+    den, by_seed = pres.preimages
+    used = {q for terms in by_seed for _, q, _ in terms}
+    d = den * lcm(*[n_.action[q].nonzeros[0] for q in used])
+    cols: dict[int, list] = {}  # column l of rho_N(e_q), times d / den, as (k, int) pairs
+    for q in used:
+        dq, nz = n_.action[q].nonzeros
+        scale = d // (den * dq)
+        cols[q] = col = [[] for _ in range(dn)]
+        for t, z in nz:
+            col[t % dn].append((t // dn, z * scale))
+
+    def image(u: dict) -> dict:
+        blocks: dict[int, list] = {}  # n_j as (l, x) pairs
+        for t, x in u.items():
+            blocks.setdefault(t // dn, []).append((t % dn, x))
+        w = {}
+        for j, n_j in blocks.items():
+            base = pres.seeds[j] * dn
+            for l, x in n_j:
+                w[base + l] = d * x
+            for i, q, y in by_seed[j]:
+                base, col = i * dn, cols[q]
+                for l, x in n_j:
+                    x *= y
+                    for k, z in col[l]:
+                        w[base + k] = w.get(base + k, 0) + x * z
+        return w
+
+    return _row_images(kernel, m.dim * dn, image)
 
 
 def _operator_terms(system: FrobeniusSystem, m_t, n_: ModuleRep):
@@ -146,10 +164,11 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     f = m.algebra.field
     null = kron_image(f, n_.dim * m.dim, len(m._dual_seeds) * n_.dim,
                       _operator_terms(system, m._at_dual_seeds, n_))
-    # complement_of raises NotASubspace if a null-homotopic map is not A-linear.
-    # A row holds vec(H), which read row-major is H^T.
-    reps = [Matrix(f, m.dim, n_.dim, _integers(f, row.items())).transpose()
-            for row in hom.complement_of(null)[0]]
+    # _complement raises NotASubspace if a null-homotopic map is not A-linear.
+    # Its kept rows are stored rows, read over one denominator; a row holds
+    # vec(H), which read row-major is H^T.
+    den, rows = _over_pivots(hom._complement(null)[0])
+    reps = [Matrix(f, m.dim, n_.dim, (den, row.items())).transpose() for row in rows]
     return StableHomResult(hom.dim, null.dim, hom.dim - null.dim, hom, null, reps)
 
 

@@ -325,6 +325,38 @@ def hom_by_generators(m: ModuleRep, n_: ModuleRep) -> Subspace:
     ))
 
 
+def hom_by_back_matrix(m: ModuleRep, n_: ModuleRep) -> Subspace:
+    """Hom_A(M, N) on M's presentation with the back map built as a matrix:
+    the kernel that `stab.hom_A` solves, times B^T for B = kron(E, I) +
+    sum_q kron(S_q, rho_N(e_q)), one `kron_sum`, with E[g_j, j] = 1 at
+    the seeds and the S_q read off the presentation's preimages.  The
+    product's integer rows are keyed by their leading column and, over Q,
+    divided by their content.  The oracle for `hom_A`'s direct map of each
+    kernel row."""
+    m.same_algebra(n_)
+    pres = m._presentation
+    f, s, dn = m.algebra.field, len(pres.seeds), n_.dim
+    kernel = kron_kernel(f, pres.count * dn, s * dn, [
+        (1, k_q, n_.action[q]) for q, k_q in pres.relations
+    ])
+    den, by_seed = pres.preimages
+    s_q: dict[int, list] = {}
+    for j, terms in enumerate(by_seed):
+        for i, q, y in terms:
+            s_q.setdefault(q, []).append((i * s + j, y))
+    at_seeds = Matrix(f, m.dim, s, (1, [(g * s + j, 1) for j, g in enumerate(pres.seeds)]))
+    back = kron_sum(f, m.dim * dn, s * dn, [(1, at_seeds, Matrix.identity(f, dn))] + [
+        (1, Matrix(f, m.dim, s, (den, nz)), n_.action[q]) for q, nz in sorted(s_q.items())
+    ])
+    rows: dict[int, dict] = {}
+    for t, x in (kernel.basis @ back.transpose()).nonzeros[1]:
+        rows.setdefault(t // back.nrows, {})[t % back.nrows] = x
+    by_pivot = {min(row): row for row in rows.values()}
+    if not f.characteristic:
+        by_pivot = {c: linalg._primitive(row, c) for c, row in by_pivot.items()}
+    return Subspace(f, back.nrows, by_pivot)
+
+
 def null_by_full_operator(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Subspace:
     """The image of T on all of Hom_k(M, N): `kron_image` over its dim M
     dim N columns, one Kronecker term (C[p,q], action_M(e_q)^T,

@@ -119,6 +119,29 @@ def test_stable_hom_reads_module_actions_as_they_are():
     assert calls == []
 
 
+def test_hom_maps_its_kernel_rows_without_a_back_matrix():
+    """`stab.hom_A` maps each kernel row to vec(H) straight from the
+    presentation's preimages and the actions' nonzeros: it calls no
+    `kron_sum`, `kron`, `identity` or `transpose`, reads no `.basis`, and
+    uses no `@`."""
+    path = Path(frobstab.__file__).parent / "stab.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "hom_A"]
+    banned = {"kron_sum", "kron", "identity", "transpose"}
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in banned:
+                found.append(f"{node.lineno}:{called}")
+        elif isinstance(node, ast.Attribute) and node.attr == "basis":
+            found.append(f"{node.lineno}:.basis")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}:@")
+    assert found == []
+
+
 def test_stable_center_reads_its_quotient_off_one_reduction():
     """`stab.stable_center` and `stab.frobenius_ideal` multiply sparse rows
     through `algebra._sum_of_products`, and `stable_center` reads its table

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 from fractions import Fraction
 from unittest import mock
@@ -51,7 +52,7 @@ from frobstab.stab import (
 )
 from helpers import (
     assert_stored_rows, dense_vectors, exact_kernel, frobenius_ideal_by_definition, full_subspace,
-    hom_by_generators, integer_rows, kron_sum_by_definition, multiplication_surjection,
+    hom_by_back_matrix, hom_by_generators, integer_rows, kron_sum_by_definition, multiplication_surjection,
     norm_image_by_full_columns, dual_bases, null_by_full_operator, quantum_exterior,
     quantum_exterior_module, quotient_action, reduce_by_definition, restricted_action, stack_rows,
     unvec, zeros,
@@ -174,6 +175,64 @@ def test_hom_matches_kron_built_kernel(case):
     got = hom_A(m, n_)
     assert got == hom_by_generators(m, n_)
     assert got == _full_basis_hom(m, n_)
+
+
+@st.composite
+def _back_map_case(draw):
+    """A pair (M, N): a `_hom_case` pair, or a pair among V_i, the zero
+    module and a direct sum of two or three V_i in a random basis, over
+    GF(2), GF(3), GF(5) or Q.  That sum has several seeds, and a column
+    of some S_q of its presentation has several nonzeros."""
+    if draw(st.booleans()):
+        return draw(_hom_case())
+    field = draw(st.sampled_from([GF2, GF3, GF5, Q]))
+    n = draw(st.integers(1, 3))
+    parts = [truncated_module(n, draw(st.integers(0, n - 1)), field)
+             for _ in range(draw(st.integers(2, 3)))]
+    pool = [free_module(truncated_polynomial(n, field).algebra, 0), parts[0],
+            _random_conjugate(draw, direct_sum(parts))]
+    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+def _stored(space):
+    return repr((space.ambient, list(space.rows.items())))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_back_map_case())
+def test_hom_maps_kernel_rows_as_the_back_matrix_does(case):
+    # Each stored kernel row, mapped straight to vec(H), is the row that
+    # the back map B = kron(E, I) + sum_q kron(S_q, rho_N(e_q)), built as
+    # a matrix and multiplied, gives: the same stored rows, with the same
+    # columns in the same order, in the same pivot order.
+    m, n_ = case
+    assert _stored(hom_A(m, n_)) == _stored(hom_by_back_matrix(m, n_))
+
+
+def test_hom_maps_kernel_rows_with_no_matrix_product(monkeypatch):
+    # A direct sum of V1 and V2 over k[x]/(x^3) in a random basis, over
+    # GF(5) and Q: two seeds, and a seed whose preimage terms reach two
+    # basis vectors through one e_q, so a column of S_q has two nonzeros.
+    # hom_A maps its kernel rows with no Matrix product, as the back
+    # matrix oracle agrees, and over the zero algebra it is everything.
+    for field in (GF5, Q):
+        m = _conjugated(direct_sum([truncated_module(3, i, field) for i in (1, 2)]), 3)
+        n_ = _conjugated(truncated_module(3, 2, field), 4)
+        _, by_seed = m._presentation.preimages
+        column_sizes = collections.Counter((j, q) for j, terms in enumerate(by_seed)
+                                           for _, q, _ in terms)
+        assert len(by_seed) == 2 and max(column_sizes.values()) >= 2
+        products = []
+        matmul = Matrix.__matmul__
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+            got = [hom_A(x, y) for x in (m, n_) for y in (m, n_)]
+        assert products == []
+        assert [_stored(h) for h in got] == [_stored(hom_by_back_matrix(x, y))
+                                             for x in (m, n_) for y in (m, n_)]
+    zero_alg = StructureAlgebra(GF3, 0, [], ())
+    x = ModuleRep(zero_alg, 2, ())
+    assert _stored(hom_A(x, x)) == _stored(hom_by_back_matrix(x, x)) == _stored(full_subspace(GF3, 4))
 
 
 def test_hom_solves_one_block_per_generator(monkeypatch):
@@ -429,6 +488,36 @@ def test_inclusion_checks_over_q_build_no_fraction(monkeypatch):
             check(bad)
         assert raised.value.witness == want[0]
     assert not hom.contains_subspace(bad)
+
+
+def test_stable_hom_builds_its_representatives_with_no_fraction(monkeypatch):
+    # The coset representatives of a conjugated V6 -> V3 over k[x]/(x^10),
+    # Q, are built from the stored rows of Hom_A over their pivot entries
+    # (`linalg._over_pivots`).  With Hom_A and the image of T computed
+    # beforehand, stable_hom builds no Fraction, and each representative
+    # is the map H whose vec(H) is a kept RREF row of `complement_of`.
+    inst = truncated_polynomial(10, Q)
+    m = _conjugated(truncated_module(10, 6, Q), 1)
+    n_ = _conjugated(truncated_module(10, 3, Q), 2)
+    first = stable_hom(inst.system, m, n_)
+    hom, null = first.hom_basis, first.null_basis
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stab, "hom_A", lambda *args: hom)
+        patch.setattr(stab, "kron_image", lambda *args: null)
+        patch.setattr(linalg, "Fraction", Counting)
+        result = stable_hom(inst.system, m, n_)
+    assert made == []
+    rows = dense_vectors(Q, hom.ambient, hom.complement_of(null)[0])
+    assert result.coset_reps == first.coset_reps == [unvec(Q, v, n_.dim, m.dim) for v in rows]
+    assert len(rows) == result.stable_dim > 0
+    assert any(x.denominator > 1 for rep in result.coset_reps for x in rep.entries)
 
 
 def test_hom_of_a_dense_regular_module_over_q(monkeypatch):
