@@ -99,20 +99,14 @@ def hom_A(m: ModuleRep, n_: ModuleRep) -> Subspace:
             col[t % dn].append((t // dn, z * scale))
 
     def image(u: dict) -> dict:
-        blocks: dict[int, list] = {}  # n_j as (l, x) pairs
-        for t, x in u.items():
-            blocks.setdefault(t // dn, []).append((t % dn, x))
         w = {}
-        for j, n_j in blocks.items():
-            base = pres.seeds[j] * dn
-            for l, x in n_j:
-                w[base + l] = d * x
+        for t, x in u.items():  # x is entry l of n_j
+            j, l = divmod(t, dn)
+            w[pres.seeds[j] * dn + l] = d * x
             for i, q, y in by_seed[j]:
-                base, col = i * dn, cols[q]
-                for l, x in n_j:
-                    x *= y
-                    for k, z in col[l]:
-                        w[base + k] = w.get(base + k, 0) + x * z
+                base, y = i * dn, y * x
+                for k, z in cols[q][l]:
+                    w[base + k] = w.get(base + k, 0) + y * z
         return w
 
     return _row_images(kernel, m.dim * dn, image)
