@@ -437,8 +437,8 @@ def test_hom_over_q_takes_the_certified_route(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(_conjugated_pair_over_q())
 def test_hom_and_null_over_q_store_primitive_integer_rows(case):
-    # hom_A builds its rows from the integer nonzeros of one product and
-    # divides each by its content; they, and the null space's rows, are
+    # hom_A maps its integer kernel rows straight to Hom_A and divides
+    # each image by its content; they, and the null space's rows, are
     # the canonical stored rows that from_vectors gives on the same span.
     system, m, n_, _ = case
     result = stable_hom(system, m, n_)
