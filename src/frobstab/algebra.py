@@ -191,7 +191,7 @@ class StructureAlgebra:
         """
         f, n = self.field, self.dim
         p = f.characteristic
-        span = Subspace(f, n, _rref(_sparse_rows(f, [self.unit], n), n, p))
+        span = Subspace(f, n, _rref(_sparse_rows(f, [self.unit], n), p))
 
         def times(g, v):
             return _sum_of_products(self.cells, p, [(((g, 1),), v.items())])
@@ -205,7 +205,7 @@ class StructureAlgebra:
             while frontier:
                 added = [v for v in frontier if span._residual(dict(v))]
                 frontier = [times(g, v) for v in added for g in kept]
-                span = Subspace(f, n, _rref([*map(dict, span.rows.values()), *added], n, p))
+                span = Subspace(f, n, _rref([*map(dict, span.rows.values()), *added], p))
         return tuple(kept)
 
     @functools.cached_property

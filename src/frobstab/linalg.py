@@ -17,10 +17,12 @@ Conventions fixed package-wide (the details are in the named functions):
   without reducing again), and every membership test, residual
   or coordinate read reduces a sparse vector against them
   (`Subspace._residual`);
-* there is one row reduction, `_rref`, and one builder of sums of
-  Kronecker products, `_kron_rows`, which returns integer rows over one
-  common denominator; `kron_kernel` and `kron_image` reduce those rows
-  without building the sum;
+* there is one row reduction, `_rref`: one sparse insertion loop for both
+  fields, on residues over GF(p) and on plain integers over Q, so kernels
+  (`_row_kernel`) and images are exact over both; and there is one builder
+  of sums of Kronecker products, `_kron_rows`, which returns integer rows
+  over one common denominator; `kron_kernel` and `kron_image` reduce those
+  rows without building the sum;
 * maps are vectorized column-major, vec(X) stacking the columns of X,
   which gives the identity vec(A @ X @ B) == kron(B.transpose(), A) @ vec(X);
 * every result holds residues in [0, p) over GF(p), and over Q gives the
@@ -47,14 +49,52 @@ def _check_same_field(a: Field, b: Field) -> None:
         raise FieldMismatch(f"mixed fields {a} and {b}")
 
 
-def _rref(rows: list[dict], ncols: int, p: int) -> dict[int, dict]:
-    """The one row reduction: the RREF of sparse rows {column: nonzero},
-    as {pivot column: its row} in column order, each row in the form a
-    `Subspace` stores.  Over GF(p) the rows hold residues in [1, p) and go
-    to `_rref_sparse`, whose rows are the RREF rows; over Q (p = 0) they
-    hold `int`s or `Fraction`s and go to the exact `_rref_rational`, whose
-    rows are their primitive integer multiples.  The rows are consumed."""
-    return _rref_sparse(rows, p) if p else _rref_rational(rows, ncols)
+def _rref(rows: list[dict], p: int) -> dict[int, dict]:
+    """The one row reduction: the RREF of sparse rows {column: nonzero}
+    (residues in [1, p) over GF(p); over Q, p = 0, `int`s or `Fraction`s,
+    which `_content_free` turns into integer rows), as {pivot column: its
+    row} in column order, each row in the form a `Subspace` stores.  The
+    rows are consumed.
+
+    Each row is inserted against the pivot rows found so far, each kept as
+    its pivot entry and the rest: while its leading column is a pivot
+    column, the row loses that pivot row's multiple (`_eliminate`); a row
+    left with a new leading column becomes a pivot row (`_normal`), and a
+    row that cancels is dropped.  One back-substitution pass, from the
+    last pivot to the first, then clears the other pivot columns, since
+    the later pivot rows are already reduced.
+    """
+    tails: dict[int, dict] = {}  # pivot column -> the rest of its row
+    lead: dict[int, int] = {}  # pivot column -> its entry, over Q (1 over GF(p))
+    for row in rows:
+        if not p:
+            row = _content_free(row)
+        while row:
+            c = min(row)
+            g = row.pop(c)
+            tail = tails.get(c)
+            if tail is None:
+                if g != 1:
+                    g = _normal(row, g, p)
+                if not p:
+                    lead[c] = g
+                tails[c] = row
+                break
+            _eliminate(row, g, tail, 1 if p else lead[c], p)
+    cols = sorted(tails)
+    for c in reversed(cols):
+        row = tails[c]
+        hits = [j for j in row if j in tails]
+        if hits:
+            row[c] = 1 if p else lead[c]  # scaled and divided with the row
+            for j in hits:
+                _eliminate(row, row.pop(j), tails[j], 1 if p else lead[j], p)
+            g = row.pop(c)
+            if not p:
+                lead[c] = g
+    for c in cols:
+        tails[c][c] = 1 if p else lead[c]
+    return {c: tails[c] for c in cols} if p else {c: _primitive(tails[c], c) for c in cols}
 
 
 def _sparse_rows(field: Field, vectors, ncols: int) -> list[dict]:
@@ -78,117 +118,65 @@ def _dense(row: dict, ncols: int, zero) -> list:
     return out
 
 
-def _rref_sparse(rows: list[dict], p: int) -> dict[int, dict]:
-    """RREF over GF(p) of sparse rows {column: nonzero int in [0, p)}.
-
-    Returns {pivot column: its RREF row}, in column order; each row holds
-    its pivot's 1.  The rows are consumed.  Each row is inserted against
-    the pivot rows found so far: while its leading column is a pivot
-    column, it loses that multiple of the pivot row.  A row left with a
-    new leading column becomes a pivot row, normalised once, and a row
-    that cancels is dropped.  Pivot rows are then in echelon form; one
-    back-substitution pass, from the last pivot to the first, clears the
-    other pivot columns, since the later pivot rows are already reduced.
-    """
-    tails: dict[int, dict] = {}  # pivot column -> the rest of its row
-    for row in rows:
-        while row:
-            c = min(row)
-            g = row.pop(c)
-            tail = tails.get(c)
-            if tail is None:
-                if g != 1:
-                    g = pow(g, -1, p)
-                    for j, x in row.items():
-                        row[j] = x * g % p
-                tails[c] = row
-                break
-            _sub_multiple(row, g, tail, p)
-    cols = sorted(tails)
-    for c in reversed(cols):
-        row = tails[c]
-        for j in [j for j in row if j in tails]:
-            _sub_multiple(row, row.pop(j), tails[j], p)
-    for c in cols:
-        tails[c][c] = 1
-    return {c: tails[c] for c in cols}
-
-
-def _sub_multiple(row: dict, g: int, other: dict, p: int) -> None:
-    """row -= g * other over GF(p), for g and the entries of other nonzero.
-
-    Each product is nonzero mod p, so an entry cancels only where row had
-    one, and that entry is deleted.
-    """
-    for j, y in other.items():
-        x = (row.get(j, 0) - g * y) % p
+def _eliminate(row: dict, g: int, tail: dict, a: int, p: int) -> None:
+    """Clear the entry g just popped from row with the pivot row of pivot
+    entry a and rest `tail`, in place.  Over GF(p), a = 1 and row loses g
+    times tail.  Over Q it loses (g // a) times tail if a divides g, and
+    otherwise, with h = gcd(a, g), it is scaled by a/h, loses (g/h) times
+    tail and is divided by its content, which keeps its entries small.
+    An entry that cancels is deleted."""
+    if p:
+        for j, y in tail.items():
+            x = (row.get(j, 0) - g * y) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        return
+    s = 1
+    if g % a:
+        s = gcd(a, g)
+        s, g = a // s, g // s
+        for j in row:
+            row[j] *= s
+    else:
+        g //= a
+    for j, y in tail.items():
+        x = row.get(j, 0) - g * y
         if x:
             row[j] = x
         else:
             del row[j]
+    if s != 1 and row and (h := gcd(*row.values())) > 1:
+        for j, x in row.items():
+            row[j] = x // h
 
 
-def _rref_rational(rows: list[dict], ncols: int) -> dict[int, dict]:
-    """Fraction-free Gauss-Jordan over Q; the rational route of `_rref`.
+def _normal(tail: dict, g: int, p: int) -> int:
+    """Normalise the new pivot row of pivot entry g != 1 and rest `tail` in
+    place, and return its pivot entry: 1 over GF(p); over Q the row is
+    divided by its content, signed so that the pivot entry is positive."""
+    if p:
+        g = pow(g, -1, p)
+        for j, x in tail.items():
+            tail[j] = x * g % p
+        return 1
+    h = gcd(g, *tail.values())
+    if g < 0:
+        h = -h
+    if h != 1:
+        for j, x in tail.items():
+            tail[j] = x // h
+    return g // h
 
-    Each sparse row {column: int or Fraction} is cleared of denominators
-    and scaled once to a primitive dense integer row.  To clear an entry
-    g against the pivot p, the row loses (g // p) times the pivot row if p
-    divides g; otherwise, with h = gcd(p, g), it is scaled by p/h, loses
-    (g/h) times the pivot row and is divided by its content.  Pivot rows
-    are not normalized during elimination.  Each finished row is the
-    primitive integer multiple of its RREF row that a `Subspace` stores: it
-    is divided by its content, with the sign that makes its pivot entry
-    positive (`_primitive`), and no `Fraction` is built.
-    """
-    work = []
-    for row in rows:
-        ints = [0] * ncols
-        for j, n in _cleared(row.items(), None)[1]:  # sparse: no zero object
-            ints[j] = n
-        h = gcd(*ints)
-        work.append([x // h for x in ints] if h > 1 else ints)
-    nrows = len(work)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if work[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-        piv = work[r]
-        p = piv[c]
-        support = [(j, piv[j]) for j in range(c, ncols) if piv[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = work[i]
-            g = row[c]
-            if not g:
-                continue
-            if g % p == 0:
-                q = g // p
-                for j, y in support:
-                    row[j] -= q * y
-            else:
-                h = gcd(p, g)
-                a, b = p // h, g // h
-                row = [a * x for x in row]
-                for j, y in support:
-                    row[j] -= b * y
-                h = gcd(*row)
-                work[i] = [x // h for x in row] if h > 1 else row
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return {c: _primitive({j: x for j, x in enumerate(work[t]) if x}, c)
-            for t, c in enumerate(piv_cols)}
+
+def _content_free(row: dict) -> dict:
+    """A sparse row of nonzero `int`s or `Fraction`s as a fresh integer row:
+    times the lcm of its denominators, divided by its content."""
+    d = lcm(*[x.denominator for x in row.values()])
+    ints = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+    h = gcd(*ints.values())
+    return {j: x // h for j, x in ints.items()} if h > 1 else ints
 
 
 def _primitive(row: dict, pivot: int) -> dict:
@@ -235,9 +223,8 @@ def _row_images(space: "Subspace", ambient: int, image) -> "Subspace":
     `image(u)` takes a stored row u to D times its image, as a sparse map
     {column: int}, for one D > 0 over every row: over GF(p) D = 1, and the
     sums are reduced mod p here, once; over Q the scale of u and D does not
-    matter, as each image is divided by its content (`_primitive`).  The
-    rows are kept with their columns in order, as every producer keeps
-    them."""
+    matter, as each image is divided by its content (`_primitive`).  Each
+    row is kept with its columns in order, so its first is its pivot."""
     p = space.field.characteristic
     rows = {}
     for u in space.rows.values():
@@ -263,58 +250,6 @@ def _integers(field: Field, pairs) -> tuple[int, list[tuple[int, int]]]:
     """(t, x) pairs of field scalars (residues in [1, p) over GF(p)) as
     `Matrix.nonzeros` holds them."""
     return _cleared(pairs, field.zero) if field.kind == RATIONAL else (1, pairs)
-
-
-# The prime of the certified kernel route over Q, and the bound on the
-# numerators and denominators it reconstructs.  2 * (_RECON_BOUND - 1)^2 < _P,
-# so a residue mod _P has at most one preimage n/d with |n|, d < _RECON_BOUND
-# (Wang 1981), and the half-extended Euclid of `_reconstruct` finds it.
-_P = (1 << 61) - 1
-_RECON_BOUND = 1 << 30
-
-
-def _reconstruct(u: int) -> "Fraction | None":
-    """The n/d with |n|, d < _RECON_BOUND and n = u * d mod _P, for u in
-    (0, _P), or None if the half-extended Euclid on (_P, u) finds none."""
-    r0, r1, t0, t1 = _P, u, 0, 1
-    while r1 >= _RECON_BOUND:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if -_RECON_BOUND < t1 < _RECON_BOUND:
-        return Fraction(r1, t1)
-    return None
-
-
-def _certified_lift(basis: dict[int, dict], cols: list[list[tuple]]) -> "dict[int, dict] | None":
-    """The rows of `basis` (an RREF mod _P of a kernel) lifted to Q, each
-    checked to be in the kernel of the integer matrix whose column j holds
-    the (row, value) pairs cols[j]; None if an entry has no reconstruction
-    or a lifted row v fails A . v = 0.  The check clears v of denominators,
-    den v with den the lcm of the reduced denominators, and sums over its
-    support's columns only: nnz(A) products at most.  That integer row is
-    what is returned: it is primitive, by the choice of den, and its pivot
-    entry is den > 0, so it is the form a `Subspace` stores."""
-    lifted = {}
-    for c, row in basis.items():
-        v = {}
-        den = 1
-        for j, u in row.items():
-            if j != c:
-                x = _reconstruct(u)
-                if x is None:
-                    return None
-                v[j] = x
-                den = lcm(den, x.denominator)
-        ints = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
-        ints[c] = den
-        acc: dict[int, int] = {}
-        for j, s in ints.items():
-            for i, y in cols[j]:
-                acc[i] = acc.get(i, 0) + s * y
-        if any(acc.values()):
-            return None
-        lifted[c] = ints
-    return lifted
 
 
 @dataclass(frozen=True)
@@ -467,7 +402,7 @@ class Matrix:
     # reductions ------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_rref(_integer_rows(self), self.ncols, self.field.characteristic))
+        return len(_rref(_integer_rows(self), self.field.characteristic))
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace of F^ncols."""
@@ -480,7 +415,7 @@ class Matrix:
         for t, n in self.nonzeros[1]:
             i, j = divmod(t, self.ncols)
             cols[j][i] = n
-        return Subspace(self.field, self.nrows, _rref(cols, self.nrows, self.field.characteristic))
+        return Subspace(self.field, self.nrows, _rref(cols, self.field.characteristic))
 
     def inverse(self) -> "Matrix | None":
         """Inverse of a square matrix, or None if singular: the right half
@@ -494,7 +429,7 @@ class Matrix:
         for i, row in enumerate(rows):
             row[n + i] = d
         p = self.field.characteristic
-        piv = _rref(rows, 2 * n, p)
+        piv = _rref(rows, p)
         if list(piv) != list(range(n)):
             return None
         right = [(i * n + j - n, x) for i, row in enumerate(piv.values())
@@ -507,7 +442,7 @@ class Matrix:
             raise DimensionMismatch("rhs length mismatch")
         n, zero, p = self.ncols, self.field.zero, self.field.characteristic
         aug = [self.row(i) + (b[i],) for i in range(self.nrows)]
-        piv = _rref(_sparse_rows(self.field, aug, n + 1), n + 1, p)
+        piv = _rref(_sparse_rows(self.field, aug, n + 1), p)
         if n in piv:
             return None
         x = [zero] * n
@@ -517,7 +452,8 @@ class Matrix:
 
 
 def _integer_rows(m: Matrix) -> list[dict]:
-    """d times m's rows, as fresh sparse maps {column: n} for `_row_kernel`."""
+    """d times m's rows, as fresh sparse maps {column: n} for `_rref` and
+    `_row_kernel`; scaling the rows keeps their span and their kernel."""
     rows: list[dict] = [{} for _ in range(m.nrows)]
     for t, n in m.nonzeros[1]:
         i, j = divmod(t, m.ncols)
@@ -526,59 +462,28 @@ def _integer_rows(m: Matrix) -> list[dict]:
 
 
 def _row_kernel(field: Field, rows: list[dict], ncols: int) -> "Subspace":
-    """{v : r . v = 0 for every row r}, for sparse integer rows {column: int}.
-
-    Over GF(p) the rows hold residues in [1, p) and go to `_sparse_kernel`,
-    which consumes them.  Over Q the kernel is first solved mod the prime
-    _P by `_sparse_kernel`; each entry of that RREF basis is lifted to Q by
-    rational reconstruction and every lifted row v is checked exactly,
-    A . v = 0 over the integer rows (`_certified_lift`).  This gives the
-    exact RREF basis of ker_Q:
-
-    * rank_P(A) <= rank_Q(A), since a nonzero minor mod P is nonzero over
-      Q, so there are ncols - rank_P >= dim ker_Q lifted rows;
-    * each has a unit pivot and zeros in the other pivot columns (a zero
-      mod P lifts to an exact zero), so they are independent;
-    * each passes the exact check, so they span a subspace of ker_Q of
-      dimension >= dim ker_Q: all of it, with the same RREF basis, which
-      `_certified_lift` returns in the stored form.
-
-    If an entry has no reconstruction or a check fails, the kernel is
-    computed again over Q, by `_sparse_kernel` with p = 0.
+    """{v : r . v = 0 for every row r}, for sparse rows {column: nonzero}
+    as `_rref` takes them, which are consumed.  Each free column f of the
+    rows' RREF R gives the kernel vector e_f - sum of R[c, f] e_c over the
+    pivot rows, built as D times it in integers (the stored row c is
+    row[c] R[c]; D is the lcm of the row[c], 1 over GF(p), where p - x is
+    -x), and those vectors are reduced once more into the canonical basis.
     """
-    if field.kind != RATIONAL:
-        return Subspace(field, ncols, _sparse_kernel(ncols, rows, field.p))
-    kernel = _sparse_kernel(ncols, [_canonical(row, _P) for row in rows], _P)
-    cols: list[list[tuple]] = [[] for _ in range(ncols)]  # A's nonzero (row, int) pairs
-    for i, row in enumerate(rows):
-        for j, n in row.items():
-            cols[j].append((i, n))
-    lifted = _certified_lift(kernel, cols)
-    return Subspace(field, ncols, lifted if lifted is not None else _sparse_kernel(ncols, rows, 0))
-
-
-def _sparse_kernel(ncols: int, rows: list[dict], p: int) -> dict[int, dict]:
-    """The kernel of sparse rows {column: nonzero}, as the RREF rows that
-    `_rref` returns: over GF(p), or over Q for p = 0.  The rows are
-    consumed.
-
-    Each free column f of the rows' RREF R gives the kernel vector e_f - sum
-    of R[c, f] e_c over the pivot rows (p - x is -x mod p, and -x for
-    p = 0), with R's rows read by `_rref_row`, and those sparse vectors are
-    reduced once more into the canonical basis.
-    """
-    pivots = _rref(rows, ncols, p)
-    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    p = field.characteristic
+    pivots = _rref(rows, p)
+    den = 1 if p else lcm(*[row[c] for c, row in pivots.items()])
+    vecs = {f: {f: den} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
-        for f, x in _rref_row(row, p).items():
+        k = den // row[c]
+        for f, x in row.items():
             if f != c:
-                vecs[f][c] = p - x
-    return _rref(list(vecs.values()), ncols, p)
+                vecs[f][c] = p - x * k
+    return Subspace(field, ncols, _rref(list(vecs.values()), p))
 
 
 def _canonical(w: dict, p: int) -> dict:
-    """The sparse map w without its zeros; for p > 0 (GF(p), or the prime of
-    the kernel route over Q) its plain-int sums are reduced mod p here, once."""
+    """The sparse map w without its zeros; over GF(p) (p > 0) its plain-int
+    sums are reduced mod p here, once."""
     if p:
         return {j: y for j, x in w.items() if (y := x % p)}
     return {j: x for j, x in w.items() if x}
@@ -690,7 +595,7 @@ def kron_image(field: Field, nrows: int, ncols: int, terms) -> "Subspace":
     unchanged), reduced by `_rref`.
     """
     rows = _kron_rows(field, nrows, ncols, terms, transpose=True)[1].values()
-    return Subspace(field, nrows, _rref(list(rows), nrows, field.characteristic))
+    return Subspace(field, nrows, _rref(list(rows), field.characteristic))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -753,7 +658,7 @@ class Subspace:
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors) -> "Subspace":
         rows = _sparse_rows(field, vectors, ambient)
-        return Subspace(field, ambient, _rref(rows, ambient, field.characteristic))
+        return Subspace(field, ambient, _rref(rows, field.characteristic))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -844,7 +749,7 @@ class Subspace:
         self._check_compatible(other)
         f, amb = self.field, self.ambient
         rows = [dict(row) for s in (self, other) for row in s.rows.values()]
-        return Subspace(f, amb, _rref(rows, amb, f.characteristic))
+        return Subspace(f, amb, _rref(rows, f.characteristic))
 
     def quotient_dim(self, small: "Subspace") -> int:
         """dim(self / small); raises NotASubspace if small is not inside self."""
@@ -878,7 +783,7 @@ class Subspace:
         k = self.dim
         at = {pc: k - 1 - t for t, pc in enumerate(self.pivots)}
         in_self = [{at[j]: x for j, x in row.items() if j in at} for row in small.rows.values()]
-        ends = Subspace(self.field, k, _rref(in_self, k, self.field.characteristic))
+        ends = Subspace(self.field, k, _rref(in_self, self.field.characteristic))
         kept = [t for t in range(k) if k - 1 - t not in ends.rows]
         rows = list(self.rows.values())
         rep_of = {k - 1 - t: c for c, t in enumerate(kept)}

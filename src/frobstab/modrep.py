@@ -166,7 +166,7 @@ def _present(m: ModuleRep) -> _Presentation:
     s = len(seeds)
     rows = [{**col.get(g, {}), d + j * a + q: one}
             for j, g in enumerate(seeds) for q, col in enumerate(cols)]
-    reduced = _rref(rows, d + s * a, p)
+    reduced = _rref(rows, p)
     kernel = [{t - d: x for t, x in row.items()} for c, row in reduced.items() if c >= d]
     gens = _greedy(f, s * a, kernel, lambda v: _left_multiples(alg, v))
     den, preimages = _over_pivots(row for c, row in reduced.items() if c < d and c not in seeds)
@@ -226,7 +226,7 @@ def _greedy(f, ambient: int, candidates, generated) -> list[dict]:
     for v in candidates:
         if Subspace(f, ambient, span)._residual(dict(v)):
             kept.append(v)
-            span = _rref([*map(dict, span.values()), *generated(v)], ambient, f.characteristic)
+            span = _rref([*map(dict, span.values()), *generated(v)], f.characteristic)
     return kept
 
 

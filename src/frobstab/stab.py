@@ -250,7 +250,7 @@ def frobenius_ideal(system: FrobeniusSystem) -> Subspace:
                 for k, z in cell:
                     b_q[k] = b_q.get(k, 0) + x * z
         cols.append(_sum_of_products(cells, p, [(b_q.items(), ((q, 1),)) for q, b_q in b.items()]))
-    return Subspace(alg.field, n, _rref(cols, n, p))
+    return Subspace(alg.field, n, _rref(cols, p))
 
 
 @dataclass

@@ -59,8 +59,7 @@ def frobenius_matrix(alg: StructureAlgebra, a_basis, b_basis) -> Matrix:
 
 def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], int]:
     """Dense Gauss-Jordan with field arithmetic, in place: the oracle that
-    both routes of `linalg._rref` (`_rref_rational`, `_rref_sparse`) are
-    held to.
+    `linalg._rref` is held to over Q and over GF(p).
 
     Returns (pivot columns, rank); rows below the rank come out zero.
     """
@@ -102,14 +101,15 @@ def rref_field(rows: list[list], ncols: int, field: Field) -> tuple[list[int], i
     return piv_cols, r
 
 
-def rref_by_oracle(rows: list[dict], ncols: int, p: int) -> dict[int, dict]:
+def rref_by_oracle(rows: list[dict], p: int) -> dict[int, dict]:
     """`linalg._rref` by the dense oracle `rref_field`: the sparse rows are
-    written out densely over GF(p), or over Q for p = 0, and the nonzero
-    rows of their RREF come back as sparse maps {pivot column: row} in the
-    form a `Subspace` stores: the RREF row over GF(p), and over Q the RREF
-    row times the lcm of its denominators, which is primitive with the
-    pivot's 1 scaled to that lcm."""
+    written out densely over GF(p), or over Q for p = 0, up to their last
+    nonzero column, and the nonzero rows of their RREF come back as sparse
+    maps {pivot column: row} in the form a `Subspace` stores: the RREF row
+    over GF(p), and over Q the RREF row times the lcm of its denominators,
+    which is primitive with the pivot's 1 scaled to that lcm."""
     field = Field.prime(p) if p else Field.rationals()
+    ncols = 1 + max((j for row in rows for j in row), default=-1)
     dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
     piv, _ = rref_field(dense, ncols, field)
     out = {c: {j: x for j, x in enumerate(dense[t]) if x} for t, c in enumerate(piv)}
@@ -158,17 +158,18 @@ def reduce_by_definition(s: Subspace, v) -> tuple:
 
 
 def exact_kernel(field: Field, rows, ncols: int) -> Subspace:
-    """{v : r . v = 0 for every row r}, for sparse integer rows {column: int}
+    """{v : r . v = 0 for every row r}, for sparse rows {column: nonzero}
     as `linalg._row_kernel` takes them, by exact elimination: the rows' RREF
-    R from `linalg._rref` (`_rref_rational` over Q), then the vectors
-    e_f - sum of R[c, f] e_c, one per free column f (R's stored rows read
-    by `linalg._rref_row`), reduced by `Subspace.from_vectors`.  The oracle
-    for `linalg._row_kernel`, whose route over Q is solved mod a prime and
-    certified; with `_rref` patched to `rref_by_oracle` it is the
-    field-generic route."""
+    R from `linalg._rref`, then the vectors e_f - sum of R[c, f] e_c with
+    field arithmetic, one per free column f (R's stored rows read by
+    `linalg._rref_row`), reduced by `Subspace.from_vectors`.  Both
+    reductions go through `linalg._rref`, so this is an oracle for
+    `linalg._row_kernel` only with `_rref` patched to `rref_by_oracle`;
+    unpatched it checks how a kernel is assembled, not how it is
+    reduced."""
     p = field.characteristic
     piv = {c: linalg._rref_row(row, p)
-           for c, row in linalg._rref([dict(r) for r in rows], ncols, p).items()}
+           for c, row in linalg._rref([dict(r) for r in rows], p).items()}
     vecs = []
     for f in range(ncols):
         if f in piv:

@@ -27,26 +27,64 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+_GONE = {"_rref_sparse", "_rref_rational", "_sub_multiple", "_sparse_kernel",
+         "_reconstruct", "_certified_lift", "_P", "_RECON_BOUND"}
+
+
+def _reduction_findings(sources: dict[str, str]) -> list[str]:
+    """What breaks the one-reduction rule in {file name: source}: a name
+    of the removed per-field engines or of the certified kernel route in
+    any module, a `while` loop in `linalg` outside `_rref`, or a second one
+    there, and a call of `_eliminate` outside `_rref`."""
+    found = []
+    for name, text in sources.items():
+        tree = ast.parse(text, name)
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.rpartition(".")[2] for alias in node.names}
+            found += [f"{name}:{node.lineno} names {n}" for n in sorted(names & _GONE)]
+        if name != "linalg.py":
+            continue
+        loops, calls = [], []
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.While):
+                        loops.append(fn.name)
+                    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_eliminate":
+                        calls.append(fn.name)
+        loops += ["module level"] * sum(isinstance(n, ast.While) for n in tree.body)
+        if loops != ["_rref"]:
+            found.append(f"linalg.py: while loops in {loops}")
+        if not calls or set(calls) != {"_rref"}:
+            found.append(f"linalg.py: _eliminate called from {calls}")
+    return found
+
+
 def test_one_row_reduction_entry_point():
-    """`_rref_sparse` and `_rref_rational` are named only inside
-    `linalg._rref` and imported by no other module, so every reduction of
-    the package goes through that one entry point."""
-    routes = {"_rref_sparse", "_rref_rational"}
-    inside, named, imported = [], 0, []
-    for path in sorted(Path(frobstab.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        uses = [node for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and node.id in routes
-                or isinstance(node, ast.Attribute) and node.attr in routes]
-        named += len(uses)
-        inside += [(path.name, fn.name) for fn in ast.walk(tree)
-                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for node in ast.walk(fn) if node in uses]
-        imported += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                     if isinstance(node, (ast.Import, ast.ImportFrom))
-                     and {alias.name.rpartition(".")[2] for alias in node.names} & routes]
-    assert inside == [("linalg.py", "_rref")] * named and named == 2
-    assert imported == []
+    """One sparse elimination loop, `linalg._rref`, reduces over Q and over
+    GF(p), and kernels over Q are exact: `linalg` has one `while` loop,
+    in `_rref`, which alone calls `_eliminate`, and no module names the
+    per-field engines or the certified mod-P kernel route that it
+    replaced.  The same check finds each rule broken in a mutated copy."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(frobstab.__file__).parent.rglob("*.py"))}
+    assert {"linalg.py", "stab.py", "modrep.py"} <= sources.keys()
+    assert _reduction_findings(sources) == []
+    linalg = sources["linalg.py"]
+    loop = "\n\ndef _second(rows):\n    while rows:\n        _eliminate(rows.pop(), 0, {0: 1}, 2)\n"
+    for name, text in [
+        ("linalg.py", linalg + loop),
+        ("linalg.py", linalg + "\n_P = (1 << 61) - 1\n"),
+        ("stab.py", sources["stab.py"] + "\nfrom .linalg import _rref_rational\n"),
+        ("modrep.py", sources["modrep.py"] + "\n\ndef _reconstruct(u):\n    return u\n"),
+        ("linalg.py", linalg + "\n\ndef _by_columns(rows):\n    for row in rows:\n"
+                               "        _eliminate(row, 0, rows[0], 0)\n"),
+    ]:
+        assert _reduction_findings({**sources, name: text}), name
 
 
 def test_matrix_arithmetic_reads_no_dense_entries():

