@@ -137,8 +137,8 @@ def _eliminate(row: dict, g: int, tail: dict, a: int, p: int) -> None:
     if g % a:
         s = gcd(a, g)
         s, g = a // s, g // s
-        for j in row:
-            row[j] *= s
+        for j, x in row.items():
+            row[j] = x * s
     else:
         g //= a
     for j, y in tail.items():
