@@ -47,8 +47,11 @@ def _normalize_cells(field: Field, dim: int, raw) -> tuple[tuple[Cell, ...], ...
     for i in range(dim):
         row = []
         for j in range(dim):
+            if not (cell := raw[i][j]):
+                row.append(())
+                continue
             acc: dict[int, object] = {}
-            for k, v in raw[i][j]:
+            for k, v in cell:
                 if not (0 <= k < dim):
                     raise IndexOutOfRange(f"product index {k} outside basis")
                 acc[k] = field.add(acc.get(k, field.zero), v)
@@ -408,23 +411,23 @@ def algebra_from_json(obj) -> tuple[StructureAlgebra, tuple | None]:
     unit = obj["unit"]
     if not isinstance(unit, list) or len(unit) != dim:
         raise ParseError("unit must be a list of dim scalars")
-    unit_vec = tuple(field.parse(s) for s in unit)
+    unit_vec = tuple(field.parse_many(unit))
     if not isinstance(obj["mult"], list):
         raise ParseError("mult must be a list")
-    seen = set()
-    entries = []
-    for item in obj["mult"]:
-        if not isinstance(item, list) or len(item) != 4:
-            raise ParseError(f"mult entry {item!r} is not [i, j, k, scalar]")
-        i = _check_index(item[0], dim, "mult")
-        j = _check_index(item[1], dim, "mult")
-        k = _check_index(item[2], dim, "mult")
-        if (i, j, k) in seen:
-            raise ParseError(f"duplicate mult entry ({i},{j},{k})")
-        seen.add((i, j, k))
-        v = field.parse(item[3])
-        if v:
-            entries.append((i, j, k, v))
+    mult = {}
+    try:  # parsed in `finally`: a malformed scalar before the faulty entry is raised first
+        for item in obj["mult"]:
+            if not isinstance(item, list) or len(item) != 4:
+                raise ParseError(f"mult entry {item!r} is not [i, j, k, scalar]")
+            i = _check_index(item[0], dim, "mult")
+            j = _check_index(item[1], dim, "mult")
+            k = _check_index(item[2], dim, "mult")
+            if (i, j, k) in mult:
+                raise ParseError(f"duplicate mult entry ({i},{j},{k})")
+            mult[i, j, k] = item[3]
+    finally:
+        values = field.parse_many(list(mult.values()))
+    entries = [(i, j, k, v) for (i, j, k), v in zip(mult, values) if v]
     algebra = StructureAlgebra.from_entries(
         field, dim, entries, unit_vec, name=obj["name"], basis_names=names
     )
@@ -433,5 +436,5 @@ def algebra_from_json(obj) -> tuple[StructureAlgebra, tuple | None]:
         t = obj["trace"]
         if not isinstance(t, list) or len(t) != dim:
             raise ParseError("trace must be a list of dim scalars")
-        trace = tuple(field.parse(s) for s in t)
+        trace = tuple(field.parse_many(t))
     return algebra, trace

@@ -60,7 +60,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an integer over int's digit limit
         raise ParseError(f"{path} is not valid JSON: {e}") from None
 
 

@@ -32,8 +32,6 @@ PRIME = "prime"
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRAC_RE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)\Z")
-# Integer texts joined by NUL, which is not whitespace and not a digit.
-_INTS_RE = re.compile(r"\s*-?[0-9]+\s*(?:\0\s*-?[0-9]+\s*)*\Z")
 
 
 # The 13 prime bases up to 41 decide primality for every n below this
@@ -145,39 +143,31 @@ class Field:
         if not isinstance(text, str):
             raise ParseError(f"scalar must be a string, got {type(text).__name__}")
         s = text.strip()
-        if _INT_RE.fullmatch(s):
-            return self.from_int(int(s))
         m = _FRAC_RE.fullmatch(s)
-        if m is None:
+        if m is None and not _INT_RE.fullmatch(s):
             raise ParseError(f"bad scalar {text!r}")
-        if self.kind == PRIME:
+        if m is not None and self.kind == PRIME:
             raise ParseError(f"fraction {text!r} not allowed over GF({self.p})")
-        num, den = int(m.group(1)), int(m.group(2))
+        try:
+            num, den = (int(s), 1) if m is None else (int(m.group(1)), int(m.group(2)))
+        except ValueError:  # over int's digit limit; witness: the digits in s
+            digits = len(s) - s.count("-") - s.count("/")
+            raise ParseError(f"scalar of {digits} digits is too long", witness=digits) from None
         if den <= 0:
             raise ParseError(f"bad denominator in {text!r}")
+        if m is None:
+            return self.from_int(num)
         return Fraction(num, den) if num else self.zero
 
     def parse_many(self, texts: list) -> list:
-        """`parse` of each text: the same values and, for the first
-        malformed text, the same ParseError.
-
-        If every text is an integer, one regular-expression match over the
-        texts joined by NUL checks them all and `int` converts each; a text
-        that holds a NUL passes that match but fails `int`.  Anything else
-        (including a text that is not a string, which fails the join) is
-        parsed one text at a time.
-        """
+        """`parse` of each text, parsing each distinct text once; if a text
+        is unhashable or malformed, all are parsed in order, so the first
+        malformed one raises its ParseError, as a loop of `parse` would."""
         try:
-            ints = _INTS_RE.fullmatch("\0".join(texts)) and [int(t) for t in texts]
-        except (TypeError, ValueError):
-            ints = None
-        if not ints:
+            values = {t: self.parse(t) for t in set(texts)}
+        except (TypeError, ParseError):
             return [self.parse(t) for t in texts]
-        if self.kind == PRIME:
-            p = self.p
-            return [n % p for n in ints]
-        zero = self.zero
-        return [Fraction(n) if n else zero for n in ints]
+        return list(map(values.__getitem__, texts))
 
     def to_str(self, x) -> str:
         """Canonical text: "a" or "a/b" (lowest terms, b > 0); decimal for GF(p)."""

@@ -5,8 +5,9 @@ Conventions fixed package-wide (the details are in the named functions):
 * vectors are plain tuples of field scalars, and sparse vectors and rows
   are maps {column: nonzero};
 * a matrix stores only its nonzeros (`Matrix.nonzeros`), and all its
-  arithmetic reads them; only `Matrix.dense` takes a dense tuple, and the
-  dense `entries` view is built when first read;
+  arithmetic reads them; only `Matrix.dense` takes a dense tuple (a parsed
+  module is built from its nonzeros), and the dense `entries` view is
+  built when first read;
 * a subspace stores only its sparse RREF rows, so two subspaces are equal
   iff their stored rows are; over GF(p) each row holds its pivot's 1, and
   over Q it is the primitive integer multiple of its RREF row (`int`s with

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import lcm
 from typing import NamedTuple
 
@@ -454,15 +455,18 @@ def module_from_json(obj, algebra: StructureAlgebra, accept_names=None) -> Modul
     act = obj["action"]
     if not isinstance(act, list) or len(act) != algebra.dim:
         raise ParseError(f"action must list {algebra.dim} matrices")
-    f = algebra.field
-    mats = []
-    for mat in act:
-        if not isinstance(mat, list) or len(mat) != dim:
-            raise ParseError("action matrix has wrong row count")
-        texts = []
-        for row in mat:
-            if not isinstance(row, list) or len(row) != dim:
+    f, texts = algebra.field, []
+    try:  # parsed in `finally`: a malformed scalar before a misshapen matrix is raised first
+        for mat in act:
+            if not isinstance(mat, list) or len(mat) != dim:
+                raise ParseError("action matrix has wrong row count")
+            if not all(isinstance(row, list) and len(row) == dim for row in mat):
                 raise ParseError("action matrix has wrong column count")
-            texts.extend(row)
-        mats.append(Matrix.dense(f, dim, dim, tuple(f.parse_many(texts))))
-    return ModuleRep(algebra, dim, tuple(mats), name=obj["name"])
+            texts.extend(chain.from_iterable(mat))
+    finally:
+        values = f.parse_many(texts)
+    n, nz = dim * dim, [[] for _ in act]
+    for t, x in compress(enumerate(values), values):
+        nz[t // n].append((t % n, x))
+    return ModuleRep(algebra, dim, tuple(Matrix(f, dim, dim, _integers(f, pairs)) for pairs in nz),
+                     name=obj["name"])

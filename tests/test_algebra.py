@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -566,6 +567,34 @@ def test_json_strictness():
     ok = dict(good); ok["mult"] = good["mult"] + [[1, 1, 0, "0"]]
     back, _ = algebra_from_json(ok)
     assert back == inst.algebra
+
+
+def test_json_errors_come_in_entry_order():
+    # The first faulty mult entry raises the error it raised when each entry
+    # was checked and then parsed in turn; unit and trace scalars too.
+    inst = truncated_polynomial(2, Q)
+    good = algebra_to_json(inst.algebra, trace=inst.system.trace)
+    cases = [
+        ([[0, 0, 0, "x"], [0, 0, 9, "1"]], "bad scalar 'x'"),
+        ([[0, 0, 9, "1"], [0, 0, 0, "x"]], "mult index 9 out of range [0, 2)"),
+        ([[0, 0, 9, "x"]], "mult index 9 out of range [0, 2)"),
+        ([[0, 0, 0, "1"], [0, 0, 0, "x"]], "duplicate mult entry (0,0,0)"),
+        ([[0, 0, 0, "1"], [0, 1, 1, [1]], "x"], "scalar must be a string, got list"),
+        ([[0, 0, 0, "1"], [0, 1, 1, "1"], "x"], "mult entry 'x' is not [i, j, k, scalar]"),
+    ]
+    for mult, want in cases:
+        with pytest.raises(ParseError) as exc:
+            algebra_from_json({**good, "mult": mult})
+        assert str(exc.value) == want
+    for key in ("unit", "trace", "mult"):
+        bad = json.loads(json.dumps(good))
+        if key == "mult":
+            bad[key][1][3] = "7" * 5000
+        else:
+            bad[key][1] = "7" * 5000
+        with pytest.raises(ParseError) as exc:
+            algebra_from_json(bad)
+        assert exc.value.witness == 5000
 
 
 def test_constructor_guards():

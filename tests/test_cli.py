@@ -191,6 +191,33 @@ def test_exit_code_for_bad_json(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("hostile", ["module_entry", "trace_entry", "not_utf8", "json_integer"])
+def test_hostile_files_exit_3(capsys, tmp_path, hostile):
+    # Each makes `json` or `int` raise a ValueError, which must reach the user as a ParseError.
+    alg, mod = make_trunc(capsys, tmp_path, 3, "gf:2", module_i=1)
+    long = "7" * 5000
+    bad = tmp_path / "bad.json"
+    if hostile == "module_entry":
+        data = json.loads(mod.read_text())
+        data["action"][1][0][1] = long
+        bad.write_text(json.dumps(data))
+        argv = ("stable-hom", str(alg), str(bad), str(bad))
+    elif hostile == "trace_entry":
+        data = json.loads(alg.read_text())
+        data["trace"][0] = long
+        bad.write_text(json.dumps(data))
+        argv = ("check", str(bad))
+    else:
+        bad.write_bytes(b"\xff\xfe{}" if hostile == "not_utf8" else b'{"dim": %s}' % long.encode())
+        argv = ("check", str(bad))
+    code, report, err = run_json(capsys, *argv)
+    assert code == 3 and report["error"] == "ParseError" and err == ""
+    if hostile.endswith("entry"):
+        assert report["witness"] == 5000
+    else:
+        assert "is not valid JSON" in report["message"]
+
+
 def test_exit_code_for_unknown_key(capsys, tmp_path):
     alg, _ = make_trunc(capsys, tmp_path, 2, "q")
     data = json.loads(alg.read_text())

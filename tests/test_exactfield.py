@@ -47,19 +47,33 @@ def _parse_error(field, text):
     return str(exc.value), exc.value.witness
 
 
+_LONG = "7" * 5000  # over Python's 4300-digit limit for int(str)
+
+
+def test_parse_refuses_integers_past_the_digit_limit():
+    for f, text, digits in ((Q, _LONG, 5000), (GF5, " -" + _LONG, 5000),
+                            (Q, "1/" + _LONG, 5001), (Q, "-" + _LONG + "/3", 5001)):
+        with pytest.raises(ParseError) as exc:
+            f.parse(text)
+        assert exc.value.witness == digits and str(digits) in str(exc.value)
+    assert _parse_error(GF5, "1/" + _LONG)[0].startswith("fraction ")
+
+
 def test_parse_many_matches_parse():
-    good = ["0", "-0", " 7 ", "\t-12\n", "5", "123456789012345678901234567890", "\u20031"]
+    good = ["0", "-0", " 7 ", "\t-12\n", "5", "123456789012345678901234567890", "\u20031",
+            " 0", "00", " 1"]
     for f in (Q, GF2, GF5):
-        want = [f.parse(t) for t in good]
-        got = f.parse_many(good)
-        assert got == want and [type(x) for x in got] == [type(x) for x in want]
+        for texts in (good, good * 3, good[::-1] + good[:4]):
+            want = [f.parse(t) for t in texts]
+            got = f.parse_many(texts)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
         assert f.parse_many([]) == []
-    assert Q.parse_many(["0", "2/4", "-0/3"]) == [Q.zero, Fraction(1, 2), Q.zero]
-    assert all(x is Q.zero for x in Q.parse_many(["0", " -0 "]))
+    assert Q.parse_many(["0", "2/4", "-0/3", "2/4"]) == [Q.zero, Fraction(1, 2), Q.zero, Fraction(1, 2)]
+    assert all(x is Q.zero for x in Q.parse_many(["0", " -0 ", "00", "0"]))
     for f, extra in ((Q, []), (GF5, ["1/2"])):
-        for bad in _BAD_SCALARS + extra:
+        for bad in _BAD_SCALARS + extra + [[1], _LONG, "1/" + _LONG]:
             for at in (0, 3):
-                texts = good[:at] + [bad] + good[at:] + ["x"]
+                texts = good[:at] + [bad] + good[at:] + ["x", bad]
                 with pytest.raises(ParseError) as exc:
                     f.parse_many(texts)
                 assert (str(exc.value), exc.value.witness) == _parse_error(f, bad), bad

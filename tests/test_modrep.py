@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -394,21 +396,69 @@ def test_module_json_scalar_errors_match_parse(field):
     good = module_to_json(truncated_module(3, 2, field))
     back = module_from_json(good, inst.algebra, accept_names={good["algebra"]})
     assert back == truncated_module(3, 2, field)
-    for bad in ["", "x", "+1", "1_0", "1.5", "1\x002", "1/0", 7, "1/2"]:
+    spellings = [" 0", "-0", "00", "2/4", " 1"]
+    for bad in ["", "x", "+1", "1_0", "1.5", "1\x002", "1/0", 7, "1/2", [1], "7" * 5000, *spellings]:
         want = None
         try:
             field.parse(bad)
         except ParseError as err:
-            want = str(err)
+            want = str(err), err.witness
         for i, r, c in ((0, 0, 0), (2, 2, 1)):
             obj = module_to_json(truncated_module(3, 2, field))
             obj["action"][i][r][c] = bad
             if want is None:
-                module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
+                m = module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
+                for mat, rows in zip(m.action, obj["action"]):
+                    dense = Matrix.dense(field, 3, 3, [field.parse(t) for row in rows for t in row])
+                    assert mat.nonzeros == dense.nonzeros
                 continue
             with pytest.raises(ParseError) as exc:
                 module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
-            assert str(exc.value) == want
+            assert (str(exc.value), exc.value.witness) == want
+
+
+def test_module_json_errors_come_in_entry_order():
+    # Matrices are read in order, each checked for shape before its scalars
+    # are parsed, as when every matrix was parsed on its own.
+    inst = truncated_polynomial(3, Q)
+    short = "action matrix has wrong column count"
+    for (q, r), want in (((2, 0), "bad scalar 'x'"), ((1, 2), short), ((0, 2), short)):
+        obj = module_to_json(truncated_module(3, 2, Q))
+        obj["action"][1][1][1] = "x"
+        obj["action"][q][r] = ["0"]
+        with pytest.raises(ParseError) as exc:
+            module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
+        assert str(exc.value) == want
+
+
+def test_module_json_parses_each_distinct_text_once(monkeypatch):
+    inst = truncated_polynomial(24, GF2)
+    obj = module_to_json(truncated_module(24, 23, GF2))
+    calls, parse = Counter(), Field.parse
+    monkeypatch.setattr(Field, "parse", lambda self, text: calls.update([text]) or parse(self, text))
+    m = module_from_json(obj, inst.algebra, accept_names={obj["algebra"]})
+    assert calls == Counter({x: 1 for mat in obj["action"] for row in mat for x in row})
+    assert m == truncated_module(24, 23, GF2)
+
+
+@st.composite
+def _random_module(draw):
+    field = draw(st.sampled_from([Q, GF2, GF3, Field.prime(7)]))
+    if field is Q:
+        scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        scalars = st.integers(0, field.p - 1)
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    action = tuple(Matrix.dense(field, d, d, draw(st.lists(scalars, min_size=d * d, max_size=d * d)))
+                   for _ in range(n))
+    return ModuleRep(truncated_polynomial(n, field).algebra, d, action, name=draw(st.text(max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_module())
+def test_random_modules_round_trip_through_json(m):
+    back = module_from_json(module_to_json(m), m.algebra)
+    assert back == m and back.name == m.name
 
 
 def _recording_first_failing(monkeypatch):
