@@ -9,6 +9,7 @@ flat index i * dim(B) + j.
 Algebras are immutable values.  Mathematical equality is structural on
 (field, dim, cells, unit); the display name, basis names and group do not
 participate.  Derived structure is cached on its instance: `generators`,
+the table `_products` of basis elements that are products of them,
 `enveloping`, and `left` / `right`, the only matrices built from `cells`.
 """
 
@@ -212,6 +213,29 @@ class StructureAlgebra:
         return tuple(kept)
 
     @functools.cached_property
+    def _products(self) -> tuple[int | None, dict[int, tuple[int, int, object]]]:
+        """(u, table): u is the unit's index if the unit is a basis vector,
+        else None, and the table maps q to (g, j, c) where e_g e_j = c e_q,
+        read off a one-term cell cells[g][j] == ((q, c),), for g a generator
+        and j a generator or an index entered before q.  It is grown
+        breadth-first from the generators, in its dict order; neither a
+        generator nor u is entered.  For the catalog algebras every other
+        index is entered; in a general basis the cells are dense and few or
+        none are."""
+        gens = self.generators
+        nonzero = [(i, x) for i, x in enumerate(self.unit) if x]
+        u = nonzero[0][0] if len(nonzero) == 1 and nonzero[0][1] == self.field.one else None
+        table: dict[int, tuple[int, int, object]] = {}
+        queue = list(gens)
+        for j in queue:  # breadth-first: the loop also reads the q appended below
+            for g in gens:
+                cell = self.cells[g][j]
+                if len(cell) == 1 and (q := cell[0][0]) not in table and q not in gens and q != u:
+                    table[q] = (g, j, cell[0][1])
+                    queue.append(q)
+        return u, table
+
+    @functools.cached_property
     def left(self) -> tuple[Matrix, ...]:
         """left[i] is the matrix of a |-> e_i a; its column j is e_i e_j,
         read off the sparse cells."""
@@ -256,6 +280,24 @@ def _first_failing(alg: StructureAlgebra, fails) -> int | None:
     if not any(map(fails, alg.generators)):
         return None
     return next(i for i in range(alg.dim) if fails(i))
+
+
+def _actions_by_products(alg: StructureAlgebra, dim: int, build) -> tuple[Matrix, ...]:
+    """rho(e_i) for every basis index i of A, on a module of dimension
+    `dim`: `build(i)` for each generator and each index that is not in the
+    table `alg._products`, the identity for the unit's index, and for each
+    entry q -> (g, j, c), in table order, c^-1 rho(e_g) rho(e_j), since
+    rho(e_g e_j) = rho(e_g) rho(e_j).  Precondition: A passes `validate`
+    and the actions are a module's; for `modrep.submodule` and
+    `modrep.quotient_module`, M is a module and sub is invariant."""
+    f = alg.field
+    u, table = alg._products
+    action = {i: Matrix.identity(f, dim) if i == u else build(i)
+              for i in range(alg.dim) if i not in table}
+    for q, (g, j, c) in table.items():
+        rho = action[g] @ action[j]
+        action[q] = rho if c == f.one else linear_combination(f, dim, dim, [(f.inv(c), rho)])
+    return tuple(action[i] for i in range(alg.dim))
 
 
 def _sum_of_products(cells, p: int, terms) -> dict:

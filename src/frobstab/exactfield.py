@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
-from .errors import DivisionByZero, NotPrime, ParseError
+from .errors import BudgetExceeded, DivisionByZero, NotPrime, ParseError
 
 RATIONAL = "rational"
 PRIME = "prime"
@@ -170,13 +170,28 @@ class Field:
         return list(map(values.__getitem__, texts))
 
     def to_str(self, x) -> str:
-        """Canonical text: "a" or "a/b" (lowest terms, b > 0); decimal for GF(p)."""
+        """Canonical text: "a" or "a/b" (lowest terms, b > 0); decimal for GF(p).
+        BudgetExceeded, witnessed by the digits the text would hold, past
+        int's digit limit for str, which `parse` refuses as well."""
         if self.kind == PRIME:
             return str(x % self.p)
         f = Fraction(x)
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        try:
+            if f.denominator == 1:
+                return str(f.numerator)
+            return f"{f.numerator}/{f.denominator}"
+        except ValueError:
+            digits = _digits(f.numerator) + (_digits(f.denominator) if f.denominator > 1 else 0)
+            raise BudgetExceeded(f"scalar of {digits} digits is too long to write",
+                                 witness=digits) from None
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of |n|, counted without writing them out."""
+    n, k = abs(n), max(0, int((n.bit_length() - 1) * 0.30102999566398) - 1)
+    while 10 ** k <= n:
+        k += 1
+    return max(k, 1)
 
 
 def field_to_json(field: Field) -> dict:

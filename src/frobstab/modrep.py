@@ -8,6 +8,9 @@ canonical maps in and out of the free cover (`canonical_embedding`,
 `_surjection_terms`), and the generating sets on which `stab` solves
 (`_present`, `ModuleRep._dual_seeds`), each computed once per module.
 Free modules on k generators use the (p, j) |-> p * k + j basis layout.
+A submodule or quotient builds only the actions of A's generators and of
+the basis elements that are not products of them; the others are derived
+as products, rho(e_g e_j) = rho(e_g) rho(e_j) (`algebra._actions_by_products`).
 `regular_module`, `free_module` and `bimodule_regular` return one shared
 instance per tuple of argument values, as the catalog does.
 """
@@ -32,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_keys
-from .algebra import _check_entries, _first_failing, _product_failures
+from .algebra import _actions_by_products, _check_entries, _first_failing, _product_failures
 from .frobenius import FrobeniusSystem
 from .linalg import Matrix, Subspace, kron, linear_combination
 from .linalg import _canonical, _integers, _over_pivots, _rref, _rref_row, _sparse_apply
@@ -383,20 +386,24 @@ def _require_invariant(m: ModuleRep, sub: Subspace) -> None:
 def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
     """Restrict the action to an invariant subspace, in its canonical basis:
     column t of action i is rho(e_i) v_t, for v_t the t-th RREF row, read
-    at the pivots.  Precondition: M is a module; NotInvariant as
-    `_require_invariant`."""
+    at the pivots.  That is built for the generators and the indices that
+    are not products; every other action is derived as a product of built
+    ones (`_actions_by_products`).  Precondition: M is a module;
+    NotInvariant as `_require_invariant`."""
     _require_invariant(m, sub)
     f, d = m.algebra.field, sub.dim
     at = {pc: s * d for s, pc in enumerate(sub.pivots)}
     vectors = [_rref_row(v, f.characteristic) for v in sub.rows.values()]
-    action = []
-    for rho in m.action:
-        nz = []
+
+    def build(i):
+        rho, nz = m.action[i], []
         for t, v in enumerate(vectors):
             w = _sparse_apply(rho, v)
             nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
-        action.append(Matrix(f, d, d, _integers(f, nz)))
-    return ModuleRep(m.algebra, d, tuple(action), name=f"{m.name}|sub{d}")
+        return Matrix(f, d, d, _integers(f, nz))
+
+    return ModuleRep(m.algebra, d, _actions_by_products(m.algebra, d, build),
+                     name=f"{m.name}|sub{d}")
 
 
 def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
@@ -404,19 +411,24 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
 
     M / sub is a module only if sub is a submodule, which
     `_require_invariant` checks on the generators.  Column q of an action
-    is the residual of rho's sparse column q.
+    is the residual of rho's sparse column q.  That is built for the
+    generators and the indices that are not products; every other action is
+    derived as a product of built ones (`_actions_by_products`).
     """
     _require_invariant(m, sub)
     f = m.algebra.field
     piv = set(sub.pivots)
     at = {q: s for s, q in enumerate(q for q in range(m.dim) if q not in piv)}
     n = len(at)
-    action = []
-    for rho in m.action:
+
+    def build(i):
+        cols = m.action[i]._sparse_cols
         nz = [(at[r] * n + b, x) for q, b in at.items()
-              for r, x in sub._residual(dict(rho._sparse_cols[q])).items()]
-        action.append(Matrix(f, n, n, _integers(f, nz)))
-    return ModuleRep(m.algebra, n, tuple(action), name=f"{m.name}/sub{sub.dim}")
+              for r, x in sub._residual(dict(cols[q])).items()]
+        return Matrix(f, n, n, _integers(f, nz))
+
+    return ModuleRep(m.algebra, n, _actions_by_products(m.algebra, n, build),
+                     name=f"{m.name}/sub{sub.dim}")
 
 
 # JSON ---------------------------------------------------------------

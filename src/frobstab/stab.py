@@ -153,8 +153,8 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
     e_r) e_g^*) lies in the span.  So the image is the canonical subspace
     that all of T's columns span.
     """
-    hom = hom_A(m, n_)
     _check_system_module(system, m, n_)
+    hom = hom_A(m, n_)
     f = m.algebra.field
     null = kron_image(f, n_.dim * m.dim, len(m._dual_seeds) * n_.dim,
                       _operator_terms(system, m._at_dual_seeds, n_))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -533,3 +534,35 @@ def quantum_exterior_module(alg, lam) -> ModuleRep:
     zero = Matrix.dense(f, 2, 2, (0, 0, 0, 0))
     x, y = (zero, e21) if lam is None else (e21, Matrix.dense(f, 2, 2, (0, 0, lam, 0)))
     return ModuleRep(alg, 2, (Matrix.identity(f, 2), x, y, zero), name=f"M_{lam}")
+
+
+def in_basis(system: FrobeniusSystem, pm: Matrix) -> FrobeniusSystem:
+    """The same algebra and trace in the basis whose j-th vector is column j
+    of the invertible matrix pm."""
+    alg, f = system.algebra, system.algebra.field
+    to_new = pm.inverse()
+    cols = [pm.col(j) for j in range(alg.dim)]
+    entries = [
+        (a, b, c, v)
+        for a in range(alg.dim) for b in range(alg.dim)
+        for c, v in enumerate(to_new.apply(alg.mul(cols[a], cols[b]))) if v
+    ]
+    new = StructureAlgebra.from_entries(f, alg.dim, entries, to_new.apply(alg.unit))
+    return derive_system(new, pm.transpose().apply(system.trace))
+
+
+def module_in_basis(m: ModuleRep, alg: StructureAlgebra, pm: Matrix) -> ModuleRep:
+    """M over `alg`, the algebra of M's in the basis of pm's columns
+    (`in_basis`): the j-th basis element acts as M's element column j."""
+    return ModuleRep(alg, m.dim, tuple(m.action_of(pm.col(j)) for j in range(alg.dim)),
+                     name=m.name)
+
+
+def random_basis(field: Field, n: int, seed: int) -> Matrix:
+    """A seeded random invertible n x n matrix with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    while True:
+        pm = Matrix.dense(field, n, n, tuple(field.from_int(rng.randrange(-2, 3))
+                                             for _ in range(n * n)))
+        if pm.inverse() is not None:
+            return pm

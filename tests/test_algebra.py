@@ -480,6 +480,25 @@ def test_generators_generate_the_algebra():
         assert _word_span(alg) == full_subspace(alg.field, alg.dim), alg
 
 
+def test_product_table_reaches_every_index_of_the_catalog_algebras():
+    """x^k = x x^(k-1), and a group element is a generator times an earlier
+    element: every index other than the unit's e_0 and the generators' is
+    entered, each entry's cell is the one product it records, and its
+    second factor is a generator or an earlier entry."""
+    algs = [truncated_polynomial(n, f).algebra for n in (1, 2, 5, 24) for f in (GF2, GF3, Q)]
+    algs += [group_algebra(g, f).algebra
+             for g in (cyclic_group(5), klein_four_group(), symmetric_group_3())
+             for f in (GF2, GF3, Q)]
+    algs.append(enveloping(group_algebra(symmetric_group_3(), Q).algebra))
+    for alg in algs:
+        u, table = alg._products
+        assert u == 0 and sorted([u, *alg.generators, *table]) == list(range(alg.dim))
+        seen = set(alg.generators)
+        for q, (g, j, c) in table.items():
+            assert g in alg.generators and j in seen and alg.cells[g][j] == ((q, c),)
+            seen.add(q)
+
+
 def test_center_of_commutative_is_everything():
     for n in (1, 2, 5):
         alg = truncated_polynomial(n, Q).algebra

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobstab.errors import DivisionByZero, NotPrime, ParseError
+from frobstab.errors import BudgetExceeded, DivisionByZero, NotPrime, ParseError
 from frobstab.exactfield import Field, field_from_json, field_to_json
 
 Q = Field.rationals()
@@ -57,6 +57,17 @@ def test_parse_refuses_integers_past_the_digit_limit():
             f.parse(text)
         assert exc.value.witness == digits and str(digits) in str(exc.value)
     assert _parse_error(GF5, "1/" + _LONG)[0].startswith("fraction ")
+
+
+def test_to_str_refuses_integers_past_the_digit_limit():
+    """Text that `parse` would refuse is not written either: BudgetExceeded,
+    witnessed by the digits of numerator and denominator."""
+    assert Q.to_str(Fraction(-10 ** 4299, 7)) == "-1" + "0" * 4299 + "/7"
+    for x, digits in ((Fraction(10 ** 4300), 4301), (Fraction(-7 * 10 ** 5000 + 2, 3), 5002),
+                      (Fraction(1, 10 ** 4300 + 1), 4302)):
+        with pytest.raises(BudgetExceeded) as exc:
+            Q.to_str(x)
+        assert exc.value.witness == digits and str(digits) in str(exc.value)
 
 
 def test_parse_many_matches_parse():

@@ -309,7 +309,7 @@ def _oracle_kernel(field, rows, ncols):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_kernel_rows().map(lambda case: (Q, *case)), _prime_rows()))
-def test_certified_kernel_matches_exact_route(case):
+def test_row_kernel_matches_the_dense_oracle(case):
     """`_row_kernel` of integer rows over Q, and of residue rows over
     GF(p), is the kernel that the dense oracle gives, stored alike."""
     field, ncols, rows = case
@@ -336,14 +336,14 @@ _HUGE_ROWS = [
 
 
 @pytest.mark.parametrize("row, basis", _HUGE_ROWS)
-def test_certified_kernel_falls_back_to_exact_route(row, basis):
+def test_kernels_of_huge_entry_rows_are_exact(row, basis):
     m = Matrix.from_rows(Q, [[Fraction(x) for x in row]])
     k = m.kernel_basis()
     assert k == _oracle_kernel(Q, integer_rows(m.to_rows()), m.ncols)
     assert [str(x) for x in k.basis.entries] == basis and k.pivots == (0,)
 
 
-def test_certified_kernel_checks_survive_optimized_mode():
+def test_huge_entry_kernels_survive_optimized_mode():
     """Under python -O, which strips asserts, the rows with huge entries
     still get their exact kernels."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,13 +48,14 @@ from frobstab.modrep import (
 )
 from frobstab.stab import hom_A
 from helpers import (
-    free_cover_embedding, multiplication_surjection, quotient_action, restricted_action, unvec,
-    zeros,
+    free_cover_embedding, in_basis, module_in_basis, multiplication_surjection, quantum_exterior,
+    quantum_exterior_module, quotient_action, random_basis, restricted_action, unvec, zeros,
 )
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
 GF3 = Field.prime(3)
+GF5 = Field.prime(5)
 
 
 def test_regular_action_matrices():
@@ -371,6 +374,23 @@ def test_module_json_round_trip():
     assert back.name == v1.name
 
 
+def test_module_json_refuses_scalars_past_the_digit_limit():
+    """V2 of k[x]/(x^3) over Q conjugated by [[1, b, 0], [0, 1, b], [0, 0,
+    1]], b = 10^2500 + 7, has entries of about b^3, past the 4300 digits
+    that `parse` reads back: writing it raises BudgetExceeded, witnessed by
+    the digits of the first such entry, not a bare ValueError."""
+    v2 = truncated_module(3, 2, Q)
+    b = 10 ** 2500 + 7
+    pm = Matrix.from_rows(Q, [[1, b, 0], [0, 1, b], [0, 0, 1]])
+    inv = pm.inverse()
+    moved = ModuleRep(v2.algebra, 3, tuple(inv @ a @ pm for a in v2.action))
+    first = next(abs(x.numerator) for a in moved.action for x in a.entries
+                 if abs(x.numerator) >= 10 ** 4300)
+    with pytest.raises(BudgetExceeded) as exc:
+        module_to_json(moved)
+    assert 10 ** (exc.value.witness - 1) <= first < 10 ** exc.value.witness
+
+
 def test_module_json_algebra_mismatch():
     inst = truncated_polynomial(3, GF2)
     v1 = truncated_module(3, 1, GF2)
@@ -498,7 +518,8 @@ def test_quotient_reads_only_the_generators(monkeypatch):
 def test_submodule_checks_invariance_on_the_generators(monkeypatch):
     """k[x]/(x^24) has one generator, x, so checking that an ideal of the
     regular module is invariant costs one `_sparse_apply` and one residual
-    per stored row, not 24; restricting the action costs 24 per row."""
+    per stored row, not 24; restricting the action applies x alone, once
+    per row, and the actions of x^2, ..., x^23 are products of x's."""
     t24 = truncated_polynomial(24, GF2).algebra
     reg = regular_module(t24)
     assert t24.generators == (1,)
@@ -506,14 +527,37 @@ def test_submodule_checks_invariance_on_the_generators(monkeypatch):
     applies, residuals = [], []
     sparse_apply, residual = modrep._sparse_apply, Subspace._residual
     monkeypatch.setattr(modrep, "_sparse_apply",
-                        lambda m, v: applies.append(1) or sparse_apply(m, v))
+                        lambda m, v: applies.append(m) or sparse_apply(m, v))
     monkeypatch.setattr(Subspace, "_residual",
                         lambda sub, v: residuals.append(1) or residual(sub, v))
     read = _recording_first_failing(monkeypatch)
     sub = submodule(reg, ideal)
     assert read == [1] and sub.dim == 10
-    assert len(residuals) == 10 and len(applies) == 10 + 24 * 10
+    assert len(residuals) == 10 and len(applies) == 10 + 10
+    assert all(m is reg.action[1] for m in applies)
     assert sub.action == restricted_action(reg, ideal)
+
+
+def test_quotient_builds_only_the_generators_action(monkeypatch):
+    """The quotient of k[x]/(x^24) by the same ideal: the check costs one
+    `_sparse_apply` and one residual per stored row, x's action one
+    residual per coset representative, and x^2, ..., x^23 none, since
+    their actions are products of x's."""
+    t24 = truncated_polynomial(24, GF2).algebra
+    reg = regular_module(t24)
+    ideal = Subspace.from_vectors(GF2, 24, [t24.basis_vector(i) for i in range(14, 24)])
+    applies, residuals = [], []
+    sparse_apply, residual = modrep._sparse_apply, Subspace._residual
+    monkeypatch.setattr(modrep, "_sparse_apply",
+                        lambda m, v: applies.append(m) or sparse_apply(m, v))
+    monkeypatch.setattr(Subspace, "_residual",
+                        lambda sub, v: residuals.append(1) or residual(sub, v))
+    read = _recording_first_failing(monkeypatch)
+    quo = quotient_module(reg, ideal)
+    assert read == [1] and quo.dim == 14
+    assert len(applies) == 10 and len(residuals) == 10 + 14
+    assert all(m is reg.action[1] for m in applies)
+    assert quo.action == quotient_action(reg, ideal)
 
 
 def _scalar(draw, f):
@@ -522,19 +566,45 @@ def _scalar(draw, f):
     return draw(st.integers(0, f.p - 1))
 
 
+@functools.cache
+def _general_basis(n, f, seed):
+    """k[x]/(x^n) in a seeded random basis, and its modules V_i there."""
+    pm = random_basis(f, n, seed)
+    alg = in_basis(truncated_polynomial(n, f).system, pm).algebra
+    return alg, [module_in_basis(truncated_module(n, i, f), alg, pm) for i in range(n)]
+
+
 @st.composite
 def _module_and_subspace(draw):
     """(kind, module, subspace): a cyclic submodule, the kernel of a module
-    map, or the span of random vectors, which is rarely invariant."""
-    f = draw(st.sampled_from((GF2, Field.prime(3), Q)))
-    families = [[truncated_module(n, i, f) for i in range(n)] for n in (3, 4)]
-    for g in (cyclic_group(3), klein_four_group(), symmetric_group_3()):
-        alg = group_algebra(g, f).algebra
-        families.append([trivial_module(alg), regular_module(alg)])
-    family = draw(st.sampled_from(families))
+    map, or the span of random vectors, which is rarely invariant.  The
+    module is over a catalog algebra, where every action but the
+    generators' is derived as a product; over Lambda_q, q != 1, where xy's
+    is derived from yx = q xy as q^-1 rho(y) rho(x); or over k[x]/(x^n) in
+    a seeded random basis, where over GF(5) and Q none is derived, and over
+    GF(2) a few cells have one term and the unit may be e_i, i != 0."""
+    source = draw(st.sampled_from(("catalog", "lambda", "general")))
+    if source == "catalog":
+        f = draw(st.sampled_from((GF2, Field.prime(3), Q)))
+        families = [[truncated_module(n, i, f) for i in range(n)] for n in (3, 4)]
+        for g in (cyclic_group(3), klein_four_group(), symmetric_group_3()):
+            alg = group_algebra(g, f).algebra
+            families.append([trivial_module(alg), regular_module(alg)])
+        family = draw(st.sampled_from(families))
+    elif source == "lambda":
+        q = draw(st.sampled_from((2, -1, Fraction(1, 2))))
+        alg = quantum_exterior(q).algebra
+        assert alg._products == (0, {3: (2, 1, q)})
+        family = [quantum_exterior_module(alg, lam) for lam in (0, 1, 3, None)]
+        family.append(regular_module(alg))
+    else:
+        f = draw(st.sampled_from((GF2, GF5, Q)))
+        alg, family = _general_basis(draw(st.integers(3, 5)), f, draw(st.sampled_from((1, 2, 4))))
+        assert f == GF2 or alg._products[1] == {}
     m = draw(st.sampled_from(family))
     if draw(st.booleans()):
         m = direct_sum([m, draw(st.sampled_from(family))])
+    f = m.algebra.field
 
     def vector(dim):
         return tuple(_scalar(draw, f) for _ in range(dim))
@@ -552,7 +622,7 @@ def _module_and_subspace(draw):
     return kind, m, Subspace.from_vectors(f, m.dim, vecs)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(_module_and_subspace())
 def test_sparse_actions_match_the_dense_oracle(case):
     kind, m, sub = case

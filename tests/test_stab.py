@@ -52,10 +52,10 @@ from frobstab.stab import (
 )
 from helpers import (
     assert_stored_rows, dense_vectors, exact_kernel, frobenius_ideal_by_definition, full_subspace,
-    hom_by_back_matrix, hom_by_generators, integer_rows, kron_sum_by_definition, multiplication_surjection,
-    norm_image_by_full_columns, dual_bases, null_by_full_operator, quantum_exterior,
-    quantum_exterior_module, quotient_action, reduce_by_definition, restricted_action, stack_rows,
-    unvec, zeros,
+    hom_by_back_matrix, hom_by_generators, in_basis, integer_rows, kron_sum_by_definition,
+    module_in_basis, multiplication_surjection, norm_image_by_full_columns, dual_bases,
+    null_by_full_operator, quantum_exterior, quantum_exterior_module, quotient_action,
+    random_basis, reduce_by_definition, restricted_action, stack_rows, unvec, zeros,
 )
 
 Q = Field.rationals()
@@ -873,10 +873,10 @@ def test_frobenius_ideal_matches_the_dense_definition():
                 for f in (GF2, GF3, Q)]
     lambdas = [quantum_exterior(q) for q in (2, 3, Fraction(1, 2), -1)]
     systems += lambdas
-    systems += [_in_basis(truncated_polynomial(4, Q).system, _SKEW), _in_basis(lambdas[0], _SKEW)]
+    systems += [in_basis(truncated_polynomial(4, Q).system, _SKEW), in_basis(lambdas[0], _SKEW)]
     fractional = [
-        _in_basis(truncated_polynomial(5, Q).system, _random_basis(Q, 5, seed=4)),
-        _in_basis(group_algebra(symmetric_group_3(), Q).system, _random_basis(Q, 6, seed=2)),
+        in_basis(truncated_polynomial(5, Q).system, random_basis(Q, 5, seed=4)),
+        in_basis(group_algebra(symmetric_group_3(), Q).system, random_basis(Q, 6, seed=2)),
     ]
     assert all(any(x.denominator > 1 for row in system.algebra.cells for cell in row
                    for _, x in cell) for system in fractional)
@@ -895,7 +895,7 @@ def test_frobenius_ideal_sums_over_p_before_it_multiplies(monkeypatch):
     terms b_q e_q pair at most dim A entries of b_q with one basis element,
     dim A^2 pairs in all; multiplying e_p (e_j e_q) for each nonzero C[p,q]
     would pair each of C's nonzeros with a whole cell."""
-    system = _in_basis(truncated_polynomial(6, GF5).system, _random_basis(GF5, 6, seed=1))
+    system = in_basis(truncated_polynomial(6, GF5).system, random_basis(GF5, 6, seed=1))
     alg, n = system.algebra, system.algebra.dim
     assert sum(len(cell) for row in alg.cells for cell in row) > n ** 3 // 2
     assert len(system.element_matrix.nonzeros[1]) > n ** 2 // 2
@@ -939,13 +939,12 @@ def test_serre_duality_on_a_non_symmetric_algebra():
     1, x, x + y, xy, nu is not diagonal, and reading it by rows fails."""
     system = quantum_exterior(2)
     skew = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    skewed = _in_basis(system, skew)
+    skewed = in_basis(system, skew)
     mods = [quantum_exterior_module(system.algebra, lam)
             for lam in (1, 2, 4, 8, Fraction(1, 2), Fraction(1, 4), None)]
     for m in mods:
         validate_module(m)
-    moved = [ModuleRep(skewed.algebra, m.dim, tuple(m.action_of(skew.col(j)) for j in range(4)),
-                       name=m.name) for m in mods]
+    moved = [module_in_basis(m, skewed.algebra, skew) for m in mods]
     assert stable_hom(system, mods[0], mods[0]).stable_dim > 0
     for sys_, ms in ((system, mods), (skewed, moved)):
         g = gram_matrix(sys_.algebra, sys_.trace)
@@ -1033,31 +1032,6 @@ def test_stable_center_structure_constants():
     }
 
 
-def _in_basis(system, pm):
-    """The same algebra and trace in the basis whose j-th vector is column j
-    of the invertible matrix pm."""
-    alg, f = system.algebra, system.algebra.field
-    to_new = pm.inverse()
-    cols = [pm.col(j) for j in range(alg.dim)]
-    entries = [
-        (a, b, c, v)
-        for a in range(alg.dim) for b in range(alg.dim)
-        for c, v in enumerate(to_new.apply(alg.mul(cols[a], cols[b]))) if v
-    ]
-    new = StructureAlgebra.from_entries(f, alg.dim, entries, to_new.apply(alg.unit))
-    return derive_system(new, pm.transpose().apply(system.trace))
-
-
-def _random_basis(field, n, seed):
-    """A seeded random invertible n x n matrix with entries in [-2, 2]."""
-    rng = random.Random(seed)
-    while True:
-        pm = Matrix.dense(field, n, n, tuple(field.from_int(rng.randrange(-2, 3))
-                                             for _ in range(n * n)))
-        if pm.inverse() is not None:
-            return pm
-
-
 def test_stable_center_matches_per_product_solve():
     # Oracle: solve for each product of representatives in the basis reps + ideal,
     # for the ideal by its dense definition.  In the basis 1, x, x^2, x^2 + x^3 of
@@ -1073,9 +1047,9 @@ def test_stable_center_matches_per_product_solve():
         group_algebra(klein_four_group(), GF2).system,
         s3f3,
         s3q,
-        _in_basis(truncated_polynomial(4, Q).system, _SKEW),
-        _in_basis(s3f3, _random_basis(GF3, 6, seed=5)),
-        _in_basis(truncated_polynomial(5, Q).system, _random_basis(Q, 5, seed=4)),
+        in_basis(truncated_polynomial(4, Q).system, _SKEW),
+        in_basis(s3f3, random_basis(GF3, 6, seed=5)),
+        in_basis(truncated_polynomial(5, Q).system, random_basis(Q, 5, seed=4)),
         quantum_exterior(2),
         quantum_exterior(3),
     ):
@@ -1219,6 +1193,16 @@ def test_mismatched_modules_rejected():
     other = truncated_module(3, 0, GF2)
     with pytest.raises(AlgebraMismatch):
         stable_hom(a2.system, m, other)
+
+
+def test_stable_hom_checks_the_algebra_before_it_solves():
+    """A pair of modules over another algebra is refused before `hom_A`
+    solves for their maps."""
+    a2 = truncated_polynomial(2, GF2)
+    v = truncated_module(3, 1, GF2)
+    with mock.patch.object(stab, "hom_A", side_effect=AssertionError("solved")), \
+            pytest.raises(AlgebraMismatch):
+        stable_hom(a2.system, v, v)
 
 
 def test_null_maps_outside_hom_are_rejected():
