@@ -4,8 +4,9 @@ JSON results go to stdout, human diagnostics to stderr.  Exit codes:
 0 success, 2 mathematical or validation failure (stdout carries
 {"error": code, "witness": ...}), 3 malformed input (bad JSON, bad flags,
 unreadable files, a catalog order below 1, a catalog module index
-outside [0, n), or a catalog order, Ext degree or shift count above
-`MAX_ORDER` in size, refused before anything is loaded or written).  Output is
+outside [0, n), a catalog order, Ext degree or shift count above
+`MAX_ORDER` in size, refused before anything is loaded or written, or an
+output path that cannot be written).  Output is
 deterministic for identical inputs.
 """
 
@@ -29,6 +30,7 @@ from .catalog import (
 )
 from .frobenius import derive_system, frobenius_element
 from .modrep import module_from_json, module_to_json, regular_module, validate_module
+from .modrep import _matrix_texts
 from .selftest import run_all
 from .stab import (
     enveloping_comparison,
@@ -74,26 +76,29 @@ def _load_system(path: str):
     algebra, trace = _load_algebra(path)
     if trace is None:
         raise ParseError(f"{path} has no trace; this computation needs one")
-    return algebra, derive_system(algebra, trace), trace
+    return derive_system(algebra, trace)
 
 
-def _load_module(path: str, algebra, algebra_path: str):
+def _load_modules(algebra, algebra_path: str, *paths: str) -> list:
+    """Each module file in turn, read and validated; a module may name the
+    algebra by its file's stem."""
     accept = {Path(algebra_path).stem}
-    m = module_from_json(_load_json(path), algebra, accept_names=accept)
-    validate_module(m)
-    return m
+    mods = []
+    for path in paths:
+        mods.append(module_from_json(_load_json(path), algebra, accept_names=accept))
+        validate_module(mods[-1])
+    return mods
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, default=str))
 
 
-def _matrix_json(mat, fmt) -> list[list[str]]:
-    return [[fmt(x) for x in mat.row(r)] for r in range(mat.nrows)]
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, default=str) + "\n", encoding="utf-8")
+    try:
+        path.write_text(json.dumps(obj, indent=2, default=str) + "\n", encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}", witness=str(path)) from None
 
 
 # subcommands --------------------------------------------------------
@@ -129,30 +134,25 @@ def _cmd_check(args) -> int:
     if code is not None:
         out["error"] = code
         out["witness"] = witness
-        _emit(out)
-        return 2
     _emit(out)
-    return 0
+    return 0 if code is None else 2
 
 
 def _cmd_stable_hom(args) -> int:
-    algebra, system, _ = _load_system(args.algebra)
-    m = _load_module(args.module_m, algebra, args.algebra)
-    n_ = _load_module(args.module_n, algebra, args.algebra)
+    system = _load_system(args.algebra)
+    m, n_ = _load_modules(system.algebra, args.algebra, args.module_m, args.module_n)
     r = stable_hom(system, m, n_)
     out = {"hom_dim": r.hom_dim, "null_dim": r.null_dim, "stable_dim": r.stable_dim}
     if args.basis:
-        fmt = algebra.field.to_str
-        out["coset_reps"] = [_matrix_json(mat, fmt) for mat in r.coset_reps]
+        out["coset_reps"] = [_matrix_texts(mat) for mat in r.coset_reps]
     _emit(out)
     return 0
 
 
 def _cmd_ext(args) -> int:
     check_order(abs(args.degree), "|degree|", least=0)
-    algebra, system, _ = _load_system(args.algebra)
-    m = _load_module(args.module_m, algebra, args.algebra)
-    n_ = _load_module(args.module_n, algebra, args.algebra)
+    system = _load_system(args.algebra)
+    m, n_ = _load_modules(system.algebra, args.algebra, args.module_m, args.module_n)
     r = stable_ext(system, m, n_, args.degree)
     _emit({
         "degree": args.degree,
@@ -166,12 +166,12 @@ def _cmd_ext(args) -> int:
 def _cmd_shift(args) -> int:
     check_order(abs(args.steps), "|steps|", least=0)
     if args.steps > 0:
-        algebra, system, _ = _load_system(args.algebra)
-        m = _load_module(args.module_m, algebra, args.algebra)
+        system = _load_system(args.algebra)
+        (m,) = _load_modules(system.algebra, args.algebra, args.module_m)
         shifted = shift_plus(system, m, args.steps)
     else:
         algebra, _ = _load_algebra(args.algebra)
-        m = _load_module(args.module_m, algebra, args.algebra)
+        (m,) = _load_modules(algebra, args.algebra, args.module_m)
         shifted = shift_minus(m, -args.steps) if args.steps < 0 else m
     out_path = Path(args.out)
     _write_json(out_path, module_to_json(shifted))
@@ -181,9 +181,9 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_stable_center(args) -> int:
-    algebra, system, _ = _load_system(args.algebra)
+    system = _load_system(args.algebra)
     r = stable_center(system)
-    fmt = algebra.field.to_str
+    fmt = system.algebra.field.to_str
     out = {
         "center_dim": r.center_dim,
         "ideal_dim": r.ideal_dim,
@@ -194,18 +194,15 @@ def _cmd_stable_center(args) -> int:
         via = stable_center_via_enveloping(system)
         out["via_enveloping"] = via
         out["agree"] = via == r.stable_center_dim
-        _emit(out)
-        return 0 if out["agree"] else 2
     _emit(out)
-    return 0
+    return 0 if out.get("agree", True) else 2
 
 
 def _cmd_tate0(args) -> int:
     field = _parse_field(args.field)
     g = group_from_string(args.group)
     algebra, system = group_algebra(g, field)
-    m = _load_module(args.module_m, algebra, algebra.name)
-    n_ = _load_module(args.module_n, algebra, algebra.name)
+    m, n_ = _load_modules(algebra, algebra.name, args.module_m, args.module_n)
     t = tate0(system, m, n_)
     s = stable_hom(system, m, n_)
     out = {
@@ -220,9 +217,8 @@ def _cmd_tate0(args) -> int:
 
 
 def _cmd_compare_enveloping(args) -> int:
-    algebra, system, _ = _load_system(args.algebra)
-    m = _load_module(args.module_m, algebra, args.algebra)
-    n_ = _load_module(args.module_n, algebra, args.algebra)
+    system = _load_system(args.algebra)
+    m, n_ = _load_modules(system.algebra, args.algebra, args.module_m, args.module_n)
     direct, via = enveloping_comparison(system, m, n_)
     out = {"direct": direct, "via_enveloping": via, "agree": direct == via}
     _emit(out)
@@ -380,12 +376,9 @@ def main(argv=None) -> int:
         return 3 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as e:
-        _emit({"error": e.code, "witness": e.witness, "message": str(e)})
-        return 3
     except FrobstabError as e:
         _emit({"error": e.code, "witness": e.witness, "message": str(e)})
-        return 2
+        return 3 if isinstance(e, ParseError) else 2
 
 
 if __name__ == "__main__":

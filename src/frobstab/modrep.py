@@ -371,35 +371,41 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
     return ModuleRep(first.algebra, total, tuple(action), name=name)
 
 
-def _require_invariant(m: ModuleRep, sub: Subspace) -> None:
+def _require_invariant(m: ModuleRep, sub: Subspace, rows: list[dict]) -> dict[int, list[dict]]:
     """NotInvariant unless rho(e_i) keeps sub for each i, witnessed by the
-    first basis index that moves it (`_first_failing`, over sub's stored
-    rows).  Precondition: M is a module."""
+    first basis index that moves it (`_first_failing`, over `rows`, a basis
+    of sub).  Returns the images it computed, {i: [rho(e_i) v for v in
+    rows]}, which hold every generator.  Precondition: M is a module."""
     if sub.ambient != m.dim:
         raise DimensionMismatch("subspace of the wrong ambient space")
-    i = _first_failing(m.algebra, lambda i: any(
-        sub._residual(_sparse_apply(m.action[i], v)) for v in sub.rows.values()))
+    images = {}
+
+    def moves(i):
+        images[i] = [_sparse_apply(m.action[i], v) for v in rows]
+        return any(sub._residual(dict(w)) for w in images[i])  # `_residual` consumes its v
+
+    i = _first_failing(m.algebra, moves)
     if i is not None:
         raise NotInvariant(f"subspace not stable under basis {i}", witness=i)
+    return images
 
 
 def submodule(m: ModuleRep, sub: Subspace) -> ModuleRep:
     """Restrict the action to an invariant subspace, in its canonical basis:
     column t of action i is rho(e_i) v_t, for v_t the t-th RREF row, read
-    at the pivots.  That is built for the generators and the indices that
-    are not products; every other action is derived as a product of built
-    ones (`_actions_by_products`).  Precondition: M is a module;
-    NotInvariant as `_require_invariant`."""
-    _require_invariant(m, sub)
+    at the pivots.  That is built for the generators, from the images that
+    `_require_invariant` computed, and for the indices that are not
+    products; every other action is derived as a product of built ones
+    (`_actions_by_products`).  Precondition: M is a module; NotInvariant as
+    `_require_invariant`."""
     f, d = m.algebra.field, sub.dim
-    at = {pc: s * d for s, pc in enumerate(sub.pivots)}
     vectors = [_rref_row(v, f.characteristic) for v in sub.rows.values()]
+    images = _require_invariant(m, sub, vectors)
+    at = {pc: s * d for s, pc in enumerate(sub.pivots)}
 
     def build(i):
-        rho, nz = m.action[i], []
-        for t, v in enumerate(vectors):
-            w = _sparse_apply(rho, v)
-            nz += [(at[pc] + t, w[pc]) for pc in w.keys() & at.keys()]
+        ws = images[i] if i in images else [_sparse_apply(m.action[i], v) for v in vectors]
+        nz = [(at[pc] + t, w[pc]) for t, w in enumerate(ws) for pc in w.keys() & at.keys()]
         return Matrix(f, d, d, _integers(f, nz))
 
     return ModuleRep(m.algebra, d, _actions_by_products(m.algebra, d, build),
@@ -415,8 +421,8 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     generators and the indices that are not products; every other action is
     derived as a product of built ones (`_actions_by_products`).
     """
-    _require_invariant(m, sub)
     f = m.algebra.field
+    _require_invariant(m, sub, [_rref_row(v, f.characteristic) for v in sub.rows.values()])
     piv = set(sub.pivots)
     at = {q: s for s, q in enumerate(q for q in range(m.dim) if q not in piv)}
     n = len(at)
@@ -434,17 +440,23 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
 # JSON ---------------------------------------------------------------
 
 
+def _matrix_texts(mat: Matrix) -> list[list[str]]:
+    """The rows of mat as scalar texts: "0" in every cell, then `to_str`
+    once per stored nonzero."""
+    n, to_str = mat.ncols, mat.field.to_str
+    rows = [["0"] * n for _ in range(mat.nrows)]
+    for t, x in mat._scalars():
+        rows[t // n][t % n] = to_str(x)
+    return rows
+
+
 def module_to_json(m: ModuleRep) -> dict:
-    fmt = m.algebra.field.to_str
     return {
         "format": MODULE_FORMAT,
         "name": m.name,
         "algebra": m.algebra.name,
         "dim": m.dim,
-        "action": [
-            [[fmt(x) for x in mat.row(r)] for r in range(m.dim)]
-            for mat in m.action
-        ],
+        "action": [_matrix_texts(mat) for mat in m.action],
     }
 
 

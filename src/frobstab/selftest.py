@@ -1,10 +1,15 @@
 """Built-in acceptance checks.
 
-Ten independent criteria, each a function returning a list of failure
-strings (empty = pass).  They are exact: every comparison is equality of
-integers, scalars, or canonical subspaces.  The same checks back the CLI
-`selftest` subcommand and the acceptance test file, so the shipped wheel
-can re-verify itself.
+Ten independent criteria, each `criterion_N(audit=None) -> CriterionResult`.
+They are exact: every comparison is equality of integers, scalars, or
+canonical subspaces.  The same checks back the CLI `selftest` subcommand
+and the acceptance test file, so the shipped wheel can re-verify itself.
+
+One runner, `_criterion`, does the tally for all ten.  Each criterion body
+is a generator that yields `ok or message` once per check, so the failure
+message is built only when the check fails; the runner counts the checks,
+keeps the messages, and hands the body the caller's audit list or a fresh
+one.
 
 Criterion 5 (null-homotopic maps are A-linear) audits every (hom, null)
 basis pair produced while running the other criteria, plus a standalone
@@ -14,6 +19,7 @@ rather than inferred from the oracle comparisons.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -74,17 +80,30 @@ class CriterionResult:
 Audit = list[tuple[str, Subspace, Subspace]]
 
 
-def _stable(system, m, n_, audit: Audit | None, label: str):
+def _criterion(cid: int, title: str):
+    """The check runner: turns a body, a generator over an audit list that
+    yields `ok or message` once per check, into `criterion_N(audit=None)
+    -> CriterionResult`, whose failures are the yielded strings.  The body
+    gets a fresh list when the caller passes none."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run(audit: Audit | None = None) -> CriterionResult:
+            outcomes = list(body([] if audit is None else audit))
+            return CriterionResult(cid, title, len(outcomes),
+                                   [msg for msg in outcomes if isinstance(msg, str)])
+        return run
+    return wrap
+
+
+def _stable(system, m, n_, audit: Audit, label: str):
     r = stable_hom(system, m, n_)
-    if audit is not None:
-        audit.append((label, r.hom_basis, r.null_basis))
+    audit.append((label, r.hom_basis, r.null_basis))
     return r
 
 
-def criterion_1(audit: Audit | None = None) -> CriterionResult:
+@_criterion(1, "stable endomorphism table for truncated modules")
+def criterion_1(audit: Audit):
     """Stable endomorphism dimensions of the truncated modules."""
-    failures = []
-    checks = 0
     for f in ENDO_FIELDS:
         for n in ENDO_RANGE:
             _, system = truncated_polynomial(n, f)
@@ -92,29 +111,20 @@ def criterion_1(audit: Audit | None = None) -> CriterionResult:
                 v = truncated_module(n, i, f)
                 got = _stable(system, v, v, audit, f"endo n={n} i={i} {_fname(f)}").stable_dim
                 want = n - 1 - i if 2 * i >= n - 1 else i + 1
-                checks += 1
-                if got != want:
-                    failures.append(
-                        f"n={n} i={i} {_fname(f)}: stable endo dim {got}, expected {want}"
-                    )
-    return CriterionResult(1, "stable endomorphism table for truncated modules", checks, failures)
+                yield got == want or (
+                    f"n={n} i={i} {_fname(f)}: stable endo dim {got}, expected {want}")
 
 
-def criterion_2(audit: Audit | None = None) -> CriterionResult:
+@_criterion(2, "stable centers of truncated polynomial rings")
+def criterion_2(audit: Audit):
     """Stable center dimensions and the explicit factoring ideal."""
-    failures = []
-    checks = 0
     for f in ENDO_FIELDS:
         for n in ENDO_RANGE:
             _, system = truncated_polynomial(n, f)
-            res = stable_center(system)
+            got = stable_center(system).stable_center_dim
             p = f.characteristic
             want = n if (p and n % p == 0) else n - 1
-            checks += 1
-            if res.stable_center_dim != want:
-                failures.append(
-                    f"n={n} {_fname(f)}: stable center dim {res.stable_center_dim}, expected {want}"
-                )
+            yield got == want or f"n={n} {_fname(f)}: stable center dim {got}, expected {want}"
             top = f.from_int(n)
             if top:
                 v = [f.zero] * n
@@ -122,12 +132,8 @@ def criterion_2(audit: Audit | None = None) -> CriterionResult:
                 expected = Subspace.from_vectors(f, n, [v])
             else:
                 expected = Subspace.zero(f, n)
-            checks += 1
-            if frobenius_ideal(system) != expected:
-                failures.append(
-                    f"n={n} {_fname(f)}: factoring ideal differs from span of n*x^(n-1)"
-                )
-    return CriterionResult(2, "stable centers of truncated polynomial rings", checks, failures)
+            yield frobenius_ideal(system) == expected or (
+                f"n={n} {_fname(f)}: factoring ideal differs from span of n*x^(n-1)")
 
 
 def _center_route_instances():
@@ -138,17 +144,13 @@ def _center_route_instances():
             yield f"{g.name} {_fname(f)}", group_algebra(g, f).system
 
 
-def criterion_3(audit: Audit | None = None) -> CriterionResult:
+@_criterion(3, "two routes to the stable center")
+def criterion_3(audit: Audit):
     """Stable center agrees with stable bimodule endomorphisms of A."""
-    failures = []
-    checks = 0
     for label, system in _center_route_instances():
         direct = stable_center(system).stable_center_dim
         via = stable_center_via_enveloping(system)
-        checks += 1
-        if direct != via:
-            failures.append(f"{label}: stable center {direct} != bimodule route {via}")
-    return CriterionResult(3, "two routes to the stable center", checks, failures)
+        yield direct == via or f"{label}: stable center {direct} != bimodule route {via}"
 
 
 def _oracle_instances():
@@ -171,40 +173,29 @@ def _oracle_instances():
                     yield (f"{g.name} {m.name}->{n_.name} {_fname(f)}", system, m, n_)
 
 
-def criterion_4(audit: Audit | None = None) -> CriterionResult:
+@_criterion(4, "independent oracle for the null-homotopic subspace")
+def criterion_4(audit: Audit):
     """Factoring maps: definition route equals the dual-basis operator route."""
-    failures = []
-    checks = 0
     for label, system, m, n_ in _oracle_instances():
         oracle = factoring_ideal_oracle(system, m, n_)
         r = _stable(system, m, n_, audit, f"oracle {label}")
-        checks += 1
-        if oracle != r.null_basis:
-            failures.append(f"{label}: oracle subspace differs from image of T")
-    return CriterionResult(4, "independent oracle for the null-homotopic subspace", checks, failures)
+        yield oracle == r.null_basis or f"{label}: oracle subspace differs from image of T"
 
 
-def criterion_5(audit: Audit | None = None) -> CriterionResult:
+@_criterion(5, "containment of the null-homotopic subspace")
+def criterion_5(audit: Audit):
     """Null-homotopic maps are A-linear on every instance touched."""
-    failures = []
-    entries = list(audit) if audit is not None else []
-    if not entries:
-        own: Audit = []
+    if not audit:
         for label, system, m, n_ in _oracle_instances():
-            _stable(system, m, n_, own, label)
+            _stable(system, m, n_, audit, label)
         for f in ENDO_FIELDS:
             for n in (2, 4, 6):
                 _, system = truncated_polynomial(n, f)
                 for i in range(n):
                     v = truncated_module(n, i, f)
-                    _stable(system, v, v, own, f"endo n={n} i={i} {_fname(f)}")
-        entries = own
-    checks = 0
-    for label, hom, null in entries:
-        checks += 1
-        if not hom.contains_subspace(null):
-            failures.append(f"{label}: null-homotopic subspace leaves hom_A")
-    return CriterionResult(5, "containment of the null-homotopic subspace", checks, failures)
+                    _stable(system, v, v, audit, f"endo n={n} i={i} {_fname(f)}")
+    for label, hom, null in audit:
+        yield hom.contains_subspace(null) or f"{label}: null-homotopic subspace leaves hom_A"
 
 
 def _twist_cases():
@@ -220,10 +211,9 @@ def _twist_cases():
     return [("Q trunc3", alg_t, sys_t, pairs_t), ("GF2 cyclic2", alg_g, sys_g, pairs_g)]
 
 
-def criterion_6(audit: Audit | None = None) -> CriterionResult:
+@_criterion(6, "twist invariance of stable morphism spaces")
+def criterion_6(audit: Audit):
     """Stable data is invariant under twisting the Frobenius system."""
-    failures = []
-    checks = 0
     rng = random.Random(20260821)
     for label, alg, system, pairs in _twist_cases():
         base = [
@@ -241,21 +231,17 @@ def criterion_6(audit: Audit | None = None) -> CriterionResult:
             except DualityViolation:
                 twisted = None
             done += 1
-            checks += 1
+            yield twisted is not None or f"{label} twist #{done} ({side}): identities fail"
             if twisted is None:
-                failures.append(f"{label} twist #{done} ({side}): identities fail")
                 continue
             for (m, n_), before in zip(pairs, base):
                 after = _stable(
                     twisted, m, n_, audit, f"twist #{done} {label} {m.name}->{n_.name}"
                 )
-                checks += 1
-                if after.null_basis != before.null_basis or after.stable_dim != before.stable_dim:
-                    failures.append(
-                        f"{label} twist #{done} ({side}) {m.name}->{n_.name}: "
-                        f"stable data changed"
-                    )
-    return CriterionResult(6, "twist invariance of stable morphism spaces", checks, failures)
+                same = (after.null_basis == before.null_basis
+                        and after.stable_dim == before.stable_dim)
+                yield same or (
+                    f"{label} twist #{done} ({side}) {m.name}->{n_.name}: stable data changed")
 
 
 def _enveloping_cases():
@@ -268,26 +254,20 @@ def _enveloping_cases():
         yield f"cyclic2 {_fname(f)}", system, [trivial_module(alg), regular_module(alg)]
 
 
-def criterion_7(audit: Audit | None = None) -> CriterionResult:
+@_criterion(7, "enveloping-algebra route for stable maps")
+def criterion_7(audit: Audit):
     """Stable maps computed over A agree with the enveloping-algebra route."""
-    failures = []
-    checks = 0
     for label, system, mods in _enveloping_cases():
         for m in mods:
             for n_ in mods:
                 direct, via = enveloping_comparison(system, m, n_)
-                checks += 1
-                if direct != via:
-                    failures.append(
-                        f"{label} {m.name}->{n_.name}: direct {direct} != enveloping {via}"
-                    )
-    return CriterionResult(7, "enveloping-algebra route for stable maps", checks, failures)
+                yield direct == via or (
+                    f"{label} {m.name}->{n_.name}: direct {direct} != enveloping {via}")
 
 
-def criterion_8(audit: Audit | None = None) -> CriterionResult:
+@_criterion(8, "Tate degree zero against stable maps")
+def criterion_8(audit: Audit):
     """Degree-zero Tate cohomology matches stable maps for group algebras."""
-    failures = []
-    checks = 0
     cases = [
         (GF2, cyclic_group(2)),
         (GF2, klein_four_group()),
@@ -302,21 +282,15 @@ def criterion_8(audit: Audit | None = None) -> CriterionResult:
                 label = f"{g.name} {_fname(f)} {m.name}->{n_.name}"
                 t = tate0(system, m, n_)
                 r = _stable(system, m, n_, audit, f"tate {label}")
-                checks += 1
-                if (t.invariants_dim, t.norm_image_dim, t.tate_dim) != (
-                    r.hom_dim, r.null_dim, r.stable_dim
-                ):
-                    failures.append(f"{label}: tate {t} != stable {r.stable_dim}")
+                dims = (r.hom_dim, r.null_dim, r.stable_dim)
+                yield (t.invariants_dim, t.norm_image_dim, t.tate_dim) == dims or (
+                    f"{label}: tate {t} != stable {r.stable_dim}")
                 if f.kind == "rational":
-                    checks += 1
-                    if r.stable_dim != 0:
-                        failures.append(f"{label}: expected semisimple vanishing")
+                    yield r.stable_dim == 0 or f"{label}: expected semisimple vanishing"
         if f == GF2 and g.order == 2:
             tv = mods[0]
-            checks += 1
-            if tate0(system, tv, tv).tate_dim != 1:
-                failures.append("GF2 cyclic2 trivial-trivial: expected Tate dim 1")
-    return CriterionResult(8, "Tate degree zero against stable maps", checks, failures)
+            yield tate0(system, tv, tv).tate_dim == 1 or (
+                "GF2 cyclic2 trivial-trivial: expected Tate dim 1")
 
 
 def _vanishing_instances():
@@ -333,19 +307,17 @@ def _vanishing_instances():
                 yield f"{g.name} {m.name} free1 {_fname(f)}", system, m, 1
 
 
-def criterion_9(audit: Audit | None = None) -> CriterionResult:
+@_criterion(9, "projective vanishing and naturality")
+def criterion_9(audit: Audit):
     """Projective vanishing on both sides, and naturality of the null space."""
-    failures = []
-    checks = 0
     for label, system, m, k in _vanishing_instances():
         fr = free_module(system.algebra, k)
         left = _stable(system, fr, m, audit, f"free-> {label}")
         right = _stable(system, m, fr, audit, f"->free {label}")
-        checks += 2
-        if left.stable_dim != 0:
-            failures.append(f"{label}: stable maps out of a free module, dim {left.stable_dim}")
-        if right.stable_dim != 0:
-            failures.append(f"{label}: stable maps into a free module, dim {right.stable_dim}")
+        yield left.stable_dim == 0 or (
+            f"{label}: stable maps out of a free module, dim {left.stable_dim}")
+        yield right.stable_dim == 0 or (
+            f"{label}: stable maps into a free module, dim {right.stable_dim}")
     n = 4
     for f in (GF2, Q):
         _, system = truncated_polynomial(n, f)
@@ -365,27 +337,20 @@ def criterion_9(audit: Audit | None = None) -> CriterionResult:
                     # vec(H proj) = kron(proj^T, I) vec(H): the composites
                     # are the rows of a basis times kron(proj, I).
                     by_proj = kron(proj, Matrix.identity(f, target.dim))
-                    for comp in _integer_rows(small.hom_basis.basis @ by_proj):
-                        checks += 1
-                        if big.hom_basis._residual(comp):
-                            failures.append(
-                                f"nat {_fname(f)} V{j}->>V{i}->V{l}: hom map leaves hom_A"
-                            )
-                            break
-                    for comp in _integer_rows(small.null_basis.basis @ by_proj):
-                        checks += 1
-                        if big.null_basis._residual(comp):
-                            failures.append(
-                                f"nat {_fname(f)} V{j}->>V{i}->V{l}: null map leaves null space"
-                            )
-                            break
-    return CriterionResult(9, "projective vanishing and naturality", checks, failures)
+                    for what, source, image in (
+                        ("hom map leaves hom_A", small.hom_basis, big.hom_basis),
+                        ("null map leaves null space", small.null_basis, big.null_basis),
+                    ):
+                        for comp in _integer_rows(source.basis @ by_proj):
+                            if image._residual(comp):
+                                yield f"nat {_fname(f)} V{j}->>V{i}->V{l}: {what}"
+                                break
+                            yield True
 
 
-def criterion_10(audit: Audit | None = None) -> CriterionResult:
+@_criterion(10, "shift adjunction and Ext periodicity")
+def criterion_10(audit: Audit):
     """Shift adjunction on dimensions, and two-sided Ext periodicity."""
-    failures = []
-    checks = 0
     n = 4
     _, system = truncated_polynomial(n, GF2)
     for i in range(n):
@@ -398,45 +363,24 @@ def criterion_10(audit: Audit | None = None) -> CriterionResult:
             rhs = _stable(
                 system, m, shift_plus(system, n_mod, 1), audit, f"adj V{i}->[+1]V{j}"
             ).stable_dim
-            checks += 1
-            if lhs != rhs:
-                failures.append(f"adjunction V{i},V{j}: {lhs} != {rhs}")
+            yield lhs == rhs or f"adjunction V{i},V{j}: {lhs} != {rhs}"
     _, system2 = truncated_polynomial(2, GF2)
     v0 = truncated_module(2, 0, GF2)
     for d in range(-3, 4):
         r = stable_ext(system2, v0, v0, d)
-        if audit is not None:
-            audit.append((f"ext d={d}", r.hom_basis, r.null_basis))
-        checks += 1
-        if r.stable_dim != 1:
-            failures.append(f"Ext^{d}(V0, V0) over GF2 trunc2: dim {r.stable_dim}, expected 1")
-    return CriterionResult(10, "shift adjunction and Ext periodicity", checks, failures)
+        audit.append((f"ext d={d}", r.hom_basis, r.null_basis))
+        yield r.stable_dim == 1 or (
+            f"Ext^{d}(V0, V0) over GF2 trunc2: dim {r.stable_dim}, expected 1")
 
 
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
+            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
 
 def run_all(selected: list[int] | None = None) -> list[CriterionResult]:
     """Run criteria in order with a shared audit for criterion 5."""
     audit: Audit = []
     wanted = set(selected) if selected else set(range(1, 11))
-    results = []
     order = [1, 2, 3, 4, 6, 7, 8, 9, 10, 5]  # 5 last so the audit is full
-    for cid in order:
-        if cid not in wanted:
-            continue
-        fn = CRITERIA[cid - 1]
-        results.append(fn(audit))
-    results.sort(key=lambda r: r.cid)
-    return results
+    results = [CRITERIA[cid - 1](audit) for cid in order if cid in wanted]
+    return sorted(results, key=lambda r: r.cid)

@@ -43,3 +43,15 @@ def test_criterion(cid, verdicts):
 
 def test_every_criterion_is_covered(verdicts):
     assert sorted(verdicts) == list(range(1, 11))
+
+
+def test_check_counts_are_pinned(verdicts):
+    """The per-criterion check counts, which `frobstab selftest` prints and
+    the benchmark's selftest digest records; criterion 5 audits 188 pairs
+    of its own when it runs alone."""
+    assert [(cid, r.checks) for cid, r in sorted(verdicts.items())] == [
+        (1, 140), (2, 56), (3, 21), (4, 140), (5, 705),
+        (6, 80), (7, 34), (8, 21), (9, 344), (10, 23),
+    ]
+    assert [(r.cid, r.checks) for r in run_all([5])] == [(5, 188)]
+    assert [(r.cid, r.checks) for r in run_all([2, 8, 10])] == [(2, 56), (8, 21), (10, 23)]
