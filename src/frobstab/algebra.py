@@ -37,7 +37,7 @@ ALGEBRA_FORMAT = "frobstab-algebra/1"
 # Most matrix entries a construction may allocate, checked before it does: a free
 # module F, dim(A) * dim(F)^2 (stable Ext^+-5 of V1 over k[x]/(x^4) needs 1.7M, +-6
 # 15M); A (x) A^op and A's bimodule action, dim(A)^4; Hom_k(M, N) over it, dim(A)^2 *
-# (dim M * dim N)^2.
+# (dim M * dim N)^2; the cells of an algebra built from entries, dim(A)^2.
 MAX_FREE_ENTRIES = 2_000_000
 
 Cell = tuple[tuple[int, object], ...]
@@ -94,7 +94,9 @@ class StructureAlgebra:
     @staticmethod
     def from_entries(field: Field, dim: int, entries, unit, name: str = "A",
                      basis_names=None, group=None) -> "StructureAlgebra":
-        """Build from (i, j, k, coeff) quadruples; coeffs are field scalars."""
+        """Build from (i, j, k, coeff) quadruples; coeffs are field scalars.
+        BudgetExceeded, witness dim, before dim^2 cells over MAX_FREE_ENTRIES."""
+        _check_entries(dim * dim, dim, f"dim {dim} algebra table")
         raw = [[[] for _ in range(dim)] for _ in range(dim)]
         for i, j, k, v in entries:
             if not (0 <= i < dim and 0 <= j < dim):

@@ -165,15 +165,16 @@ def _cmd_ext(args) -> int:
 
 def _cmd_shift(args) -> int:
     check_order(abs(args.steps), "|steps|", least=0)
+    system = _load_system(args.algebra) if args.steps > 0 else None
+    algebra = system.algebra if system else _load_algebra(args.algebra)[0]
+    (m,) = _load_modules(algebra, args.algebra, args.module_m)
+    out_path = Path(args.out)
+    if out_path.is_dir() or not out_path.parent.is_dir():
+        raise ParseError(f"cannot write {out_path} as a file", witness=str(out_path))
     if args.steps > 0:
-        system = _load_system(args.algebra)
-        (m,) = _load_modules(system.algebra, args.algebra, args.module_m)
         shifted = shift_plus(system, m, args.steps)
     else:
-        algebra, _ = _load_algebra(args.algebra)
-        (m,) = _load_modules(algebra, args.algebra, args.module_m)
         shifted = shift_minus(m, -args.steps) if args.steps < 0 else m
-    out_path = Path(args.out)
     _write_json(out_path, module_to_json(shifted))
     _emit({"name": shifted.name, "dim": shifted.dim, "steps": args.steps,
            "written": str(out_path)})

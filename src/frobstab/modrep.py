@@ -21,7 +21,6 @@ import functools
 import inspect
 from dataclasses import dataclass
 from itertools import chain, compress
-from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
 from .algebra import MAX_FREE_ENTRIES, StructureAlgebra, enveloping, _require_keys
 from .algebra import _actions_by_products, _check_entries, _first_failing, _product_failures
 from .frobenius import FrobeniusSystem
-from .linalg import Matrix, Subspace, kron, linear_combination
+from .linalg import Matrix, Subspace, kron, kron_sum, linear_combination
 from .linalg import _canonical, _integers, _over_pivots, _rref, _rref_row, _sparse_apply
 
 MODULE_FORMAT = "frobstab-module/1"
@@ -288,29 +287,26 @@ def canonical_embedding(system: FrobeniusSystem, m: ModuleRep) -> Matrix:
     """Matrix of v |-> sum_p e_p (x) (c_p v) from M into A (x) M_0, for c_p
     row p of the Frobenius matrix C (`element_matrix`).
 
-    Block p of the rows is action_M(c_p): row p of `blocks` = C R, where
-    row r of R is action_M(e_r) flattened.  R is built from the actions'
-    stored nonzeros, and phi is `blocks`'s nonzeros read as
-    (dim A * dim M) x dim M.  Both checks read `blocks`,
+    `blocks` is one `kron_sum`, of C[p,q] kron(e_p, r_q) over the nonzeros
+    of C, for e_p the unit column and r_q action_M(e_q) as one row; its row
+    p is action_M(c_p) as one row, and phi, its nonzeros read as (dim A *
+    dim M) x dim M, has the blocks action_M(c_p).  Both checks read `blocks`,
     and compare the products' nonzeros, not the matrices, whose shapes
     differ.  e_q acts on A (x) M_0 as kron(L(e_q), I), so block p of its
     product with phi is sum_s L(e_q)[p, s] block s, row p of L(e_q)
-    `blocks`; phi intertwines iff that is phi action_M(e_q).  The trace
-    splitting a (x) v |-> trace(a) v of phi is trace `blocks`, which must
-    be I, so phi is injective.  BudgetExceeded, as `free_module`, if
-    A (x) M_0 is over MAX_FREE_ENTRIES.
+    `blocks`; phi intertwines iff that is phi action_M(e_q), checked on
+    every basis element.  The trace splitting a (x) v |-> trace(a) v of
+    phi is trace `blocks`, which must be I, so phi is injective.
+    BudgetExceeded, as `free_module`, if A (x) M_0 is over MAX_FREE_ENTRIES.
     """
     alg = system.algebra
     if m.algebra != alg:
         raise AlgebraMismatch("module is not over the system's algebra")
     f, n, md = alg.field, alg.dim, m.dim
     _check_entries(n * (n * md) ** 2, n * md, f"dim {n * md} free module")
-    ints = [rho.nonzeros for rho in m.action]
-    d, sq = lcm(*[dr for dr, _ in ints]), md * md
-    rows = Matrix(f, n, sq, (d, [
-        (r * sq + t, x * (d // dr)) for r, (dr, nz) in enumerate(ints) for t, x in nz
-    ]))
-    blocks = system.element_matrix @ rows
+    rows = [Matrix(f, 1, md * md, rho.nonzeros) for rho in m.action]
+    blocks = kron_sum(f, n, md * md, ((x, Matrix(f, n, 1, (1, [(t // n, 1)])), rows[t % n])
+                                      for t, x in system.element_matrix._scalars()))
     phi = Matrix(f, n * md, md, blocks.nonzeros)
     for q, rho in enumerate(m.action):
         if (alg.left[q] @ blocks).nonzeros != (phi @ rho).nonzeros:

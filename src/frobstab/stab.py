@@ -15,8 +15,8 @@ which acts on vectorized maps as sum_{p,q} C[p,q] kron(action_M(e_q)^T,
 action_N(e_p)): one Kronecker term per nonzero of C, read off the module
 actions as they are (`null_homotopy_operator`; `stable_hom` spans its
 image on a few columns).  `factoring_ideal_oracle` recomputes the same
-subspace along the definition and is kept as an independent route; the
-two are compared, never merged.
+subspace along the definition, as the maps that factor through N's free
+cover, and reads no C; the two routes are compared, never merged.
 
 Shifts are cokernel/kernel of the canonical embedding/multiplication maps,
 iterated for stable Ext in either direction.  The stable center is the
@@ -167,20 +167,20 @@ def stable_hom(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> StableHo
 
 
 def factoring_ideal_oracle(system: FrobeniusSystem, m: ModuleRep, n_: ModuleRep) -> Subspace:
-    """Maps M -> N factoring through the free cover of M, by direct composition.
+    """Maps M -> N that factor through a projective, as composites with N's free cover.
 
-    Every A-map F = A (x) M_0 -> N composed with the canonical embedding
-    M -> F is a factoring map, and all factoring maps arise this way.  This
-    is the definitional route, independent of the operator T.  As
-    vec(H phi) = kron(phi^T, I) vec(H), the composites are the rows of
-    Hom_A(F, N)'s basis times kron(phi, I), and the oracle is their span.
+    The multiplication map pi: F = A (x) N_0 -> N is onto and F is free.
+    In a map M -> P -> N through a projective P, P -> N lifts along pi, so
+    the map is pi g for an A-map g: M -> F; and every pi g factors through
+    F.  As rows, vec(pi g) = vec(g) kron(I, pi^T), so the factoring maps
+    are the rows of Hom_A(M, F)'s basis times kron(I, pi^T), and the
+    oracle is their span.  It reads neither C, the trace nor the embedding.
     """
     _check_system_module(system, m, n_)
     f = m.algebra.field
-    free = free_module(m.algebra, m.dim)
-    through = hom_A(free, n_)
-    phi = canonical_embedding(system, m)
-    composites = through.basis @ kron(phi, Matrix.identity(f, n_.dim))
+    free = free_module(m.algebra, n_.dim)
+    pi = kron_sum(f, n_.dim, free.dim, _surjection_terms(n_))
+    composites = hom_A(m, free).basis @ kron(Matrix.identity(f, m.dim), pi.transpose())
     return composites.transpose().image_basis()
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from frobstab import cli
 from frobstab.catalog import MAX_ORDER
 from frobstab.cli import main
 
@@ -291,6 +292,20 @@ def test_oversized_shift_fails_fast(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_oversized_algebra_table_fails_fast(capsys, tmp_path):
+    """An algebra file names dim unit entries but its table has dim^2 cells:
+    a dim whose cells are over MAX_FREE_ENTRIES (1415 is the least) exits 2,
+    witnessed by dim, before the table is allocated."""
+    for dim in (1415, 30000):
+        path = tmp_path / f"dim{dim}.json"
+        path.write_text(json.dumps({**_K2, "dim": dim, "unit": ["0"] * dim, "mult": []}))
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, "check", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert (report["error"], report["witness"]) == ("BudgetExceeded", dim)
+
+
 def test_step_counts_are_capped_before_loading(capsys, tmp_path):
     """Over k[x]/(x^2) the shifts of V0 stay of dim 1, so the free-module
     budget never stops a huge Ext degree or shift count, and 10^8 cheap
@@ -358,6 +373,26 @@ def test_unwritable_output_exits_3(capsys, tmp_path):
                                "--out", str(taken))
     assert code == 3
     assert (report["error"], report["witness"]) == ("ParseError", str(taken / "trunc_poly_2.json"))
+
+
+def test_unwritable_shift_output_is_refused_before_the_shift(capsys, tmp_path, monkeypatch):
+    """An `--out` that is a directory, or whose parent is missing or a file,
+    exits 3 with a ParseError witnessed by the path once the inputs have
+    loaded, without computing the shift in either direction."""
+    alg, mod = make_trunc(capsys, tmp_path, 3, "gf:2", module_i=1)
+
+    def not_called(*args):
+        raise AssertionError("shift computed before its output was checked")
+
+    monkeypatch.setattr(cli, "shift_plus", not_called)
+    monkeypatch.setattr(cli, "shift_minus", not_called)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path, tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json"):
+        for steps in ("2", "-2"):
+            code, report, _ = run_json(capsys, "shift", str(alg), str(mod), "--steps", steps,
+                                       "--out", str(out))
+            assert code == 3
+            assert (report["error"], report["witness"]) == ("ParseError", str(out))
 
 
 def test_usage_errors(capsys):

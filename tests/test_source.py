@@ -87,6 +87,63 @@ def test_one_row_reduction_entry_point():
         assert _reduction_findings({**sources, name: text}), name
 
 
+_SYSTEM_NAMES = {"canonical_embedding", "element_matrix", "trace"}
+
+
+def _owned_nodes(tree: ast.AST):
+    """(name of the innermost function around it, or None, node) for each node."""
+    stack = [(None, tree)]
+    while stack:
+        owner, node = stack.pop()
+        yield owner, node
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+
+
+def _oracle_findings(sources: dict[str, str]) -> list[str]:
+    """What ties the factoring oracle to the Frobenius system in {file name:
+    source}: a name in `_SYSTEM_NAMES` inside `stab.factoring_ideal_oracle`,
+    and a call of `canonical_embedding` from anywhere but `stab.shift_plus`."""
+    found = []
+    for name, text in sources.items():
+        for owner, node in _owned_nodes(ast.parse(text, name)):
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            if (name, owner) == ("stab.py", "factoring_ideal_oracle") and named in _SYSTEM_NAMES:
+                found.append(f"{name}:{node.lineno} oracle names {named}")
+            if isinstance(node, ast.Call) and (name, owner) != ("stab.py", "shift_plus"):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called == "canonical_embedding":
+                    found.append(f"{name}:{node.lineno} {owner} calls canonical_embedding")
+    return found
+
+
+def test_factoring_oracle_reads_no_frobenius_system():
+    """`stab.factoring_ideal_oracle` spans the maps that factor through N's
+    free cover, so it names neither the canonical embedding nor C
+    (`element_matrix`) nor the trace, and stays independent of the operator
+    T that it checks; `stab.shift_plus` is the one caller of
+    `canonical_embedding` in the package.  The same check finds each rule
+    broken in a mutated copy."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(frobstab.__file__).parent.rglob("*.py"))}
+    assert _oracle_findings(sources) == []
+    (shift_plus,) = [node for node in ast.parse(sources["stab.py"]).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "shift_plus"]
+    assert "canonical_embedding(" in ast.unparse(shift_plus)
+    for name, extra in [
+        ("stab.py", "def factoring_ideal_oracle(system, m, n_):\n    return system.trace\n"),
+        ("stab.py", "def factoring_ideal_oracle(system, m, n_):\n"
+                    "    return hom_A(m, n_), system.element_matrix\n"),
+        ("stab.py", "def factoring_ideal_oracle(system, m, n_):\n    phi = canonical_embedding\n"),
+        ("stab.py", "def stable_ext(system, m):\n    return canonical_embedding(system, m)\n"),
+        ("selftest.py", "def _embed(system, m):\n"
+                        "    return modrep.canonical_embedding(system, m)\n"),
+        ("modrep.py", "_PHI = canonical_embedding(None, None)\n"),
+    ]:
+        assert _oracle_findings({**sources, name: sources[name] + "\n\n" + extra}), extra
+
+
 def test_matrix_arithmetic_reads_no_dense_entries():
     """A `Matrix` stores only (field, nrows, ncols, nonzeros), and its dense
     `entries` is a `cached_property` view of the nonzeros.  Inside

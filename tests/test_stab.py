@@ -632,6 +632,43 @@ def test_factoring_oracle_full_for_projective_source():
         assert factoring_ideal_oracle(inst.system, zero, vj) == Subspace.zero(Q, 0)
 
 
+@st.composite
+def _oracle_case(draw):
+    """(system, M, N) off the catalog: Lambda_q (q = 2, -1, 1/2), which is
+    not symmetric, with its M_lam and its regular module; k[x]/(x^n), n =
+    3..5, in a seeded random basis over GF(2), GF(5) or Q, with V_i and the
+    regular module moved into it; or k[x]/(x^3) over Q under a left or
+    right twist, whose C is not the catalog's."""
+    kind = draw(st.sampled_from(["lambda", "basis", "twist"]))
+    if kind == "lambda":
+        system = quantum_exterior(draw(st.sampled_from([2, -1, Fraction(1, 2)])))
+        pool = [quantum_exterior_module(system.algebra, lam) for lam in (1, 2, None)]
+        pool.append(regular_module(system.algebra))
+    elif kind == "basis":
+        field, n = draw(st.sampled_from([GF2, GF5, Q])), draw(st.integers(3, 5))
+        inst = truncated_polynomial(n, field)
+        pm = random_basis(field, n, seed=draw(st.integers(0, 3)))
+        system = in_basis(inst.system, pm)
+        mods = [truncated_module(n, i, field) for i in range(n)] + [regular_module(inst.algebra)]
+        pool = [module_in_basis(m, system.algebra, pm) for m in mods]
+    else:
+        d = (Q.from_int(draw(st.integers(1, 3))),
+             *(Q.from_int(draw(st.integers(-2, 2))) for _ in range(2)))
+        side = draw(st.sampled_from(["left", "right"]))
+        system = twist(truncated_polynomial(3, Q).system, d, side=side)
+        pool = [truncated_module(3, i, Q) for i in range(3)] + [regular_module(system.algebra)]
+    return system, draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_case())
+def test_factoring_oracle_matches_the_image_of_t_off_the_catalog(case):
+    # The oracle reads no C, so a wrongly read C in T would show here,
+    # where C is neither symmetric nor the catalog's.
+    system, m, n_ = case
+    assert factoring_ideal_oracle(system, m, n_) == stable_hom(system, m, n_).null_basis
+
+
 def test_hom_over_zero_algebra_is_everything():
     # No basis elements means no equations: every linear map is A-linear.
     zero_alg = StructureAlgebra(GF3, 0, [], ())
