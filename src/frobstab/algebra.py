@@ -37,7 +37,9 @@ ALGEBRA_FORMAT = "frobstab-algebra/1"
 # Most matrix entries a construction may allocate, checked before it does: a free
 # module F, dim(A) * dim(F)^2 (stable Ext^+-5 of V1 over k[x]/(x^4) needs 1.7M, +-6
 # 15M); A (x) A^op and A's bimodule action, dim(A)^4; Hom_k(M, N) over it, dim(A)^2 *
-# (dim M * dim N)^2; the cells of an algebra built from entries, dim(A)^2.
+# (dim M * dim N)^2; the cells of an algebra built from entries, dim(A)^2; the
+# columns of the products L(e_i) L(e_j) that `validation_report` reads once the unit
+# or associativity fails at i = f, (dim(A) - f) * dim(A)^2.
 MAX_FREE_ENTRIES = 2_000_000
 
 Cell = tuple[tuple[int, object], ...]
@@ -155,7 +157,9 @@ class StructureAlgebra:
         I is nonzero: unit e_j or e_j unit differs from e_j, each a sparse
         product (`_sum_of_products`).  Given the unit, `_first_failing`
         reads the i with (e_i x) y = e_i (x y) for all x, y; from its first
-        failure on every i is read, listing each bad (i, j, k) in order.
+        failure on every i is read, listing each bad (i, j, k) in order;
+        BudgetExceeded, witness dim, before that read compares the dim columns
+        of more products L(e_i) L(e_j) than MAX_FREE_ENTRIES allows.
         """
         u = _sparse_rows(self.field, [self.unit], self.dim)[0].items()
         cells, p = self.cells, self.field.characteristic
@@ -164,7 +168,9 @@ class StructureAlgebra:
                     or _sum_of_products(cells, p, [(((j, 1),), u)]) != {j: 1}]
         first = 0 if unit_bad else _first_failing(
             self, lambda i: any(_product_failures(self, self.left, (i,))))
-        bad = _product_failures(self, self.left, () if first is None else range(first, self.dim))
+        read = () if first is None else range(first, self.dim)
+        _check_entries(len(read) * self.dim ** 2, self.dim, f"dim {self.dim} associativity read")
+        bad = _product_failures(self, self.left, read)
         return AlgebraReport([(i, j, k) for i, j, ks in bad for k in ks], unit_bad)
 
     def validate(self) -> None:
@@ -209,7 +215,7 @@ class StructureAlgebra:
             kept.append(i)
             frontier = [times(i, v) for v in span.rows.values()]
             while frontier:
-                added = [v for v in frontier if span._residual(dict(v))]
+                added = [v for v in frontier if span._residual(v)]
                 frontier = [times(g, v) for v in added for g in kept]
                 span = Subspace(f, n, _rref([*map(dict, span.rows.values()), *added], p))
         return tuple(kept)

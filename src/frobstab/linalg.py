@@ -18,9 +18,11 @@ Conventions fixed package-wide (the details are in the named functions):
   without reducing again), and every membership test, residual
   or coordinate read reduces a sparse vector against them
   (`Subspace._residual`);
-* there is one row reduction, `_rref`: one sparse insertion loop for both
-  fields, on residues over GF(p) and on plain integers over Q, so kernels
-  (`_row_kernel`) and images are exact over both; and there is one builder
+* there is one row reduction, `_rref`: one sparse loop for both fields,
+  on residues over GF(p) and on plain integers over Q, that keeps its
+  pivot rows reduced as rows arrive, so kernels (`_row_kernel`) and images
+  are exact over both; it and `Subspace._residual` clear a row at the
+  pivots it meets by one step, `_clear`; and there is one builder
   of sums of Kronecker products, `_kron_rows`, which returns integer rows
   over one common denominator; `kron_kernel` and `kron_image` reduce those
   rows without building the sum;
@@ -35,6 +37,7 @@ Everything is pure exact arithmetic; there is no floating point anywhere.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,49 +56,46 @@ def _check_same_field(a: Field, b: Field) -> None:
 def _rref(rows: list[dict], p: int) -> dict[int, dict]:
     """The one row reduction: the RREF of sparse rows {column: nonzero}
     (residues in [1, p) over GF(p); over Q, p = 0, `int`s or `Fraction`s,
-    which `_content_free` turns into integer rows), as {pivot column: its
-    row} in column order, each row in the form a `Subspace` stores.  The
-    rows are consumed.
+    each row taken times the lcm of its denominators), as {pivot column:
+    its row} in column order, each row in the form a `Subspace` stores.
+    The rows are consumed.
 
-    Each row is inserted against the pivot rows found so far, each kept as
-    its pivot entry and the rest: while its leading column is a pivot
-    column, the row loses that pivot row's multiple (`_eliminate`); a row
-    left with a new leading column becomes a pivot row (`_normal`), and a
-    row that cancels is dropped.  One back-substitution pass, from the
-    last pivot to the first, then clears the other pivot columns, since
-    the later pivot rows are already reduced.
+    The pivot rows found so far are kept in that form and reduced at each
+    other's pivot columns, so each row is cleared at every pivot column it
+    meets in one step (`_clear`).  A row left nonzero becomes a pivot row
+    at its least column c (`_stored`), and each older pivot row that holds
+    c is cleared at c by it, so no back-substitution pass is needed.
+    `holders[j]` lists the pivot columns whose rows may hold column j: a
+    row's column goes in when the row gains it, and is checked when read,
+    since the entry may have cancelled since.
     """
-    tails: dict[int, dict] = {}  # pivot column -> the rest of its row
-    lead: dict[int, int] = {}  # pivot column -> its entry, over Q (1 over GF(p))
+    piv: dict[int, dict] = {}
+    holders: dict[int, list] = defaultdict(list)
+    pivots = piv.keys()
     for row in rows:
         if not p:
-            row = _content_free(row)
-        while row:
-            c = min(row)
-            g = row.pop(c)
-            tail = tails.get(c)
-            if tail is None:
-                if g != 1:
-                    g = _normal(row, g, p)
-                if not p:
-                    lead[c] = g
-                tails[c] = row
-                break
-            _eliminate(row, g, tail, 1 if p else lead[c], p)
-    cols = sorted(tails)
-    for c in reversed(cols):
-        row = tails[c]
-        hits = [j for j in row if j in tails]
-        if hits:
-            row[c] = 1 if p else lead[c]  # scaled and divided with the row
-            for j in hits:
-                _eliminate(row, row.pop(j), tails[j], 1 if p else lead[j], p)
-            g = row.pop(c)
-            if not p:
-                lead[c] = g
-    for c in cols:
-        tails[c][c] = 1 if p else lead[c]
-    return {c: tails[c] for c in cols} if p else {c: _primitive(tails[c], c) for c in cols}
+            d = lcm(*[x.denominator for x in row.values()])
+            row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        if not pivots.isdisjoint(row):
+            _clear(piv, row, p)
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            _stored(row, c, p)
+        for b in holders.pop(c, ()):
+            old = piv[b]
+            if c in old:
+                gained = row.keys() - old.keys()
+                _clear({c: row}, old, p)
+                _stored(old, b, p)
+                for j in gained:
+                    holders[j].append(b)
+        piv[c] = row
+        for j in row:
+            if j != c:
+                holders[j].append(c)
+    return {c: piv[c] for c in sorted(piv)}
 
 
 def _sparse_rows(field: Field, vectors, ncols: int) -> list[dict]:
@@ -119,74 +119,52 @@ def _dense(row: dict, ncols: int, zero) -> list:
     return out
 
 
-def _eliminate(row: dict, g: int, tail: dict, a: int, p: int) -> None:
-    """Clear the entry g just popped from row with the pivot row of pivot
-    entry a and rest `tail`, in place.  Over GF(p), a = 1 and row loses g
-    times tail.  Over Q it loses (g // a) times tail if a divides g, and
-    otherwise, with h = gcd(a, g), it is scaled by a/h, loses (g/h) times
-    tail and is divided by its content, which keeps its entries small.
-    An entry that cancels is deleted."""
-    if p:
-        for j, y in tail.items():
-            x = (row.get(j, 0) - g * y) % p
+def _clear(rows: dict[int, dict], v: dict, p: int) -> int:
+    """Clear the sparse v at every pivot column of `rows` that it meets, in
+    place, and return the scale s it was cleared with: v becomes s v minus
+    a multiple of each such row, with no zero entries left.  `rows` are
+    stored `Subspace` rows, each zero at the others' pivot columns, so v's
+    entry at a pivot column is the multiple of that row to remove, and
+    removing it changes no other pivot column.  Over GF(p), v holds
+    residues and s = 1.  Over Q, v holds `int`s and s is the lcm of the
+    pivot entries of the rows that v meets, so each multiple, (s v)[c] //
+    row[c], is an exact integer quotient."""
+    hit = rows.keys() & v.keys()
+    s = 1 if p else lcm(*[rows[c][c] for c in hit])
+    if s > 1:
+        for j, x in v.items():
+            v[j] = x * s
+    for c in hit:
+        row = rows[c]
+        k = v[c] // row[c]
+        for j, y in row.items():
+            x = v.get(j, 0) - k * y
+            if p:
+                x %= p
             if x:
-                row[j] = x
+                v[j] = x
             else:
-                del row[j]
+                del v[j]
+    return s
+
+
+def _stored(row: dict, pivot: int, p: int) -> None:
+    """Put the nonzero sparse row in the form a `Subspace` stores, in place:
+    over GF(p) divided by its entry at `pivot`; over Q divided by its
+    content, signed so that its entry at `pivot` is positive.  A row whose
+    entry at `pivot` is 1 is in that form already."""
+    g = row[pivot]
+    if g == 1:
         return
-    s = 1
-    if g % a:
-        s = gcd(a, g)
-        s, g = a // s, g // s
-        for j, x in row.items():
-            row[j] = x * s
-    else:
-        g //= a
-    for j, y in tail.items():
-        x = row.get(j, 0) - g * y
-        if x:
-            row[j] = x
-        else:
-            del row[j]
-    if s != 1 and row and (h := gcd(*row.values())) > 1:
-        for j, x in row.items():
-            row[j] = x // h
-
-
-def _normal(tail: dict, g: int, p: int) -> int:
-    """Normalise the new pivot row of pivot entry g != 1 and rest `tail` in
-    place, and return its pivot entry: 1 over GF(p); over Q the row is
-    divided by its content, signed so that the pivot entry is positive."""
     if p:
         g = pow(g, -1, p)
-        for j, x in tail.items():
-            tail[j] = x * g % p
-        return 1
-    h = gcd(g, *tail.values())
-    if g < 0:
-        h = -h
+        for j, x in row.items():
+            row[j] = x * g % p
+        return
+    h = gcd(*row.values()) * (-1 if g < 0 else 1)
     if h != 1:
-        for j, x in tail.items():
-            tail[j] = x // h
-    return g // h
-
-
-def _content_free(row: dict) -> dict:
-    """A sparse row of nonzero `int`s or `Fraction`s as a fresh integer row:
-    times the lcm of its denominators, divided by its content."""
-    d = lcm(*[x.denominator for x in row.values()])
-    ints = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-    h = gcd(*ints.values())
-    return {j: x // h for j, x in ints.items()} if h > 1 else ints
-
-
-def _primitive(row: dict, pivot: int) -> dict:
-    """The sparse integer row divided by its content, signed so that its
-    entry at `pivot` is positive: the form a `Subspace` stores over Q."""
-    h = gcd(*row.values())
-    if row[pivot] < 0:
-        h = -h
-    return row if h == 1 else {j: x // h for j, x in row.items()}
+        for j, x in row.items():
+            row[j] = x // h
 
 
 def _rref_row(row: dict, p: int) -> dict:
@@ -224,7 +202,7 @@ def _row_images(space: "Subspace", ambient: int, image) -> "Subspace":
     `image(u)` takes a stored row u to D times its image, as a sparse map
     {column: int}, for one D > 0 over every row: over GF(p) D = 1, and the
     sums are reduced mod p here, once; over Q the scale of u and D does not
-    matter, as each image is divided by its content (`_primitive`).  Each
+    matter, as each image is divided by its content (`_stored`).  Each
     row is kept with its columns in order, so its first is its pivot."""
     p = space.field.characteristic
     rows = {}
@@ -232,7 +210,8 @@ def _row_images(space: "Subspace", ambient: int, image) -> "Subspace":
         w = image(u)
         w = {t: y for t in sorted(w) if (y := w[t] % p if p else w[t])}
         c = next(iter(w))
-        rows[c] = w if p else _primitive(w, c)
+        _stored(w, c, p)
+        rows[c] = w
     return Subspace(space.field, ambient, rows)
 
 
@@ -695,48 +674,31 @@ class Subspace:
         return tuple(_dense(w, self.ambient, self.field.zero))
 
     def _residual(self, v: dict) -> dict:
-        """`reduce` of a sparse v {column: value}, as a sparse map of field
-        scalars: empty iff v lies in the subspace.  In RREF, v's entry at a
-        pivot is the multiple of that basis row to subtract, and the rows
-        have zeros at each other's pivots.
-
-        Over GF(p) each sum is reduced once, at the end (`_canonical`), and
-        v is consumed.  Over Q v is cleared once, w = L e v, for e the lcm
-        of v's denominators and L the lcm of the pivot entries of the rows
-        that v meets; w then loses k = w[c] // row[c] times each such row,
-        an exact quotient, in plain integers.  Only a nonzero residual is
-        divided by L e into `Fraction`s, so a v inside builds none."""
-        rows, p = self.rows, self.field.characteristic
-        if p:
-            for c in [c for c in v if c in rows]:
-                g = v[c]
-                for j, y in rows[c].items():
-                    v[j] = v.get(j, 0) - g * y
-            return _canonical(v, p)
-        e, nz = _cleared(v.items(), self.field.zero)
-        hit = [c for c, _ in nz if c in rows]
-        den = lcm(*[rows[c][c] for c in hit])
-        w = {j: n * den for j, n in nz} if den > 1 else dict(nz)
-        for c in hit:
-            row = rows[c]
-            k = w[c] // row[c]
-            for j, y in row.items():
-                w[j] = w.get(j, 0) - k * y
-        den *= e
-        return {j: Fraction(x, den) for j, x in w.items() if x}
+        """`reduce` of a sparse v {column: nonzero} (residues in [1, p) over
+        GF(p)), as a fresh sparse map of field scalars: empty iff v lies in
+        the subspace.  v is copied once, over Q as integers w = e v for e
+        the lcm of its denominators (`_cleared`), and the copy is cleared
+        at the pivots it meets (`_clear`), with a scale L over Q.  Only a
+        nonzero residual is divided by L e into `Fraction`s, so a v inside
+        builds none."""
+        p = self.field.characteristic
+        e, nz = (1, v.items()) if p else _cleared(v.items(), self.field.zero)
+        w = dict(nz)
+        s = _clear(self.rows, w, p)
+        return w if p else {j: Fraction(x, s * e) for j, x in w.items()}
 
     def contains(self, v: tuple) -> bool:
         return not self._residual(_sparse_rows(self.field, (v,), self.ambient)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return not any(self._residual(dict(row)) for row in other.rows.values())
+        return not any(self._residual(row) for row in other.rows.values())
 
     def _require_inside(self, small: "Subspace", what: str) -> None:
         """NotASubspace, witnessed by the first basis row of `small` outside self."""
         self._check_compatible(small)
         for t, row in enumerate(small.rows.values()):
-            if self._residual(dict(row)):
+            if self._residual(row):
                 raise NotASubspace(f"{what} a non-subspace", witness=t)
 
     def _check_compatible(self, other: "Subspace") -> None:
@@ -790,7 +752,8 @@ class Subspace:
         rep_of = {k - 1 - t: c for c, t in enumerate(kept)}
 
         def coords(v: dict) -> "list[tuple] | None":
-            if self._residual(dict(v)):
+            v = _canonical(v, self.field.characteristic)
+            if self._residual(v):
                 return None
             x = ends._residual({at[j]: y for j, y in v.items() if j in at})
             return sorted((rep_of[u], y) for u, y in x.items())

@@ -227,7 +227,7 @@ def _greedy(f, ambient: int, candidates, generated) -> list[dict]:
     so it ends even where `generated` is no submodule."""
     kept, span = [], {}
     for v in candidates:
-        if Subspace(f, ambient, span)._residual(dict(v)):
+        if Subspace(f, ambient, span)._residual(v):
             kept.append(v)
             span = _rref([*map(dict, span.values()), *generated(v)], f.characteristic)
     return kept
@@ -378,7 +378,7 @@ def _require_invariant(m: ModuleRep, sub: Subspace, rows: list[dict]) -> dict[in
 
     def moves(i):
         images[i] = [_sparse_apply(m.action[i], v) for v in rows]
-        return any(sub._residual(dict(w)) for w in images[i])  # `_residual` consumes its v
+        return any(sub._residual(w) for w in images[i])
 
     i = _first_failing(m.algebra, moves)
     if i is not None:

@@ -355,7 +355,8 @@ def hom_by_back_matrix(m: ModuleRep, n_: ModuleRep) -> Subspace:
         rows.setdefault(t // back.nrows, {})[t % back.nrows] = x
     by_pivot = {min(row): row for row in rows.values()}
     if not f.characteristic:
-        by_pivot = {c: linalg._primitive(row, c) for c, row in by_pivot.items()}
+        for c, row in by_pivot.items():
+            linalg._stored(row, c, 0)
     return Subspace(f, back.nrows, by_pivot)
 
 

@@ -306,6 +306,21 @@ def test_oversized_algebra_table_fails_fast(capsys, tmp_path):
         assert (report["error"], report["witness"]) == ("BudgetExceeded", dim)
 
 
+def test_failed_unit_does_not_read_every_product(capsys, tmp_path):
+    """Once the unit fails, `check` would compare every product L(e_i)
+    L(e_j): on a dim-1414 file with unit all "0" and no products, just under
+    the table budget, that read is over MAX_FREE_ENTRIES, so it exits 2,
+    witnessed by dim, before the read starts; loading the table is most
+    of the time that is left."""
+    path = tmp_path / "dim1414.json"
+    path.write_text(json.dumps({**_K2, "dim": 1414, "unit": ["0"] * 1414, "mult": []}))
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, "check", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert (report["error"], report["witness"]) == ("BudgetExceeded", 1414)
+
+
 def test_step_counts_are_capped_before_loading(capsys, tmp_path):
     """Over k[x]/(x^2) the shifts of V0 stay of dim 1, so the free-module
     budget never stops a huge Ext degree or shift count, and 10^8 cheap

@@ -139,6 +139,33 @@ def _combination_rows(draw):
     return ncols, rows
 
 
+@st.composite
+def _tall_rows(draw, fields):
+    """(field, ncols, rows) over one of `fields`: 8 to 16 rows, each a
+    combination of 1 to 3 base rows, a zero row or a repeat of an earlier
+    row, shuffled, so rows of every rank arrive in every order and most
+    cancel, some only after the rows before them have been cleared back."""
+    field = draw(st.sampled_from(fields))
+    ncols = draw(st.integers(1, 8))
+    if field is Q:
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        entry = st.integers(0, field.p - 1)
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(8, 16))):
+        kind = draw(st.sampled_from(["combination"] * 3 + ["zero", "repeat"]))
+        if kind == "zero":
+            rows.append([field.zero] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            cs = [draw(entry) for _ in base]
+            rows.append([field.add(field.zero, sum(field.mul(c, r[j]) for c, r in zip(cs, base)))
+                         for j in range(ncols)])
+    return field, ncols, draw(st.permutations(rows))
+
+
 def _scalars(*results):
     """Every scalar of the given matrices, subspaces and vectors."""
     out = []
@@ -150,7 +177,8 @@ def _scalars(*results):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_rational_rows(), _combination_rows()))
+@given(st.one_of(_rational_rows(), _combination_rows(),
+                 _tall_rows([Q]).map(lambda case: case[1:])))
 def test_rational_route_matches_field_route(case):
     ncols, rows = case
     got = _rref([{j: x for j, x in enumerate(r) if x} for r in rows], 0)
@@ -186,7 +214,7 @@ def _prime_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_prime_rows())
+@given(st.one_of(_prime_rows(), _tall_rows([GF2, GF3, GF5, Field.prime(7)])))
 def test_sparse_route_matches_field_route(case):
     field, ncols, rows = case
     dense = [list(r) for r in rows]

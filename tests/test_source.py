@@ -28,14 +28,15 @@ def test_no_assert_statements_in_the_package():
 
 
 _GONE = {"_rref_sparse", "_rref_rational", "_sub_multiple", "_sparse_kernel",
-         "_reconstruct", "_certified_lift", "_P", "_RECON_BOUND"}
+         "_reconstruct", "_certified_lift", "_P", "_RECON_BOUND", "_eliminate"}
 
 
 def _reduction_findings(sources: dict[str, str]) -> list[str]:
     """What breaks the one-reduction rule in {file name: source}: a name
-    of the removed per-field engines or of the certified kernel route in
-    any module, a `while` loop in `linalg` outside `_rref`, or a second one
-    there, and a call of `_eliminate` outside `_rref`."""
+    of the removed elimination step, per-field engines or certified kernel
+    route in any module, a `while` loop in `linalg`, and a caller of the
+    clearing step `_clear` other than `_rref` and `Subspace._residual`, or
+    either of those two not calling it."""
     found = []
     for name, text in sources.items():
         tree = ast.parse(text, name)
@@ -48,26 +49,21 @@ def _reduction_findings(sources: dict[str, str]) -> list[str]:
             found += [f"{name}:{node.lineno} names {n}" for n in sorted(names & _GONE)]
         if name != "linalg.py":
             continue
-        loops, calls = [], []
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.While):
-                        loops.append(fn.name)
-                    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_eliminate":
-                        calls.append(fn.name)
-        loops += ["module level"] * sum(isinstance(n, ast.While) for n in tree.body)
-        if loops != ["_rref"]:
-            found.append(f"linalg.py: while loops in {loops}")
-        if not calls or set(calls) != {"_rref"}:
-            found.append(f"linalg.py: _eliminate called from {calls}")
+        found += [f"linalg.py:{node.lineno} while loop" for node in ast.walk(tree)
+                  if isinstance(node, ast.While)]
+        calls = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clear"}
+        if calls != {"_rref", "_residual"}:
+            found.append(f"linalg.py: _clear called from {sorted(calls)}")
     return found
 
 
 def test_one_row_reduction_entry_point():
     """One sparse elimination loop, `linalg._rref`, reduces over Q and over
-    GF(p), and kernels over Q are exact: `linalg` has one `while` loop,
-    in `_rref`, which alone calls `_eliminate`, and no module names the
+    GF(p), and kernels over Q are exact: `linalg` has no `while` loop, one
+    clearing step, `_clear`, which `_rref` and `Subspace._residual` call
+    and nothing else does, and no module names the elimination step, the
     per-field engines or the certified mod-P kernel route that it
     replaced.  The same check finds each rule broken in a mutated copy."""
     sources = {path.name: path.read_text(encoding="utf-8")
@@ -75,14 +71,16 @@ def test_one_row_reduction_entry_point():
     assert {"linalg.py", "stab.py", "modrep.py"} <= sources.keys()
     assert _reduction_findings(sources) == []
     linalg = sources["linalg.py"]
-    loop = "\n\ndef _second(rows):\n    while rows:\n        _eliminate(rows.pop(), 0, {0: 1}, 2)\n"
+    assert "_clear(self.rows, w, p)" in linalg
     for name, text in [
-        ("linalg.py", linalg + loop),
+        ("linalg.py", linalg + "\n\ndef _second(rows):\n    while rows:\n        rows.pop()\n"),
         ("linalg.py", linalg + "\n_P = (1 << 61) - 1\n"),
         ("stab.py", sources["stab.py"] + "\nfrom .linalg import _rref_rational\n"),
         ("modrep.py", sources["modrep.py"] + "\n\ndef _reconstruct(u):\n    return u\n"),
+        ("linalg.py", linalg + "\n\ndef _eliminate(row, g, tail, a, p):\n    return row\n"),
         ("linalg.py", linalg + "\n\ndef _by_columns(rows):\n    for row in rows:\n"
-                               "        _eliminate(row, 0, rows[0], 0)\n"),
+                               "        _clear(rows[0], row, 0)\n"),
+        ("linalg.py", linalg.replace("_clear(self.rows, w, p)", "_clear_rows(self.rows, w, p)")),
     ]:
         assert _reduction_findings({**sources, name: text}), name
 
