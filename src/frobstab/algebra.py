@@ -30,7 +30,7 @@ from .errors import (
 )
 from .exactfield import RATIONAL, Field, field_from_json, field_to_json
 from .linalg import Matrix, Subspace, linear_combination, _integer_rows, _integers, _row_kernel
-from .linalg import _canonical, _rref, _sparse_rows
+from .linalg import _canonical, _dense, _rref, _sparse_rows
 
 ALGEBRA_FORMAT = "frobstab-algebra/1"
 
@@ -121,19 +121,9 @@ class StructureAlgebra:
         """Product of two elements given by coefficient tuples."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length mismatch")
-        add, mul = self.field.add, self.field.mul
-        out = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.cells[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = mul(xi, yj)
-                for k, v in row[j]:
-                    out[k] = add(out[k], mul(c, v))
-        return tuple(out)
+        u, v = _sparse_rows(self.field, (x, y), self.dim)
+        w = _sum_of_products(self.cells, self.field.characteristic, [(u.items(), v.items())])
+        return tuple(_dense(w, self.dim, self.field.zero))
 
     def left_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of a |-> x * a in the basis: sum_i x_i left[i]."""

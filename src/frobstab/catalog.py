@@ -150,20 +150,27 @@ def group_from_string(text: str) -> GroupTable:
     raise ParseError(f"unknown group {text!r}")
 
 
+def _instance(field: Field, n: int, products, unit: int, top: int, partner,
+              **names) -> AlgebraInstance:
+    """The algebra with e_i e_j = e_k for each (i, j, k) in `products` and
+    unit e_unit, `names` passed to `StructureAlgebra.from_entries`, with the
+    trace that reads the coefficient of e_top and C[i][partner(i)] = 1."""
+    def e(t):
+        return tuple(field.one if i == t else field.zero for i in range(n))
+
+    alg = StructureAlgebra.from_entries(
+        field, n, [(i, j, k, field.one) for i, j, k in products], unit=e(unit), **names)
+    c = Matrix(field, n, n, (1, [(i * n + partner(i), 1) for i in range(n)]))
+    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, e(top), c)))
+
+
 @_one_instance_per_arguments
 def group_algebra(g: GroupTable, field: Field) -> AlgebraInstance:
     """kG with its standard Frobenius system (trace = identity coefficient)."""
     n = g.order
-    one = field.one
-    entries = [(i, j, g.mult[i][j], one) for i in range(n) for j in range(n)]
-    alg = StructureAlgebra.from_entries(
-        field, n, entries,
-        unit=tuple(one if i == g.identity else field.zero for i in range(n)),
-        name=g.name, basis_names=g.names, group=g,
-    )
-    trace = tuple(one if i == g.identity else field.zero for i in range(n))
-    c = Matrix(field, n, n, (1, [(i * n + g.inverse[i], 1) for i in range(n)]))
-    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, c)))
+    return _instance(field, n, [(i, j, g.mult[i][j]) for i in range(n) for j in range(n)],
+                     g.identity, g.identity, g.inverse.__getitem__,
+                     name=g.name, basis_names=g.names, group=g)
 
 
 @_one_instance_per_arguments
@@ -171,19 +178,9 @@ def truncated_polynomial(n: int, field: Field) -> AlgebraInstance:
     """k[x]/(x^n) with the top-coefficient trace and C[i][n-1-i] = 1."""
     if n < 1:
         raise IndexOutOfRange("truncation order must be >= 1")
-    one = field.one
-    entries = [
-        (i, j, i + j, one) for i in range(n) for j in range(n) if i + j < n
-    ]
     names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(n))
-    alg = StructureAlgebra.from_entries(
-        field, n, entries,
-        unit=tuple(one if i == 0 else field.zero for i in range(n)),
-        name=f"trunc_poly_{n}", basis_names=names,
-    )
-    trace = tuple(one if i == n - 1 else field.zero for i in range(n))
-    c = Matrix(field, n, n, (1, [(i * n + n - 1 - i, 1) for i in range(n)]))
-    return AlgebraInstance(alg, require_identities(FrobeniusSystem(alg, trace, c)))
+    return _instance(field, n, [(i, j, i + j) for i in range(n) for j in range(n - i)],
+                     0, n - 1, lambda i: n - 1 - i, name=f"trunc_poly_{n}", basis_names=names)
 
 
 @_one_instance_per_arguments
@@ -202,11 +199,7 @@ def truncated_projection(n: int, j: int, i: int, field: Field) -> Matrix:
     """The quotient map V_j -> V_i (kill x^(i+1) and above); needs j >= i."""
     if not 0 <= i <= j < n:
         raise IndexOutOfRange(f"need 0 <= {i} <= {j} < {n}")
-    zero, one = field.zero, field.one
-    rows = [[zero] * (j + 1) for _ in range(i + 1)]
-    for t in range(i + 1):
-        rows[t][t] = one
-    return Matrix.from_rows(field, rows, ncols=j + 1)
+    return Matrix(field, i + 1, j + 1, (1, [(t * (j + 1) + t, 1) for t in range(i + 1)]))
 
 
 def trivial_module(algebra: StructureAlgebra) -> ModuleRep:

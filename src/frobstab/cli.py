@@ -2,12 +2,12 @@
 
 JSON results go to stdout, human diagnostics to stderr.  Exit codes:
 0 success, 2 mathematical or validation failure (stdout carries
-{"error": code, "witness": ...}), 3 malformed input (bad JSON, bad flags,
-unreadable files, a catalog order below 1, a catalog module index
-outside [0, n), a catalog order, Ext degree or shift count above
-`MAX_ORDER` in size, refused before anything is loaded or written, or an
-output path that cannot be written).  Output is
-deterministic for identical inputs.
+{"error": code, "witness": ...}), 3 malformed input (bad JSON, JSON
+nested too deeply to read, bad flags, unreadable files, a catalog order
+below 1, a catalog module index outside [0, n), a catalog order, Ext
+degree or shift count above `MAX_ORDER` in size, refused before anything
+is loaded or written, or an output path that cannot be written).  Output
+is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    except ValueError as e:  # bad JSON or UTF-8, or an integer over int's digit limit
+    except (ValueError, RecursionError) as e:
+        # bad JSON or UTF-8, an integer over int's digit limit, or nesting too deep
         raise ParseError(f"{path} is not valid JSON: {e}") from None
 
 
@@ -90,6 +91,12 @@ def _load_modules(algebra, algebra_path: str, *paths: str) -> list:
     return mods
 
 
+def _load_pair(args):
+    """(system, M, N) from the algebra, module_m and module_n arguments."""
+    system = _load_system(args.algebra)
+    return (system, *_load_modules(system.algebra, args.algebra, args.module_m, args.module_n))
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, default=str))
 
@@ -101,12 +108,22 @@ def _write_json(path: Path, obj) -> None:
         raise ParseError(f"cannot write {path}: {e}", witness=str(path)) from None
 
 
+def _dims(r) -> dict:
+    return {"hom_dim": r.hom_dim, "null_dim": r.null_dim, "stable_dim": r.stable_dim}
+
+
+def _agreement(out: dict, a, b) -> int:
+    """Write out with "agree": a == b; exit 0 if they agree, else 2."""
+    out["agree"] = a == b
+    _emit(out)
+    return 0 if out["agree"] else 2
+
+
 # subcommands --------------------------------------------------------
 
 
 def _cmd_check(args) -> int:
-    obj = _load_json(args.algebra)
-    algebra, trace = algebra_from_json(obj)
+    algebra, trace = algebra_from_json(_load_json(args.algebra))
     rep = algebra.validation_report()
     out = {
         "name": algebra.name,
@@ -114,8 +131,7 @@ def _cmd_check(args) -> int:
         "associative": not rep.associative_failures,
         "unit": not rep.unit_failures,
     }
-    code = None
-    witness = None
+    code = witness = None
     if rep.associative_failures:
         code, witness = "NotAssociative", rep.associative_failures[:10]
     elif rep.unit_failures:
@@ -132,17 +148,14 @@ def _cmd_check(args) -> int:
             out["dual_basis_identities"] = True
             out["element_central"] = True
     if code is not None:
-        out["error"] = code
-        out["witness"] = witness
+        out.update(error=code, witness=witness)
     _emit(out)
     return 0 if code is None else 2
 
 
 def _cmd_stable_hom(args) -> int:
-    system = _load_system(args.algebra)
-    m, n_ = _load_modules(system.algebra, args.algebra, args.module_m, args.module_n)
-    r = stable_hom(system, m, n_)
-    out = {"hom_dim": r.hom_dim, "null_dim": r.null_dim, "stable_dim": r.stable_dim}
+    r = stable_hom(*_load_pair(args))
+    out = _dims(r)
     if args.basis:
         out["coset_reps"] = [_matrix_texts(mat) for mat in r.coset_reps]
     _emit(out)
@@ -151,15 +164,8 @@ def _cmd_stable_hom(args) -> int:
 
 def _cmd_ext(args) -> int:
     check_order(abs(args.degree), "|degree|", least=0)
-    system = _load_system(args.algebra)
-    m, n_ = _load_modules(system.algebra, args.algebra, args.module_m, args.module_n)
-    r = stable_ext(system, m, n_, args.degree)
-    _emit({
-        "degree": args.degree,
-        "hom_dim": r.hom_dim,
-        "null_dim": r.null_dim,
-        "stable_dim": r.stable_dim,
-    })
+    r = stable_ext(*_load_pair(args), args.degree)
+    _emit({"degree": args.degree, **_dims(r)})
     return 0
 
 
@@ -192,17 +198,15 @@ def _cmd_stable_center(args) -> int:
         "mult_table": [[a, b, c, fmt(v)] for a, b, c, v in r.mult_table],
     }
     if args.via_enveloping:
-        via = stable_center_via_enveloping(system)
-        out["via_enveloping"] = via
-        out["agree"] = via == r.stable_center_dim
+        out["via_enveloping"] = via = stable_center_via_enveloping(system)
+        return _agreement(out, via, r.stable_center_dim)
     _emit(out)
-    return 0 if out.get("agree", True) else 2
+    return 0
 
 
 def _cmd_tate0(args) -> int:
     field = _parse_field(args.field)
-    g = group_from_string(args.group)
-    algebra, system = group_algebra(g, field)
+    algebra, system = group_algebra(group_from_string(args.group), field)
     m, n_ = _load_modules(algebra, algebra.name, args.module_m, args.module_n)
     t = tate0(system, m, n_)
     s = stable_hom(system, m, n_)
@@ -211,19 +215,13 @@ def _cmd_tate0(args) -> int:
         "norm_image_dim": t.norm_image_dim,
         "tate_dim": t.tate_dim,
         "stable_dim": s.stable_dim,
-        "agree": t.tate_dim == s.stable_dim,
     }
-    _emit(out)
-    return 0 if out["agree"] else 2
+    return _agreement(out, t.tate_dim, s.stable_dim)
 
 
 def _cmd_compare_enveloping(args) -> int:
-    system = _load_system(args.algebra)
-    m, n_ = _load_modules(system.algebra, args.algebra, args.module_m, args.module_n)
-    direct, via = enveloping_comparison(system, m, n_)
-    out = {"direct": direct, "via_enveloping": via, "agree": direct == via}
-    _emit(out)
-    return 0 if out["agree"] else 2
+    direct, via = enveloping_comparison(*_load_pair(args))
+    return _agreement({"direct": direct, "via_enveloping": via}, direct, via)
 
 
 def _cmd_catalog(args) -> int:
@@ -274,23 +272,26 @@ def _cmd_selftest(args) -> int:
         print(f"{status} criterion {r.cid}: {r.title} ({r.checks} checks)", file=sys.stderr)
         for msg in r.failures:
             print(f"    {msg}", file=sys.stderr)
-    _emit({
-        "criteria": [
-            {
-                "id": r.cid,
-                "title": r.title,
-                "checks": r.checks,
-                "passed": r.passed,
-                "failures": r.failures,
-            }
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    })
-    return 0 if all(r.passed for r in results) else 2
+    passed = all(r.passed for r in results)
+    criteria = [{"id": r.cid, "title": r.title, "checks": r.checks, "passed": r.passed,
+                 "failures": r.failures} for r in results]
+    _emit({"criteria": criteria, "all_passed": passed})
+    return 0 if passed else 2
 
 
 # parser -------------------------------------------------------------
+
+
+_PAIR = ("algebra", "module_m", "module_n")
+
+
+def _command(parent, name: str, fn, help: str, *positionals: str) -> argparse.ArgumentParser:
+    """A subparser of `parent` that takes `positionals` and runs `fn`."""
+    p = parent.add_parser(name, help=help)
+    for dest in positionals:
+        p.add_argument(dest)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,72 +300,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stable-module computations for Frobenius algebras.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate an algebra file (and its trace, if any)")
-    p.add_argument("algebra")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("stable-hom", help="stable maps between two modules")
-    p.add_argument("algebra")
-    p.add_argument("module_m")
-    p.add_argument("module_n")
+    _command(sub, "check", _cmd_check, "validate an algebra file (and its trace, if any)",
+             "algebra")
+    p = _command(sub, "stable-hom", _cmd_stable_hom, "stable maps between two modules", *_PAIR)
     p.add_argument("--basis", action="store_true", help="include coset representatives")
-    p.set_defaults(fn=_cmd_stable_hom)
-
-    p = sub.add_parser("ext", help="stable Ext in any degree")
-    p.add_argument("algebra")
-    p.add_argument("module_m")
-    p.add_argument("module_n")
+    p = _command(sub, "ext", _cmd_ext, "stable Ext in any degree", *_PAIR)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(fn=_cmd_ext)
-
-    p = sub.add_parser("shift", help="shift a module and write the result")
-    p.add_argument("algebra")
-    p.add_argument("module_m")
+    p = _command(sub, "shift", _cmd_shift, "shift a module and write the result", *_PAIR[:2])
     p.add_argument("--steps", type=int, required=True,
                    help="positive shifts up, negative shifts down")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_shift)
-
-    p = sub.add_parser("stable-center", help="center modulo the factoring ideal")
-    p.add_argument("algebra")
+    p = _command(sub, "stable-center", _cmd_stable_center, "center modulo the factoring ideal",
+                 "algebra")
     p.add_argument("--via-enveloping", action="store_true",
                    help="cross-check through the enveloping algebra")
-    p.set_defaults(fn=_cmd_stable_center)
-
-    p = sub.add_parser("tate0", help="degree-zero Tate cohomology for a group algebra")
+    p = _command(sub, "tate0", _cmd_tate0, "degree-zero Tate cohomology for a group algebra",
+                 *_PAIR[1:])
     p.add_argument("--group", required=True, help="cyclic:<k>, klein4, or s3")
     p.add_argument("--field", required=True, help="q or gf:<p>")
-    p.add_argument("module_m")
-    p.add_argument("module_n")
-    p.set_defaults(fn=_cmd_tate0)
-
-    p = sub.add_parser("compare-enveloping",
-                       help="stable maps directly and through the enveloping algebra")
-    p.add_argument("algebra")
-    p.add_argument("module_m")
-    p.add_argument("module_n")
-    p.set_defaults(fn=_cmd_compare_enveloping)
-
-    p = sub.add_parser("catalog", help="emit built-in algebras and modules as files")
-    csub = p.add_subparsers(dest="kind", required=True)
-    c = csub.add_parser("trunc-poly", help="k[x]/(x^n) with its trace")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--field", required=True)
-    c.add_argument("--module-i", type=int, default=None)
-    c.add_argument("--out", required=True)
-    c.set_defaults(fn=_cmd_catalog)
-    c = csub.add_parser("group", help="a small group algebra with its trace")
-    c.add_argument("--type", required=True, help="cyclic:<k>, klein4, or s3")
-    c.add_argument("--field", required=True)
-    c.add_argument("--module", choices=["trivial", "regular"], default=None)
-    c.add_argument("--out", required=True)
-    c.set_defaults(fn=_cmd_catalog)
-
-    p = sub.add_parser("selftest", help="run the built-in acceptance criteria")
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,4")
-    p.set_defaults(fn=_cmd_selftest)
-
+    _command(sub, "compare-enveloping", _cmd_compare_enveloping,
+             "stable maps directly and through the enveloping algebra", *_PAIR)
+    kinds = _command(sub, "catalog", None, "emit built-in algebras and modules as files")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    for kind, help, (first, first_kw), (second, second_kw) in (
+        ("trunc-poly", "k[x]/(x^n) with its trace",
+         ("--n", {"type": int, "required": True}), ("--module-i", {"type": int})),
+        ("group", "a small group algebra with its trace",
+         ("--type", {"required": True, "help": "cyclic:<k>, klein4, or s3"}),
+         ("--module", {"choices": ["trivial", "regular"]})),
+    ):
+        c = _command(kinds, kind, _cmd_catalog, help)
+        c.add_argument(first, **first_kw)
+        c.add_argument("--field", required=True)
+        c.add_argument(second, **second_kw)
+        c.add_argument("--out", required=True)
+    p = _command(sub, "selftest", _cmd_selftest, "run the built-in acceptance criteria")
+    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,4")
     return ap
 
 

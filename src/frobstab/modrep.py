@@ -357,12 +357,13 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
     total = sum(m.dim for m in mods)
     action = []
     for i in range(first.algebra.dim):
-        rows, off = [], 0
+        pairs, off = [], 0
         for m in mods:
-            left, right = (f.zero,) * off, (f.zero,) * (total - off - m.dim)
-            rows.extend(left + m.action[i].row(r) + right for r in range(m.dim))
+            for t, x in m.action[i]._scalars():
+                r, c = divmod(t, m.dim)
+                pairs.append(((off + r) * total + off + c, x))
             off += m.dim
-        action.append(Matrix.from_rows(f, rows, ncols=total))
+        action.append(Matrix(f, total, total, _integers(f, pairs)))
     name = "+".join(m.name for m in mods)
     return ModuleRep(first.algebra, total, tuple(action), name=name)
 

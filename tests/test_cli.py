@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import time
@@ -187,6 +188,84 @@ def test_selftest_subset(capsys):
     assert "PASS" in err
 
 
+def _commands(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """{command: (help, fn name, {dest: (option strings, nargs, required, type,
+    default, choices, help)})} for each subcommand below `parser`, a nested
+    one as "catalog group"; a subparser's choices are its command names."""
+    out = {}
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        helps = {a.dest: a.help for a in action._choices_actions}
+        for name, sub in action.choices.items():
+            fn = sub.get_default("fn")
+            out[prefix + name] = (helps[name], fn and fn.__name__, {
+                a.dest: (tuple(a.option_strings), a.nargs, a.required,
+                         getattr(a.type, "__name__", a.type), a.default,
+                         None if a.choices is None else list(a.choices), a.help)
+                for a in sub._actions if not isinstance(a, argparse._HelpAction)})
+            out.update(_commands(sub, f"{prefix}{name} "))
+    return out
+
+
+_POSITIONAL = ((), None, True, None, None, None, None)
+_REQUIRED = (None, True, None, None, None, None)
+
+
+def test_parser_arguments_are_pinned():
+    # The pinned sweep reads stdout and files; this pins what usage and --help are made of.
+    pair = {"algebra": _POSITIONAL, "module_m": _POSITIONAL, "module_n": _POSITIONAL}
+    groups = "cyclic:<k>, klein4, or s3"
+    assert _commands(cli.build_parser()) == {
+        "check": ("validate an algebra file (and its trace, if any)", "_cmd_check",
+                  {"algebra": _POSITIONAL}),
+        "stable-hom": ("stable maps between two modules", "_cmd_stable_hom", {
+            **pair,
+            "basis": (("--basis",), 0, False, None, False, None, "include coset representatives"),
+        }),
+        "ext": ("stable Ext in any degree", "_cmd_ext", {
+            **pair, "degree": (("--degree",), None, True, "int", None, None, None),
+        }),
+        "shift": ("shift a module and write the result", "_cmd_shift", {
+            "algebra": _POSITIONAL, "module_m": _POSITIONAL,
+            "steps": (("--steps",), None, True, "int", None, None,
+                      "positive shifts up, negative shifts down"),
+            "out": (("--out",), *_REQUIRED),
+        }),
+        "stable-center": ("center modulo the factoring ideal", "_cmd_stable_center", {
+            "algebra": _POSITIONAL,
+            "via_enveloping": (("--via-enveloping",), 0, False, None, False, None,
+                               "cross-check through the enveloping algebra"),
+        }),
+        "tate0": ("degree-zero Tate cohomology for a group algebra", "_cmd_tate0", {
+            "group": (("--group",), None, True, None, None, None, groups),
+            "field": (("--field",), None, True, None, None, None, "q or gf:<p>"),
+            "module_m": _POSITIONAL, "module_n": _POSITIONAL,
+        }),
+        "compare-enveloping": ("stable maps directly and through the enveloping algebra",
+                               "_cmd_compare_enveloping", pair),
+        "catalog": ("emit built-in algebras and modules as files", None, {
+            "kind": ((), "A...", True, None, None, ["trunc-poly", "group"], None),
+        }),
+        "catalog trunc-poly": ("k[x]/(x^n) with its trace", "_cmd_catalog", {
+            "n": (("--n",), None, True, "int", None, None, None),
+            "field": (("--field",), *_REQUIRED),
+            "module_i": (("--module-i",), None, False, "int", None, None, None),
+            "out": (("--out",), *_REQUIRED),
+        }),
+        "catalog group": ("a small group algebra with its trace", "_cmd_catalog", {
+            "type": (("--type",), None, True, None, None, None, groups),
+            "field": (("--field",), *_REQUIRED),
+            "module": (("--module",), None, False, None, None, ["trivial", "regular"], None),
+            "out": (("--out",), *_REQUIRED),
+        }),
+        "selftest": ("run the built-in acceptance criteria", "_cmd_selftest", {
+            "criteria": (("--criteria",), None, False, None, None, None,
+                         "comma-separated subset, e.g. 1,4"),
+        }),
+    }
+
+
 def test_exit_code_for_bad_json(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -194,9 +273,11 @@ def test_exit_code_for_bad_json(capsys, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("hostile", ["module_entry", "trace_entry", "not_utf8", "json_integer"])
+@pytest.mark.parametrize("hostile", ["module_entry", "trace_entry", "not_utf8", "json_integer",
+                                     "deep_nesting"])
 def test_hostile_files_exit_3(capsys, tmp_path, hostile):
-    # Each makes `json` or `int` raise a ValueError, which must reach the user as a ParseError.
+    # Each makes `json` or `int` raise a ValueError, or `json` a RecursionError, which must
+    # reach the user as a ParseError.
     alg, mod = make_trunc(capsys, tmp_path, 3, "gf:2", module_i=1)
     long = "7" * 5000
     bad = tmp_path / "bad.json"
@@ -210,6 +291,9 @@ def test_hostile_files_exit_3(capsys, tmp_path, hostile):
         data["trace"][0] = long
         bad.write_text(json.dumps(data))
         argv = ("check", str(bad))
+    elif hostile == "deep_nesting":
+        bad.write_text("[" * 1000 + "]" * 1000)
+        argv = ("stable-hom", str(alg), str(mod), str(bad))
     else:
         bad.write_bytes(b"\xff\xfe{}" if hostile == "not_utf8" else b'{"dim": %s}' % long.encode())
         argv = ("check", str(bad))
@@ -462,6 +546,12 @@ _PINNED_SWEEP = [
      "93e0d55151e0112db3ab8c0b95ce5292b8ceb9c3d4c121fd938358e630a5a260"),
     ("catalog group --type klein4 --field gf:2 --module regular --out k4",
      "97ff60ec515c19ebf41e8612ccdeacef888e6c1f37b96969a5d9e0c986b0614d"),
+    ("catalog group --type cyclic:3 --field gf:3 --module regular --out c3",
+     "0cd6165967fc987475de2937f442bdd57d078c856a62732f2af07da3f8a989f1"),
+    ("catalog group --type cyclic:4 --field q --module trivial --out c4",
+     "6a3045acb8377441634c877beae8742bf0d14cd03d1586cbdd6bde7ad3bcc81f"),
+    ("catalog trunc-poly --n 1 --field gf:2 --module-i 0 --out t1",
+     "c95c61ba0c052531452aec9935d7583bbca81ee5bd40e902cd6bd7de4d4ce056"),
     ("check t5/trunc_poly_5.json",
      "f624b7b68120376e8fe1f8c7cfdd31827f5d4c0d561441e5cfa81629b9c4eff8"),
     ("check t4/trunc_poly_4.json",
